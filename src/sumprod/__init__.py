@@ -11,6 +11,7 @@ from .classify import (
     Decomposition,
     LinearForm,
     ShiftSamples,
+    decompose_composite,
     decompose_fully,
     is_composite,
     is_degenerate,
@@ -19,6 +20,7 @@ from .classify import (
 )
 from .errors import (
     BoundViolated,
+    CertificationFailed,
     ConstantPolynomial,
     DegenerateSpec,
     DegenerateSystem,

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConstantPolynomial, HypothesisViolated, InsufficientSamples
+from .errors import (
+    CertificationFailed,
+    ConstantPolynomial,
+    HypothesisViolated,
+    InsufficientSamples,
+)
 from .factor import fiber_reducibility
 from .poly import BiPoly, UniPoly, grlex_key
 
@@ -101,12 +106,14 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     if fy.is_zero:
         outer = UniPoly({i: v for (i, _), v in f.t.items()})
         dec = Decomposition(outer, BiPoly.x(), "degenerate", LinearForm(Fraction(1), Fraction(0)))
-        assert dec.verify(f)
+        if not dec.verify(f):
+            raise CertificationFailed("y-free polynomial failed to re-expand from its x-coefficients")
         return dec
     if fx.is_zero:
         outer = UniPoly({j: v for (_, j), v in f.t.items()})
         dec = Decomposition(outer, BiPoly.y(), "degenerate", LinearForm(Fraction(0), Fraction(1)))
-        assert dec.verify(f)
+        if not dec.verify(f):
+            raise CertificationFailed("x-free polynomial failed to re-expand from its y-coefficients")
         return dec
     key, lead = max(fy.t.items(), key=lambda kv: grlex_key(kv[0]))
     c = fx.coeff(*key) / lead
@@ -142,20 +149,9 @@ def is_composite(
             raise ValueError(f"schedule must contain exactly {k} distinct values")
     else:
         lams = [Fraction(j) for j in range(1, k + 1)]
-    from .errors import SumprodError
-
     witnesses = []
-    next_extra = max(lams) + 1
     for lam in lams:
-        while True:
-            try:
-                status = fiber_reducibility(f - BiPoly.const(lam))
-                break
-            except SumprodError:
-                # slide past a fiber the oracle rejects, keeping k distinct rows
-                lam = next_extra
-                next_extra += 1
-        if not status.reducible:
+        if not fiber_reducibility(f - BiPoly.const(lam)).reducible:
             return CompositenessVerdict(composite=False, certificate_lambda=lam)
         witnesses.append(lam)
     return CompositenessVerdict(composite=True, witness_lambdas=tuple(witnesses))
@@ -282,9 +278,18 @@ def decompose_fully(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
     """
     if is_degenerate(f) is not None:
         raise HypothesisViolated("decomposition core requires a non-degenerate input")
-    k = f.total_degree
-    if k < 2 or not is_composite(f).composite:
+    if f.total_degree < 2 or not is_composite(f).composite:
         return f, []
+    return decompose_composite(f)
+
+
+def decompose_composite(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
+    """Core and chain of f, already known to be composite and non-degenerate.
+
+    The core is the nonconstant Jacobian-kernel element of least degree; it
+    and the chain are re-expanded to f before they are returned.
+    """
+    k = f.total_degree
     for d in _divisors_ascending(k):
         kernel = _jacobian_kernel(f, d)
         inner = None
@@ -295,13 +300,16 @@ def decompose_fully(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
                 break
         if inner is None:
             continue
-        assert inner.total_degree == d, "kernel element degree must match the divisor"
+        if inner.total_degree != d:
+            raise CertificationFailed(f"Jacobian kernel element has degree {inner.total_degree}, not {d}")
         outer = _solve_outer(f, inner, k // d)
-        assert outer is not None, "composite verdict guarantees an outer polynomial"
+        if outer is None:
+            raise CertificationFailed("no outer polynomial over the least-degree kernel element")
         chain = decompose_chain(outer)
-        assert recompose(chain, inner) == f
+        if recompose(chain, inner) != f:
+            raise CertificationFailed("decomposition chain failed to re-expand")
         return inner, chain
-    raise AssertionError("composite polynomial without an extractable inner")
+    raise CertificationFailed("composite polynomial without an extractable inner")
 
 
 def reconstruct_shift_decomposition(

@@ -1,7 +1,8 @@
 """Command-line entry point: classify, sigma, incidence, scan.
 
 Exit codes: 0 success, 1 assertion or floor violation (including refused
-hypotheses), 2 usage error, 3 degree cap exceeded. Every run given --out
+hypotheses, and CertificationFailed when an exact certificate does not
+check), 2 usage error, 3 degree cap exceeded. Every run given --out
 writes a manifest.json echoing the resolved configuration; wall-clock timing
 lives only in the manifest so the data files stay byte-reproducible.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import (
-    decompose_fully,
+    decompose_composite,
     is_composite,
     is_degenerate,
     normalize_orientation,
@@ -168,7 +169,7 @@ def cmd_classify(args) -> int:
                 f"composite:  no (fiber at {verdict.certificate_lambda} is absolutely irreducible)"
             )
         if dec is None and verdict.composite:
-            core, chain = decompose_fully(oriented)
+            core, chain = decompose_composite(oriented)
             payload["decomposition"] = {
                 "core": format_bipoly(core),
                 "chain": [format_unipoly(q, "t") for q in chain],

@@ -41,6 +41,15 @@ class DegenerateSystem(SumprodError):
     """A curve-pair system collapsed to the zero polynomial."""
 
 
+class CertificationFailed(SumprodError):
+    """An exact certificate did not check.
+
+    Certificates are rechecked by exact arithmetic before a result is
+    returned, so this indicates a bug in this implementation, not a property
+    of the input.
+    """
+
+
 class BoundViolated(SumprodError):
     """A certified bound failed; carries the offending witness.
 

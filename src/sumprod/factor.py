@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import integers, linalg
-from .errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
+from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key
 
 DEFAULT_DEGREE_CAP = 8
@@ -115,41 +115,42 @@ def count_abs_factors(f: BiPoly) -> int:
     """Number of absolutely irreducible factors of a squarefree bivariate f."""
     if f.is_constant:
         raise ValueError("factor count of a constant")
-    dx, dy = f.deg_x, f.deg_y
-    if dx < 1 or dy < 1:
+    if f.deg_x < 1 or f.deg_y < 1:
         raise UnivariateInput("input must involve both variables")
     if not is_squarefree(f):
         raise NotSquarefree("input has a repeated factor")
-    f = f.normalized()
-    fx = f.derivative("x")
-    fy = f.derivative("y")
-    g_monomials = [(i, j) for i in range(dx) for j in range(dy + 1)]
-    h_monomials = [(i, j) for i in range(dx + 1) for j in range(dy)]
-    columns = []
-    for (i, j) in g_monomials:
-        mono = BiPoly({(i, j): 1})
-        columns.append(f * mono.derivative("y") - fy * mono)
-    for (i, j) in h_monomials:
-        mono = BiPoly({(i, j): 1})
-        columns.append(fx * mono - f * mono.derivative("x"))
+    return _abs_factor_count(f)
+
+
+def _abs_factor_count(f: BiPoly) -> int:
+    """Ruppert/Gao count for a squarefree f that involves both variables."""
+    dx, dy = f.deg_x, f.deg_y
+    terms = [(u, v, int(c)) for (u, v), c in f.normalized().t.items()]
+    # column of g = x^i y^j is f g_y - f_y g, of h = x^i y^j is f_x h - f h_x,
+    # read off term by term from the integer coefficients c of f
+    columns = [
+        {(u + i, v + j - 1): (j - v) * c for u, v, c in terms if v != j}
+        for i in range(dx)
+        for j in range(dy + 1)
+    ] + [
+        {(u + i - 1, v + j): (u - i) * c for u, v, c in terms if u != i}
+        for i in range(dx + 1)
+        for j in range(dy)
+    ]
     rows_index: dict[tuple[int, int], int] = {}
     for col in columns:
-        for key in col.t:
+        for key in col:
             rows_index.setdefault(key, len(rows_index))
-    matrix = [
-        [Fraction(0)] * len(columns) for _ in range(len(rows_index))
-    ]
+    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
     for cidx, col in enumerate(columns):
-        for key, v in col.t.items():
+        for key, v in col.items():
             matrix[rows_index[key]][cidx] = v
-    int_rows = linalg.scale_rows_to_int(matrix)
-    # certified fast path: a modular rank is a lower bound, and the solution
-    # space always contains one vector, so full modular rank pins dim = 1
-    if linalg.rank_mod_prime(int_rows) == len(columns) - 1:
-        return 1
-    rank = linalg.rank_int(int_rows)
-    dim = len(columns) - rank
-    assert dim >= 1, "solution space always contains the gradient solution"
+    # the engine's modular rank is only a lower bound; its verified kernel
+    # vectors bound the dimension from the other side, so the count is
+    # certified whether the fiber is irreducible (dim 1) or splits
+    dim = len(columns) - linalg.rank_int(matrix)
+    if dim < 1:
+        raise CertificationFailed("solution space lost the gradient solution (f_x, f_y)")
     return dim
 
 
@@ -494,7 +495,7 @@ def fiber_reducibility(fiber: BiPoly) -> FiberStatus:
         return FiberStatus(reducible=p.degree >= 2, kind="univariate")
     if not is_squarefree(fiber):
         return FiberStatus(reducible=True, kind="repeated-factor")
-    n = count_abs_factors(fiber)
+    n = _abs_factor_count(fiber)
     if n >= 2:
         return FiberStatus(reducible=True, kind="nullspace", abs_count=n)
     return FiberStatus(reducible=False, kind="irreducible", abs_count=1)

@@ -1,15 +1,33 @@
-"""Exact linear algebra: fraction-free (Bareiss) elimination and rational Gauss.
+"""Exact linear algebra: one certified modular nullspace engine, and Bareiss
+determinants.
 
-The Bareiss routines work over any integral domain with an exact-division
-operation, which is what lets the same determinant code run on integers,
-univariate polynomials, and bivariate polynomials.
+Rank, nullspace and linear solves over Q (`rank_int`, `nullspace_basis`,
+`solve_exact`) all run on `certified_nullspace`. One elimination mod a 61-bit
+prime p gives the rank r_p, which is a lower bound on the rank over Q, and a
+nullspace basis mod p in reduced-echelon form. Each basis vector is lifted to
+Q by rational reconstruction. When a vector fails to reconstruct or to verify,
+further primes are combined by the Chinese remainder theorem, up to the count
+the matrix's Hadamard bound shows always suffices; running out raises
+`CertificationFailed`. A basis is accepted only when every vector satisfies
+A v = 0 exactly over Z: the n - r_p independent kernel vectors then pin the
+nullspace dimension to n - r_p, so the certificate never rests on p being a
+lucky prime.
+
+The fraction-free (Bareiss) determinant works over any integral domain with an
+exact-division operation, which is what lets the same code run on integers,
+univariate polynomials, and bivariate polynomials. `rref`, Gauss-Jordan over
+the rationals, is the reference the tests compare the engine against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence
+from math import gcd, isqrt
+from typing import Callable, Iterator, Sequence
+
+from .errors import CertificationFailed
+from .integers import is_probable_prime
 
 
 def det_in_ring(
@@ -73,75 +91,204 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     )
 
 
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free forward elimination.
-
-    Pivots on the entry of smallest magnitude in the column to slow the
-    coefficient growth Bareiss steps produce.
-    """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        best = None
-        for r in range(row, len(m)):
-            v = m[r][col]
-            if v != 0 and (best is None or abs(v) < best):
-                piv, best = r, abs(v)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, len(m)):
-            if all(v == 0 for v in m[r]):
-                continue
-            for c in range(col + 1, ncols):
-                m[r][c] = _int_divexact(m[r][c] * m[row][col] - m[r][col] * m[row][c], prev)
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
-
+# ---------------------------------------------------------------------------
+# certified modular nullspace engine
 
 _RANK_PRIME = (1 << 61) - 1
 
 
+def _primes() -> Iterator[int]:
+    """The fixed prime sequence: 2^61 - 1, then the primes below it, descending."""
+    yield _RANK_PRIME
+    q = _RANK_PRIME - 2
+    while True:
+        if is_probable_prime(q):
+            yield q
+        q -= 2
+
+
+def _echelon_mod(rows: Sequence[Sequence[int]], ncols: int, p: int):
+    """Row echelon form mod p, pivoting on the leftmost nonzero column.
+
+    Returns (echelon, pivots): echelon[k] lists the (column, value) pairs
+    right of column pivots[k] of the k-th pivot row, scaled to a leading 1.
+    Of the rows that can supply a pivot, the sparsest does, which keeps
+    fill-in low; the pivot columns do not depend on that choice.
+    """
+    # rows still to reduce are stored from the current column onward; every
+    # entry left of it is zero
+    rest = [r for r in ([v % p for v in row] for row in rows) if any(r)]
+    echelon, pivots = [], []
+    for col in range(ncols):
+        if not rest:
+            break
+        candidates = [i for i, r in enumerate(rest) if r[0]]
+        if not candidates:
+            rest = [r[1:] for r in rest]
+            continue
+        piv = rest.pop(max(candidates, key=lambda i: rest[i].count(0)))
+        inv = pow(piv[0], -1, p)
+        tail = [(j, v * inv % p) for j, v in enumerate(piv[1:]) if v]
+        echelon.append([(col + 1 + j, v) for j, v in tail])
+        pivots.append(col)
+        reduced = []
+        for r in rest:
+            f = r[0]
+            r = r[1:]
+            if f:
+                for j, v in tail:
+                    r[j] = (r[j] - f * v) % p
+                if not any(r):
+                    continue
+            reduced.append(r)
+        rest = reduced
+    return echelon, pivots
+
+
+def _kernel_mod(echelon: list, pivots: list[int], ncols: int, p: int) -> list[list[int]]:
+    """Reduced-echelon nullspace basis mod p, one vector per free column.
+
+    The vector of free column c has 1 at c and 0 at every other free column.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        # entries right of fc stay zero, so back-substitution starts left of it
+        for row, pc in reversed([(r, c) for r, c in zip(echelon, pivots) if c < fc]):
+            v[pc] = -sum(a * v[j] for j, a in row) % p
+        basis.append(v)
+    return basis
+
+
+def _ratrec(a: int, m: int, bound: int) -> tuple[int, int] | None:
+    """Rational reconstruction (Wang): n/d = a mod m with |n|, d <= bound, or None."""
+    if a <= bound:
+        return a, 1
+    if m - a <= bound:
+        return a - m, 1
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(residues: list[int], m: int) -> tuple[list[int], int] | None:
+    """A vector w/den over Q congruent to `residues` mod m, or None.
+
+    Entries are reconstructed one by one against the common denominator of
+    those before them, so most of them come back as integers at once.
+    """
+    bound = isqrt(m // 2)
+    den = 1
+    nums = []
+    for a in residues:
+        got = _ratrec(a * den % m, m, bound)
+        if got is None:
+            return None
+        n, d = got
+        if d > 1:
+            den *= d
+            if den > bound:
+                return None
+            nums = [x * d for x in nums]
+        nums.append(n)
+    return nums, den
+
+
+def _annihilates(rows: Sequence[Sequence[int]], w: list[int]) -> bool:
+    """A w = 0, exactly over Z."""
+    support = [j for j, v in enumerate(w) if v]
+    return all(sum(row[j] * w[j] for j in support) == 0 for row in rows)
+
+
+def _prime_budget(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Primes that always suffice to certify the nullspace of `rows`.
+
+    Every minor is at most H = prod of the column norms (Hadamard), and the
+    reduced-echelon basis entries are ratios of minors, so a modulus above
+    2 H^2 reconstructs them. Each prime exceeds 2^60, and a prime is unlucky
+    only when it divides one fixed nonzero minor, so at most log2(H)/60 are.
+    """
+    bits = 0
+    for j in range(ncols):
+        bits += sum(row[j] * row[j] for row in rows).bit_length()
+    return (bits + 1) // 60 + 1 + (bits // 2 + 1) // 60 + 1
+
+
+@dataclass(frozen=True)
+class Nullspace:
+    """A certified basis of the right nullspace of an integer matrix.
+
+    Vector k is vectors[k] / denominators[k]; together they are the
+    reduced-echelon basis for the pivot columns of the accepted prime, so
+    the rank is len(pivots). `primes` counts the primes tried.
+    """
+
+    pivots: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+    primes: int
+
+    def basis(self) -> list[list[Fraction]]:
+        return [[Fraction(v, d) for v in w] for w, d in zip(self.vectors, self.denominators)]
+
+
+def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
+    """Right nullspace of an integer matrix, certified over Q.
+
+    Raises CertificationFailed when the prime budget runs out, which the
+    Hadamard bound rules out for a correct implementation.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    budget = _prime_budget(rows, ncols)
+    primes = _primes()
+    pivots = residues = modulus = None
+    for used in range(1, budget + 1):
+        p = next(primes)
+        echelon, piv = _echelon_mod(rows, ncols, p)
+        basis = _kernel_mod(echelon, piv, ncols, p)
+        # a prime is unlucky when its pivot columns come out fewer or later
+        # than the true ones; keep the best pivot profile seen so far
+        if pivots is None or (len(piv), [-c for c in piv]) > (len(pivots), [-c for c in pivots]):
+            pivots, residues, modulus = piv, basis, p
+        elif piv == pivots:
+            t = pow(modulus, -1, p)
+            residues = [
+                [a + modulus * ((b - a) * t % p) for a, b in zip(old, new)]
+                for old, new in zip(residues, basis)
+            ]
+            modulus *= p
+        lifted = [_lift(v, modulus) for v in residues]
+        if all(got is not None and _annihilates(rows, got[0]) for got in lifted):
+            return Nullspace(
+                tuple(pivots),
+                tuple(tuple(w) for w, _ in lifted),
+                tuple(d for _, d in lifted),
+                used,
+            )
+    raise CertificationFailed(
+        f"nullspace of a {len(rows)}x{ncols} matrix not certified after {budget} primes"
+    )
+
+
 def rank_mod_prime(rows: Sequence[Sequence[int]], p: int = _RANK_PRIME) -> int:
     """Rank of the matrix reduced mod p; a certified lower bound on the rank."""
-    m = [[v % p for v in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
+    return len(_echelon_mod(rows, len(rows[0]) if rows else 0, p)[1])
+
+
+def rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, certified by the nullspace engine."""
+    if not rows:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [v * inv % p for v in m[row]]
-        for r in range(row + 1, len(m)):
-            f = m[r][col]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+    return len(certified_nullspace(rows, len(rows[0])).pivots)
 
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -155,8 +302,33 @@ def scale_rows_to_int(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def rank_frac(rows: Sequence[Sequence[Fraction]]) -> int:
-    return rank_int(scale_rows_to_int(rows))
+def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of the matrix, as coefficient vectors."""
+    return certified_nullspace(scale_rows_to_int(rows), ncols).basis()
+
+
+def solve_exact(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None if the system is inconsistent.
+
+    Free variables are pinned to zero; callers needing uniqueness verify the
+    reconstruction downstream.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    # the solutions are the nullspace vectors of [A | -b] ending in 1
+    kernel = certified_nullspace(
+        scale_rows_to_int([list(r) + [-b] for r, b in zip(rows, rhs)]), ncols + 1
+    )
+    if ncols in kernel.pivots:
+        return None
+    return kernel.basis()[-1][:ncols]
+
+
+# ---------------------------------------------------------------------------
+# reference implementation
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -187,41 +359,3 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if row == len(m):
             break
     return m, pivots
-
-
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix, as coefficient vectors."""
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent.
-
-    Free variables are pinned to zero; callers needing uniqueness verify the
-    reconstruction downstream.
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x

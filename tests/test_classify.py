@@ -137,6 +137,10 @@ class TestDecomposeFully:
         core, chain = decompose_fully(P("x^2 y^2 + 3"))
         assert core == P("x y")
         assert chain == [UniPoly({2: 1, 0: 3})]
+        # (t^2 + t) o (x^5 y + y), degree 12
+        core, chain = decompose_fully(P("x^10 y^2 + 2 x^5 y^2 + y^2 + x^5 y + y"))
+        assert core == P("x^5 y + y")
+        assert chain == [UniPoly({2: 1, 1: 1})]
 
     def test_non_composite_identity(self):
         core, chain = decompose_fully(P("x y"))

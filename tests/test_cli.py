@@ -45,6 +45,15 @@ class TestClassifyCommand:
     def test_bad_poly_is_usage_error(self, capsys):
         assert main(["classify", "--poly", "x + $"]) == 2
 
+    def test_failed_certificate_exits_1(self, capsys, monkeypatch):
+        # a fiber whose nullspace cannot be certified ends the run; the
+        # compositeness test must not move on to another fiber
+        from sumprod import linalg
+
+        monkeypatch.setattr(linalg, "_annihilates", lambda rows, w: False)
+        assert main(["classify", "--poly", "x y"]) == 1
+        assert "CertificationFailed" in capsys.readouterr().err
+
 
 class TestSigmaCommand:
     def test_json_report(self, capsys):
