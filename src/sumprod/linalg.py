@@ -107,7 +107,9 @@ def _primes() -> Iterator[int]:
         q -= 2
 
 
-def _echelon_mod(rows: Sequence[Sequence[int]], ncols: int, p: int):
+def _echelon_mod(
+    rows: Sequence[Sequence[int]], ncols: int, p: int
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """Row echelon form mod p, pivoting on the leftmost nonzero column.
 
     Returns (echelon, pivots): echelon[k] lists the (column, value) pairs
@@ -145,7 +147,9 @@ def _echelon_mod(rows: Sequence[Sequence[int]], ncols: int, p: int):
     return echelon, pivots
 
 
-def _kernel_mod(echelon: list, pivots: list[int], ncols: int, p: int) -> list[list[int]]:
+def _kernel_mod(
+    echelon: list[list[tuple[int, int]]], pivots: list[int], ncols: int, p: int
+) -> list[list[int]]:
     """Reduced-echelon nullspace basis mod p, one vector per free column.
 
     The vector of free column c has 1 at c and 0 at every other free column.
@@ -248,11 +252,8 @@ def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
     Hadamard bound rules out for a correct implementation.
     """
     rows = [list(r) for r in rows if any(r)]
-    budget = _prime_budget(rows, ncols)
-    primes = _primes()
-    pivots = residues = modulus = None
-    for used in range(1, budget + 1):
-        p = next(primes)
+    pivots = residues = modulus = budget = None
+    for used, p in enumerate(_primes(), 1):
         echelon, piv = _echelon_mod(rows, ncols, p)
         basis = _kernel_mod(echelon, piv, ncols, p)
         # a prime is unlucky when its pivot columns come out fewer or later
@@ -274,9 +275,12 @@ def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
                 tuple(d for _, d in lifted),
                 used,
             )
-    raise CertificationFailed(
-        f"nullspace of a {len(rows)}x{ncols} matrix not certified after {budget} primes"
-    )
+        if budget is None:
+            budget = _prime_budget(rows, ncols)
+        if used >= budget:
+            raise CertificationFailed(
+                f"nullspace of a {len(rows)}x{ncols} matrix not certified after {used} primes"
+            )
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], p: int = _RANK_PRIME) -> int:
