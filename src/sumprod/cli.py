@@ -25,7 +25,7 @@ from .classify import (
     is_degenerate,
     normalize_orientation,
 )
-from .errors import DegreeCapExceeded, HypothesisViolated, SumprodError
+from .errors import DegreeCapExceeded, SumprodError
 from .explorer import (
     ApSpec,
     GpSpec,
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except DegreeCapExceeded as exc:
         print(f"degree cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (HypothesisViolated, SumprodError) as exc:
+    except SumprodError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (PolyParseError, ValueError) as exc:

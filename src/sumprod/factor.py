@@ -15,7 +15,14 @@ squarefree f the dimension of the solution space of
 
 over polynomial unknowns g (x-degree < deg_x f, y-degree <= deg_y f) and
 h (x-degree <= deg_x f, y-degree < deg_y f) equals the number of absolutely
-irreducible factors of f.
+irreducible factors of f. The solutions are the closed forms (g dx + h dy)/f.
+
+The same dimension decides reducibility over C without a squarefree test.
+If f = p^e q with p nonconstant and e >= 2, then d log p and d(1/p) are two
+independent closed forms within the degree bounds:
+(g, h) = (p^(e-1) q p_x, p^(e-1) q p_y) and -(p^(e-2) q p_x, p^(e-2) q p_y).
+So f is reducible over C exactly when the dimension is at least 2; for an
+f with a repeated factor the dimension need not be the factor count.
 """
 
 from __future__ import annotations
@@ -103,7 +110,8 @@ def squarefree_part(f: BiPoly) -> BiPoly:
     if g.is_constant:
         return f.normalized()
     out = bi_divexact(f, g)
-    assert out is not None, "gcd with gradient must divide f"
+    if out is None:
+        raise CertificationFailed("gcd with the gradient does not divide f")
     return out.normalized()
 
 
@@ -123,7 +131,11 @@ def count_abs_factors(f: BiPoly) -> int:
 
 
 def _abs_factor_count(f: BiPoly) -> int:
-    """Ruppert/Gao count for a squarefree f that involves both variables."""
+    """Ruppert/Gao dimension of an f that involves both variables.
+
+    It is the absolute factor count when f is squarefree, and at least 2
+    when f has a repeated factor (see the module docstring).
+    """
     dx, dy = f.deg_x, f.deg_y
     terms = [(u, v, int(c)) for (u, v), c in f.normalized().t.items()]
     # column of g = x^i y^j is f g_y - f_y g, of h = x^i y^j is f_x h - f h_x,
@@ -235,7 +247,8 @@ def _search_degree_r_factor(p: UniPoly, r: int, budget: list[int]) -> UniPoly | 
     t = 0
     while len(nodes) < r + 5:
         v = p(t)
-        assert v != 0, "rational roots were stripped first"
+        if v == 0:
+            raise CertificationFailed("a rational root survived the linear-factor strip")
         nodes.append((t, int(v)))
         t = -t if t > 0 else -t + 1
     nodes.sort(key=lambda nv: (abs(nv[1]), nv[0]))
@@ -327,7 +340,8 @@ def factor_univariate(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     check = UniPoly.const(scale)
     for f, m in factors.items():
         check = check * f**m
-    assert check == p, "univariate factorization failed certification"
+    if check != p:
+        raise CertificationFailed("univariate factorization failed certification")
     return scale, sorted(factors.items(), key=lambda fm: (fm[0].degree, sorted(fm[0].c.items())))
 
 
@@ -466,7 +480,8 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
         )
     )
     result = FactorList(constant=scale, factors=ordered)
-    assert result.verify(original), "factorization failed certification"
+    if not result.verify(original):
+        raise CertificationFailed("factorization failed certification")
     return result
 
 
@@ -476,10 +491,15 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
 
 @dataclass(frozen=True)
 class FiberStatus:
-    """Reducibility of one polynomial over C, with how it was decided."""
+    """Reducibility of one polynomial over C, with how it was decided.
+
+    `abs_count` is the Ruppert/Gao dimension. It equals the number of
+    absolutely irreducible factors only for a squarefree fiber; a fiber with
+    a repeated factor has dimension at least 2.
+    """
 
     reducible: bool
-    kind: str  # "irreducible", "repeated-factor", "nullspace", "univariate"
+    kind: str  # "irreducible", "nullspace", "univariate"
     abs_count: int | None = None
 
 
@@ -487,14 +507,14 @@ def fiber_reducibility(fiber: BiPoly) -> FiberStatus:
     """Decide whether `fiber` factors nontrivially over the complex numbers.
 
     Degree >= 2 is assumed. Univariate inputs of degree >= 2 always split
-    over C; a repeated factor is a nontrivial factorization; otherwise the
-    Ruppert/Gao count decides.
+    over C. Otherwise the Ruppert/Gao dimension alone decides: it is 1 for an
+    absolutely irreducible fiber, the factor count for a squarefree one, and
+    at least 2 when a factor repeats (d log p and d(1/p) both solve the
+    system), so no squarefree test is needed.
     """
     if fiber.deg_x <= 0 or fiber.deg_y <= 0:
         p, _ = fiber.to_unipoly()
         return FiberStatus(reducible=p.degree >= 2, kind="univariate")
-    if not is_squarefree(fiber):
-        return FiberStatus(reducible=True, kind="repeated-factor")
     n = _abs_factor_count(fiber)
     if n >= 2:
         return FiberStatus(reducible=True, kind="nullspace", abs_count=n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundViolated, DegenerateSystem
+from .errors import BoundViolated, CertificationFailed, DegenerateSystem
 from .factor import FactorList, factor_rational, rational_roots
 from .poly import BiPoly, UniPoly, bi_gcd, resultant_eliminating, uni_gcd
 from .spectrum import SigmaReport, remove_sigma_rows
@@ -62,7 +62,8 @@ def build_family(f: BiPoly, A) -> CurveFamily:
     k = f.total_degree
     elements = sorted(set(Fraction(v) for v in A))
     removed = tuple(b for b in elements if f.specialize_y(b).is_zero)
-    assert len(removed) <= k, "zero-row count exceeds the degree bound"
+    if len(removed) > k:
+        raise CertificationFailed("zero-row count exceeds the degree bound")
     kept = tuple(b for b in elements if b not in set(removed))
     classes: dict[CurveKey, list[tuple[Fraction, Fraction]]] = {}
     specialized = {b: f.specialize_y(b) for b in kept}
@@ -225,7 +226,8 @@ def curve_pair_solutions(
         # both equations constrain y alone and share no root
         return SolutionCount(0, ())
     elim = resultant_eliminating(F1, F2, "x")
-    assert not elim.is_zero, "coprime curves have a nonzero eliminant"
+    if elim.is_zero:
+        raise CertificationFailed("coprime curves have a zero eliminant")
     solutions = []
     if elim.degree >= 1:
         ys = rational_roots(elim)
@@ -235,7 +237,7 @@ def curve_pair_solutions(
         u1 = F1.specialize_y(yv)
         u2 = F2.specialize_y(yv)
         if u1.is_zero and u2.is_zero:
-            raise AssertionError("common line despite constant gcd")
+            raise CertificationFailed("common line despite constant gcd")
         if u1.is_zero:
             shared = u2
         elif u2.is_zero:

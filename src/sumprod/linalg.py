@@ -13,10 +13,11 @@ A v = 0 exactly over Z: the n - r_p independent kernel vectors then pin the
 nullspace dimension to n - r_p, so the certificate never rests on p being a
 lucky prime.
 
-The fraction-free (Bareiss) determinant works over any integral domain with an
-exact-division operation, which is what lets the same code run on integers,
-univariate polynomials, and bivariate polynomials. `rref`, Gauss-Jordan over
-the rationals, is the reference the tests compare the engine against.
+The fraction-free (Bareiss) determinant `det_in_ring` works over any integral
+domain with an exact-division operation; its one caller is
+`poly.resultant_eliminating`, whose Sylvester entries lie in Q[y]. `rref`,
+Gauss-Jordan over the rationals, is the reference the tests compare the engine
+against.
 """
 
 from __future__ import annotations
@@ -70,25 +71,6 @@ def det_in_ring(
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign > 0 else sub(zero, d)
-
-
-def _int_divexact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact integer division in Bareiss step")
-    return q
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    return det_in_ring(
-        rows,
-        zero=0,
-        one=1,
-        is_zero=lambda v: v == 0,
-        mul=lambda a, b: a * b,
-        sub=lambda a, b: a - b,
-        divexact=_int_divexact,
-    )
 
 
 # ---------------------------------------------------------------------------

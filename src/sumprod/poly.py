@@ -12,8 +12,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-
-Rat = Fraction
+from .errors import CertificationFailed
 
 
 def _rat(v) -> Fraction:
@@ -59,11 +58,6 @@ class UniPoly:
     @classmethod
     def x(cls) -> "UniPoly":
         return cls({1: 1})
-
-    @classmethod
-    def from_list(cls, ascending) -> "UniPoly":
-        """Build from coefficients listed in ascending degree."""
-        return cls(dict(enumerate(ascending)))
 
     @property
     def degree(self) -> int:
@@ -422,10 +416,6 @@ class BiPoly:
                 out[i] = acc
         return UniPoly(out)
 
-    def specialize_x(self, a) -> UniPoly:
-        """Return f(a, y) as a univariate polynomial in y."""
-        return self.swap().specialize_y(a)
-
     def swap(self) -> "BiPoly":
         return BiPoly({(j, i): v for (i, j), v in self.t.items()})
 
@@ -605,7 +595,8 @@ def primitive_part_x(f: BiPoly) -> BiPoly:
     if cont.degree == 0 and cont.coeff(0) == 1:
         return f
     out = bi_divexact(f, cont.to_bipoly("y"))
-    assert out is not None
+    if out is None:
+        raise CertificationFailed("the content in x does not divide the polynomial")
     return out
 
 
@@ -622,7 +613,8 @@ def _pseudo_rem_x(a: BiPoly, b: BiPoly) -> BiPoly:
         if dr < db:
             break
         qc, rem = r[dr].divrem(lead)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise CertificationFailed("inexact step in a pseudo-remainder")
         for i2, c2 in bx.items():
             nd = i2 + dr - db
             nv = r.get(nd, UniPoly.zero()) - qc * c2
@@ -681,22 +673,7 @@ def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
 
 def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """Sylvester determinant of two univariate polynomials (p-block first)."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("resultant of two zero polynomials")
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeff(0) ** n
-    if n == 0:
-        return q.coeff(0) ** m
-    pp, ps = p.primitive()
-    qp, qs = q.primitive()
-    rows = _sylvester_rows(
-        [int(v) for v in pp.coeff_list()], [int(v) for v in qp.coeff_list()], 0
-    )
-    det = linalg.det_int(rows)
-    return det * ps**n * qs**m
+    return resultant_eliminating(p.to_bipoly("x"), q.to_bipoly("x"), "x").coeff(0)
 
 
 def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:

@@ -3,6 +3,8 @@
 Candidate lambdas come from three sources: rational critical values of f
 (obtained by eliminating x and then y from the system {f - lambda, f_x, f_y}
 with resultants), a small-height rational sweep, and user-supplied values.
+Every resultant is `poly.resultant_eliminating` over Q[y]; the one that keeps
+lambda symbolic is evaluated at integer lambdas and interpolated.
 The scan then decides reducibility of every candidate fiber with a
 certificate. Membership of a tested lambda is certified either way;
 completeness over all complex lambda is not claimed.
@@ -13,17 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import integers, linalg
+from . import integers
 from .errors import DegreeCapExceeded
 from .factor import (
     AbsReducibleWitness,
     FactorList,
     DEFAULT_DEGREE_CAP,
+    _interpolate,
     factor_rational,
     fiber_reducibility,
     rational_roots,
 )
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 
 DEFAULT_SWEEP_HEIGHT = 5
 
@@ -89,53 +92,23 @@ def _certificate_summary(cert) -> dict:
 # candidates
 
 
-def _bi_in(yvar_poly: UniPoly, axis: int) -> BiPoly:
-    """Embed a univariate polynomial as a BiPoly along axis 0 or 1."""
-    if axis == 0:
-        return BiPoly({(d, 0): v for d, v in yvar_poly.c.items()})
-    return BiPoly({(0, d): v for d, v in yvar_poly.c.items()})
-
-
 def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
-    """res_x(f - lambda, g) as a polynomial in (y, lambda).
+    """res_x(f - lambda, g) as a polynomial in (y, lambda), y on axis 0.
 
-    Entries of the Sylvester matrix live in Q[y, lambda]; lambda only enters
-    through the constant-in-x coefficient of f - lambda.
+    lambda only enters the x^0 coefficient of f - lambda, so the Sylvester
+    matrix has the same shape for every lambda, and lambda fills one entry in
+    each of deg_x g rows. The resultant therefore has lambda-degree at most
+    deg_x g, and its values at lambda = 0, 1, ..., deg_x g determine each
+    y-coefficient exactly by interpolation.
     """
-    fx_coeffs = f.coeffs_in_x()
-    gx_coeffs = g.coeffs_in_x()
-    m, n = max(fx_coeffs), max(gx_coeffs)
-    # coefficients as BiPoly in (y-axis 0, lambda-axis 1)
-    pc = []
-    for d in range(m + 1):
-        entry = _bi_in(fx_coeffs.get(d, UniPoly.zero()), 0)
-        if d == 0:
-            entry = entry - BiPoly({(0, 1): 1})
-        pc.append(entry)
-    qc = [_bi_in(gx_coeffs.get(d, UniPoly.zero()), 0) for d in range(n + 1)]
-    if n == 0:
-        return qc[0] ** m
-    from .poly import _sylvester_rows
-
-    rows = _sylvester_rows(pc, qc, BiPoly.zero())
-    return linalg.det_in_ring(
-        rows,
-        zero=BiPoly.zero(),
-        one=BiPoly.const(1),
-        is_zero=lambda u: u.is_zero,
-        mul=lambda a, b: a * b,
-        sub=lambda a, b: a - b,
-        divexact=lambda a, b: _bi_divexact_checked(a, b),
+    values = [resultant_eliminating(f - BiPoly.const(t), g, "x") for t in range(g.deg_x + 1)]
+    return BiPoly(
+        {
+            (j, k): v
+            for j in set().union(*(r.c for r in values))
+            for k, v in _interpolate([(t, r.coeff(j)) for t, r in enumerate(values)]).c.items()
+        }
     )
-
-
-def _bi_divexact_checked(a: BiPoly, b: BiPoly) -> BiPoly:
-    from .poly import bi_divexact
-
-    q = bi_divexact(a, b)
-    if q is None:
-        raise ArithmeticError("inexact division in polynomial elimination")
-    return q
 
 
 def rational_critical_values(f: BiPoly) -> list[Fraction]:
@@ -144,20 +117,16 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
     Spurious roots from resultant inflation are acceptable; the scan filters
     every candidate by an actual reducibility test.
     """
-    from .poly import resultant_eliminating
-
     fx = f.derivative("x")
     fy = f.derivative("y")
     if fx.is_zero and fy.is_zero:
         return []
     if fx.is_zero or fy.is_zero:
         # univariate f: critical values are f at the roots of f'
-        p, var = f.to_unipoly()
-        fb = _bi_in(p, 0) - BiPoly({(0, 1): 1})
-        db = _bi_in(p.derivative(), 0)
-        if db.is_zero:
-            return []
-        elim = resultant_eliminating(fb, db, "x")
+        p, _ = f.to_unipoly()
+        elim = _first_nonconstant_unipoly(
+            _resultant_x_with_lambda(p.to_bipoly("x"), p.derivative().to_bipoly("x"))
+        )
     else:
         r1 = _resultant_x_with_lambda(f, fx)
         r2 = _resultant_x_with_lambda(f, fy)
@@ -170,26 +139,20 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
             elim = resultant_eliminating(r1, r2, "x")
     if elim is None or elim.is_zero or elim.degree < 1:
         return []
-    squarefree = elim.divexact(_uni_gcd_local(elim, elim.derivative()))
+    squarefree = elim.divexact(uni_gcd(elim, elim.derivative()))
     try:
         return rational_roots(squarefree)
     except (DegreeCapExceeded, integers.FactorBudgetExceeded):
         return []
 
 
-def _first_nonconstant_unipoly(r1: BiPoly, r2: BiPoly) -> UniPoly | None:
-    for r in (r1, r2):
+def _first_nonconstant_unipoly(*rs: BiPoly) -> UniPoly | None:
+    """The first of `rs` that is nonconstant, as a polynomial in lambda (axis 1)."""
+    for r in rs:
         p = UniPoly({j: v for (_, j), v in r.t.items()})
         if p.degree >= 1:
             return p
     return None
-
-
-def _uni_gcd_local(a: UniPoly, b: UniPoly) -> UniPoly:
-    from .poly import uni_gcd
-
-    g = uni_gcd(a, b)
-    return g if not g.is_zero else UniPoly.const(1)
 
 
 def sweep_candidates(height: int = DEFAULT_SWEEP_HEIGHT) -> list[Fraction]:
@@ -274,9 +237,6 @@ class PrunedGrid:
     @property
     def removed_count(self) -> int:
         return len(self.sums) * len(self.removed_values)
-
-    def contains(self, s: Fraction, v: Fraction) -> bool:
-        return s in set(self.sums) and v in set(self.kept_values)
 
 
 def remove_sigma_rows(sums, values, report: SigmaReport) -> PrunedGrid:

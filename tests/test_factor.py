@@ -4,13 +4,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
+    _abs_factor_count,
     count_abs_factors,
     factor_rational,
     factor_univariate,
     fiber_reducibility,
+    is_squarefree,
     rational_roots,
     squarefree_part,
 )
@@ -174,7 +178,43 @@ class TestFiberReducibility:
 
     def test_repeated_factor_counts_as_reducible(self):
         st = fiber_reducibility(P("x^2 + 2 x y + y^2"))
-        assert st.reducible and st.kind == "repeated-factor"
+        assert st.reducible and st.kind == "nullspace" and st.abs_count >= 2
 
     def test_univariate_fiber_splits(self):
         assert fiber_reducibility(P("x^2 + 1")).reducible
+
+
+@st.composite
+def nonconstant_bipolys(draw, max_deg=2):
+    """Nonconstant integer bivariate polynomials of total degree <= max_deg."""
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(0, max_deg), st.integers(0, max_deg), st.integers(-3, 3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    f = BiPoly({(i, j): c for i, j, c in terms if i + j <= max_deg})
+    assume(not f.is_constant)
+    return f
+
+
+class TestRuppertDimensionDecides:
+    """The Ruppert/Gao dimension alone decides reducibility over C."""
+
+    @given(nonconstant_bipolys(), nonconstant_bipolys())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_factor_gives_dimension_two(self, p, q):
+        f = p * p * q
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        assert _abs_factor_count(f) >= 2
+        assert fiber_reducibility(f).reducible
+
+    @given(nonconstant_bipolys(), nonconstant_bipolys(), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_squarefree_then_count(self, p, q, e):
+        f = p**e * q
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        # the route with a squarefree test first, counting only squarefree f
+        expected = not is_squarefree(f) or count_abs_factors(f) >= 2
+        assert fiber_reducibility(f).reducible == expected

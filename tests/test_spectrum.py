@@ -2,10 +2,17 @@
 
 from fractions import Fraction as F
 
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
+
 from sumprod.classify import is_composite
 from sumprod.factor import AbsReducibleWitness, FactorList
 from sumprod.parsing import parse_poly as P
+from sumprod.poly import BiPoly
 from sumprod.spectrum import (
+    _resultant_x_with_lambda,
     remove_sigma_rows,
     sigma_candidates,
     sigma_scan,
@@ -35,6 +42,31 @@ class TestCandidates:
         sw = sweep_candidates(1)
         assert sw == [F(-1), F(0), F(1)]
         assert F(2, 5) in sweep_candidates(5)
+
+
+small_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-4, 4), min_size=1, max_size=5
+).map(BiPoly)
+
+
+class TestResultantWithLambda:
+    @given(small_bipolys, small_bipolys)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_sylvester_determinant(self, f, g):
+        assume(f.deg_x >= 1 and g.deg_x >= 1)
+        x, y, lam = sympy.symbols("x y lam")
+
+        def expr(p):
+            return sum(int(c) * x**i * y**j for (i, j), c in p.t.items())
+
+        # the textbook definition; sympy.resultant itself flips the sign for
+        # some degree pairs, e.g. resultant(x - 2, x**3, x) == -8
+        det = sylvester(expr(f) - lam, expr(g), x).det()
+        expected = sympy.Poly(sympy.expand(det), y, lam)
+        got = _resultant_x_with_lambda(f, g)
+        assert {k: sympy.Rational(v.numerator, v.denominator) for k, v in got.t.items()} == {
+            k: v for k, v in expected.terms() if v
+        }
 
 
 class TestScan:
