@@ -8,8 +8,9 @@ class SumprodError(Exception):
 class DegreeCapExceeded(SumprodError):
     """Raised when a factorization request exceeds the configured degree cap.
 
-    Kronecker-style factor search is exponential; the cap turns a silent
-    slowdown into an explicit failure.
+    The one exponential step of factorization is the univariate Kronecker
+    search (on contents and on the Gao eliminant); the cap, and that search's
+    budget, turn a silent slowdown there into an explicit failure.
     """
 
 

@@ -1,21 +1,14 @@
 """Certified factorization over the rationals and absolute-factor counting.
 
-Rational factorization uses Kronecker's method: univariate factors are found
-by interpolating through divisor tuples of integer evaluations, bivariate
-inputs are reduced to the univariate case by the substitution y -> x^D with
-D above the x-degree. The method is exponential, so a hard degree cap (and an
-internal search budget) turns pathological inputs into a clear error instead
-of a hang. Every returned factorization is certified by re-expansion before
-it leaves this module.
-
-Counting factors over the complex numbers uses the Ruppert/Gao criterion: for
-squarefree f the dimension of the solution space of
+Both rest on the Ruppert/Gao system. For squarefree f the dimension of the
+solution space of
 
     f * (g_y - h_x) = f_y * g - f_x * h
 
 over polynomial unknowns g (x-degree < deg_x f, y-degree <= deg_y f) and
-h (x-degree <= deg_x f, y-degree < deg_y f) equals the number of absolutely
-irreducible factors of f. The solutions are the closed forms (g dx + h dy)/f.
+h (x-degree <= deg_x f, y-degree < deg_y f) equals the number r of absolutely
+irreducible factors f_1, ..., f_r of f (Ruppert 1999). The solutions are the
+closed forms (g dx + h dy)/f, spanned by the d log f_i.
 
 The same dimension decides reducibility over C without a squarefree test.
 If f = p^e q with p nonconstant and e >= 2, then d log p and d(1/p) are two
@@ -23,16 +16,40 @@ independent closed forms within the degree bounds:
 (g, h) = (p^(e-1) q p_x, p^(e-1) q p_y) and -(p^(e-2) q p_x, p^(e-2) q p_y).
 So f is reducible over C exactly when the dimension is at least 2; for an
 f with a repeated factor the dimension need not be the factor count.
+
+The rational factors are read off the same nullspace (Gao 2003). Let f be
+squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
+g = sum_i lambda_i (f/f_i) d f_i/dx, and f_i divides every term of
+f_x = sum_j (f/f_j) d f_j/dx but the i-th, so g = lambda_i f_x (mod f_i):
+f_i divides g - lambda f_x exactly when lambda = lambda_i. At a y0 where
+f(x, y0) keeps its x-degree and stays squarefree (only the at most
+2 deg_x f deg_y f roots of the leading x-coefficient and the x-discriminant
+fail), res_x(f(x, y0), g(x, y0) - t f_x(x, y0)) is a constant times
+prod_i (t - lambda_i)^(deg_x f_i). Its squarefree part E has degree r when
+the lambda_i are distinct; for g = sum_k c^k g_k over the basis g_0..g_(r-1)
+each lambda_i - lambda_j is a nonzero polynomial in c of degree < r, so at
+most r (r-1)^2 / 2 integers c fail. Each factor E_j of E irreducible over Q
+then gives the factor gcd(f, E_j(g/f_x) f_x^(deg E_j)) of f irreducible over
+Q: the product of the f_i with E_j(lambda_i) = 0.
+
+Univariate polynomials, and E, are factored by Kronecker's method,
+interpolation through divisor tuples of integer evaluations. It is
+exponential, so a hard degree cap (and an internal search budget) turns
+pathological inputs into a clear error instead of a hang. Every returned
+factorization is certified by re-expansion before it leaves this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
-from .poly import BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key
+from .poly import (
+    BiPoly, UniPoly, bi_divexact, bi_gcd, content_x, grlex_key, primitive_part_x, resultant_eliminating, uni_gcd,
+)
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -136,6 +153,19 @@ def _abs_factor_count(f: BiPoly) -> int:
     It is the absolute factor count when f is squarefree, and at least 2
     when f has a repeated factor (see the module docstring).
     """
+    matrix = _ruppert_matrix(f)
+    # the engine's modular rank is only a lower bound; its verified kernel
+    # vectors bound the dimension from the other side, so the count is
+    # certified whether the fiber is irreducible (dim 1) or splits
+    dim = len(matrix[0]) - linalg.rank_int(matrix)
+    if dim < 1:
+        raise CertificationFailed("solution space lost the gradient solution (f_x, f_y)")
+    return dim
+
+
+def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
+    """Integer matrix of the Ruppert/Gao system of f; column i (deg_y f + 1) + j
+    is the coefficient of x^i y^j in g, and the columns of h follow."""
     dx, dy = f.deg_x, f.deg_y
     terms = [(u, v, int(c)) for (u, v), c in f.normalized().t.items()]
     # column of g = x^i y^j is f g_y - f_y g, of h = x^i y^j is f_x h - f h_x,
@@ -157,13 +187,7 @@ def _abs_factor_count(f: BiPoly) -> int:
     for cidx, col in enumerate(columns):
         for key, v in col.items():
             matrix[rows_index[key]][cidx] = v
-    # the engine's modular rank is only a lower bound; its verified kernel
-    # vectors bound the dimension from the other side, so the count is
-    # certified whether the fiber is irreducible (dim 1) or splits
-    dim = len(columns) - linalg.rank_int(matrix)
-    if dim < 1:
-        raise CertificationFailed("solution space lost the gradient solution (f_x, f_y)")
-    return dim
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +195,11 @@ def _abs_factor_count(f: BiPoly) -> int:
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """Distinct rational roots, via the rational root theorem."""
+    """Distinct rational roots, via the rational root theorem.
+
+    A root n/den in lowest terms makes den x - n an integer factor of p
+    (Gauss's lemma), so den - n divides p(1) and den + n divides p(-1).
+    """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
     prim, _ = p.primitive()
@@ -181,17 +209,22 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         roots.append(Fraction(0))
         prim = UniPoly({d - low: v for d, v in prim.c.items()})
     if prim.degree == 0:
-        return sorted(roots)
-    a0 = int(prim.coeff(0))
-    an = int(prim.lc)
-    if a0 == 0:
-        # constant stripped above, so a0 != 0 unless prim was a monomial
-        return sorted(roots)
-    for num in integers.divisors(a0):
-        for den in integers.divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if prim(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+        return roots
+    coeffs = [int(v) for v in reversed(prim.coeff_list())]  # highest degree first
+    at_one, at_minus_one = int(prim(1)), int(prim(-1))
+    for num in integers.divisors(coeffs[-1]):
+        for den in integers.divisors(coeffs[0]):
+            if gcd(num, den) > 1:
+                continue
+            for n in (num, -num):
+                if (den - n and at_one % (den - n)) or (den + n and at_minus_one % (den + n)):
+                    continue
+                value, den_power = 0, 1  # den^deg p * p(n/den), by Horner
+                for c in coeffs:
+                    value = value * n + c * den_power
+                    den_power *= den
+                if value == 0:
+                    roots.append(Fraction(n, den))
     return sorted(roots)
 
 
@@ -212,7 +245,7 @@ def _interpolate(points: list[tuple[int, Fraction]]) -> UniPoly:
     return out
 
 
-def _strip_linear_factors(p: UniPoly) -> tuple[UniPoly, list[tuple[UniPoly, int]]]:
+def _strip_linear_factors(p: UniPoly) -> tuple[UniPoly, dict[UniPoly, int]]:
     found: dict[UniPoly, int] = {}
     for r in rational_roots(p):
         lin = UniPoly({1: r.denominator, 0: -r.numerator})
@@ -224,7 +257,7 @@ def _strip_linear_factors(p: UniPoly) -> tuple[UniPoly, list[tuple[UniPoly, int]
             found[lin] = found.get(lin, 0) + 1
             if p.degree == 0:
                 break
-    return p, list(found.items())
+    return p, found
 
 
 def _signed_divisors(v: int) -> list[int]:
@@ -306,14 +339,7 @@ def factor_univariate(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     prim, scale = p.primitive()
     if prim.degree == 0:
         return scale, []
-    factors: dict[UniPoly, int] = {}
-    low = min(prim.c)
-    if low > 0:
-        factors[UniPoly({1: 1})] = low
-        prim = UniPoly({d - low: v for d, v in prim.c.items()})
-    prim, linear = _strip_linear_factors(prim)
-    for f, m in linear:
-        factors[f] = factors.get(f, 0) + m
+    prim, factors = _strip_linear_factors(prim)
     budget = [_SEARCH_BUDGET]
     while prim.degree >= 2:
         found = None
@@ -346,63 +372,53 @@ def factor_univariate(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# bivariate factorization (Kronecker substitution)
+# bivariate factorization (Gao)
 
 
-def _kronecker_substitute(f: BiPoly, D: int) -> UniPoly:
-    return UniPoly({i + D * j: v for (i, j), v in f.t.items()})
-
-
-def _kronecker_invert(u: UniPoly, D: int, dy: int) -> BiPoly | None:
-    terms = {}
-    for e, v in u.c.items():
-        i, j = e % D, e // D
-        if j > dy:
-            return None
-        terms[(i, j)] = v
-    return BiPoly(terms)
-
-
-def _find_bivariate_factor(f: BiPoly) -> BiPoly | None:
-    """One irreducible proper factor of a primitive, genuinely bivariate f."""
-    dx, dy = f.deg_x, f.deg_y
-    D = dx + 1
-    fhat = _kronecker_substitute(f, D)
-    _, uni_factors = factor_univariate(fhat)
-    pieces = []
-    for p, m in uni_factors:
-        pieces.extend([p] * m)
-    if len(pieces) > 20:
-        raise DegreeCapExceeded("too many univariate pieces for subset search")
-    total_deg = fhat.degree
-    combos = []
-    for mask in range(1, 2 ** len(pieces) - 1):
-        deg = sum(pieces[b].degree for b in range(len(pieces)) if mask >> b & 1)
-        if 0 < deg < total_deg:
-            combos.append((deg, mask))
-    seen: set = set()
-    for _, mask in sorted(combos):
-        u = UniPoly.const(1)
-        for b in range(len(pieces)):
-            if mask >> b & 1:
-                u = u * pieces[b]
-        cand = _kronecker_invert(u, D, dy)
-        if cand is None:
-            continue
-        cand = cand.normalized()
-        if cand.is_constant or cand in seen:
-            continue
-        seen.add(cand)
-        if bi_divexact(f, cand) is not None:
-            return cand
-    return None
+def _gao_factors(s: BiPoly) -> list[BiPoly]:
+    """The factors irreducible over Q of a squarefree s primitive in x (the
+    module docstring shows why both searches below end in a hit)."""
+    matrix = _ruppert_matrix(s)
+    kernel = linalg.certified_nullspace(matrix, len(matrix[0]))
+    r = len(kernel.vectors)
+    if r == 1:
+        return [s]
+    dx, dy = s.deg_x, s.deg_y
+    sx = s.derivative("x")
+    for y0 in sorted(range(-dx * dy, dx * dy + 1), key=abs):
+        a = s.specialize_y(y0)
+        if a.degree == dx and uni_gcd(a, a.derivative()).degree == 0:
+            break
+    else:
+        raise CertificationFailed("no specialization keeps the fiber squarefree")
+    gs = [
+        BiPoly({(i, j): w[i * (dy + 1) + j] for i in range(dx) for j in range(dy + 1)})
+        for w in kernel.vectors
+    ]
+    t_sx = BiPoly.y() * sx.specialize_y(y0).to_bipoly("x")  # t on the y axis
+    for c in range(1, r * (r - 1) ** 2 // 2 + 2):
+        g = sum((gk * c**k for k, gk in enumerate(gs)), BiPoly.zero())
+        res = resultant_eliminating(a.to_bipoly("x"), g.specialize_y(y0).to_bipoly("x") - t_sx, "x")
+        eliminant = res.divexact(uni_gcd(res, res.derivative()))
+        if eliminant.degree == r:
+            break
+    else:
+        raise CertificationFailed("no combination of the basis separates the factors")
+    _, pieces = factor_univariate(eliminant)
+    out = []
+    for e, _ in pieces:
+        fac = bi_gcd(s, sum((g**k * sx ** (e.degree - k) * v for k, v in e.c.items()), BiPoly.zero()))
+        if fac.is_constant:
+            raise CertificationFailed("a factor of the eliminant gave no factor of the fiber")
+        out.append(fac)
+    return out
 
 
 def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
     """Complete factorization of f into factors irreducible over Q.
 
-    Raises DegreeCapExceeded when the total degree is above `cap`; the
-    Kronecker search is exponential and the cap keeps failures explicit.
+    Raises DegreeCapExceeded when the total degree is above `cap`, or when the
+    univariate Kronecker search, which is exponential, runs out of budget.
     """
     if f.is_zero or f.is_constant:
         raise ValueError("factorization needs a nonconstant polynomial")
@@ -414,7 +430,7 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
     prim, scale = f.primitive()
     factors: dict[BiPoly, int] = {}
 
-    def add(p: BiPoly, mult: int = 1):
+    def add(p: BiPoly, mult: int):
         if mult and not p.is_constant:
             factors[p] = factors.get(p, 0) + mult
 
@@ -434,39 +450,21 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
             add(q.to_bipoly(var), m)
 
     # contents pure in one variable
-    if prim.deg_x == 0:
-        add_univariate(prim.to_unipoly()[0], "y")
-        prim = BiPoly.const(1)
-    elif prim.deg_y == 0:
+    cont = content_x(prim)
+    if cont.degree >= 1:
+        add_univariate(cont, "y")
+        prim = primitive_part_x(prim)
+    if prim.deg_y == 0 and not prim.is_constant:
         add_univariate(prim.to_unipoly()[0], "x")
         prim = BiPoly.const(1)
-    else:
-        from .poly import content_x, primitive_part_x
 
-        cont = content_x(prim)
-        if cont.degree >= 1:
-            add_univariate(cont, "y")
-            prim = primitive_part_x(prim)
-        if prim.deg_y == 0 and not prim.is_constant:
-            add_univariate(prim.to_unipoly()[0], "x")
-            prim = BiPoly.const(1)
-
-    while not prim.is_constant:
-        fac = _find_bivariate_factor(prim)
-        if fac is None:
-            p, s = prim.primitive()
-            add(p)
-            scale *= s
-            prim = BiPoly.const(1)
-            break
-        mult = 0
-        while True:
-            q = bi_divexact(prim, fac)
-            if q is None:
-                break
-            prim = q
-            mult += 1
-        add(fac, mult)
+    if not prim.is_constant:
+        for fac in _gao_factors(squarefree_part(prim)):
+            mult = 0
+            while (q := bi_divexact(prim, fac)) is not None:
+                prim = q
+                mult += 1
+            add(fac, mult)
     if prim.is_constant and not prim.is_zero:
         scale *= prim.coeff(0, 0)
 

@@ -120,6 +120,27 @@ def conic_abs_count(f: BiPoly) -> int:
     return 1 if det != 0 else 2
 
 
+def sympy_factor_multiset(f: BiPoly):
+    """Factors of f and their multiplicities by sympy `factor_list`, normalized."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+        for (i, j), c in f.t.items()
+    )
+    _, facs = sympy.factor_list(sympy.expand(expr))
+    out = []
+    for poly, mult in facs:
+        p = sympy.Poly(poly, x, y)
+        terms = {
+            (int(mono[0]), int(mono[1])): F(int(coeff.p), int(coeff.q))
+            for mono, coeff in zip(p.monoms(), p.coeffs())
+        }
+        out.append((BiPoly(terms).normalized(), int(mult)))
+    return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)))
+
+
 def _int_divisors_signed(v: int) -> list[int]:
     v = abs(v)
     out = []

@@ -39,6 +39,7 @@ from conftest import (
     grid_factor_exists,
     naive_image,
     naive_sumset,
+    sympy_factor_multiset,
 )
 
 
@@ -290,26 +291,6 @@ def test_criterion_6_growth_floors():
 # 7. oracle equivalence for the factorization routes
 
 
-def _sympy_factor_multiset(f: BiPoly):
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-        for (i, j), c in f.t.items()
-    )
-    _, facs = sympy.factor_list(sympy.expand(expr))
-    out = []
-    for poly, mult in facs:
-        p = sympy.Poly(poly, x, y)
-        terms = {
-            (int(mono[0]), int(mono[1])): F(int(coeff.p), int(coeff.q))
-            for mono, coeff in zip(p.monoms(), p.coeffs())
-        }
-        out.append((BiPoly(terms).normalized(), int(mult)))
-    return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)))
-
-
 def test_criterion_7_oracle_equivalence():
     deg4_extras = [
         P("x y") * P("x y"),
@@ -326,7 +307,7 @@ def test_criterion_7_oracle_equivalence():
             ((p, m) for p, m in mine.factors),
             key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)),
         )
-        assert got == _sympy_factor_multiset(f), f
+        assert got == sympy_factor_multiset(f), f
         # grid-search oracle agrees on reducibility over Q
         reducible = mine.nontrivial_pieces() >= 2
         assert grid_factor_exists(f) == reducible, f

@@ -1,11 +1,18 @@
 """End-to-end command-line behavior and output reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumprod
 from sumprod.cli import main, parse_set_spec
 from sumprod.explorer import ApSpec, GpSpec, RandomIntSpec
+from sumprod.parsing import format_bipoly, parse_poly
+from sumprod.spectrum import sigma_candidates, sigma_scan
 
 
 class TestSpecParsing:
@@ -69,6 +76,17 @@ class TestSigmaCommand:
         ) == 0
         data = json.loads(capsys.readouterr().out)
         assert "9" in [h["lambda"] for h in data["found"]]
+
+    @pytest.mark.parametrize("poly", ["x^2 y^2 + 3", "x^3+3x^2y+3xy^2+y^3+x+y"])
+    def test_fibers_that_split_over_q_certify(self, poly, capsys):
+        # every fiber of these is reducible over C, and many split over Q
+        assert main(["sigma", "--poly", poly, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        f = parse_poly(poly)
+        report = sigma_scan(f, sigma_candidates(f))
+        assert [h["lambda"] for h in data["found"]] == [str(h.lam) for h in report.found]
+        assert all(hit.revalidate(f) for hit in report.found)
+        assert any(h["certificate"]["kind"] == "rational-factorization" for h in data["found"])
 
 
 class TestIncidenceCommand:
@@ -201,3 +219,33 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+_G = parse_poly("x^2 y + x + y")
+
+
+class TestOptimizedInterpreter:
+    """Certificates are explicit checks, so `python -O` gives the same output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--poly", format_bipoly(_G**3 + _G)],  # total degree 9
+            ["sigma", "--poly", "x^2 + 2 x y + y^2"],
+        ],
+        ids=["classify_degree_9_composite", "sigma_square_of_sum"],
+    )
+    def test_same_json_as_in_process(self, argv, capsys):
+        assert main(argv + ["--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        src = str(Path(sumprod.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "sumprod.cli", *argv, "--json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == expected

@@ -21,7 +21,7 @@ from sumprod.factor import (
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 
-from conftest import conic_abs_count, grid_factor_exists
+from conftest import conic_abs_count, grid_factor_exists, sympy_factor_multiset
 
 
 class TestSquarefree:
@@ -99,6 +99,20 @@ class TestRationalRoots:
         assert rational_roots(UniPoly({2: 1, 0: 1})) == []
         assert rational_roots(UniPoly({3: 1, 1: 4})) == [F(0)]
 
+    def test_roots_built_in_by_construction(self):
+        # products of (den x - n) with a cofactor that has no real root
+        rng = random.Random(41)
+        for _ in range(60):
+            expected = set()
+            p = UniPoly.const(F(rng.choice([1, -1, 3, 7]), rng.choice([1, 2, 5])))
+            for _ in range(rng.randint(1, 4)):
+                n, den = rng.randint(-12, 12), rng.randint(1, 9)
+                p = p * UniPoly({1: den, 0: -n})
+                expected.add(F(n, den))
+            if rng.random() < 0.5:
+                p = p * UniPoly({2: rng.randint(1, 6), 0: rng.randint(1, 30)})
+            assert rational_roots(p) == sorted(expected), p
+
 
 class TestFactorUnivariate:
     def test_splits_product(self):
@@ -154,6 +168,24 @@ class TestFactorRational:
                 continue
             fl = factor_rational(f)
             assert fl.verify(f)
+            # re-expansion alone would pass a factorization that stops short
+            assert dict(fl.factors) == dict(sympy_factor_multiset(f)), f
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # g (g^2 + 1), and g^2 + 1 = (x^2 + 1)(x^2 y^2 + 2 x y + y^2 + 1)
+            P("x^2 y + x + y") ** 3 + P("x^2 y + x + y"),
+            P("x^5 y + y") ** 2 + P("x^5 y + y"),
+            P("x^4 + y") * P("x^5 + y") * P("x y - 1"),
+            P("x^2 + y^2") * P("x^2 - 2 y^2") * P("x y + 1") ** 2,  # degree 8
+        ],
+        ids=["g3_plus_g", "h2_plus_h", "three_curves", "with_square"],
+    )
+    def test_degree_eight_to_twelve_match_sympy(self, f):
+        fl = factor_rational(f, cap=12)
+        assert fl.verify(f)
+        assert dict(fl.factors) == dict(sympy_factor_multiset(f))
 
     def test_degree_cap(self):
         f = P("x^5 + y") * P("x^4 + y")
