@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSpec,
     DegenerateSystem,
     DegreeCapExceeded,
+    FactorBudgetExceeded,
     HypothesisViolated,
     InsufficientSamples,
     NotSquarefree,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 assertion or floor violation (including refused
 hypotheses, and CertificationFailed when an exact certificate does not
-check), 2 usage error, 3 degree cap exceeded. Every run given --out
+check), 2 usage error, 3 degree cap exceeded (DegreeCapExceeded) or an
+integer that Brent's rho cannot split within its budget
+(FactorBudgetExceeded). Every run given --out
 writes a manifest.json echoing the resolved configuration; wall-clock timing
 lives only in the manifest so the data files stay byte-reproducible.
 """
@@ -25,7 +27,7 @@ from .classify import (
     is_degenerate,
     normalize_orientation,
 )
-from .errors import DegreeCapExceeded, SumprodError
+from .errors import DegreeCapExceeded, FactorBudgetExceeded, SumprodError
 from .explorer import (
     ApSpec,
     GpSpec,
@@ -406,6 +408,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DegreeCapExceeded as exc:
         print(f"degree cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except FactorBudgetExceeded as exc:
+        print(f"factor budget exceeded: {exc}", file=sys.stderr)
         return 3
     except SumprodError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

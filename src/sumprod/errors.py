@@ -14,6 +14,14 @@ class DegreeCapExceeded(SumprodError):
     """
 
 
+class FactorBudgetExceeded(SumprodError):
+    """An integer resisted factorization within the iteration budget.
+
+    Brent's rho gets a fixed number of steps per composite cofactor; an
+    integer with no small enough factor (a large semiprime) exhausts it.
+    """
+
+
 class NotSquarefree(SumprodError):
     """Input to the absolute-factor counter has a repeated factor."""
 

@@ -4,6 +4,14 @@ Everything asserted here is integer arithmetic: the comparison
 |A+A| * |f(A,A)| >= c * |A|^(5/2) is carried out as product^2 >= c^2 * n^5,
 so no irrational number ever enters a checked fact. Decimal renderings are
 display-only.
+
+Sumsets and image sets are computed in Python ints after one exact
+rescaling (`poly.integer_grid`): D * A + D * A = D * (A + A) with D the lcm of
+the denominators of A, and S * f(a, b) = row_b(D * a) with S = L * D^k, L the
+lcm of f's coefficient denominators and k its total degree. Both maps
+a -> D * a and v -> S * v are increasing bijections, so sizes, equalities and
+order are those over Q; `sumset` and `image_set` divide back once per
+element, and `run_scan` only counts.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from fractions import Fraction
 
 from .classify import is_degenerate
 from .errors import DegenerateSpec, HypothesisViolated
-from .poly import BiPoly
+from .poly import BiPoly, IntegerGrid, horner_int, integer_grid
 
 
 @dataclass(frozen=True)
@@ -118,19 +126,25 @@ def generate_set(spec: SetSpec) -> RatSet:
     return RatSet(tuple(elems), spec.describe())
 
 
+def _sums(points) -> set[int]:
+    return {p + q for p in points for q in points}
+
+
+def _image(grid: IntegerGrid) -> set[int]:
+    return {horner_int(row, p) for row in grid.rows for p in grid.points}
+
+
 def sumset(A: RatSet) -> RatSet:
-    vals = sorted({a + b for a in A.elements for b in A.elements})
-    return RatSet(tuple(vals), f"sumset({A.provenance})")
+    D = math.lcm(*(a.denominator for a in A.elements))
+    vals = sorted(_sums([a.numerator * (D // a.denominator) for a in A.elements]))
+    return RatSet(tuple(Fraction(v, D) for v in vals), f"sumset({A.provenance})")
 
 
 def image_set(f: BiPoly, A: RatSet) -> RatSet:
     """All values f(a, a') over ordered pairs from A."""
-    out = set()
-    for b in A.elements:
-        pb = f.specialize_y(b)
-        for a in A.elements:
-            out.add(pb(a))
-    return RatSet(tuple(sorted(out)), f"image({A.provenance})")
+    grid = integer_grid(f, A.elements)
+    vals = sorted(_image(grid))
+    return RatSet(tuple(Fraction(v, grid.S) for v in vals), f"image({A.provenance})")
 
 
 @dataclass(frozen=True)
@@ -187,9 +201,10 @@ def run_scan(
         t0 = time.perf_counter()
         A = generate_set(spec)
         n = len(A)
-        s = len(sumset(A))
-        i = len(image_set(f, A))
-        removed = sum(1 for b in A.elements if f.specialize_y(b).is_zero)
+        grid = integer_grid(f, A.elements)
+        s = len(_sums(grid.points))
+        i = len(_image(grid))
+        removed = sum(1 for row in grid.rows if not row)
         product = s * i
         violation = False
         if floor_c is not None:

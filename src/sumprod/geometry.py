@@ -6,6 +6,16 @@ polynomials coincide, so curves are keyed by their coefficient vectors. For a
 non-composite f of degree k every equivalence class has at most k^3 members;
 a composite f can concentrate whole diagonals into one class, which is
 reported as a witness instead of a violation.
+
+The arithmetic runs in Python ints after one exact rescaling
+(`poly.integer_grid`): with D the lcm of the denominators of the set and
+S = L * D^k, L the lcm of f's coefficient denominators, the row of b is
+X -> S * f(X / D, b), and the pair (a, b) is keyed by the integer Taylor
+shift row_b(X - D a) = S * T(X / D). Its coefficient i is S t_i / D^i, so
+two integer keys agree exactly when the curves do; each class converts its
+key once to the Fraction coefficients t_i. Incidences are counted as
+row_b(D s - D a) in S * values. Since a -> D a and v -> S v are increasing
+bijections, every count, equality and order is the one over Q.
 """
 
 from __future__ import annotations
@@ -15,16 +25,19 @@ from fractions import Fraction
 
 from .errors import BoundViolated, CertificationFailed, DegenerateSystem
 from .factor import FactorList, factor_rational, rational_roots
-from .poly import BiPoly, UniPoly, bi_gcd, resultant_eliminating, uni_gcd
+from .poly import (
+    BiPoly,
+    IntegerGrid,
+    bi_gcd,
+    horner_int,
+    integer_grid,
+    resultant_eliminating,
+    shift_int,
+    uni_gcd,
+)
 from .spectrum import SigmaReport, remove_sigma_rows
 
 CurveKey = tuple[Fraction, ...]
-
-
-def curve_key(f: BiPoly, a: Fraction, b: Fraction) -> CurveKey:
-    """Coefficient vector of x -> f(x - a, b), ascending degree."""
-    shifted = f.specialize_y(b).shift(-a)
-    return tuple(shifted.coeff_list())
 
 
 @dataclass(frozen=True)
@@ -33,6 +46,7 @@ class CurveFamily:
     removed_b: tuple[Fraction, ...]
     base: tuple[Fraction, ...]
     degree: int
+    grid: IntegerGrid  # f over `base`, rescaled to integers
 
     @property
     def class_count(self) -> int:
@@ -61,19 +75,22 @@ def build_family(f: BiPoly, A) -> CurveFamily:
         raise ValueError("family needs a nonconstant polynomial")
     k = f.total_degree
     elements = sorted(set(Fraction(v) for v in A))
-    removed = tuple(b for b in elements if f.specialize_y(b).is_zero)
+    full = integer_grid(f, elements)
+    removed = tuple(b for b, row in zip(elements, full.rows) if not row)
     if len(removed) > k:
         raise CertificationFailed("zero-row count exceeds the degree bound")
-    kept = tuple(b for b in elements if b not in set(removed))
-    classes: dict[CurveKey, list[tuple[Fraction, Fraction]]] = {}
-    specialized = {b: f.specialize_y(b) for b in kept}
-    for b in kept:
-        pb = specialized[b]
-        for a in kept:
-            key = tuple(pb.shift(-a).coeff_list())
-            classes.setdefault(key, []).append((a, b))
-    frozen = {key: tuple(sorted(v)) for key, v in classes.items()}
-    return CurveFamily(classes=frozen, removed_b=removed, base=kept, degree=k)
+    kept = tuple(b for b, row in zip(elements, full.rows) if row)
+    grid = integer_grid(f, kept) if removed else full
+    classes: dict[tuple[int, ...], list[tuple[Fraction, Fraction]]] = {}
+    for b, row in zip(kept, grid.rows):
+        for a, p in zip(kept, grid.points):
+            classes.setdefault(shift_int(row, -p), []).append((a, b))
+    powers = [grid.D**i for i in range(k + 1)]
+    frozen = {
+        tuple(Fraction(c * powers[i], grid.S) for i, c in enumerate(key)): tuple(sorted(v))
+        for key, v in classes.items()
+    }
+    return CurveFamily(classes=frozen, removed_b=removed, base=kept, degree=k, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -150,22 +167,26 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
     the number of sums s with T(s) a kept value.
     """
     family = build_family(f, A)
-    kept = family.base
-    k = family.degree
-    sums = sorted({a + b for a in kept for b in kept})
-    values = sorted({f(a, b) for a in kept for b in kept})
-    grid = remove_sigma_rows(sums, values, sigma)
-    value_set = set(grid.kept_values)
+    grid = family.grid
+    sums = {p + q for p in grid.points for q in grid.points}
+    values = {horner_int(row, p) for row in grid.rows for p in grid.points}
+    pruned = remove_sigma_rows(
+        (Fraction(s, grid.D) for s in sums),
+        (Fraction(v, grid.S) for v in values),
+        sigma,
+    )
+    kept_values = {v.numerator * (grid.S // v.denominator) for v in pruned.kept_values}
+    index = {b: i for i, b in enumerate(family.base)}
     per_curve = []
-    total = 0
-    for key in sorted(family.classes):
-        curve = UniPoly(dict(enumerate(key)))
-        cnt = sum(1 for s in grid.sums if curve(s) in value_set)
-        per_curve.append(cnt)
-        total += cnt
+    for members in family.classes.values():
+        a, b = members[0]
+        row, shift = grid.rows[index[b]], grid.points[index[a]]
+        per_curve.append(sum(1 for s in sums if horner_int(row, s - shift) in kept_values))
+    total = sum(per_curve)
+    k = family.degree
     alpha = k
     beta = k * k
-    P = grid.point_count
+    P = pruned.point_count
     L = family.class_count
     terms = (
         (alpha**0.5) * (beta ** (1 / 3)) * (P ** (2 / 3)) * (L ** (2 / 3)),
@@ -182,7 +203,7 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
         szekely_terms=terms,
         szekely_ratio=(total / bound) if bound else 0.0,
         per_curve_min=min(per_curve, default=0),
-        removed_points=grid.removed_count,
+        removed_points=pruned.removed_count,
     )
     return report, family
 

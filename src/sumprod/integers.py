@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import math
 
+from .errors import FactorBudgetExceeded
+
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 # Budget for rho iterations before giving up on a composite cofactor.
 _RHO_BUDGET = 2_000_000
-
-
-class FactorBudgetExceeded(Exception):
-    """An integer resisted factorization within the iteration budget."""
 
 
 def is_probable_prime(n: int) -> bool:

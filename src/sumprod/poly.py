@@ -9,6 +9,7 @@ freely. Term comparisons use graded lexicographic order with x ahead of y.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -487,6 +488,80 @@ class BiPoly:
         from .parsing import format_bipoly
 
         return f"BiPoly({format_bipoly(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# integer grids
+
+
+@dataclass(frozen=True)
+class IntegerGrid:
+    """f over a finite set A, rescaled once to Python ints.
+
+    D is the lcm of the denominators of A and S = L * D^k, with L the lcm of
+    the coefficient denominators of f and k its total degree. `points[i]` is
+    D * a_i and `rows[i]` the ascending integer coefficients of
+    X -> S * f(X / D, a_i), trailing zeros dropped (a zero row is empty), in
+    the order of A. So S * f(a, b) = row_b(D * a) and S * f(x - a, b) at
+    x = s / D is row_b(s - D * a). As D, S > 0, a -> D * a and v -> S * v are
+    increasing bijections: equalities, counts and order carry over exactly.
+    """
+
+    D: int
+    S: int
+    points: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+
+def integer_grid(f: BiPoly, A) -> IntegerGrid:
+    """Rescale f and the finite set A to integers (see `IntegerGrid`).
+
+    Row coefficient i is sum_j (L c_ij) D^(k-i-j) (D b)^j, and k - i - j >= 0
+    for every term, so the row is integral once L c_ij and D b are.
+    """
+    A = [_rat(a) for a in A]
+    D = math.lcm(*(a.denominator for a in A))
+    L = math.lcm(*(v.denominator for v in f.t.values()))
+    k = max(f.total_degree, 0)
+    terms = []
+    for (i, j), v in f.t.items():
+        c = v * L
+        if c.denominator != 1:
+            raise CertificationFailed("L * f has a non-integer coefficient")
+        terms.append((i, j, c.numerator * D ** (k - i - j)))
+    points = []
+    for a in A:
+        p = a * D
+        if p.denominator != 1:
+            raise CertificationFailed("D * a is not an integer")
+        points.append(p.numerator)
+    width = f.deg_x + 1
+    rows = []
+    for p in points:
+        row = [0] * width
+        for i, j, c in terms:
+            row[i] += c * p**j
+        while row and not row[-1]:
+            row.pop()
+        rows.append(tuple(row))
+    return IntegerGrid(D, L * D**k, tuple(points), tuple(rows))
+
+
+def horner_int(row: tuple[int, ...], x: int) -> int:
+    """Value at x of the ascending integer coefficient row."""
+    v = 0
+    for c in reversed(row):
+        v = v * x + c
+    return v
+
+
+def shift_int(row: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """Ascending coefficients of p(X + t), for p given by an integer row."""
+    c = list(row)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ tests are either frozen from these oracles or recomputed by them in place.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from sumprod import BiPoly
 from sumprod.parsing import parse_poly
@@ -78,6 +79,57 @@ def naive_sumset(A) -> set:
 
 def naive_image(fn, A) -> set:
     return {fn(a, b) for a in A for b in A}
+
+
+def naive_zero_row(terms: dict, b: F) -> bool:
+    """Whether x -> f(x, b) is the zero polynomial."""
+    cols: dict = {}
+    for (i, j), c in terms.items():
+        cols[i] = cols.get(i, F(0)) + c * b**j
+    return not any(cols.values())
+
+
+# rationals with mixed denominators, negative elements and zero
+grid_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def rational_sets(draw, max_size=7):
+    """Sorted finite sets of `grid_rationals`, holding 0 about half the time."""
+    elems = draw(st.sets(grid_rationals, max_size=max_size))
+    if draw(st.booleans()):
+        elems.add(F(0))
+    return sorted(elems)
+
+
+@st.composite
+def rational_grid_polys(draw, max_deg=3):
+    """Terms of a nonconstant f with rational coefficients.
+
+    One draw in four is the square of a rational linear form p x + q y + r,
+    whose fibers are all reducible, so every candidate lambda is a sigma hit.
+    """
+    nonzero = grid_rationals.filter(bool)
+    if draw(st.integers(0, 3)) == 0:
+        p, q, r = draw(nonzero), draw(nonzero), draw(grid_rationals)
+        lin = {k: v for k, v in {(1, 0): p, (0, 1): q, (0, 0): r}.items() if v}
+        return naive_mul(lin, lin)
+    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)).filter(
+        lambda e: 0 < e[0] + e[1] <= max_deg
+    )
+    terms = draw(st.dictionaries(exps, nonzero, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(nonzero)
+    return terms
+
+
+# The Fraction reference for the integer curve keys of `build_family`. Unlike
+# the oracles above it uses the package's Fraction `specialize_y` and `shift`,
+# which share no code with the integer grid.
+def curve_key(f: BiPoly, a: F, b: F) -> tuple:
+    """Coefficient vector of x -> f(x - a, b), ascending degree."""
+    shifted = f.specialize_y(b).shift(-a)
+    return tuple(shifted.coeff_list())
 
 
 def double_loop_incidences(curve_keys, points) -> tuple[int, list[int]]:

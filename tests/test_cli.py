@@ -88,6 +88,14 @@ class TestSigmaCommand:
         assert all(hit.revalidate(f) for hit in report.found)
         assert any(h["certificate"]["kind"] == "rational-factorization" for h in data["found"])
 
+    def test_factor_budget_exit_code(self, capsys):
+        # the fiber at 0 splits over C, and its factor search needs this
+        # 100-bit semiprime factored, which Brent's rho cannot do in budget
+        n = 1267650600228402790082356974917
+        assert main(["sigma", "--poly", f"x^2 - {n} y^2", "--sweep-height", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"factor budget exceeded: rho budget exceeded for {n}\n"
+
 
 class TestIncidenceCommand:
     def test_histogram_written(self, tmp_path, capsys):

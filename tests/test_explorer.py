@@ -4,12 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from sumprod.classify import is_degenerate
 from sumprod.errors import DegenerateSpec, HypothesisViolated
 from sumprod.explorer import (
     ApSpec,
     GpSpec,
     RandomIntSpec,
+    RatSet,
     UnionSpec,
     check_core_inequality,
     generate_set,
@@ -19,7 +23,18 @@ from sumprod.explorer import (
 )
 from sumprod.parsing import parse_poly as P
 
-from conftest import CORPUS_EVAL, naive_image
+from sumprod.poly import BiPoly
+
+from conftest import (
+    CORPUS_EVAL,
+    grid_rationals,
+    naive_eval,
+    naive_image,
+    naive_sumset,
+    naive_zero_row,
+    rational_grid_polys,
+    rational_sets,
+)
 
 
 class TestGenerators:
@@ -154,6 +169,40 @@ class TestScan:
             b.image_size,
             b.product,
         )
+
+
+class TestRationalSets:
+    """Mixed denominators, negative elements and 0, rational coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_sets(), rational_grid_polys())
+    def test_sumset_and_image_match_double_loops(self, A, terms):
+        R = RatSet(tuple(A), "adhoc")
+        assert sumset(R).elements == tuple(sorted(naive_sumset(A)))
+        image = naive_image(lambda a, b: naive_eval(terms, a, b), A)
+        assert image_set(BiPoly(terms), R).elements == tuple(sorted(image))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rational_grid_polys(),
+        st.integers(1, 7),
+        grid_rationals,
+        grid_rationals.filter(bool),
+        grid_rationals.filter(lambda r: r not in (0, 1, -1)),
+    )
+    # the row at b = 0 is a nonzero constant, not a zero row
+    @example({(1, 1): F(1), (0, 0): F(1, 2)}, 3, F(-1, 2), F(1, 2), F(-2))
+    def test_scan_counts_match_double_loops(self, terms, n, start, step, ratio):
+        f = BiPoly(terms)
+        assume(is_degenerate(f) is None)
+        specs = [ApSpec(n, start, step), GpSpec(n, step, ratio)]
+        records = {r.provenance: r for r in run_scan(f, specs).records}
+        for spec in specs:
+            A = generate_set(spec).elements
+            rec = records[spec.describe()]
+            assert rec.sumset_size == len(naive_sumset(A))
+            assert rec.image_size == len(naive_image(lambda a, b: naive_eval(terms, a, b), A))
+            assert rec.removed_rows == sum(naive_zero_row(terms, b) for b in A)
 
 
 class TestCoreInequality:

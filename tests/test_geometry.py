@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumprod.errors import BoundViolated, DegenerateSystem
 from sumprod.geometry import (
@@ -11,14 +13,23 @@ from sumprod.geometry import (
     SolutionCount,
     build_family,
     check_class_bound,
-    curve_key,
     curve_pair_solutions,
     incidence_report,
 )
 from sumprod.parsing import parse_poly as P
+from sumprod.poly import BiPoly
 from sumprod.spectrum import sigma_candidates, sigma_scan
 
-from conftest import double_loop_incidences
+from conftest import (
+    curve_key,
+    double_loop_incidences,
+    naive_eval,
+    naive_image,
+    naive_sumset,
+    naive_zero_row,
+    rational_grid_polys,
+    rational_sets,
+)
 
 
 class TestBuildFamily:
@@ -135,6 +146,44 @@ class TestIncidence:
                         cnt += 1
                 counts.add(cnt)
             assert len(counts) == 1
+
+
+class TestRationalSets:
+    """Mixed denominators, negative elements and 0, rational coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_sets(), rational_grid_polys())
+    def test_classes_group_pairs_by_curve_key(self, A, terms):
+        f = BiPoly(terms)
+        fam = build_family(f, A)
+        base = [b for b in A if not naive_zero_row(terms, b)]
+        expected: dict = {}
+        for b in base:
+            for a in base:
+                expected.setdefault(curve_key(f, a, b), []).append((a, b))
+        assert fam.base == tuple(base)
+        assert fam.removed_b == tuple(b for b in A if naive_zero_row(terms, b))
+        assert list(fam.classes) == list(expected)  # first-seen order, too
+        assert fam.classes == {key: tuple(sorted(v)) for key, v in expected.items()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(rational_sets(max_size=5), rational_grid_polys(), st.data())
+    def test_incidences_match_double_loop(self, A, terms, data):
+        f = BiPoly(terms)
+        assume(f.total_degree >= 2)
+        base = [b for b in A if not naive_zero_row(terms, b)]
+        values = sorted(naive_image(lambda a, b: naive_eval(terms, a, b), base))
+        cands = data.draw(st.lists(st.sampled_from(values), max_size=3)) if values else []
+        sig = sigma_scan(f, sorted({F(0), *cands}))
+        rep, _ = incidence_report(f, A, sig)
+        kept = [v for v in values if v not in set(sig.found_values)]
+        points = [(s, v) for s in sorted(naive_sumset(base)) for v in kept]
+        keys = sorted({curve_key(f, a, b) for a in base for b in base})
+        total, per = double_loop_incidences(keys, points)
+        assert rep.point_count == len(points)
+        assert rep.removed_points == len(naive_sumset(base)) * (len(values) - len(kept))
+        assert rep.incidences == total
+        assert rep.per_curve_min == min(per, default=0)
 
 
 class TestCurvePairs:
