@@ -72,7 +72,6 @@ from .poly import (
     bi_gcd,
     resultant_eliminating,
     uni_gcd,
-    uni_gcd_subresultant,
     uni_resultant,
 )
 from .spectrum import (

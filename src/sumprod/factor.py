@@ -48,7 +48,7 @@ from math import gcd
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
-    BiPoly, UniPoly, bi_divexact, bi_gcd, content_x, grlex_key, primitive_part_x, resultant_eliminating, uni_gcd,
+    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, resultant_eliminating, split_content_x, uni_gcd,
 )
 
 DEFAULT_DEGREE_CAP = 8
@@ -118,18 +118,23 @@ def is_squarefree(f: BiPoly) -> bool:
 
 
 def squarefree_part(f: BiPoly) -> BiPoly:
-    """Product of the distinct irreducible factors of f, multiplicity one."""
+    """Product of the distinct irreducible factors of f, multiplicity one.
+
+    With f = c(y) P, c the x-content and P primitive in x, every factor of P
+    has positive x-degree and so does not divide its own x-derivative; hence
+    gcd(P, P_x) is P without one copy of each factor, and the squarefree
+    part is sqf(c) P / gcd(P, P_x), with sqf(c) = c / gcd(c, c').
+    """
     if f.is_zero:
         raise ValueError("squarefree part of zero polynomial")
     if f.is_constant:
         return BiPoly.const(1)
-    g = gcd_with_gradient(f)
-    if g.is_constant:
-        return f.normalized()
-    out = bi_divexact(f, g)
-    if out is None:
-        raise CertificationFailed("gcd with the gradient does not divide f")
-    return out.normalized()
+    c, P = split_content_x(f)
+    sqf_c = c.divexact(uni_gcd(c, c.derivative())) if c.degree >= 1 else c
+    sqf_p = bi_divexact(P, bi_gcd(P, P.derivative("x")))
+    if sqf_p is None:
+        raise CertificationFailed("gcd with the x-derivative does not divide f")
+    return (sqf_c.to_bipoly("y") * sqf_p).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +455,9 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
             add(q.to_bipoly(var), m)
 
     # contents pure in one variable
-    cont = content_x(prim)
+    cont, prim = split_content_x(prim)
     if cont.degree >= 1:
         add_univariate(cont, "y")
-        prim = primitive_part_x(prim)
     if prim.deg_y == 0 and not prim.is_constant:
         add_univariate(prim.to_unipoly()[0], "x")
         prim = BiPoly.const(1)

@@ -1,5 +1,5 @@
-"""Exact linear algebra: one certified modular nullspace engine, and Bareiss
-determinants.
+"""Exact linear algebra: one certified modular nullspace engine, and the
+prime sequence and Chinese-remainder step it shares with `poly`.
 
 Rank, nullspace and linear solves over Q (`rank_int`, `nullspace_basis`,
 `solve_exact`) all run on `certified_nullspace`. One elimination mod a 61-bit
@@ -13,11 +13,13 @@ A v = 0 exactly over Z: the n - r_p independent kernel vectors then pin the
 nullspace dimension to n - r_p, so the certificate never rests on p being a
 lucky prime.
 
-The fraction-free (Bareiss) determinant `det_in_ring` works over any integral
-domain with an exact-division operation; its one caller is
-`poly.resultant_eliminating`, whose Sylvester entries lie in Q[y]. `rref`,
-Gauss-Jordan over the rationals, is the reference the tests compare the engine
-against.
+The modular resultants and gcds of `poly` run on the same primes (`_primes`),
+combine their images with `_crt` and lift gcds with `_lift`.
+
+`det_in_ring`, the fraction-free (Bareiss) determinant over an integral
+domain, has no caller in the package; the benchmark tracer still looks it up
+by name. `rref`, Gauss-Jordan over the rationals, is the reference the tests
+compare the engine against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def det_in_ring(
     """Determinant by fraction-free Gaussian elimination with row pivoting.
 
     `divexact(a, b)` must perform exact division; Bareiss guarantees every
-    division it requests is exact over an integral domain.
+    division it requests is exact over an integral domain. Nothing in the
+    package calls it: resultants are modular (`poly.resultant_eliminating`).
     """
     n = len(rows)
     if n == 0:
@@ -79,14 +82,27 @@ def det_in_ring(
 _RANK_PRIME = (1 << 61) - 1
 
 
+# the primes found so far, in order; `_primes` extends it on demand
+_PRIMES = [_RANK_PRIME]
+
+
 def _primes() -> Iterator[int]:
     """The fixed prime sequence: 2^61 - 1, then the primes below it, descending."""
-    yield _RANK_PRIME
-    q = _RANK_PRIME - 2
+    k = 0
     while True:
-        if is_probable_prime(q):
-            yield q
-        q -= 2
+        if k == len(_PRIMES):
+            q = _PRIMES[-1] - 2
+            while not is_probable_prime(q):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[k]
+        k += 1
+
+
+def _crt(residues: list[int], m: int, images: list[int], p: int) -> list[int]:
+    """Residues mod m * p that agree with `residues` mod m and `images` mod p."""
+    t = pow(m, -1, p)
+    return [a + m * ((b - a) * t % p) for a, b in zip(residues, images)]
 
 
 def _echelon_mod(
@@ -243,11 +259,7 @@ def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
         if pivots is None or (len(piv), [-c for c in piv]) > (len(pivots), [-c for c in pivots]):
             pivots, residues, modulus = piv, basis, p
         elif piv == pivots:
-            t = pow(modulus, -1, p)
-            residues = [
-                [a + modulus * ((b - a) * t % p) for a, b in zip(old, new)]
-                for old, new in zip(residues, basis)
-            ]
+            residues = [_crt(old, modulus, new, p) for old, new in zip(residues, basis)]
             modulus *= p
         lifted = [_lift(v, modulus) for v in residues]
         if all(got is not None and _annihilates(rows, got[0]) for got in lifted):

@@ -4,6 +4,10 @@
 -> coefficient. Zero coefficients are never stored; the zero polynomial has
 degree -1. Values are immutable after construction, so they can be shared
 freely. Term comparisons use graded lexicographic order with x ahead of y.
+
+Resultants and gcds in Q[x, y] are modular: both scale to Z[x, y], take
+univariate images mod the 61-bit primes of `linalg` at integer values of the
+other variable, interpolate, and join the primes by CRT.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from . import linalg
 from .errors import CertificationFailed
@@ -614,6 +620,8 @@ def bi_divexact(f: BiPoly, g: BiPoly) -> BiPoly | None:
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic-Euclid gcd, returned primitive with positive leading coefficient."""
+    if p.degree == 0 or q.degree == 0:
+        return UniPoly.const(1)
     a, b = p, q
     while not b.is_zero:
         a, b = b, a.divrem(b)[1]
@@ -622,128 +630,220 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.normalized()
 
 
-def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
-    """prem(a, b) = rem(lc(b)^(deg a - deg b + 1) * a, b), division-free."""
-    d = a.degree - b.degree
-    if d < 0:
-        raise ValueError("pseudo-remainder needs deg a >= deg b")
-    scaled = a * (b.lc ** (d + 1))
-    return scaled.divrem(b)[1]
-
-
-def uni_gcd_subresultant(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Independent gcd route: subresultant polynomial remainder sequence."""
-    a = p.normalized()
-    b = q.normalized()
-    if a.degree < b.degree:
-        a, b = b, a
-    if b.is_zero:
-        return a
-    g = Fraction(1)
-    h = Fraction(1)
-    while True:
-        delta = a.degree - b.degree
-        r = _pseudo_rem(a, b)
-        if r.is_zero:
-            return b.normalized()
-        if r.degree == 0:
-            return UniPoly.const(1)
-        a, b = b, r * (1 / (g * h**delta))
-        g = a.lc
-        h = h * (g / h) ** delta if delta else h
-
-
-def content_x(f: BiPoly) -> UniPoly:
-    """gcd over Q[y] of the x-direction coefficients (primitive, positive lc)."""
+def split_content_x(f: BiPoly) -> tuple[UniPoly, BiPoly]:
+    """(c, P) with f = c P: c in Q[y] the gcd of the x-direction coefficients
+    (primitive, positive lc) and P primitive in x."""
+    if f.is_zero:
+        raise ValueError("content of zero polynomial")
     acc = UniPoly.zero()
-    for c in f.coeffs_in_x().values():
+    # lowest degrees first: a constant coefficient settles it at once
+    for c in sorted(f.coeffs_in_x().values(), key=lambda c: c.degree):
         acc = uni_gcd(acc, c)
         if acc.degree == 0:
-            break
-    if acc.is_zero:
-        raise ValueError("content of zero polynomial")
-    return acc
-
-
-def primitive_part_x(f: BiPoly) -> BiPoly:
-    cont = content_x(f)
-    if cont.degree == 0 and cont.coeff(0) == 1:
-        return f
-    out = bi_divexact(f, cont.to_bipoly("y"))
+            return acc, f
+    out = bi_divexact(f, acc.to_bipoly("y"))
     if out is None:
         raise CertificationFailed("the content in x does not divide the polynomial")
-    return out
-
-
-def _pseudo_rem_x(a: BiPoly, b: BiPoly) -> BiPoly:
-    ax = a.coeffs_in_x()
-    bx = b.coeffs_in_x()
-    da, db = max(ax), max(bx)
-    if da < db:
-        raise ValueError("pseudo-remainder needs deg_x a >= deg_x b")
-    lead = bx[db]
-    r = {i: c * lead ** (da - db + 1) for i, c in ax.items()}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        qc, rem = r[dr].divrem(lead)
-        if not rem.is_zero:
-            raise CertificationFailed("inexact step in a pseudo-remainder")
-        for i2, c2 in bx.items():
-            nd = i2 + dr - db
-            nv = r.get(nd, UniPoly.zero()) - qc * c2
-            if nv.is_zero:
-                r.pop(nd, None)
-            else:
-                r[nd] = nv
-    return BiPoly.from_coeffs_in_x(r)
+    return acc, out
 
 
 def bi_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd in Q[x,y] via contents plus a primitive remainder sequence in x."""
+    """gcd in Q[x,y]: the gcd of the x-contents times the modular gcd of the
+    x-primitive parts (`_primitive_gcd`), normalized."""
     if f.is_zero:
         return g.normalized()
     if g.is_zero:
         return f.normalized()
-    cf, cg = content_x(f), content_x(g)
+    cf, fp = split_content_x(f)
+    cg, gp = split_content_x(g)
     c = uni_gcd(cf, cg)
-    fp = primitive_part_x(f)
-    gp = primitive_part_x(g)
     if fp.deg_x == 0 or gp.deg_x == 0:
         # a primitive-in-x polynomial of x-degree 0 is a rational constant
         prim = BiPoly.const(1)
     else:
-        a, b = (fp, gp) if fp.deg_x >= gp.deg_x else (gp, fp)
-        while True:
-            r = _pseudo_rem_x(a, b)
-            if r.is_zero:
-                prim = primitive_part_x(b)
-                break
-            if r.deg_x == 0:
-                prim = BiPoly.const(1)
-                break
-            a, b = b, primitive_part_x(r)
+        prim = _primitive_gcd(fp, gp)
     return (c.to_bipoly("y") * prim).normalized()
+
+
+def _primitive_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd of f and g, both primitive in x and of x-degree >= 1 (Brown 1971).
+
+    Let F, G be the primitive integer multiples of f, g, h their gcd in
+    Z[x, y] and gamma = gcd(lc_x F, lc_x G), which lc_x h divides. Then
+    H = (gamma / lc_x h) h has y-degree at most deg gamma + min(deg_y f,
+    deg_y g). At a point y0 where neither leading x-coefficient vanishes
+    mod p, h(x, y0) divides both images, so their gcd has x-degree at least
+    deg_x h, with equality exactly when gamma(y0) times the monic gcd is
+    H(x, y0) mod p. The images of least x-degree are interpolated in y,
+    joined over primes by CRT, lifted by rational reconstruction, and the
+    primitive part in x is accepted only when it divides f and g exactly:
+    it has x-degree at least deg_x h, so it is then the gcd. Every prime
+    evaluates at fresh integer points, so integer points where F(x, y0) and
+    G(x, y0) gain a common factor cannot spoil every prime.
+    """
+    _, F = _columns(f)
+    _, G = _columns(g)
+    m, n = len(F) - 1, len(G) - 1
+    gamma = [int(v) for v in uni_gcd(UniPoly(enumerate(F[m])), UniPoly(enumerate(G[n]))).coeff_list()]
+    want = len(gamma) + min(f.deg_y, g.deg_y)
+    budget = _gcd_prime_budget(F, G)
+    deg = residues = None
+    modulus = 1
+    points = count()
+    for used, p in enumerate(linalg._primes(), 1):
+        if any(c % p for c in F[m]) and any(c % p for c in G[n]):
+            image = _gcd_image(F, G, gamma, want, p, points)
+            if image is None:
+                return BiPoly.const(1)
+            d = len(image) // want - 1
+            if deg is None or d < deg:
+                deg, residues, modulus = d, image, p
+            elif d == deg:
+                residues = linalg._crt(residues, modulus, image, p)
+                modulus *= p
+            if d == deg:
+                lifted = linalg._lift(residues, modulus)
+                if lifted is not None:
+                    nums, den = lifted
+                    H = BiPoly(
+                        {(i, j): Fraction(nums[i * want + j], den) for i in range(deg + 1) for j in range(want)}
+                    )
+                    cand = split_content_x(H)[1]
+                    if bi_divexact(f, cand) is not None and bi_divexact(g, cand) is not None:
+                        return cand
+        if used >= budget:
+            raise CertificationFailed(f"gcd of x-degrees {m} and {n} not certified after {used} primes")
+
+
+def _gcd_image(
+    F: list[list[int]], G: list[list[int]], gamma: list[int], want: int, p: int, points: Iterator[int]
+) -> list[int] | None:
+    """H mod p for `_primitive_gcd`, flattened: the y-coefficients of its
+    x^0 coefficient, then of x^1, and so on, `want` of each. None when an
+    image shows F and G coprime. The points are drawn from `points`, and
+    neither leading x-coefficient may vanish identically mod p."""
+    xs: list[int] = []
+    images: list[list[int]] = []
+    for y0 in points:
+        a = [horner_int(col, y0) % p for col in F]
+        b = [horner_int(col, y0) % p for col in G]
+        if not (a[-1] and b[-1]):
+            continue
+        h = _gcd_mod(a, b, p)
+        if len(h) == 1:
+            return None
+        if images and len(h) > len(images[0]):
+            continue
+        if images and len(h) < len(images[0]):
+            xs, images = [], []
+        scale = horner_int(gamma, y0) % p
+        xs.append(y0)
+        images.append([c * scale % p for c in h])
+        if len(xs) == want:
+            break
+    return [v for i in range(len(images[0])) for v in _interpolate_mod(xs, [im[i] for im in images], p)]
+
+
+def _gcd_prime_budget(F: list[list[int]], G: list[list[int]]) -> int:
+    """Primes that always suffice for `_primitive_gcd` of F and G.
+
+    Every subresultant is a Sylvester minor, of 1-norm at most
+    B = ||F||_1^n ||G||_1^m, so at most log2(B)/60 primes are unlucky, and
+    the integer points where the degree of the gcd jumps are roots of one
+    nonzero subresultant of y-degree at most n deg_y F + m deg_y G. A factor
+    of F has 1-norm at most 2^(deg_x F + deg_y F) ||F||_1 (Mahler measure),
+    and so does gamma / lc_x h up to the content of lc_x h, so a modulus
+    above 2^(2 b + 1), b = deg_x F + 2 deg_y F + 2 log2 ||F||_1,
+    reconstructs H.
+    """
+    m, n = len(F) - 1, len(G) - 1
+    dy_f, dy_g = len(F[0]) - 1, len(G[0]) - 1
+    bits_f, bits_g = _norm1(F).bit_length(), _norm1(G).bit_length()
+    h_bits = m + 2 * dy_f + 2 * bits_f
+    return (2 * h_bits + 1) // 60 + 1 + (n * bits_f + m * bits_g) // 60 + 1 + n * dy_f + m * dy_g + 1
+
+
+# ---------------------------------------------------------------------------
+# modular images (shared by the gcd and the resultant)
+
+
+def _columns(f: BiPoly) -> tuple[Fraction, list[list[int]]]:
+    """Split f = scale * F with F in Z[x, y] primitive. Column i of F is its
+    x^i coefficient as ascending y-coefficients, all of length deg_y f + 1."""
+    L = math.lcm(*(v.denominator for v in f.t.values()))
+    nums = {k: v.numerator * (L // v.denominator) for k, v in f.t.items()}
+    g = math.gcd(*nums.values())
+    cols = [[0] * (f.deg_y + 1) for _ in range(f.deg_x + 1)]
+    for (i, j), c in nums.items():
+        cols[i][j] = c // g
+    return Fraction(g, L), cols
+
+
+def _norm1(cols: list[list[int]]) -> int:
+    return sum(abs(c) for col in cols for c in col)
+
+
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b mod p; ascending coefficients, b[-1] nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > db:
+        q = a.pop() * inv % p
+        if q:
+            off = len(a) - db
+            for k in range(db):
+                a[off + k] = (a[off + k] - q * b[k]) % p
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p of two nonzero ascending coefficient lists."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
+    """Sylvester determinant mod p of a and b (a-block first), both with
+    nonzero leading coefficients, by Euclid: with a = q b + r and deg r = k,
+    res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - k) res(b, r)."""
+    out = 1
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return out * pow(b[0], m, p) % p
+        r = _rem_mod(a, b, p)
+        if not r:
+            return 0
+        if m * n % 2:
+            out = -out
+        out = out * pow(b[-1], m - len(r) + 1, p) % p
+        a, b = b, r
+
+
+def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """Ascending coefficients mod p of the polynomial of degree < len(xs)
+    through the points (xs[i], ys[i]), by Newton's divided differences."""
+    n = len(xs)
+    c = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - k], -1, p) % p
+    out = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (X - xs[k]) + c[k]
+        out = [(c[k] - xs[k] * out[0]) % p] + [
+            (out[i - 1] - xs[k] * out[i]) % p for i in range(1, len(out))
+        ] + [out[-1]]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # resultants
-
-
-def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
-    """Sylvester matrix rows; p-block first, coefficients highest-degree first."""
-    m = len(pc) - 1
-    n = len(qc) - 1
-    size = m + n
-    rows = []
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    for k in range(n):
-        rows.append([zero] * k + prow + [zero] * (size - k - m - 1))
-    for k in range(m):
-        rows.append([zero] * k + qrow + [zero] * (size - k - n - 1))
-    return rows
 
 
 def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
@@ -754,8 +854,17 @@ def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
 def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
     """Resultant of f, g with respect to `var`, a polynomial in the other one.
 
-    Computed as the Sylvester determinant with polynomial entries via
-    fraction-free elimination.
+    It is the Sylvester determinant, p-block first, computed modularly
+    (Collins 1971). With f = s F and g = t G, F and G in Z[x, y] of
+    x-degrees m and n, res(f, g) = s^n t^m res(F, G). For each `linalg`
+    prime p, res(F, G) mod p is interpolated through its values at
+    y0 = 0, 1, ..., skipping the points where a leading x-coefficient
+    vanishes mod p (elsewhere the univariate resultant mod p is the value),
+    at n deg_y F + m deg_y G + 1 points, one more than its degree bound.
+    The entries of a row of the Sylvester matrix have 1-norms summing to
+    ||F||_1 or ||G||_1, so every coefficient of res(F, G) is at most
+    ||F||_1^n ||G||_1^m in absolute value; primes are added until their
+    product exceeds twice that, and the symmetric residues are then exact.
     """
     if var == "y":
         f, g = f.swap(), g.swap()
@@ -765,22 +874,33 @@ def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
         raise ValueError("resultant of two zero polynomials")
     if f.is_zero or g.is_zero:
         return UniPoly.zero()
-    fx = f.coeffs_in_x()
-    gx = g.coeffs_in_x()
-    m, n = max(fx), max(gx)
+    m, n = f.deg_x, g.deg_x
     if m == 0:
-        return fx[0] ** n
+        return f.coeffs_in_x()[0] ** n
     if n == 0:
-        return gx[0] ** m
-    pc = [fx.get(d, UniPoly.zero()) for d in range(m + 1)]
-    qc = [gx.get(d, UniPoly.zero()) for d in range(n + 1)]
-    rows = _sylvester_rows(pc, qc, UniPoly.zero())
-    return linalg.det_in_ring(
-        rows,
-        zero=UniPoly.zero(),
-        one=UniPoly.const(1),
-        is_zero=lambda u: u.is_zero,
-        mul=lambda a, b: a * b,
-        sub=lambda a, b: a - b,
-        divexact=lambda a, b: a.divexact(b),
-    )
+        return g.coeffs_in_x()[0] ** m
+    s, F = _columns(f)
+    t, G = _columns(g)
+    points = n * f.deg_y + m * g.deg_y + 1
+    bound = 2 * _norm1(F) ** n * _norm1(G) ** m
+    values: dict[int, tuple[list[int], list[int]]] = {}
+    coeffs, modulus = [0] * points, 1
+    for p in linalg._primes():
+        if modulus > bound:
+            break
+        if not any(c % p for c in F[m]) or not any(c % p for c in G[n]):
+            continue
+        xs, ys = [], []
+        y0 = 0
+        while len(xs) < points:
+            if y0 not in values:
+                values[y0] = ([horner_int(col, y0) for col in F], [horner_int(col, y0) for col in G])
+            a, b = ([v % p for v in vs] for vs in values[y0])
+            if a[-1] and b[-1]:
+                xs.append(y0)
+                ys.append(_resultant_mod(a, b, p))
+            y0 += 1
+        coeffs = linalg._crt(coeffs, modulus, _interpolate_mod(xs, ys, p), p)
+        modulus *= p
+    scale = s**n * t**m
+    return UniPoly({j: (c - modulus if 2 * c > modulus else c) * scale for j, c in enumerate(coeffs)})

@@ -3,8 +3,8 @@
 Candidate lambdas come from three sources: rational critical values of f
 (obtained by eliminating x and then y from the system {f - lambda, f_x, f_y}
 with resultants), a small-height rational sweep, and user-supplied values.
-Every resultant is `poly.resultant_eliminating` over Q[y]; the one that keeps
-lambda symbolic is evaluated at integer lambdas and interpolated.
+Every resultant is the modular `poly.resultant_eliminating`; the one that
+keeps lambda symbolic is evaluated at integer lambdas and interpolated.
 The scan then decides reducibility of every candidate fiber with a
 certificate. Membership of a tested lambda is certified either way;
 completeness over all complex lambda is not claimed.

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import strategies as st
 
-from sumprod import BiPoly
+from sumprod import BiPoly, UniPoly
 from sumprod.parsing import parse_poly
 
 
@@ -191,6 +191,39 @@ def sympy_factor_multiset(f: BiPoly):
         }
         out.append((BiPoly(terms).normalized(), int(mult)))
     return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)))
+
+
+# The subresultant gcd, an independent route the tests compare `uni_gcd`
+# against; like `curve_key` it uses the package's Fraction `UniPoly`.
+def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
+    """prem(a, b) = rem(lc(b)^(deg a - deg b + 1) * a, b), division-free."""
+    d = a.degree - b.degree
+    if d < 0:
+        raise ValueError("pseudo-remainder needs deg a >= deg b")
+    scaled = a * (b.lc ** (d + 1))
+    return scaled.divrem(b)[1]
+
+
+def uni_gcd_subresultant(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Independent gcd route: subresultant polynomial remainder sequence."""
+    a = p.normalized()
+    b = q.normalized()
+    if a.degree < b.degree:
+        a, b = b, a
+    if b.is_zero:
+        return a
+    g = F(1)
+    h = F(1)
+    while True:
+        delta = a.degree - b.degree
+        r = _pseudo_rem(a, b)
+        if r.is_zero:
+            return b.normalized()
+        if r.degree == 0:
+            return UniPoly.const(1)
+        a, b = b, r * (1 / (g * h**delta))
+        g = a.lc
+        h = h * (g / h) ** delta if delta else h
 
 
 def _int_divisors_signed(v: int) -> list[int]:

@@ -240,8 +240,10 @@ class TestOptimizedInterpreter:
         [
             ["classify", "--poly", format_bipoly(_G**3 + _G)],  # total degree 9
             ["sigma", "--poly", "x^2 + 2 x y + y^2"],
+            # every resultant and gcd of the sigma pipeline, at degree 9
+            ["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3", "--degree-cap", "9"],
         ],
-        ids=["classify_degree_9_composite", "sigma_square_of_sum"],
+        ids=["classify_degree_9_composite", "sigma_square_of_sum", "sigma_degree_9"],
     )
     def test_same_json_as_in_process(self, argv, capsys):
         assert main(argv + ["--json"]) == 0

@@ -50,6 +50,26 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_part(BiPoly.zero())
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["x + y", "x y - 1", "2 x - y^2", "y", "y + 1", "y^2 - 2", "x", "x^2 + 3"]),
+                      st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_product_of_distinct_factors(self, pieces, scale):
+        # repeated factors in x, in y alone (the x-content) and mixed
+        f = BiPoly.const(scale)
+        for text, mult in pieces:
+            f = f * P(text) ** mult
+        expected = BiPoly.const(1)
+        for fac, _ in sympy_factor_multiset(f):
+            expected = expected * fac
+        assert squarefree_part(f) == expected.normalized()
+
 
 class TestAbsFactorCount:
     def test_split_over_q(self):

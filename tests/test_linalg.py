@@ -5,12 +5,16 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprod import linalg
 from sumprod.linalg import (
+    _primes,
     certified_nullspace,
     nullspace_basis,
     rank_int,
@@ -113,3 +117,16 @@ class TestPrimes:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised: nullspace of a 2x2 matrix not certified")
+
+
+def test_prime_sequence_matches_sympy_and_is_cached(monkeypatch):
+    import sympy
+
+    expected, q = [], 1 << 61
+    for _ in range(16):
+        q = sympy.prevprime(q)
+        expected.append(q)
+    assert list(islice(_primes(), 16)) == expected
+    # a second pass reads the cache and tests no number for primality
+    monkeypatch.setattr(linalg, "is_probable_prime", lambda n: pytest.fail("primality test rerun"))
+    assert list(islice(_primes(), 16)) == expected

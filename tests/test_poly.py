@@ -1,10 +1,18 @@
 """Arithmetic, shifts, resultants, and gcd cross-checks."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from sumprod.poly import (
     BiPoly,
@@ -13,26 +21,51 @@ from sumprod.poly import (
     bi_gcd,
     resultant_eliminating,
     uni_gcd,
-    uni_gcd_subresultant,
     uni_resultant,
 )
 from sumprod.parsing import parse_poly as P
 
-from conftest import naive_mul, naive_pow, to_terms
+from conftest import naive_mul, naive_pow, to_terms, uni_gcd_subresultant
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# 40 to 45 digits, so that one 61-bit prime cannot carry a result
+huge = st.integers(10**40, 10**45).flatmap(lambda v: st.sampled_from([v, -v]))
+wide_rationals = st.one_of(rationals, huge.map(F), st.tuples(huge, huge.map(abs)).map(lambda nd: F(*nd)))
 
 
 @st.composite
-def bipolys(draw, max_deg=3, max_terms=5):
+def bipolys(draw, max_deg=3, max_terms=5, coeffs=rationals):
     n = draw(st.integers(0, max_terms))
     terms = []
     for _ in range(n):
         i = draw(st.integers(0, max_deg))
         j = draw(st.integers(0, max_deg - i))
-        terms.append(((i, j), draw(rationals)))
+        terms.append(((i, j), draw(coeffs)))
     return BiPoly(terms)
+
+
+@st.composite
+def eliminant_operands(draw):
+    """A polynomial of x-degree >= 1 whose leading x-coefficient vanishes at
+    y = 0, 1, 2 about half the time, with coefficients of up to 45 digits."""
+    f = draw(bipolys(max_deg=3, max_terms=4, coeffs=wide_rationals))
+    if f.deg_x < 1 or draw(st.booleans()):
+        # top term c x^k y (y - 1) (y - 2)
+        lead = BiPoly({(0, 3): 1, (0, 2): -3, (0, 1): 2}) * draw(wide_rationals.filter(bool))
+        f = f + lead * BiPoly({(max(f.deg_x, 0) + 1, 0): 1})
+    return f
+
+
+def to_sympy(f: BiPoly, x, y):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in f.t.items())
+
+
+def from_sympy(expr, x, y) -> BiPoly:
+    p = sympy.Poly(expr, x, y)
+    return BiPoly({(int(i), int(j)): F(int(c.p), int(c.q)) for (i, j), c in zip(p.monoms(), p.coeffs())})
 
 
 @st.composite
@@ -145,12 +178,42 @@ class TestResultant:
         assert (res == 0) == (g.degree >= 1)
 
 
+    @given(eliminant_operands(), eliminant_operands(), st.sampled_from(["x", "y"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_sylvester_determinant(self, f, g, var):
+        # operands are built for eliminating x; swapping both tests y
+        if var == "y":
+            f, g = f.swap(), g.swap()
+        x, y = sympy.symbols("x y")
+        # the determinant of sympy's Sylvester matrix, taken in sympy's
+        # polynomial domain: `Matrix.det` gives the same, far more slowly
+        matrix = DomainMatrix.from_Matrix(sylvester(to_sympy(f, x, y), to_sympy(g, x, y), x if var == "x" else y))
+        det = matrix.domain.to_sympy(matrix.det())
+        other = y if var == "x" else x
+        expected = sympy.Poly(sympy.expand(det), other)
+        got = resultant_eliminating(f, g, var)
+        assert {d: sympy.Rational(c.numerator, c.denominator) for d, c in got.c.items()} == {
+            int(k[0]): v for k, v in expected.terms() if v
+        }
+
+
 class TestGcd:
     def test_bivariate_gcd(self):
         f = P("x^2 - y^2") * P("x + 2y")
         g = P("x + y") * P("x + 2y") * P("x + 2y")
         got = bi_gcd(f, g)
         assert got == (P("x + y") * P("x + 2y")).normalized()
+
+    def test_unlucky_first_points(self):
+        # x + y and x + y^2 share the root x = -y at y = 0 and y = 1, the
+        # first two points, for every prime
+        assert bi_gcd(P("x + y"), P("x + y^2")) == BiPoly.const(1)
+        assert bi_gcd(P("x + y") * P("x - 1"), P("x + y^2") * P("x - 1")) == P("x - 1")
+
+    def test_leading_coefficients_share_more_than_the_gcd(self):
+        # both leading x-coefficients are divisible by y, the gcd's is not,
+        # so the interpolated y (x + y) must lose its content y
+        assert bi_gcd(P("x y + 1") * P("x + y"), P("x y + 2") * P("x + y")) == P("x + y")
 
     def test_divexact_roundtrip(self):
         f = P("x^2 y + x") * P("x - 3y + 1")
@@ -166,6 +229,46 @@ class TestGcd:
         d = bi_gcd(f, g)
         assert bi_divexact(f, d) is not None
         assert bi_divexact(g, d) is not None
+
+
+    @given(
+        bipolys(max_deg=2, coeffs=wide_rationals),
+        st.sampled_from(["1", "x y + 1", "x^2 y^2 + x^2 - 2 x y + 3"]),
+        st.sampled_from(["1", "y", "y^2 - 2", "3 y + 1"]),
+        bipolys(max_deg=2),
+        bipolys(max_deg=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_common_factor_matches_sympy(self, g, y_lead, y_content, h1, h2):
+        # shared factors whose leading x-coefficient depends on y, and shared
+        # contents in y alone
+        g = g * P(y_lead) * P(y_content)
+        assume(not (g * h1).is_zero and not (g * h2).is_zero)
+        x, y = sympy.symbols("x y")
+        expected = from_sympy(sympy.gcd(to_sympy(g * h1, x, y), to_sympy(g * h2, x, y)), x, y)
+        assert bi_gcd(g * h1, g * h2) == expected.normalized()
+
+    def test_forced_division_failure_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            from sumprod import poly
+            from sumprod.errors import CertificationFailed
+            from sumprod.parsing import parse_poly
+
+            assert False, "asserts must be stripped"
+            poly.bi_divexact = lambda f, g: None
+            try:
+                poly.bi_gcd(parse_poly("x^2 - y^2"), parse_poly("x^2 + 2 x y + y^2"))
+            except CertificationFailed as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised: gcd of x-degrees 2 and 2 not certified after")
 
 
 class TestNormalization:
