@@ -7,6 +7,10 @@ by gradient proportionality with a verified certificate. Compositeness is
 decided through the Stein bound: a non-composite polynomial of total degree k
 has fewer than k reducible fibers f - lambda, so testing k distinct fibers is
 conclusive in both directions.
+
+A composite f is split by two integer linear systems: the Jacobian kernel
+{h : f_x h_y = f_y h_x}, built from the primitive integer coefficients of f,
+holds the inner polynomial, and the outer one solves f = sum u_i inner^i.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     InsufficientSamples,
 )
 from .factor import fiber_reducibility
-from .poly import BiPoly, UniPoly, grlex_key
+from .poly import BiPoly, UniPoly, grlex_key, primitive_part
 
 
 @dataclass(frozen=True)
@@ -165,48 +169,40 @@ def _divisors_ascending(n: int) -> list[int]:
     return [d for d in range(2, n // 2 + 1) if n % d == 0]
 
 
+def _jacobian_matrix(f: BiPoly, monomials: list[tuple[int, int]]) -> list[list[int]]:
+    """Integer matrix of h -> f_x h_y - f_y h_x, f scaled to its primitive
+    part in Z[x, y]; column k is the image of h = x^i y^j, (i, j) = monomials[k]."""
+    _, ints = primitive_part(f.t)
+    # read off term by term from the integer coefficients c of f
+    columns = [
+        {(u + i - 1, v + j - 1): (u * j - v * i) * c for (u, v), c in ints.items() if u * j != v * i}
+        for i, j in monomials
+    ]
+    return linalg.rows_from_columns(columns)[0]
+
+
 def _jacobian_kernel(f: BiPoly, d: int) -> list[BiPoly]:
     """Basis of {h : deg h <= d, f_x * h_y = f_y * h_x}.
 
     Every solution is a polynomial in a common inner of f, so a nonconstant
     kernel element of minimal degree is an inner polynomial of f.
     """
-    fx = f.derivative("x")
-    fy = f.derivative("y")
     monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-    columns = []
-    for (i, j) in monomials:
-        mono = BiPoly({(i, j): 1})
-        columns.append(fx * mono.derivative("y") - fy * mono.derivative("x"))
-    rows_index: dict[tuple[int, int], int] = {}
-    for col in columns:
-        for key in col.t:
-            rows_index.setdefault(key, len(rows_index))
-    matrix = [[Fraction(0)] * len(columns) for _ in range(len(rows_index))]
-    for cidx, col in enumerate(columns):
-        for key, v in col.t.items():
-            matrix[rows_index[key]][cidx] = v
-    basis = linalg.nullspace_basis(matrix, len(columns))
+    basis = linalg.nullspace_basis(_jacobian_matrix(f, monomials), len(monomials))
     return [BiPoly(dict(zip(monomials, vec))) for vec in basis]
 
 
 def _solve_outer(f: BiPoly, g: BiPoly, m: int) -> UniPoly | None:
-    """Solve f = sum u_i g^i for scalar coefficients u_0..u_m."""
+    """Solve f = sum u_i g^i for scalar coefficients u_0..u_m, g in Z[x, y].
+
+    The columns are the integer coefficients of the powers of g; a term of f
+    outside them is caught by the re-expansion check.
+    """
     powers = [BiPoly.const(1)]
     for _ in range(m):
         powers.append(powers[-1] * g)
-    rows_index: dict[tuple[int, int], int] = {}
-    for p in powers + [f]:
-        for key in p.t:
-            rows_index.setdefault(key, len(rows_index))
-    matrix = [[Fraction(0)] * (m + 1) for _ in range(len(rows_index))]
-    rhs = [Fraction(0)] * len(rows_index)
-    for cidx, p in enumerate(powers):
-        for key, v in p.t.items():
-            matrix[rows_index[key]][cidx] = v
-    for key, v in f.t.items():
-        rhs[rows_index[key]] = v
-    sol = linalg.solve_exact(matrix, rhs)
+    rows, keys = linalg.rows_from_columns([{k: int(v) for k, v in p.t.items()} for p in powers])
+    sol = linalg.solve_exact(rows, [f.coeff(*key) for key in keys])
     if sol is None:
         return None
     outer = UniPoly(dict(enumerate(sol)))

@@ -39,7 +39,7 @@ from .explorer import (
 from .factor import DEFAULT_DEGREE_CAP
 from .geometry import check_class_bound, incidence_report
 from .parsing import PolyParseError, format_bipoly, format_unipoly, load_poly
-from .spectrum import DEFAULT_SWEEP_HEIGHT, sigma_candidates, sigma_scan
+from .spectrum import DEFAULT_SWEEP_HEIGHT, SigmaReport, sigma_candidates, sigma_scan
 
 _SPEC_RE = re.compile(r"^(ap|gp|randomint|random)\(([^)]*)\)$", re.IGNORECASE)
 
@@ -76,10 +76,6 @@ def load_set(source: str, default_seed: int) -> RatSet:
         )
         return RatSet(tuple(elems), f"file({source})")
     return generate_set(parse_set_spec(source, default_seed))
-
-
-def _fraction_str(v: Fraction) -> str:
-    return str(v)
 
 
 def _write_manifest(outdir: Path, payload: dict) -> None:
@@ -204,8 +200,6 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    from sumprod.spectrum import SigmaReport
-
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
     if f.total_degree >= 2:

@@ -8,7 +8,9 @@ solution space of
 over polynomial unknowns g (x-degree < deg_x f, y-degree <= deg_y f) and
 h (x-degree <= deg_x f, y-degree < deg_y f) equals the number r of absolutely
 irreducible factors f_1, ..., f_r of f (Ruppert 1999). The solutions are the
-closed forms (g dx + h dy)/f, spanned by the d log f_i.
+closed forms (g dx + h dy)/f, spanned by the d log f_i. The system is
+linear in f, so its matrix is read off the primitive integer coefficients
+of f, one column per monomial of g or h.
 
 The same dimension decides reducibility over C without a squarefree test.
 If f = p^e q with p nonconstant and e >= 2, then d log p and d(1/p) are two
@@ -48,7 +50,8 @@ from math import gcd
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
-    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, resultant_eliminating, split_content_x, uni_gcd,
+    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, primitive_part, resultant_eliminating, split_content_x,
+    uni_gcd,
 )
 
 DEFAULT_DEGREE_CAP = 8
@@ -172,27 +175,19 @@ def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
     """Integer matrix of the Ruppert/Gao system of f; column i (deg_y f + 1) + j
     is the coefficient of x^i y^j in g, and the columns of h follow."""
     dx, dy = f.deg_x, f.deg_y
-    terms = [(u, v, int(c)) for (u, v), c in f.normalized().t.items()]
+    _, ints = primitive_part(f.t)
     # column of g = x^i y^j is f g_y - f_y g, of h = x^i y^j is f_x h - f h_x,
     # read off term by term from the integer coefficients c of f
     columns = [
-        {(u + i, v + j - 1): (j - v) * c for u, v, c in terms if v != j}
+        {(u + i, v + j - 1): (j - v) * c for (u, v), c in ints.items() if v != j}
         for i in range(dx)
         for j in range(dy + 1)
     ] + [
-        {(u + i - 1, v + j): (u - i) * c for u, v, c in terms if u != i}
+        {(u + i - 1, v + j): (u - i) * c for (u, v), c in ints.items() if u != i}
         for i in range(dx + 1)
         for j in range(dy)
     ]
-    rows_index: dict[tuple[int, int], int] = {}
-    for col in columns:
-        for key in col:
-            rows_index.setdefault(key, len(rows_index))
-    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
-    for cidx, col in enumerate(columns):
-        for key, v in col.items():
-            matrix[rows_index[key]][cidx] = v
-    return matrix
+    return linalg.rows_from_columns(columns)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ A v = 0 exactly over Z: the n - r_p independent kernel vectors then pin the
 nullspace dimension to n - r_p, so the certificate never rests on p being a
 lucky prime.
 
+The systems of `factor` and `classify` come as sparse integer columns keyed
+by monomial; `rows_from_columns` turns them into dense rows. Rational rows
+are scaled to integers row by row.
+
 The modular resultants and gcds of `poly` run on the same primes (`_primes`),
 combine their images with `_crt` and lift gcds with `_lift`.
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from .errors import CertificationFailed
@@ -289,24 +293,35 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     return len(certified_nullspace(rows, len(rows[0])).pivots)
 
 
-def scale_rows_to_int(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def rows_from_columns(columns: Sequence[dict]) -> tuple[list[list[int]], list]:
+    """Dense rows of the matrix whose column k holds columns[k][key] in the
+    row of `key` and zeros elsewhere, and the row keys: rows come in the
+    order their keys are first seen."""
+    keys = list(dict.fromkeys(key for col in columns for key in col))
+    index = {key: r for r, key in enumerate(keys)}
+    rows = [[0] * len(columns) for _ in keys]
+    for k, col in enumerate(columns):
+        for key, v in col.items():
+            rows[index[key]][k] = v
+    return rows, keys
+
+
+def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank-preserving)."""
     out = []
     for r in rows:
-        L = 1
-        for v in r:
-            L = L * v.denominator // gcd(L, v.denominator)
+        L = lcm(*(v.denominator for v in r))
         out.append([int(v * L) for v in r])
     return out
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace of the matrix, as coefficient vectors."""
     return certified_nullspace(scale_rows_to_int(rows), ncols).basis()
 
 
 def solve_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if the system is inconsistent.
 

@@ -31,6 +31,18 @@ def grlex_key(term: tuple[int, int]) -> tuple[int, int]:
     return (i + j, i)
 
 
+def primitive_part(coeffs: dict, lead=None) -> tuple[Fraction, dict]:
+    """Split a nonempty map of rational coefficients as scale * ints: the
+    integers in `ints` are coprime, and ints[lead] > 0 when a key `lead` is
+    given (the scale is positive otherwise)."""
+    L = math.lcm(*(v.denominator for v in coeffs.values()))
+    nums = {k: v.numerator * (L // v.denominator) for k, v in coeffs.items()}
+    g = math.gcd(*nums.values())
+    if lead is not None and nums[lead] < 0:
+        g = -g
+    return Fraction(g, L), {k: n // g for k, n in nums.items()}
+
+
 class UniPoly:
     """Univariate polynomial with exact rational coefficients."""
 
@@ -229,18 +241,8 @@ class UniPoly:
         """Split as scale * prim with prim integer, coprime, positive lc."""
         if self.is_zero:
             return self, Fraction(1)
-        L = 1
-        for v in self.c.values():
-            L = L * v.denominator // math.gcd(L, v.denominator)
-        g = 0
-        for v in self.c.values():
-            g = math.gcd(g, abs(v.numerator * (L // v.denominator)))
-        prim = UniPoly({d: v * L / g for d, v in self.c.items()})
-        scale = Fraction(g, L)
-        if prim.lc < 0:
-            prim = -prim
-            scale = -scale
-        return prim, scale
+        scale, ints = primitive_part(self.c, self.degree)
+        return UniPoly(ints), scale
 
     def normalized(self) -> "UniPoly":
         return self.primitive()[0]
@@ -474,18 +476,8 @@ class BiPoly:
         """Split as scale * prim with prim integer, coprime, positive grlex lc."""
         if self.is_zero:
             return self, Fraction(1)
-        L = 1
-        for v in self.t.values():
-            L = L * v.denominator // math.gcd(L, v.denominator)
-        g = 0
-        for v in self.t.values():
-            g = math.gcd(g, abs(v.numerator * (L // v.denominator)))
-        prim = BiPoly({k: v * L / g for k, v in self.t.items()})
-        scale = Fraction(g, L)
-        if prim.leading_term()[1] < 0:
-            prim = -prim
-            scale = -scale
-        return prim, scale
+        scale, ints = primitive_part(self.t, self.leading_term()[0])
+        return BiPoly(ints), scale
 
     def normalized(self) -> "BiPoly":
         return self.primitive()[0]
@@ -770,13 +762,11 @@ def _gcd_prime_budget(F: list[list[int]], G: list[list[int]]) -> int:
 def _columns(f: BiPoly) -> tuple[Fraction, list[list[int]]]:
     """Split f = scale * F with F in Z[x, y] primitive. Column i of F is its
     x^i coefficient as ascending y-coefficients, all of length deg_y f + 1."""
-    L = math.lcm(*(v.denominator for v in f.t.values()))
-    nums = {k: v.numerator * (L // v.denominator) for k, v in f.t.items()}
-    g = math.gcd(*nums.values())
+    scale, ints = primitive_part(f.t)
     cols = [[0] * (f.deg_y + 1) for _ in range(f.deg_x + 1)]
-    for (i, j), c in nums.items():
-        cols[i][j] = c // g
-    return Fraction(g, L), cols
+    for (i, j), c in ints.items():
+        cols[i][j] = c
+    return scale, cols
 
 
 def _norm1(cols: list[list[int]]) -> int:

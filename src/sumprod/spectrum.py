@@ -3,8 +3,10 @@
 Candidate lambdas come from three sources: rational critical values of f
 (obtained by eliminating x and then y from the system {f - lambda, f_x, f_y}
 with resultants), a small-height rational sweep, and user-supplied values.
-Every resultant is the modular `poly.resultant_eliminating`; the one that
-keeps lambda symbolic is evaluated at integer lambdas and interpolated.
+Every resultant is the modular `poly.resultant_eliminating`. For a
+univariate f, lambda stands on the free y axis, so one resultant gives the
+eliminant; for a bivariate f, the resultants that keep lambda symbolic are
+evaluated at integer lambdas and interpolated.
 The scan then decides reducibility of every candidate fiber with a
 certificate. Membership of a tested lambda is certified either way;
 completeness over all complex lambda is not claimed.
@@ -122,11 +124,10 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
     if fx.is_zero and fy.is_zero:
         return []
     if fx.is_zero or fy.is_zero:
-        # univariate f: critical values are f at the roots of f'
+        # univariate f: critical values are f at the roots of f', the roots
+        # of res_x(p(x) - lambda, p'(x)) with lambda on the y axis
         p, _ = f.to_unipoly()
-        elim = _first_nonconstant_unipoly(
-            _resultant_x_with_lambda(p.to_bipoly("x"), p.derivative().to_bipoly("x"))
-        )
+        elim = resultant_eliminating(p.to_bipoly("x") - BiPoly.y(), p.derivative().to_bipoly("x"), "x")
     else:
         r1 = _resultant_x_with_lambda(f, fx)
         r2 = _resultant_x_with_lambda(f, fy)

@@ -9,6 +9,7 @@ tests are either frozen from these oracles or recomputed by them in place.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from sumprod import BiPoly, UniPoly
@@ -67,6 +68,29 @@ def naive_pow(a: dict, n: int) -> dict:
 
 def to_terms(f: BiPoly) -> dict:
     return dict(f.t)
+
+
+@st.composite
+def nonconstant_bipolys(draw, max_deg=2):
+    """Nonconstant integer bivariate polynomials of total degree <= max_deg."""
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(0, max_deg), st.integers(0, max_deg), st.integers(-3, 3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    f = BiPoly({(i, j): c for i, j, c in terms if i + j <= max_deg})
+    assume(not f.is_constant)
+    return f
+
+
+def sorted_rows(images: list[BiPoly]) -> list[tuple]:
+    """Rows of the matrix whose column k holds the coefficients of images[k],
+    one row per monomial, sorted. Two matrices have the same sorted rows
+    exactly when their columns agree under one relabelling of the rows."""
+    keys = set().union(*(p.t for p in images))
+    return sorted(tuple(p.t.get(k, 0) for p in images) for k in keys)
 
 
 def naive_eval(terms: dict, a: F, b: F) -> F:

@@ -1,12 +1,17 @@
 """Degeneracy, compositeness, decomposition, and shift reconstruction."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumprod.classify import (
     LinearForm,
+    _jacobian_kernel,
+    _jacobian_matrix,
     ShiftSamples,
     decompose_chain,
     decompose_fully,
@@ -19,6 +24,8 @@ from sumprod.classify import (
 from sumprod.errors import ConstantPolynomial, HypothesisViolated, InsufficientSamples
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
+
+from conftest import nonconstant_bipolys, sorted_rows
 
 
 class TestOrientation:
@@ -282,3 +289,33 @@ class TestReconstruct:
     def test_distinct_rows_enforced(self):
         with pytest.raises(ValueError):
             ShiftSamples(((F(1), F(2)), (F(1), F(3))))
+
+
+class TestJacobianSystem:
+    @given(nonconstant_bipolys(max_deg=3), st.integers(1, 3), st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_the_jacobian_of_unit_monomials(self, f, d, scale):
+        assume(math.gcd(*(c.numerator for c in f.t.values())) == 1)
+        fx, fy = f.derivative("x"), f.derivative("y")
+        monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+        units = [BiPoly({m: 1}) for m in monomials]
+        images = [fx * h.derivative("y") - fy * h.derivative("x") for h in units]
+        # a positive rational multiple of a primitive f gives the same matrix
+        assert sorted_rows(images) == sorted(map(tuple, _jacobian_matrix(f * scale, monomials)))
+
+    @given(
+        nonconstant_bipolys(max_deg=3),
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=3, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_on_composites_holds_the_inner(self, g, coeffs):
+        outer = UniPoly(dict(enumerate(coeffs)))
+        assume(outer.degree >= 2)
+        f = outer.compose_bi(g)
+        d = g.total_degree
+        fx, fy = f.derivative("x"), f.derivative("y")
+        kernel = _jacobian_kernel(f, d)
+        for h in kernel:
+            assert fx * h.derivative("y") == fy * h.derivative("x")
+        # g lies in the span, and elements of lower degree cannot reach it
+        assert any(not h.is_constant and h.total_degree == d for h in kernel)

@@ -1,5 +1,6 @@
 """Factorization certificates and absolute-factor counts."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
     _abs_factor_count,
+    _ruppert_matrix,
     count_abs_factors,
     factor_rational,
     factor_univariate,
@@ -21,7 +23,7 @@ from sumprod.factor import (
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 
-from conftest import conic_abs_count, grid_factor_exists, sympy_factor_multiset
+from conftest import conic_abs_count, grid_factor_exists, nonconstant_bipolys, sorted_rows, sympy_factor_multiset
 
 
 class TestSquarefree:
@@ -236,21 +238,6 @@ class TestFiberReducibility:
         assert fiber_reducibility(P("x^2 + 1")).reducible
 
 
-@st.composite
-def nonconstant_bipolys(draw, max_deg=2):
-    """Nonconstant integer bivariate polynomials of total degree <= max_deg."""
-    terms = draw(
-        st.lists(
-            st.tuples(st.integers(0, max_deg), st.integers(0, max_deg), st.integers(-3, 3)),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    f = BiPoly({(i, j): c for i, j, c in terms if i + j <= max_deg})
-    assume(not f.is_constant)
-    return f
-
-
 class TestRuppertDimensionDecides:
     """The Ruppert/Gao dimension alone decides reducibility over C."""
 
@@ -270,3 +257,20 @@ class TestRuppertDimensionDecides:
         # the route with a squarefree test first, counting only squarefree f
         expected = not is_squarefree(f) or count_abs_factors(f) >= 2
         assert fiber_reducibility(f).reducible == expected
+
+
+class TestRuppertMatrix:
+    @given(nonconstant_bipolys(max_deg=3), st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_the_system_on_unit_monomials(self, f, scale):
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        assume(math.gcd(*(c.numerator for c in f.t.values())) == 1)
+        dx, dy = f.deg_x, f.deg_y
+        fx, fy = f.derivative("x"), f.derivative("y")
+        zero = BiPoly.zero()
+        unknowns = [(BiPoly({(i, j): 1}), zero) for i in range(dx) for j in range(dy + 1)] + [
+            (zero, BiPoly({(i, j): 1})) for i in range(dx + 1) for j in range(dy)
+        ]
+        images = [f * (g.derivative("y") - h.derivative("x")) - fy * g + fx * h for g, h in unknowns]
+        # a positive rational multiple of a primitive f gives the same matrix
+        assert sorted_rows(images) == sorted(map(tuple, _ruppert_matrix(f * scale)))

@@ -19,6 +19,7 @@ from sumprod.linalg import (
     nullspace_basis,
     rank_int,
     rank_mod_prime,
+    rows_from_columns,
     rref,
     solve_exact,
 )
@@ -67,6 +68,7 @@ class TestAgainstReference:
         assert rank_int(A) == ncols - len(expected) == rank_mod_prime(A)
         assert len(basis) == len(expected)
         assert basis == expected
+        assert nullspace_basis(A, ncols) == expected
         for vec in basis:
             assert times(A, vec) == [0] * len(A)
         # an inconsistent system is one whose augmented column is a pivot
@@ -81,6 +83,12 @@ class TestAgainstReference:
         rhs = times(A, [F(v) for v in b[:ncols]])
         x = solve_exact([[F(v) for v in r] for r in A], rhs)
         assert x is not None and times(A, x) == rhs
+
+
+def test_rows_from_columns_in_first_seen_order():
+    rows, keys = rows_from_columns([{"b": 1, "a": 2}, {}, {"c": 3, "a": -4}])
+    assert keys == ["b", "a", "c"]
+    assert rows == [[1, 0, 0], [2, 0, -4], [0, 0, 3]]
 
 
 class TestPrimes:

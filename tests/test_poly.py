@@ -1,5 +1,6 @@
 """Arithmetic, shifts, resultants, and gcd cross-checks."""
 
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from sumprod.poly import (
     UniPoly,
     bi_divexact,
     bi_gcd,
+    primitive_part,
     resultant_eliminating,
     uni_gcd,
     uni_resultant,
@@ -278,6 +280,15 @@ class TestNormalization:
         assert prim == P("x^2 + 2 x y")
         assert scale == -2
         assert prim * scale == f
+
+    @given(st.dictionaries(st.integers(0, 6), wide_rationals.filter(bool), min_size=1, max_size=5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_primitive_part(self, coeffs, signed):
+        lead = max(coeffs) if signed else None
+        scale, ints = primitive_part(coeffs, lead)
+        assert {k: scale * v for k, v in ints.items()} == coeffs
+        assert all(type(v) is int for v in ints.values()) and math.gcd(*ints.values()) == 1
+        assert (ints[lead] if signed else scale) > 0
 
     def test_leading_term_order(self):
         # graded lex, x ahead of y: x^2 leads x y leads y^2 leads x

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from sumprod.classify import is_composite
@@ -13,6 +14,7 @@ from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly
 from sumprod.spectrum import (
     _resultant_x_with_lambda,
+    rational_critical_values,
     remove_sigma_rows,
     sigma_candidates,
     sigma_scan,
@@ -60,13 +62,44 @@ class TestResultantWithLambda:
             return sum(int(c) * x**i * y**j for (i, j), c in p.t.items())
 
         # the textbook definition; sympy.resultant itself flips the sign for
-        # some degree pairs, e.g. resultant(x - 2, x**3, x) == -8
-        det = sylvester(expr(f) - lam, expr(g), x).det()
+        # some degree pairs, e.g. resultant(x - 2, x**3, x) == -8. The
+        # determinant is taken in sympy's polynomial domain: `Matrix.det`
+        # gives the same, far more slowly
+        matrix = DomainMatrix.from_Matrix(sylvester(expr(f) - lam, expr(g), x))
+        det = matrix.domain.to_sympy(matrix.det())
         expected = sympy.Poly(sympy.expand(det), y, lam)
         got = _resultant_x_with_lambda(f, g)
         assert {k: sympy.Rational(v.numerator, v.denominator) for k, v in got.t.items()} == {
             k: v for k, v in expected.terms() if v
         }
+
+
+@st.composite
+def univariate_with_critical_points(draw):
+    """p with p' = c (x - r_1)...(x - r_k) (x^2 - a): rational critical
+    points r_i, and irrational ones when a is not a square."""
+    roots = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    deriv = [F(draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])))]  # ascending coefficients
+    for r in roots + (["quadratic"] if draw(st.booleans()) else []):
+        # multiply by x - r, or by x^2 - a
+        factor = [F(-draw(st.integers(0, 5))), F(0), F(1)] if r == "quadratic" else [F(-r), F(1)]
+        deriv = [sum(deriv[i] * factor[k - i] for i in range(len(deriv)) if 0 <= k - i < len(factor))
+                 for k in range(len(deriv) + len(factor) - 1)]
+    c0 = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    return [c0] + [c / (k + 1) for k, c in enumerate(deriv)]
+
+
+class TestUnivariateCriticalValues:
+    @given(univariate_with_critical_points(), st.sampled_from("xy"))
+    @settings(max_examples=40, deadline=None)
+    def test_are_the_rational_roots_of_the_discriminant(self, coeffs, var):
+        x, lam = sympy.symbols("x lam")
+        p = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
+        # p - lam has a repeated root exactly at the critical values of p
+        disc = sympy.Poly(sympy.discriminant(p - lam, x), lam)
+        expected = sorted(F(int(r.p), int(r.q)) for r in sympy.roots(disc, filter="Q"))
+        f = BiPoly({((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)})
+        assert rational_critical_values(f) == expected
 
 
 class TestScan:
