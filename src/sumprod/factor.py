@@ -51,7 +51,7 @@ from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
     BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, primitive_part, resultant_eliminating, split_content_x,
-    uni_gcd,
+    uni_gcd, uni_squarefree_part,
 )
 
 DEFAULT_DEGREE_CAP = 8
@@ -110,14 +110,8 @@ class AbsReducibleWitness:
 # squarefree part
 
 
-def gcd_with_gradient(f: BiPoly) -> BiPoly:
-    """gcd(f, f_x, f_y); constant exactly when f is squarefree."""
-    g = bi_gcd(f, f.derivative("x"))
-    return bi_gcd(g, f.derivative("y"))
-
-
 def is_squarefree(f: BiPoly) -> bool:
-    return gcd_with_gradient(f).is_constant
+    return squarefree_part(f) == f.normalized()
 
 
 def squarefree_part(f: BiPoly) -> BiPoly:
@@ -133,7 +127,7 @@ def squarefree_part(f: BiPoly) -> BiPoly:
     if f.is_constant:
         return BiPoly.const(1)
     c, P = split_content_x(f)
-    sqf_c = c.divexact(uni_gcd(c, c.derivative())) if c.degree >= 1 else c
+    sqf_c = uni_squarefree_part(c)
     sqf_p = bi_divexact(P, bi_gcd(P, P.derivative("x")))
     if sqf_p is None:
         raise CertificationFailed("gcd with the x-derivative does not divide f")
@@ -399,7 +393,7 @@ def _gao_factors(s: BiPoly) -> list[BiPoly]:
     for c in range(1, r * (r - 1) ** 2 // 2 + 2):
         g = sum((gk * c**k for k, gk in enumerate(gs)), BiPoly.zero())
         res = resultant_eliminating(a.to_bipoly("x"), g.specialize_y(y0).to_bipoly("x") - t_sx, "x")
-        eliminant = res.divexact(uni_gcd(res, res.derivative()))
+        eliminant = uni_squarefree_part(res)
         if eliminant.degree == r:
             break
     else:

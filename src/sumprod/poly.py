@@ -5,9 +5,10 @@
 degree -1. Values are immutable after construction, so they can be shared
 freely. Term comparisons use graded lexicographic order with x ahead of y.
 
-Resultants and gcds in Q[x, y] are modular: both scale to Z[x, y], take
-univariate images mod the 61-bit primes of `linalg` at integer values of the
-other variable, interpolate, and join the primes by CRT.
+Resultants in Q[x, y] and gcds in Q[x] and Q[x, y] are modular: they scale
+to Z[x, y], take univariate images mod the 61-bit primes of `linalg` at
+integer values of the other variable, interpolate, and join the primes by
+CRT. A gcd in Q[x] is the y-free case of the one in Q[x, y].
 """
 
 from __future__ import annotations
@@ -579,15 +580,6 @@ def bi_divexact(f: BiPoly, g: BiPoly) -> BiPoly | None:
         return BiPoly.zero()
     gx = g.coeffs_in_x()
     dg = max(gx)
-    if dg == 0:
-        g0 = gx[0]
-        out: dict[int, UniPoly] = {}
-        for i, ci in f.coeffs_in_x().items():
-            q, r = ci.divrem(g0)
-            if not r.is_zero:
-                return None
-            out[i] = q
-        return BiPoly.from_coeffs_in_x(out)
     glead = gx[dg]
     r = f.coeffs_in_x()
     q: dict[int, UniPoly] = {}
@@ -611,15 +603,18 @@ def bi_divexact(f: BiPoly, g: BiPoly) -> BiPoly | None:
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic-Euclid gcd, returned primitive with positive leading coefficient."""
+    """gcd in Q[x], primitive with positive leading coefficient (zero when
+    both are zero): the y-free case of the modular `_primitive_gcd`."""
     if p.degree == 0 or q.degree == 0:
         return UniPoly.const(1)
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a.divrem(b)[1]
-    if a.is_zero:
-        return a
-    return a.normalized()
+    if p.is_zero or q.is_zero:
+        return (p + q).normalized()
+    return _primitive_gcd(p.to_bipoly("x"), q.to_bipoly("x")).to_unipoly()[0].normalized()
+
+
+def uni_squarefree_part(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p'): p without repeated factors, with p's scale kept."""
+    return p.divexact(uni_gcd(p, p.derivative()))
 
 
 def split_content_x(f: BiPoly) -> tuple[UniPoly, BiPoly]:

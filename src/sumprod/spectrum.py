@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import integers
-from .errors import DegreeCapExceeded
+from .errors import FactorBudgetExceeded
 from .factor import (
     AbsReducibleWitness,
     FactorList,
@@ -28,7 +27,7 @@ from .factor import (
     fiber_reducibility,
     rational_roots,
 )
-from .poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
+from .poly import BiPoly, UniPoly, resultant_eliminating, uni_squarefree_part
 
 DEFAULT_SWEEP_HEIGHT = 5
 
@@ -140,10 +139,9 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
             elim = resultant_eliminating(r1, r2, "x")
     if elim is None or elim.is_zero or elim.degree < 1:
         return []
-    squarefree = elim.divexact(uni_gcd(elim, elim.derivative()))
     try:
-        return rational_roots(squarefree)
-    except (DegreeCapExceeded, integers.FactorBudgetExceeded):
+        return rational_roots(uni_squarefree_part(elim))
+    except FactorBudgetExceeded:
         return []
 
 

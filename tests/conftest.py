@@ -43,6 +43,11 @@ NON_COMPOSITE = [
     "x^5 + y",
 ]
 
+# (x^3 + y^2 + x y)(y^3 + x^2 + 1) + 1/2: the eliminant of its critical values
+# has degree 115 and 609-bit coefficients, and its squarefree part takes a gcd
+# of that size
+LARGE_ELIMINANT = "x^5 + x^3 y^3 + x^3 y + x^3 + x^2 y^2 + x y^4 + x y + y^5 + y^2 + 1/2"
+
 
 @pytest.fixture
 def P():

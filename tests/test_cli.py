@@ -14,6 +14,8 @@ from sumprod.explorer import ApSpec, GpSpec, RandomIntSpec
 from sumprod.parsing import format_bipoly, parse_poly
 from sumprod.spectrum import sigma_candidates, sigma_scan
 
+from conftest import LARGE_ELIMINANT
+
 
 class TestSpecParsing:
     def test_forms(self):
@@ -259,3 +261,18 @@ class TestOptimizedInterpreter:
         )
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout) == expected
+
+
+def test_sigma_on_a_large_eliminant_ends():
+    # the critical values' squarefree part runs a gcd of degree-115 inputs
+    src = str(Path(sumprod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "sigma", "--poly", LARGE_ELIMINANT, "--json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "1/2" in [hit["lambda"] for hit in json.loads(run.stdout)["found"]]

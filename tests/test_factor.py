@@ -67,10 +67,12 @@ class TestSquarefree:
         f = BiPoly.const(scale)
         for text, mult in pieces:
             f = f * P(text) ** mult
+        multiset = sympy_factor_multiset(f)
         expected = BiPoly.const(1)
-        for fac, _ in sympy_factor_multiset(f):
+        for fac, _ in multiset:
             expected = expected * fac
         assert squarefree_part(f) == expected.normalized()
+        assert is_squarefree(f) == all(mult == 1 for _, mult in multiset)
 
 
 class TestAbsFactorCount:

@@ -71,9 +71,9 @@ def from_sympy(expr, x, y) -> BiPoly:
 
 
 @st.composite
-def unipolys(draw, max_deg=5, max_terms=4):
+def unipolys(draw, max_deg=5, max_terms=4, coeffs=rationals):
     n = draw(st.integers(0, max_terms))
-    return UniPoly([(draw(st.integers(0, max_deg)), draw(rationals)) for _ in range(n)])
+    return UniPoly([(draw(st.integers(0, max_deg)), draw(coeffs)) for _ in range(n)])
 
 
 class TestArith:
@@ -250,19 +250,38 @@ class TestGcd:
         expected = from_sympy(sympy.gcd(to_sympy(g * h1, x, y), to_sympy(g * h2, x, y)), x, y)
         assert bi_gcd(g * h1, g * h2) == expected.normalized()
 
+    @given(
+        unipolys(max_deg=4, coeffs=wide_rationals),
+        unipolys(max_deg=8, max_terms=5, coeffs=wide_rationals),
+        unipolys(max_deg=8, max_terms=5, coeffs=wide_rationals),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_univariate_common_factor_matches_sympy(self, g, h1, h2):
+        a, b = g * h1, g * h2
+        assume(not a.is_zero and not b.is_zero)
+        x, y = sympy.symbols("x y")
+        expected = from_sympy(sympy.gcd(to_sympy(a.to_bipoly("x"), x, y), to_sympy(b.to_bipoly("x"), x, y)), x, y)
+        assert uni_gcd(a, b) == expected.to_unipoly()[0].normalized()
+
     def test_forced_division_failure_under_optimize(self):
+        # in Q[x, y] and, as its y-free case, in Q[x]
         script = textwrap.dedent(
             """
             from sumprod import poly
             from sumprod.errors import CertificationFailed
             from sumprod.parsing import parse_poly
+            from sumprod.poly import UniPoly
 
             assert False, "asserts must be stripped"
             poly.bi_divexact = lambda f, g: None
-            try:
-                poly.bi_gcd(parse_poly("x^2 - y^2"), parse_poly("x^2 + 2 x y + y^2"))
-            except CertificationFailed as exc:
-                print("raised:", exc)
+            for call in (
+                lambda: poly.bi_gcd(parse_poly("x^2 - y^2"), parse_poly("x^2 + 2 x y + y^2")),
+                lambda: poly.uni_gcd(UniPoly({2: 1, 0: -1}), UniPoly({2: 1, 1: 2, 0: 1})),
+            ):
+                try:
+                    call()
+                except CertificationFailed as exc:
+                    print("raised:", exc)
             """
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -270,7 +289,9 @@ class TestGcd:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("raised: gcd of x-degrees 2 and 2 not certified after")
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("raised: gcd of x-degrees 2 and 2 not certified after") for line in lines)
 
 
 class TestNormalization:

@@ -11,7 +11,7 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from sumprod.classify import is_composite
 from sumprod.factor import AbsReducibleWitness, FactorList
 from sumprod.parsing import parse_poly as P
-from sumprod.poly import BiPoly
+from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
     _resultant_x_with_lambda,
     rational_critical_values,
@@ -21,7 +21,7 @@ from sumprod.spectrum import (
     sweep_candidates,
 )
 
-from conftest import NON_COMPOSITE, naive_image, CORPUS_EVAL
+from conftest import LARGE_ELIMINANT, NON_COMPOSITE, naive_image, CORPUS_EVAL
 
 
 class TestCandidates:
@@ -100,6 +100,25 @@ class TestUnivariateCriticalValues:
         expected = sorted(F(int(r.p), int(r.q)) for r in sympy.roots(disc, filter="Q"))
         f = BiPoly({((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)})
         assert rational_critical_values(f) == expected
+
+
+class TestLargeEliminant:
+    def test_squarefree_gcd_matches_sympy(self):
+        f = P(LARGE_ELIMINANT)
+        elim = resultant_eliminating(
+            _resultant_x_with_lambda(f, f.derivative("x")), _resultant_x_with_lambda(f, f.derivative("y")), "x"
+        )
+        assert elim.degree == 115
+        lam = sympy.symbols("lam")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeff_list())], lam)
+
+        gcd = sympy.gcd(to_sympy(elim), to_sympy(elim.derivative()))
+        expected = UniPoly({int(k[0]): F(int(c.p), int(c.q)) for k, c in gcd.terms()}).normalized()
+        got = uni_gcd(elim, elim.derivative())
+        assert got.degree == 37
+        assert got == expected
 
 
 class TestScan:
