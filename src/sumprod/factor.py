@@ -399,6 +399,9 @@ def _gao_factors(s: BiPoly) -> list[BiPoly]:
     else:
         raise CertificationFailed("no combination of the basis separates the factors")
     _, pieces = factor_univariate(eliminant)
+    if len(pieces) == 1:
+        # E irreducible vanishes at every lambda_i, so its factor is s itself
+        return [s]
     out = []
     for e, _ in pieces:
         fac = bi_gcd(s, sum((g**k * sx ** (e.degree - k) * v for k, v in e.c.items()), BiPoly.zero()))

@@ -13,9 +13,17 @@ S = L * D^k, L the lcm of f's coefficient denominators, the row of b is
 X -> S * f(X / D, b), and the pair (a, b) is keyed by the integer Taylor
 shift row_b(X - D a) = S * T(X / D). Its coefficient i is S t_i / D^i, so
 two integer keys agree exactly when the curves do; each class converts its
-key once to the Fraction coefficients t_i. Incidences are counted as
-row_b(D s - D a) in S * values. Since a -> D a and v -> S v are increasing
-bijections, every count, equality and order is the one over Q.
+key once to the Fraction coefficients t_i. Since a -> D a and v -> S v are
+increasing bijections, every count, equality and order is the one over Q.
+
+Incidences are counted from one hit set per row: H_b holds every d in the
+scaled difference set (A'+A') - A' with row_b(d) a kept scaled value. The
+curve of (a, b) meets the point (s, v) exactly when row_b(D s - D a) = S v,
+and D s - D a always lies in that difference set, so the class of (a, b)
+has #{d in H_b : d + D a in D (A'+A')} incidences. Each row is evaluated
+once per distinct argument, not once per class and sum. The rows of
+certified lambdas are removed in integers too: lambda = n/q in lowest terms
+is the scaled value n S / q when q divides n S, and no value otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .poly import (
     shift_int,
     uni_gcd,
 )
-from .spectrum import SigmaReport, remove_sigma_rows
+from .spectrum import SigmaReport
 
 CurveKey = tuple[Fraction, ...]
 
@@ -164,29 +172,36 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
     Points are (sum, value) pairs from (A'+A') x f(A', A') minus the rows
     whose value is a certified reducible-fiber lambda. Each curve is a graph,
     so it meets a column of the grid at most once and the count per curve is
-    the number of sums s with T(s) a kept value.
+    the number of sums s with T(s) a kept value. On the integer grid that is
+    the number of d in the row's hit set H_b with d + D a in D (A'+A') (see
+    the module docstring); a lambda removes a row only when S * lambda is an
+    integer among the scaled values.
     """
     family = build_family(f, A)
     grid = family.grid
+    S = grid.S
     sums = {p + q for p in grid.points for q in grid.points}
     values = {horner_int(row, p) for row in grid.rows for p in grid.points}
-    pruned = remove_sigma_rows(
-        (Fraction(s, grid.D) for s in sums),
-        (Fraction(v, grid.S) for v in values),
-        sigma,
-    )
-    kept_values = {v.numerator * (grid.S // v.denominator) for v in pruned.kept_values}
+    flagged = {
+        lam.numerator * S // lam.denominator
+        for lam in sigma.found_values
+        if lam.numerator * S % lam.denominator == 0
+    }
+    removed = values & flagged
+    kept_values = values - removed
+    diffs = {s - p for s in sums for p in grid.points}
+    hits = [tuple(d for d in diffs if horner_int(row, d) in kept_values) for row in grid.rows]
     index = {b: i for i, b in enumerate(family.base)}
     per_curve = []
     for members in family.classes.values():
         a, b = members[0]
-        row, shift = grid.rows[index[b]], grid.points[index[a]]
-        per_curve.append(sum(1 for s in sums if horner_int(row, s - shift) in kept_values))
+        shift = grid.points[index[a]]
+        per_curve.append(len(sums.intersection(map(shift.__add__, hits[index[b]]))))
     total = sum(per_curve)
     k = family.degree
     alpha = k
     beta = k * k
-    P = pruned.point_count
+    P = len(sums) * len(kept_values)
     L = family.class_count
     terms = (
         (alpha**0.5) * (beta ** (1 / 3)) * (P ** (2 / 3)) * (L ** (2 / 3)),
@@ -203,7 +218,7 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
         szekely_terms=terms,
         szekely_ratio=(total / bound) if bound else 0.0,
         per_curve_min=min(per_curve, default=0),
-        removed_points=pruned.removed_count,
+        removed_points=len(sums) * len(removed),
     )
     return report, family
 

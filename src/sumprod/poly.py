@@ -430,20 +430,17 @@ class BiPoly:
         return BiPoly({(j, i): v for (i, j), v in self.t.items()})
 
     def subst_x_affine(self, c0, c1) -> "BiPoly":
-        """Substitute x -> c0 + c1*x (exact)."""
+        """Substitute x -> c0 + c1*x (exact), expanding each term by
+        (c0 + c1 x)^i = sum_k C(i, k) c0^(i-k) c1^k x^k."""
         c0, c1 = _rat(c0), _rat(c1)
-        lin = BiPoly({(1, 0): c1, (0, 0): c0})
-        powers = {0: BiPoly.const(1)}
-        out = BiPoly.zero()
-        for (i, j), v in sorted(self.t.items()):
-            if i not in powers:
-                top = max(powers)
-                p = powers[top]
-                for e in range(top + 1, i + 1):
-                    p = p * lin
-                    powers[e] = p
-            out = out + powers[i] * BiPoly({(0, j): v})
-        return out
+        n = max(self.deg_x, 0)
+        p0 = [c0**e for e in range(n + 1)]
+        p1 = [c1**e for e in range(n + 1)]
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, j), v in self.t.items():
+            for k in range(i + 1):
+                out[(k, j)] = out.get((k, j), 0) + v * math.comb(i, k) * p0[i - k] * p1[k]
+        return BiPoly(out)
 
     def shift_x(self, a) -> "BiPoly":
         """Return f(x - a, y)."""

@@ -276,3 +276,19 @@ def test_sigma_on_a_large_eliminant_ends():
     )
     assert run.returncode == 0, run.stderr
     assert "1/2" in [hit["lambda"] for hit in json.loads(run.stdout)["found"]]
+
+
+def test_incidence_at_ap_256_ends():
+    # 65,536 classes: each row is evaluated once per difference, not per class and sum
+    src = str(Path(sumprod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "incidence", "--poly", "x^3 + x y", "--set", "AP(256,1,1)", "--json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    inc = json.loads(run.stdout)["incidence"]
+    assert inc["incidences"] == 16_777_216 and inc["point_count"] == 32_619_174

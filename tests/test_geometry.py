@@ -147,6 +147,32 @@ class TestIncidence:
                 counts.add(cnt)
             assert len(counts) == 1
 
+    @pytest.mark.parametrize(
+        "A, lams, removed",
+        [
+            # S = 1: S * 9/2 is no integer, and its floor 4 is a value that stays
+            ([F(1), F(2), F(3)], [F(9, 2)], []),
+            # D = 2 and S = 4: S * 9 = 36 is the scaled value of 9 (9 is that
+            # of 9/4), and S * 1/4 = 1 is an integer that is no scaled value
+            ([F(1, 2), F(1), F(3, 2)], [F(1, 4), F(9)], [F(9)]),
+        ],
+        ids=["lambda_off_the_scaled_values", "lambda_on_a_scaled_value"],
+    )
+    def test_sigma_rows_removed_in_integers(self, A, lams, removed):
+        f = P("x^2 + 2 x y + y^2")
+        sig = sigma_scan(f, lams)
+        assert sig.found_values == tuple(lams)
+        rep, _ = incidence_report(f, A, sig)
+        sums = sorted(naive_sumset(A))
+        values = naive_image(lambda a, b: (a + b) ** 2, A)
+        assert set(removed) <= values
+        kept = sorted(values - set(removed))
+        keys = sorted({curve_key(f, a, b) for a in A for b in A})
+        total, per = double_loop_incidences(keys, [(s, v) for s in sums for v in kept])
+        assert rep.removed_points == len(sums) * len(removed)
+        assert rep.point_count == len(sums) * len(kept)
+        assert rep.incidences == total and rep.per_curve_min == min(per)
+
 
 class TestRationalSets:
     """Mixed denominators, negative elements and 0, rational coefficients."""

@@ -27,7 +27,9 @@ from sumprod.poly import (
 )
 from sumprod.parsing import parse_poly as P
 
-from conftest import naive_mul, naive_pow, to_terms, uni_gcd_subresultant
+from conftest import (
+    grid_rationals, naive_eval, naive_mul, naive_pow, rational_grid_polys, to_terms, uni_gcd_subresultant,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,6 +141,12 @@ class TestShift:
     @settings(max_examples=40, deadline=None)
     def test_shift_round_trip(self, f, a):
         assert f.shift_x(a).shift_x(-a) == f
+
+    @given(rational_grid_polys(max_deg=5), grid_rationals, grid_rationals, grid_rationals, grid_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_affine_substitution_matches_naive_eval(self, terms, c0, c1, x, y):
+        got = BiPoly(terms).subst_x_affine(c0, c1)
+        assert naive_eval(to_terms(got), x, y) == naive_eval(terms, c0 + c1 * x, y)
 
 
 class TestDerivative:
