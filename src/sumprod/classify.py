@@ -25,7 +25,7 @@ from .errors import (
     HypothesisViolated,
     InsufficientSamples,
 )
-from .factor import fiber_reducibility
+from .factor import FiberPencil
 from .poly import BiPoly, UniPoly, grlex_key, primitive_part
 
 
@@ -154,8 +154,9 @@ def is_composite(
     else:
         lams = [Fraction(j) for j in range(1, k + 1)]
     witnesses = []
+    pencil = FiberPencil(f)
     for lam in lams:
-        if not fiber_reducibility(f - BiPoly.const(lam)).reducible:
+        if not pencil.status(lam).reducible:
             return CompositenessVerdict(composite=False, certificate_lambda=lam)
         witnesses.append(lam)
     return CompositenessVerdict(composite=True, witness_lambdas=tuple(witnesses))

@@ -19,6 +19,22 @@ independent closed forms within the degree bounds:
 So f is reducible over C exactly when the dimension is at least 2; for an
 f with a repeated factor the dimension need not be the factor count.
 
+All fibers f - lambda of one bivariate f share one pencil of systems. The
+system is linear in f and lambda only moves the constant term, which keeps
+both degree bounds. So with f = s F, F primitive in Z[x, y], and
+lambda / s = a / b in lowest terms, the matrix of the system of f - lambda
+is, up to a nonzero scalar, M = b R(F) - a R(1), where R(P) is the matrix of
+the system of P at the degree bounds of f. R(1) has at most one nonzero per column. The
+gradient w = (g, h) = (F_x, F_y) solves R(F) (F_y F_x = F_x F_y and
+F_xy = F_yx) and R(1), hence every M. Take a column c with w_c != 0 and let
+M' be M without that column. A kernel vector of M' is one of M that vanishes
+at c; and for any v in the kernel of M, v - (v_c / w_c) w is one that
+vanishes at c. So the dimension of every fiber is 1 + the nullity of M'. An
+absolutely irreducible fiber has M' of full column rank, and one elimination
+mod a prime shows that, with no kernel vector to lift and verify
+(`linalg`). The gradient identity is checked exactly over Z when the pencil
+is built.
+
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
 g = sum_i lambda_i (f/f_i) d f_i/dx, and f_i divides every term of
@@ -103,7 +119,7 @@ class AbsReducibleWitness:
             except ValueError:
                 return False
             return p.degree == self.value and self.value >= 2
-        return count_abs_factors(fiber) == self.value and self.value >= 2
+        return fiber_reducibility(fiber).abs_count == self.value and self.value >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +162,17 @@ def count_abs_factors(f: BiPoly) -> int:
         raise UnivariateInput("input must involve both variables")
     if not is_squarefree(f):
         raise NotSquarefree("input has a repeated factor")
-    return _abs_factor_count(f)
+    return FiberPencil(f).dimension(0)
 
 
-def _abs_factor_count(f: BiPoly) -> int:
-    """Ruppert/Gao dimension of an f that involves both variables.
-
-    It is the absolute factor count when f is squarefree, and at least 2
-    when f has a repeated factor (see the module docstring).
-    """
-    matrix = _ruppert_matrix(f)
-    # the engine's modular rank is only a lower bound; its verified kernel
-    # vectors bound the dimension from the other side, so the count is
-    # certified whether the fiber is irreducible (dim 1) or splits
-    dim = len(matrix[0]) - linalg.rank_int(matrix)
-    if dim < 1:
-        raise CertificationFailed("solution space lost the gradient solution (f_x, f_y)")
-    return dim
-
-
-def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
-    """Integer matrix of the Ruppert/Gao system of f; column i (deg_y f + 1) + j
-    is the coefficient of x^i y^j in g, and the columns of h follow."""
-    dx, dy = f.deg_x, f.deg_y
-    _, ints = primitive_part(f.t)
+def _ruppert_columns(ints: dict, dx: int, dy: int) -> list[dict]:
+    """Sparse integer columns of the Ruppert/Gao system of the polynomial with
+    integer coefficients `ints`, at the degree bounds (dx, dy) of the module
+    docstring; column i (dy + 1) + j is the image of g = x^i y^j, and the
+    columns of h = x^i y^j follow."""
     # column of g = x^i y^j is f g_y - f_y g, of h = x^i y^j is f_x h - f h_x,
     # read off term by term from the integer coefficients c of f
-    columns = [
+    return [
         {(u + i, v + j - 1): (j - v) * c for (u, v), c in ints.items() if v != j}
         for i in range(dx)
         for j in range(dy + 1)
@@ -181,7 +181,13 @@ def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
         for i in range(dx + 1)
         for j in range(dy)
     ]
-    return linalg.rows_from_columns(columns)[0]
+
+
+def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
+    """Integer matrix of the Ruppert/Gao system of f, from its primitive
+    integer coefficients; the columns are those of `_ruppert_columns`."""
+    _, ints = primitive_part(f.t)
+    return linalg.rows_from_columns(_ruppert_columns(ints, f.deg_x, f.deg_y))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +503,88 @@ class FiberStatus:
     abs_count: int | None = None
 
 
-def fiber_reducibility(fiber: BiPoly) -> FiberStatus:
-    """Decide whether `fiber` factors nontrivially over the complex numbers.
+def _gradient(ints: dict, dx: int, dy: int) -> list[int]:
+    """The solution (g, h) = (F_x, F_y) of the Ruppert/Gao system of the
+    integer polynomial F with coefficients `ints`, as a vector on its columns."""
+    w = [0] * (dx * (dy + 1) + (dx + 1) * dy)
+    for (u, v), c in ints.items():
+        if u:
+            w[(u - 1) * (dy + 1) + v] = u * c
+        if v:
+            w[dx * (dy + 1) + u * dy + v - 1] = v * c
+    return w
 
-    Degree >= 2 is assumed. Univariate inputs of degree >= 2 always split
-    over C. Otherwise the Ruppert/Gao dimension alone decides: it is 1 for an
-    absolutely irreducible fiber, the factor count for a squarefree one, and
-    at least 2 when a factor repeats (d log p and d(1/p) both solve the
-    system), so no squarefree test is needed.
+
+class FiberPencil:
+    """The Ruppert/Gao systems of all fibers f - lambda of one polynomial.
+
+    With f = s F, F primitive in Z[x, y], and lambda / s = a / b in lowest
+    terms, the system of f - lambda is b R(F) - a R(1) (module docstring).
+    Both matrices are built once, over one row set, with the column of the
+    gradient solution removed; R(1) has at most one nonzero per column and is
+    kept as (row, column, value) entries.
     """
-    if fiber.deg_x <= 0 or fiber.deg_y <= 0:
-        p, _ = fiber.to_unipoly()
-        return FiberStatus(reducible=p.degree >= 2, kind="univariate")
-    n = _abs_factor_count(fiber)
-    if n >= 2:
-        return FiberStatus(reducible=True, kind="nullspace", abs_count=n)
-    return FiberStatus(reducible=False, kind="irreducible", abs_count=1)
+
+    def __init__(self, f: BiPoly):
+        self.f = f
+        self.univariate = f.deg_x <= 0 or f.deg_y <= 0
+        if self.univariate:
+            return
+        dx, dy = f.deg_x, f.deg_y
+        self.scale, ints = primitive_part(f.t)
+        columns = _ruppert_columns(ints, dx, dy)
+        self.rows, keys = linalg.rows_from_columns(columns)
+        index = {key: r for r, key in enumerate(keys)}
+        ones = []
+        for k, col in enumerate(_ruppert_columns({(0, 0): 1}, dx, dy)):
+            for key, v in col.items():
+                if key not in index:
+                    index[key] = len(self.rows)
+                    self.rows.append([0] * len(columns))
+                ones.append((index[key], k, v))
+        # the gradient solves R(F) and R(1), so it solves every fiber's system
+        grad = _gradient(ints, dx, dy)
+        image = [0] * len(self.rows)
+        for r, k, v in ones:
+            image[r] += v * grad[k]
+        if any(image) or not linalg._annihilates(self.rows, grad):
+            raise CertificationFailed("the gradient (f_x, f_y) does not solve the fiber systems")
+        # F_x is nonzero, so some column carries the gradient; removing it
+        # leaves the solutions that vanish there, one fewer for every fiber
+        drop = next(k for k, w in enumerate(grad) if w)
+        for row in self.rows:
+            del row[drop]
+        self.ones = [(r, k - (k > drop), v) for r, k, v in ones if k != drop]
+
+    def dimension(self, lam: Fraction | int) -> int:
+        """Ruppert/Gao dimension of f - lambda, for a bivariate f."""
+        t = Fraction(lam) / self.scale
+        a, b = t.numerator, t.denominator
+        rows = self.rows
+        if a:
+            rows = [[b * v for v in row] for row in rows] if b != 1 else [row[:] for row in rows]
+            for r, k, v in self.ones:
+                rows[r][k] -= a * v
+        return 1 + len(self.rows[0]) - linalg.rank_int(rows)
+
+    def status(self, lam: Fraction | int) -> FiberStatus:
+        """Decide whether f - lambda factors over the complex numbers.
+
+        Univariate fibers of degree >= 2 always split over C. Otherwise the
+        Ruppert/Gao dimension alone decides: it is 1 for an absolutely
+        irreducible fiber, the factor count for a squarefree one, and at
+        least 2 when a factor repeats (d log p and d(1/p) both solve the
+        system), so no squarefree test is needed.
+        """
+        if self.univariate:
+            p, _ = (self.f - BiPoly.const(lam)).to_unipoly()
+            return FiberStatus(reducible=p.degree >= 2, kind="univariate")
+        n = self.dimension(lam)
+        if n >= 2:
+            return FiberStatus(reducible=True, kind="nullspace", abs_count=n)
+        return FiberStatus(reducible=False, kind="irreducible", abs_count=1)
+
+
+def fiber_reducibility(fiber: BiPoly) -> FiberStatus:
+    """Decide whether `fiber` (degree >= 2) factors over the complex numbers."""
+    return FiberPencil(fiber).status(0)

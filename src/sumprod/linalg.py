@@ -11,7 +11,15 @@ the matrix's Hadamard bound shows always suffices; running out raises
 `CertificationFailed`. A basis is accepted only when every vector satisfies
 A v = 0 exactly over Z: the n - r_p independent kernel vectors then pin the
 nullspace dimension to n - r_p, so the certificate never rests on p being a
-lucky prime.
+lucky prime. A matrix of full column rank mod p has nothing to lift and is
+certified by that one elimination.
+
+The elimination is sparse. Each row is a map {column: nonzero residue}, kept
+in a bucket by its leading column. The leftmost nonempty bucket supplies the
+pivot from its sparsest row; its other rows are reduced by it and move to the
+bucket of their new leading column, and every entry that cancels mod p is
+dropped. The systems of `factor` have a few nonzeros per column, so the work
+follows the nonzeros, not the rows times the columns.
 
 The systems of `factor` and `classify` come as sparse integer columns keyed
 by monomial; `rows_from_columns` turns them into dense rows. Rational rows
@@ -115,37 +123,41 @@ def _echelon_mod(
     """Row echelon form mod p, pivoting on the leftmost nonzero column.
 
     Returns (echelon, pivots): echelon[k] lists the (column, value) pairs
-    right of column pivots[k] of the k-th pivot row, scaled to a leading 1.
-    Of the rows that can supply a pivot, the sparsest does, which keeps
-    fill-in low; the pivot columns do not depend on that choice.
+    right of column pivots[k] of the k-th pivot row, scaled to a leading 1,
+    sorted by column. Rows are sparse maps {column: nonzero residue}, kept in
+    buckets by their leading column. Of the rows in the leftmost bucket, the
+    sparsest supplies the pivot, which keeps fill-in low; the others are
+    reduced by it and move to the bucket of their new leading column, or are
+    dropped once they vanish mod p. The pivot columns do not depend on which
+    row supplies the pivot.
     """
-    # rows still to reduce are stored from the current column onward; every
-    # entry left of it is zero
-    rest = [r for r in ([v % p for v in row] for row in rows) if any(r)]
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        r = {j: m for j, v in enumerate(row) if v and (m := v % p)}
+        if r:
+            buckets.setdefault(min(r), []).append(r)
     echelon, pivots = [], []
     for col in range(ncols):
-        if not rest:
+        if not buckets:
             break
-        candidates = [i for i, r in enumerate(rest) if r[0]]
-        if not candidates:
-            rest = [r[1:] for r in rest]
+        bucket = buckets.pop(col, None)
+        if bucket is None:
             continue
-        piv = rest.pop(max(candidates, key=lambda i: rest[i].count(0)))
-        inv = pow(piv[0], -1, p)
-        tail = [(j, v * inv % p) for j, v in enumerate(piv[1:]) if v]
-        echelon.append([(col + 1 + j, v) for j, v in tail])
+        piv = bucket.pop(min(range(len(bucket)), key=lambda i: len(bucket[i])))
+        inv = pow(piv.pop(col), -1, p)
+        tail = sorted((j, v * inv % p) for j, v in piv.items())
+        echelon.append(tail)
         pivots.append(col)
-        reduced = []
-        for r in rest:
-            f = r[0]
-            r = r[1:]
-            if f:
-                for j, v in tail:
-                    r[j] = (r[j] - f * v) % p
-                if not any(r):
-                    continue
-            reduced.append(r)
-        rest = reduced
+        for r in bucket:
+            f = r.pop(col)
+            for j, v in tail:
+                m = (r.get(j, 0) - f * v) % p
+                if m:
+                    r[j] = m
+                else:
+                    del r[j]
+            if r:
+                buckets.setdefault(min(r), []).append(r)
     return echelon, pivots
 
 

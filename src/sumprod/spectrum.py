@@ -22,9 +22,9 @@ from .factor import (
     AbsReducibleWitness,
     FactorList,
     DEFAULT_DEGREE_CAP,
+    FiberPencil,
     _interpolate,
     factor_rational,
-    fiber_reducibility,
     rational_roots,
 )
 from .poly import BiPoly, UniPoly, resultant_eliminating, uni_squarefree_part
@@ -192,11 +192,12 @@ def sigma_scan(
     if k < 2:
         raise ValueError("scan needs total degree >= 2")
     hits = []
+    pencil = FiberPencil(f)
     for lam in sorted(set(Fraction(v) for v in candidates)):
-        fiber = f - BiPoly.const(lam)
-        status = fiber_reducibility(fiber)
+        status = pencil.status(lam)
         if not status.reducible:
             continue
+        fiber = f - BiPoly.const(lam)
         cert: FactorList | AbsReducibleWitness
         if status.kind == "univariate":
             p, _ = fiber.to_unipoly()

@@ -1,8 +1,13 @@
 """Factorization certificates and absolute-factor counts."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
-    _abs_factor_count,
+    FiberPencil,
     _ruppert_matrix,
     count_abs_factors,
     factor_rational,
@@ -20,10 +25,14 @@ from sumprod.factor import (
     rational_roots,
     squarefree_part,
 )
+from sumprod.linalg import rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
+from sumprod.spectrum import sweep_candidates
 
 from conftest import conic_abs_count, grid_factor_exists, nonconstant_bipolys, sorted_rows, sympy_factor_multiset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSquarefree:
@@ -256,7 +265,7 @@ class TestRuppertDimensionDecides:
     def test_repeated_factor_gives_dimension_two(self, p, q):
         f = p * p * q
         assume(f.deg_x >= 1 and f.deg_y >= 1)
-        assert _abs_factor_count(f) >= 2
+        assert fiber_reducibility(f).abs_count >= 2
         assert fiber_reducibility(f).reducible
 
     @given(nonconstant_bipolys(), nonconstant_bipolys(), st.integers(1, 2))
@@ -295,3 +304,82 @@ class TestRuppertMatrix:
         images = [f * (g.derivative("y") - h.derivative("x")) - fy * g + fx * h for g, h in unknowns]
         # a positive rational multiple of a primitive f gives the same matrix
         assert sorted_rows(images) == sorted(map(tuple, _ruppert_matrix(f * scale)))
+
+
+def reference_dimension(f: BiPoly, lam: F) -> int:
+    """Column count minus the rational-RREF rank of the matrix of f - lam."""
+    matrix = _ruppert_matrix(f - BiPoly.const(lam))
+    _, pivots = rref([[F(v) for v in row] for row in matrix])
+    return len(matrix[0]) - len(pivots)
+
+
+lambdas = st.one_of(
+    st.sampled_from(sweep_candidates(3)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(lambda v: v.denominator > 1),
+)
+
+
+class TestFiberPencil:
+    """Every fiber's dimension from the pencil against the matrix built for it."""
+
+    @given(
+        primitive_bivariate_polys(),
+        st.integers(-30, 30),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: abs(v) not in (0, 1)),
+        st.lists(lambdas, min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_polys_against_reference(self, g, constant, scale, lams):
+        # s F with F primitive and s != 1; constant 0 leaves no constant term
+        terms = {m: int(c) for m, c in g.t.items() if m != (0, 0)}
+        if constant:
+            terms[(0, 0)] = constant
+        content = math.gcd(*terms.values())
+        f = BiPoly({m: F(c, content) * scale for m, c in terms.items()})
+        pencil = FiberPencil(f)
+        for lam in [*lams, F(constant, content) * scale]:
+            assert pencil.status(lam).abs_count == reference_dimension(f, lam), (f, lam)
+
+    @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    @settings(max_examples=40, deadline=None)
+    def test_reducible_fiber_g_h_plus_c(self, g, h, c):
+        f = g * h + BiPoly.const(c)
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        status = FiberPencil(f).status(c)
+        assert status.reducible
+        assert status.abs_count == reference_dimension(f, c)
+
+    def test_univariate(self):
+        pencil = FiberPencil(P("1/2 x^3 + x"))
+        for lam in (F(0), F(1, 2), F(-3)):
+            status = pencil.status(lam)
+            assert status.reducible and status.kind == "univariate" and status.abs_count is None
+        assert not FiberPencil(P("2 y")).status(F(5)).reducible
+
+
+def test_forced_gradient_failure_under_optimize():
+    script = textwrap.dedent(
+        """
+        from sumprod import factor
+        from sumprod.classify import is_composite
+        from sumprod.errors import CertificationFailed
+        from sumprod.parsing import parse_poly
+        from sumprod.spectrum import sigma_scan
+
+        assert False, "asserts must be stripped"
+        gradient = factor._gradient
+        factor._gradient = lambda ints, dx, dy: [w + 1 for w in gradient(ints, dx, dy)]
+        f = parse_poly("x^2 y + x + y")
+        for run in (lambda: is_composite(f), lambda: sigma_scan(f, [0, 1])):
+            try:
+                run()
+            except CertificationFailed as exc:
+                print("raised:", exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["raised: the gradient (f_x, f_y) does not solve the fiber systems"] * 2

@@ -46,11 +46,25 @@ def times(rows, vec):
 
 @st.composite
 def int_matrices(draw):
-    """Small integer matrices; half of them rank-deficient products B C."""
+    """Small integer matrices: dense ones, rank-deficient products B C, and
+    sparse ones up to 12 x 12 with zero columns and (scaled) duplicate rows."""
+    entries = st.integers(-9, 9)
+    shape = draw(st.sampled_from(["dense", "product", "sparse"]))
+    if shape == "sparse":
+        m = draw(st.integers(1, 12))
+        n = draw(st.integers(1, 12))
+        zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+        cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), entries, max_size=2 * n))
+        A = [[0] * n for _ in range(m)]
+        for (i, j), v in cells.items():
+            if j not in zero_cols:
+                A[i][j] = v
+        for i, src, c in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), entries), max_size=4)):
+            A[i] = [c * v for v in A[src]]
+        return A
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 6))
-    entries = st.integers(-9, 9)
-    if draw(st.booleans()):
+    if shape == "dense":
         return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     k = draw(st.integers(1, 3))
     B = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
@@ -59,7 +73,7 @@ def int_matrices(draw):
 
 
 class TestAgainstReference:
-    @given(int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+    @given(int_matrices(), st.lists(st.integers(-9, 9), min_size=12, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_rank_nullspace_and_solve(self, A, b):
         ncols = len(A[0])
