@@ -26,7 +26,7 @@ from .errors import (
     InsufficientSamples,
 )
 from .factor import FiberPencil
-from .poly import BiPoly, UniPoly, grlex_key, primitive_part
+from .poly import BiPoly, UniPoly
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,18 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     fx = f.derivative("x")
     fy = f.derivative("y")
     if fy.is_zero:
-        outer = UniPoly({i: v for (i, _), v in f.t.items()})
+        outer = f.to_unipoly()[0]
         dec = Decomposition(outer, BiPoly.x(), "degenerate", LinearForm(Fraction(1), Fraction(0)))
         if not dec.verify(f):
             raise CertificationFailed("y-free polynomial failed to re-expand from its x-coefficients")
         return dec
     if fx.is_zero:
-        outer = UniPoly({j: v for (_, j), v in f.t.items()})
+        outer = f.to_unipoly()[0]
         dec = Decomposition(outer, BiPoly.y(), "degenerate", LinearForm(Fraction(0), Fraction(1)))
         if not dec.verify(f):
             raise CertificationFailed("x-free polynomial failed to re-expand from its y-coefficients")
         return dec
-    key, lead = max(fy.t.items(), key=lambda kv: grlex_key(kv[0]))
+    key, lead = fy.leading_term()
     c = fx.coeff(*key) / lead
     if not c or fx != fy * c:
         return None
@@ -173,7 +173,7 @@ def _divisors_ascending(n: int) -> list[int]:
 def _jacobian_matrix(f: BiPoly, monomials: list[tuple[int, int]]) -> list[list[int]]:
     """Integer matrix of h -> f_x h_y - f_y h_x, f scaled to its primitive
     part in Z[x, y]; column k is the image of h = x^i y^j, (i, j) = monomials[k]."""
-    _, ints = primitive_part(f.t)
+    ints = f.scaled_ints()[1]
     # read off term by term from the integer coefficients c of f
     columns = [
         {(u + i - 1, v + j - 1): (u * j - v * i) * c for (u, v), c in ints.items() if u * j != v * i}
@@ -202,11 +202,12 @@ def _solve_outer(f: BiPoly, g: BiPoly, m: int) -> UniPoly | None:
     powers = [BiPoly.const(1)]
     for _ in range(m):
         powers.append(powers[-1] * g)
-    rows, keys = linalg.rows_from_columns([{k: int(v) for k, v in p.t.items()} for p in powers])
-    sol = linalg.solve_exact(rows, [f.coeff(*key) for key in keys])
+    rows, keys = linalg.rows_from_columns([p.n for p in powers])
+    # solved for the numerators of f, so the outer polynomial is sol / f.d
+    sol = linalg.solve_exact(rows, [f.n.get(key, 0) for key in keys])
     if sol is None:
         return None
-    outer = UniPoly(dict(enumerate(sol)))
+    outer = UniPoly(dict(enumerate(sol))) * Fraction(1, f.d)
     return outer if outer.compose_bi(g) == f else None
 
 
@@ -335,13 +336,11 @@ def reconstruct_shift_decomposition(
             raise HypothesisViolated(
                 f"row a={a}, b={b} fails the shifted-fiber relation"
             )
-    coeff_m1 = UniPoly(
-        {j: v for (i, j), v in f.t.items() if i == m - 1}
-    )
+    coeff_m1 = f.coeffs_in_x().get(m - 1, UniPoly.zero())
     b_of_y = (coeff_m1 - UniPoly.const(outer.coeff(m - 1))) * (
         Fraction(1) / (outer.coeff(m) * m)
     )
-    inner = BiPoly.x() + BiPoly({(0, j): v for j, v in b_of_y.c.items()})
+    inner = BiPoly.x() + b_of_y.to_bipoly("y")
     if outer.compose_bi(inner) != f:
         return None
     return inner

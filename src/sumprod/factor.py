@@ -66,7 +66,7 @@ from math import gcd
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
-    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, primitive_part, resultant_eliminating, split_content_x,
+    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, horner_int, resultant_eliminating, split_content_x,
     uni_gcd, uni_squarefree_part,
 )
 
@@ -186,8 +186,7 @@ def _ruppert_columns(ints: dict, dx: int, dy: int) -> list[dict]:
 def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
     """Integer matrix of the Ruppert/Gao system of f, from its primitive
     integer coefficients; the columns are those of `_ruppert_columns`."""
-    _, ints = primitive_part(f.t)
-    return linalg.rows_from_columns(_ruppert_columns(ints, f.deg_x, f.deg_y))[0]
+    return linalg.rows_from_columns(_ruppert_columns(f.scaled_ints()[1], f.deg_x, f.deg_y))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +201,14 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    prim, _ = p.primitive()
-    roots = []
-    low = min(prim.c)
-    if low > 0:
-        roots.append(Fraction(0))
-        prim = UniPoly({d - low: v for d, v in prim.c.items()})
-    if prim.degree == 0:
+    ints = p.primitive()[0].n
+    low = min(ints)
+    roots = [Fraction(0)] if low else []
+    row = [ints.get(k, 0) for k in range(low, max(ints) + 1)]  # p / x^low, ascending
+    if len(row) == 1:
         return roots
-    coeffs = [int(v) for v in reversed(prim.coeff_list())]  # highest degree first
-    at_one, at_minus_one = int(prim(1)), int(prim(-1))
+    coeffs = row[::-1]  # highest degree first
+    at_one, at_minus_one = sum(row), horner_int(row, -1)
     for num in integers.divisors(coeffs[-1]):
         for den in integers.divisors(coeffs[0]):
             if gcd(num, den) > 1:
@@ -261,12 +258,7 @@ def _strip_linear_factors(p: UniPoly) -> tuple[UniPoly, dict[UniPoly, int]]:
 
 
 def _signed_divisors(v: int) -> list[int]:
-    ds = integers.divisors(v)
-    out = []
-    for d in ds:
-        out.append(d)
-        out.append(-d)
-    return out
+    return [s * d for d in integers.divisors(v) for s in (1, -1)]
 
 
 def _search_degree_r_factor(p: UniPoly, r: int, budget: list[int]) -> UniPoly | None:
@@ -286,7 +278,7 @@ def _search_degree_r_factor(p: UniPoly, r: int, budget: list[int]) -> UniPoly | 
         t = -t if t > 0 else -t + 1
     nodes.sort(key=lambda nv: (abs(nv[1]), nv[0]))
     nodes = nodes[: r + 1]
-    lead = int(p.lc)
+    lead = p.n[p.degree]
 
     divisor_lists = [_signed_divisors(v) for _, v in nodes]
 
@@ -297,12 +289,12 @@ def _search_degree_r_factor(p: UniPoly, r: int, budget: list[int]) -> UniPoly | 
             cand = _interpolate([(x, Fraction(d)) for (x, _), d in zip(nodes, chosen)])
             if cand.degree != r:
                 return None
-            if any(v.denominator != 1 for v in cand.c.values()):
+            if cand.d != 1:
                 return None
-            if lead % int(cand.lc) != 0:
+            if lead % cand.n[r] != 0:
                 return None
             q, rem = p.divrem(cand)
-            if rem.is_zero and all(v.denominator == 1 for v in q.c.values()):
+            if rem.is_zero and q.d == 1:
                 return cand
             return None
         xi = nodes[level][0]
@@ -368,7 +360,7 @@ def factor_univariate(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
         check = check * f**m
     if check != p:
         raise CertificationFailed("univariate factorization failed certification")
-    return scale, sorted(factors.items(), key=lambda fm: (fm[0].degree, sorted(fm[0].c.items())))
+    return scale, sorted(factors.items(), key=lambda fm: (fm[0].degree, sorted(fm[0].n.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +430,10 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
             factors[p] = factors.get(p, 0) + mult
 
     # monomial content
-    vx = min(i for i, _ in prim.t)
-    vy = min(j for _, j in prim.t)
+    vx = min(i for i, _ in prim.n)
+    vy = min(j for _, j in prim.n)
     if vx or vy:
-        prim = BiPoly({(i - vx, j - vy): v for (i, j), v in prim.t.items()})
+        prim = BiPoly({(i - vx, j - vy): v for (i, j), v in prim.n.items()})
         add(BiPoly.x(), vx)
         add(BiPoly.y(), vy)
 
@@ -475,7 +467,7 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
             factors.items(),
             key=lambda fm: (
                 fm[0].total_degree,
-                sorted(fm[0].t.items(), key=lambda kv: grlex_key(kv[0])),
+                sorted(fm[0].n.items(), key=lambda kv: grlex_key(kv[0])),
             ),
         )
     )
@@ -531,7 +523,7 @@ class FiberPencil:
         if self.univariate:
             return
         dx, dy = f.deg_x, f.deg_y
-        self.scale, ints = primitive_part(f.t)
+        self.scale, ints = f.scaled_ints()
         columns = _ruppert_columns(ints, dx, dy)
         self.rows, keys = linalg.rows_from_columns(columns)
         index = {key: r for r, key in enumerate(keys)}

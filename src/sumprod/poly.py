@@ -1,9 +1,22 @@
 """Sparse exact-rational polynomials in one and two variables.
 
-`UniPoly` maps degree -> coefficient, `BiPoly` maps (x-exponent, y-exponent)
--> coefficient. Zero coefficients are never stored; the zero polynomial has
-degree -1. Values are immutable after construction, so they can be shared
-freely. Term comparisons use graded lexicographic order with x ahead of y.
+A polynomial is stored as integer numerators over one denominator: `n` maps
+a degree (`UniPoly`) or an (x-exponent, y-exponent) pair (`BiPoly`) to a
+nonzero int, and `d` is a positive int with gcd(d, *n.values()) == 1, so
+the polynomial is n / d in lowest terms. Integer polynomials have d == 1
+and never pay a gcd; any other result is reduced with one
+`math.gcd(d, *n.values())`. The form is canonical, so `==` and `hash`
+compare (d, n). The zero polynomial has no numerators, d == 1 and degree
+-1. Values are immutable after construction, so they can be shared freely.
+Term comparisons use graded lexicographic order with x ahead of y.
+
+`UniPoly.c` and `BiPoly.t` are read-only maps to Fraction coefficients,
+built on first use and cached, for parsing, printing, certificates and
+tests. The hot paths read `n` and `d` directly: `scaled_ints`, `primitive`,
+`integer_grid`, `bi_divexact` (division in Z, lex order), `UniPoly.divrem`
+(fraction-free pseudo-division), the modular gcd and resultant below, the
+Ruppert matrix and pencil and `rational_roots` (`factor`), and the Jacobian
+system and outer solve (`classify`).
 
 Resultants in Q[x, y] and gcds in Q[x] and Q[x, y] are modular: they scale
 to Z[x, y], take univariate images mod the 61-bit primes of `linalg` at
@@ -14,17 +27,19 @@ CRT. A gcd in Q[x] is the y-free case of the one in Q[x, y].
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from types import MappingProxyType
 from typing import Iterator
 
 from . import linalg
 from .errors import CertificationFailed
 
 
-def _rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _rat(v) -> int | Fraction:
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def grlex_key(term: tuple[int, int]) -> tuple[int, int]:
@@ -32,177 +47,260 @@ def grlex_key(term: tuple[int, int]) -> tuple[int, int]:
     return (i + j, i)
 
 
-def primitive_part(coeffs: dict, lead=None) -> tuple[Fraction, dict]:
-    """Split a nonempty map of rational coefficients as scale * ints: the
-    integers in `ints` are coprime, and ints[lead] > 0 when a key `lead` is
-    given (the scale is positive otherwise)."""
-    L = math.lcm(*(v.denominator for v in coeffs.values()))
-    nums = {k: v.numerator * (L // v.denominator) for k, v in coeffs.items()}
-    g = math.gcd(*nums.values())
-    if lead is not None and nums[lead] < 0:
-        g = -g
-    return Fraction(g, L), {k: n // g for k, n in nums.items()}
+class _Poly:
+    """Arithmetic shared by `UniPoly` and `BiPoly` on the numerators `n`
+    over the denominator `d` (module docstring). Subclasses give the key of
+    the constant term, key validation, the leading key and the product."""
 
+    __slots__ = ("n", "d", "_view")
+    _ONE: object
 
-class UniPoly:
-    """Univariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for d, v in items:
+    def __init__(self, terms=None):
+        """From a map or an iterable of (key, value) pairs; values are ints,
+        Fractions or anything `Fraction` accepts, and repeated keys add up."""
+        pairs = []
+        if terms:
+            for k, v in terms.items() if isinstance(terms, Mapping) else terms:
                 v = _rat(v)
-                if not v:
-                    continue
-                d = int(d)
-                if d < 0:
-                    raise ValueError("negative degree")
-                nv = c.get(d, Fraction(0)) + v
-                if nv:
-                    c[d] = nv
-                else:
-                    c.pop(d, None)
-        self.c = c
+                if v:
+                    pairs.append((self._key(k), v))
+        d = math.lcm(*(v.denominator for _, v in pairs))
+        n: dict = {}
+        for k, v in pairs:
+            s = n.get(k, 0) + v.numerator * (d // v.denominator)
+            if s:
+                n[k] = s
+            else:
+                del n[k]
+        self._set(n, d)
+
+    def _set(self, n: dict, d: int) -> None:
+        if d != 1:
+            g = math.gcd(d, *n.values())
+            if g != 1:
+                n = {k: v // g for k, v in n.items()}
+                d //= g
+        self.n, self.d, self._view = n, d, None
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
+    def _over(cls, n: dict, d: int = 1):
+        """n / d in lowest terms: n holds nonzero ints and d > 0."""
+        p = object.__new__(cls)
+        p._set(n, d)
+        return p
 
     @classmethod
-    def const(cls, v) -> "UniPoly":
-        return cls({0: _rat(v)})
+    def _raw(cls, n: dict, d: int = 1):
+        """n / d already in lowest terms."""
+        p = object.__new__(cls)
+        p.n, p.d, p._view = n, d, None
+        return p
+
+    def _fractions(self) -> Mapping:
+        view = self._view
+        if view is None:
+            d = self.d
+            view = self._view = MappingProxyType({k: Fraction(v, d) for k, v in self.n.items()})
+        return view
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls({1: 1})
+    def zero(cls):
+        return cls._raw({})
 
-    @property
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
+    @classmethod
+    def const(cls, v):
+        v = _rat(v)
+        return cls._raw({cls._ONE: v.numerator}, v.denominator) if v else cls.zero()
 
     @property
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.n
+
+    def __bool__(self) -> bool:
+        return bool(self.n)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.d == other.d and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.d, frozenset(self.n.items())))
+
+    def __neg__(self):
+        return self._raw({k: -v for k, v in self.n.items()}, self.d)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self.const(other)
+        d = math.lcm(self.d, other.d)
+        m = d // self.d
+        n = {k: v * m for k, v in self.n.items()} if m != 1 else dict(self.n)
+        m = d // other.d
+        for k, v in other.n.items():
+            s = n.get(k, 0) + v * m
+            if s:
+                n[k] = s
+            else:
+                del n[k]
+        return self._over(n, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self.const(other)
+        return self + -other
+
+    def __rsub__(self, other):
+        return self.const(other) - self
+
+    def _scale(self, v):
+        """The product with the scalar v."""
+        v = _rat(v)
+        if not v:
+            return self.zero()
+        a = v.numerator
+        return self._over({k: c * a for k, c in self.n.items()}, self.d * v.denominator)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power")
+        # content(n^e) = content(n)^e is coprime to d^e (Gauss), so n^e / d^e
+        # is already in lowest terms
+        r, b, k = self.const(1), self._raw(self.n), e
+        while k:
+            if k & 1:
+                r = r * b
+            b = b * b
+            k >>= 1
+        return self._raw(r.n, self.d**e)
+
+    def scaled_ints(self) -> tuple[Fraction, dict]:
+        """(s, N) with self = s * N, s > 0 and N the coprime integer numerators
+        of a nonzero polynomial; N may be `self.n` itself, so it is read only."""
+        g = math.gcd(*self.n.values())
+        return Fraction(g, self.d), {k: v // g for k, v in self.n.items()} if g != 1 else self.n
+
+    def primitive(self):
+        """Split as scale * prim with prim integer, coprime, positive leading
+        coefficient (graded lex for `BiPoly`)."""
+        if not self.n:
+            return self, Fraction(1)
+        scale, ints = self.scaled_ints()
+        if ints[self._lead_key()] < 0:
+            scale, ints = -scale, {k: -v for k, v in ints.items()}
+        return (self if scale == 1 else self._raw(ints)), scale
+
+    def normalized(self):
+        return self.primitive()[0]
+
+
+class UniPoly(_Poly):
+    """Univariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
+    _ONE = 0
+
+    @staticmethod
+    def _key(k) -> int:
+        k = int(k)
+        if k < 0:
+            raise ValueError("negative degree")
+        return k
+
+    c = property(_Poly._fractions, doc="Read-only map degree -> Fraction coefficient.")
+
+    @property
+    def degree(self) -> int:
+        return max(self.n) if self.n else -1
 
     @property
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def coeff(self, d: int) -> Fraction:
-        return self.c.get(d, Fraction(0))
+    def coeff(self, k: int) -> Fraction:
+        return Fraction(self.n.get(k, 0), self.d)
+
+    def _lead_key(self) -> int:
+        return max(self.n)
 
     @property
     def lc(self) -> Fraction:
-        if not self.c:
+        if not self.n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.c[max(self.c)]
+        return self.coeff(self._lead_key())
 
     def coeff_list(self) -> list[Fraction]:
         """Coefficients in ascending degree, length degree+1 (empty for zero)."""
-        return [self.coeff(d) for d in range(self.degree + 1)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({d: -v for d, v in self.c.items()})
-
-    def __add__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(other)
-        out = dict(self.c)
-        for d, v in other.c.items():
-            nv = out.get(d, Fraction(0)) + v
-            if nv:
-                out[d] = nv
-            else:
-                out.pop(d, None)
-        p = UniPoly.__new__(UniPoly)
-        p.c = out
-        return p
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "UniPoly":
-        return UniPoly.const(other) - self
+        return [self.coeff(k) for k in range(self.degree + 1)]
 
     def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            v = _rat(other)
-            return UniPoly({d: c * v for d, c in self.c.items()})
-        out: dict[int, Fraction] = {}
-        for d1, v1 in self.c.items():
-            for d2, v2 in other.c.items():
-                d = d1 + d2
-                nv = out.get(d, Fraction(0)) + v1 * v2
-                if nv:
-                    out[d] = nv
+        if other.__class__ is not UniPoly:
+            return self._scale(other)
+        out: dict[int, int] = {}
+        for d1, v1 in self.n.items():
+            for d2, v2 in other.n.items():
+                k = d1 + d2
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
                 else:
-                    out.pop(d, None)
-        p = UniPoly.__new__(UniPoly)
-        p.c = out
-        return p
+                    del out[k]
+        return UniPoly._over(out, self.d * other.d)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        r = UniPoly.const(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __call__(self, point) -> Fraction:
+        """p(a / b) = (sum_k n_k a^k b^(deg - k)) / (d b^deg), by Horner."""
+        n = self.n
+        if not n:
+            return Fraction(0)
         point = _rat(point)
-        acc = Fraction(0)
-        for d in range(self.degree, -1, -1):
-            acc = acc * point + self.coeff(d)
-        return acc
+        a, b = point.numerator, point.denominator
+        acc, bk = 0, 1
+        for k in range(max(n), -1, -1):
+            acc = acc * a + n.get(k, 0) * bk
+            bk *= b
+        return Fraction(acc, self.d * bk // b)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({d - 1: v * d for d, v in self.c.items() if d})
+        return UniPoly._over({k - 1: v * k for k, v in self.n.items() if k}, self.d)
 
     def divrem(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
+        """Quotient and remainder over Q, by fraction-free pseudo-division of
+        the numerators: A = (q B + r) / s, with q, r and s scaled up only at a
+        step whose leading coefficient lc(B) does not divide."""
+        if not other.n:
             raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Fraction] = {}
-        r = dict(self.c)
-        do = other.degree
-        lo = other.lc
+        B = other.n
+        db = max(B)
+        lead = B[db]
+        q: dict[int, int] = {}
+        r = dict(self.n)
+        s = 1
         while r:
             dr = max(r)
-            if dr < do:
+            if dr < db:
                 break
-            t = r[dr] / lo
-            e = dr - do
+            c = r[dr]
+            if c % lead:
+                m = abs(lead) // math.gcd(c, lead)
+                r = {k: v * m for k, v in r.items()}
+                q = {k: v * m for k, v in q.items()}
+                s *= m
+                c *= m
+            t = c // lead
+            e = dr - db
             q[e] = t
-            for d2, v2 in other.c.items():
-                nd = d2 + e
-                nv = r.get(nd, Fraction(0)) - t * v2
-                if nv:
-                    r[nd] = nv
+            for k, v in B.items():
+                k += e
+                v = r.get(k, 0) - t * v
+                if v:
+                    r[k] = v
                 else:
-                    r.pop(nd, None)
-        return UniPoly(q), UniPoly(r)
+                    del r[k]
+        # self = A / da and other = B / db', so the quotient is q db' / (s da)
+        s *= self.d
+        return UniPoly._over({k: v * other.d for k, v in q.items()}, s), UniPoly._over(r, s)
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divrem(other)
@@ -211,48 +309,39 @@ class UniPoly:
         return q
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lc)
+        return self._scale(1 / self.lc) if self.n else self
 
     def shift(self, a) -> "UniPoly":
-        """Return p(x + a), the exact Taylor shift."""
+        """Return p(x + a), the exact Taylor shift.
+
+        With a = u / w and N the numerators of p, of degree m, the integer
+        polynomial C(z) = sum_k N_k w^(m - k) (z + u)^k gives
+        N(x + a) = w^(-m) C(w x), so coefficient k of p(x + a) is
+        C_k w^k / (d w^m).
+        """
         a = _rat(a)
         if not a or self.is_zero:
             return self
-        res = UniPoly.zero()
-        xa = UniPoly({1: 1, 0: a})
-        for d in range(self.degree, -1, -1):
-            res = res * xa + UniPoly.const(self.coeff(d))
-        return res
+        u, w = a.numerator, a.denominator
+        m = self.degree
+        c = shift_int(tuple(self.n.get(k, 0) * w ** (m - k) for k in range(m + 1)), u)
+        return UniPoly._over({k: v * w**k for k, v in enumerate(c) if v}, self.d * w**m)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        res = UniPoly.zero()
-        for d in range(self.degree, -1, -1):
-            res = res * inner + UniPoly.const(self.coeff(d))
-        return res
+    def compose(self, inner):
+        """p(inner), for a `UniPoly` or a `BiPoly` inner, by Horner on the
+        numerators of p."""
+        res = inner.zero()
+        for k in range(self.degree, -1, -1):
+            res = res * inner + self.n.get(k, 0)
+        return res._scale(Fraction(1, self.d))
 
-    def compose_bi(self, inner: "BiPoly") -> "BiPoly":
-        res = BiPoly.zero()
-        for d in range(self.degree, -1, -1):
-            res = res * inner + BiPoly.const(self.coeff(d))
-        return res
-
-    def primitive(self) -> tuple["UniPoly", Fraction]:
-        """Split as scale * prim with prim integer, coprime, positive lc."""
-        if self.is_zero:
-            return self, Fraction(1)
-        scale, ints = primitive_part(self.c, self.degree)
-        return UniPoly(ints), scale
-
-    def normalized(self) -> "UniPoly":
-        return self.primitive()[0]
+    compose_bi = compose
 
     def to_bipoly(self, var: str = "x") -> "BiPoly":
         if var == "x":
-            return BiPoly({(d, 0): v for d, v in self.c.items()})
+            return BiPoly._raw({(k, 0): v for k, v in self.n.items()}, self.d)
         if var == "y":
-            return BiPoly({(0, d): v for d, v in self.c.items()})
+            return BiPoly._raw({(0, k): v for k, v in self.n.items()}, self.d)
         raise ValueError("var must be 'x' or 'y'")
 
     def __repr__(self) -> str:
@@ -261,224 +350,142 @@ class UniPoly:
         return f"UniPoly({format_unipoly(self)!r})"
 
 
-class BiPoly:
+class BiPoly(_Poly):
     """Bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("t",)
+    __slots__ = ()
+    _ONE = (0, 0)
 
-    def __init__(self, terms=None):
-        t: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, v in items:
-                v = _rat(v)
-                if not v:
-                    continue
-                i, j = int(key[0]), int(key[1])
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent")
-                nv = t.get((i, j), Fraction(0)) + v
-                if nv:
-                    t[(i, j)] = nv
-                else:
-                    t.pop((i, j), None)
-        self.t = t
+    @staticmethod
+    def _key(k) -> tuple[int, int]:
+        i, j = int(k[0]), int(k[1])
+        if i < 0 or j < 0:
+            raise ValueError("negative exponent")
+        return i, j
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, v) -> "BiPoly":
-        return cls({(0, 0): _rat(v)})
+    t = property(_Poly._fractions, doc="Read-only map (i, j) -> Fraction coefficient.")
 
     @classmethod
     def x(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
+        return cls._raw({(1, 0): 1})
 
     @classmethod
     def y(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.t
+        return cls._raw({(0, 1): 1})
 
     @property
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.t)
+        return all(k == (0, 0) for k in self.n)
 
     @property
     def deg_x(self) -> int:
-        return max((i for i, _ in self.t), default=-1)
+        return max((i for i, _ in self.n), default=-1)
 
     @property
     def deg_y(self) -> int:
-        return max((j for _, j in self.t), default=-1)
+        return max((j for _, j in self.n), default=-1)
 
     @property
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.t), default=-1)
+        return max((i + j for i, j in self.n), default=-1)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.t.get((i, j), Fraction(0))
+        return Fraction(self.n.get((i, j), 0), self.d)
+
+    def _lead_key(self) -> tuple[int, int]:
+        return max(self.n, key=grlex_key)
 
     def leading_term(self) -> tuple[tuple[int, int], Fraction]:
         """Leading (term, coefficient) under graded lex with x > y."""
-        if not self.t:
+        if not self.n:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self.t, key=grlex_key)
-        return key, self.t[key]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.t == other.t
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.t.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.t)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.t.items()})
-
-    def __add__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        out = dict(self.t)
-        for k, v in other.t.items():
-            nv = out.get(k, Fraction(0)) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p.t = out
-        return p
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        return BiPoly.const(other) - self
+        key = self._lead_key()
+        return key, self.coeff(*key)
 
     def __mul__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            v = _rat(other)
-            return BiPoly({k: c * v for k, c in self.t.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.t.items():
-            for (i2, j2), v2 in other.t.items():
+        if other.__class__ is not BiPoly:
+            return self._scale(other)
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), v1 in self.n.items():
+            for (i2, j2), v2 in other.n.items():
                 k = (i1 + i2, j1 + j2)
-                nv = out.get(k, Fraction(0)) + v1 * v2
-                if nv:
-                    out[k] = nv
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
                 else:
-                    out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p.t = out
-        return p
+                    del out[k]
+        return BiPoly._over(out, self.d * other.d)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        r = BiPoly.const(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __call__(self, a, b) -> Fraction:
-        a, b = _rat(a), _rat(b)
         return self.specialize_y(b)(a)
 
     def derivative(self, var: str) -> "BiPoly":
         if var == "x":
-            return BiPoly({(i - 1, j): v * i for (i, j), v in self.t.items() if i})
+            return BiPoly._over({(i - 1, j): v * i for (i, j), v in self.n.items() if i}, self.d)
         if var == "y":
-            return BiPoly({(i, j - 1): v * j for (i, j), v in self.t.items() if j})
+            return BiPoly._over({(i, j - 1): v * j for (i, j), v in self.n.items() if j}, self.d)
         raise ValueError("var must be 'x' or 'y'")
 
     def specialize_y(self, b) -> UniPoly:
-        """Return f(x, b) as a univariate polynomial in x."""
+        """Return f(x, b) as a univariate polynomial in x: with b = u / w,
+        w^deg_y times it has the integer coefficients sum_j n_ij u^j w^(deg_y - j)."""
+        if not self.n:
+            return UniPoly.zero()
         b = _rat(b)
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), v in self.t.items():
-            cols.setdefault(i, []).append((j, v))
-        out: dict[int, Fraction] = {}
-        for i, terms in cols.items():
-            acc = Fraction(0)
-            for j in range(max(d for d, _ in terms), -1, -1):
-                acc = acc * b
-                for d, v in terms:
-                    if d == j:
-                        acc += v
-            if acc:
-                out[i] = acc
-        return UniPoly(out)
+        u, w = b.numerator, b.denominator
+        m = self.deg_y
+        powers = [u**j * w ** (m - j) for j in range(m + 1)]
+        out: dict[int, int] = {}
+        for (i, j), v in self.n.items():
+            out[i] = out.get(i, 0) + v * powers[j]
+        return UniPoly._over({i: v for i, v in out.items() if v}, self.d * w**m)
 
     def swap(self) -> "BiPoly":
-        return BiPoly({(j, i): v for (i, j), v in self.t.items()})
+        return BiPoly._raw({(j, i): v for (i, j), v in self.n.items()}, self.d)
 
     def subst_x_affine(self, c0, c1) -> "BiPoly":
-        """Substitute x -> c0 + c1*x (exact), expanding each term by
-        (c0 + c1 x)^i = sum_k C(i, k) c0^(i-k) c1^k x^k."""
+        """Substitute x -> c0 + c1*x (exact). With c0 + c1 x = (u + w x) / s
+        in integers and m = deg_x, each term expands over the one denominator
+        d s^m as n_ij s^(m-i) sum_k C(i, k) u^(i-k) w^k x^k y^j."""
         c0, c1 = _rat(c0), _rat(c1)
-        n = max(self.deg_x, 0)
-        p0 = [c0**e for e in range(n + 1)]
-        p1 = [c1**e for e in range(n + 1)]
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in self.t.items():
+        s = c0.denominator * c1.denominator
+        u, w = c0.numerator * c1.denominator, c1.numerator * c0.denominator
+        m = max(self.deg_x, 0)
+        pu = [u**e for e in range(m + 1)]
+        pw = [w**e for e in range(m + 1)]
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), v in self.n.items():
+            v *= s ** (m - i)
             for k in range(i + 1):
-                out[(k, j)] = out.get((k, j), 0) + v * math.comb(i, k) * p0[i - k] * p1[k]
-        return BiPoly(out)
+                out[(k, j)] = out.get((k, j), 0) + v * math.comb(i, k) * pu[i - k] * pw[k]
+        return BiPoly._over({k: v for k, v in out.items() if v}, self.d * s**m)
 
     def shift_x(self, a) -> "BiPoly":
         """Return f(x - a, y)."""
         a = _rat(a)
-        if not a:
-            return self
-        return self.subst_x_affine(-a, 1)
+        return self.subst_x_affine(-a, 1) if a else self
 
     def coeffs_in_x(self) -> dict[int, UniPoly]:
         """Coefficients of powers of x, each a polynomial in y."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for (i, j), v in self.t.items():
+        out: dict[int, dict[int, int]] = {}
+        for (i, j), v in self.n.items():
             out.setdefault(i, {})[j] = v
-        return {i: UniPoly(d) for i, d in out.items()}
+        return {i: UniPoly._over(c, self.d) for i, c in out.items()}
 
     @classmethod
     def from_coeffs_in_x(cls, coeffs: dict[int, UniPoly]) -> "BiPoly":
-        return cls(
-            {(i, j): v for i, p in coeffs.items() for j, v in p.c.items()}
-        )
+        d = math.lcm(*(p.d for p in coeffs.values()))
+        return cls._over({(i, j): v * (d // p.d) for i, p in coeffs.items() for j, v in p.n.items()}, d)
 
     def to_unipoly(self) -> tuple[UniPoly, str]:
         """Convert a polynomial in a single variable; returns (poly, var)."""
         if self.deg_y <= 0:
-            return UniPoly({i: v for (i, _), v in self.t.items()}), "x"
+            return UniPoly._raw({i: v for (i, _), v in self.n.items()}, self.d), "x"
         if self.deg_x <= 0:
-            return UniPoly({j: v for (_, j), v in self.t.items()}), "y"
+            return UniPoly._raw({j: v for (_, j), v in self.n.items()}, self.d), "y"
         raise ValueError("polynomial involves both variables")
-
-    def primitive(self) -> tuple["BiPoly", Fraction]:
-        """Split as scale * prim with prim integer, coprime, positive grlex lc."""
-        if self.is_zero:
-            return self, Fraction(1)
-        scale, ints = primitive_part(self.t, self.leading_term()[0])
-        return BiPoly(ints), scale
-
-    def normalized(self) -> "BiPoly":
-        return self.primitive()[0]
 
     def __repr__(self) -> str:
         from .parsing import format_bipoly
@@ -494,8 +501,8 @@ class BiPoly:
 class IntegerGrid:
     """f over a finite set A, rescaled once to Python ints.
 
-    D is the lcm of the denominators of A and S = L * D^k, with L the lcm of
-    the coefficient denominators of f and k its total degree. `points[i]` is
+    D is the lcm of the denominators of A and S = L * D^k, with L = f.d the
+    lcm of the coefficient denominators of f and k its total degree. `points[i]` is
     D * a_i and `rows[i]` the ascending integer coefficients of
     X -> S * f(X / D, a_i), trailing zeros dropped (a zero row is empty), in
     the order of A. So S * f(a, b) = row_b(D * a) and S * f(x - a, b) at
@@ -512,25 +519,14 @@ class IntegerGrid:
 def integer_grid(f: BiPoly, A) -> IntegerGrid:
     """Rescale f and the finite set A to integers (see `IntegerGrid`).
 
-    Row coefficient i is sum_j (L c_ij) D^(k-i-j) (D b)^j, and k - i - j >= 0
-    for every term, so the row is integral once L c_ij and D b are.
+    Row coefficient i is sum_j n_ij D^(k-i-j) (D b)^j, with n_ij = L c_ij the
+    numerators of f, and k - i - j >= 0 for every term.
     """
     A = [_rat(a) for a in A]
     D = math.lcm(*(a.denominator for a in A))
-    L = math.lcm(*(v.denominator for v in f.t.values()))
     k = max(f.total_degree, 0)
-    terms = []
-    for (i, j), v in f.t.items():
-        c = v * L
-        if c.denominator != 1:
-            raise CertificationFailed("L * f has a non-integer coefficient")
-        terms.append((i, j, c.numerator * D ** (k - i - j)))
-    points = []
-    for a in A:
-        p = a * D
-        if p.denominator != 1:
-            raise CertificationFailed("D * a is not an integer")
-        points.append(p.numerator)
+    terms = [(i, j, c * D ** (k - i - j)) for (i, j), c in f.n.items()]
+    points = [a.numerator * (D // a.denominator) for a in A]
     width = f.deg_x + 1
     rows = []
     for p in points:
@@ -540,7 +536,7 @@ def integer_grid(f: BiPoly, A) -> IntegerGrid:
         while row and not row[-1]:
             row.pop()
         rows.append(tuple(row))
-    return IntegerGrid(D, L * D**k, tuple(points), tuple(rows))
+    return IntegerGrid(D, f.d * D**k, tuple(points), tuple(rows))
 
 
 def horner_int(row: tuple[int, ...], x: int) -> int:
@@ -567,36 +563,48 @@ def shift_int(row: tuple[int, ...], t: int) -> tuple[int, ...]:
 def bi_divexact(f: BiPoly, g: BiPoly) -> BiPoly | None:
     """Quotient f/g when g divides f exactly in Q[x,y], else None.
 
-    Long division in x with coefficients in Q[y]; when g divides f every
-    intermediate leading-coefficient division is exact, so any inexact step
-    proves indivisibility.
+    Division of the numerators by the one polynomial G in lex order (x
+    ahead of y). If G h = F, every leading monomial of the remainder is that
+    of G times a term of h, so h has x-degree deg_x F - deg_x G and y-degree
+    deg_y F - deg_y G, and a leading monomial that G's does not divide, or
+    that leaves this box, proves indivisibility. The remainder and quotient
+    are scaled, as in pseudo-division, only at a step whose leading
+    coefficient lc(G) does not divide.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero:
         return BiPoly.zero()
-    gx = g.coeffs_in_x()
-    dg = max(gx)
-    glead = gx[dg]
-    r = f.coeffs_in_x()
-    q: dict[int, UniPoly] = {}
+    G = g.n
+    gi, gj = max(G)
+    lead = G[(gi, gj)]
+    hx, hy = f.deg_x - g.deg_x, f.deg_y - g.deg_y
+    r = dict(f.n)
+    q: dict[tuple[int, int], int] = {}
+    s = 1
     while r:
-        dr = max(r)
-        if dr < dg:
+        i, j = top = max(r)
+        ei, ej = i - gi, j - gj
+        if not (0 <= ei <= hx and 0 <= ej <= hy):
             return None
-        qc, rem = r[dr].divrem(glead)
-        if not rem.is_zero:
-            return None
-        e = dr - dg
-        q[e] = qc
-        for i2, c2 in gx.items():
-            nd = i2 + e
-            nv = r.get(nd, UniPoly.zero()) - qc * c2
-            if nv.is_zero:
-                r.pop(nd, None)
+        c = r[top]
+        if c % lead:
+            m = abs(lead) // math.gcd(c, lead)
+            r = {k: v * m for k, v in r.items()}
+            q = {k: v * m for k, v in q.items()}
+            s *= m
+            c *= m
+        t = c // lead
+        q[(ei, ej)] = t
+        for (u, v), w in G.items():
+            k = (u + ei, v + ej)
+            w = r.get(k, 0) - t * w
+            if w:
+                r[k] = w
             else:
-                r[nd] = nv
-    return BiPoly.from_coeffs_in_x(q)
+                del r[k]
+    # F = q G / s with f = F / f.d and g = G / g.d
+    return BiPoly._over({k: v * g.d for k, v in q.items()}, s * f.d)
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -668,7 +676,8 @@ def _primitive_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     _, F = _columns(f)
     _, G = _columns(g)
     m, n = len(F) - 1, len(G) - 1
-    gamma = [int(v) for v in uni_gcd(UniPoly(enumerate(F[m])), UniPoly(enumerate(G[n]))).coeff_list()]
+    lead_gcd = uni_gcd(*(UniPoly._raw({k: v for k, v in enumerate(c) if v}) for c in (F[m], G[n])))
+    gamma = [lead_gcd.n.get(k, 0) for k in range(lead_gcd.degree + 1)]
     want = len(gamma) + min(f.deg_y, g.deg_y)
     budget = _gcd_prime_budget(F, G)
     deg = residues = None
@@ -689,8 +698,8 @@ def _primitive_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
                 lifted = linalg._lift(residues, modulus)
                 if lifted is not None:
                     nums, den = lifted
-                    H = BiPoly(
-                        {(i, j): Fraction(nums[i * want + j], den) for i in range(deg + 1) for j in range(want)}
+                    H = BiPoly._over(
+                        {(i, j): v for i in range(deg + 1) for j in range(want) if (v := nums[i * want + j])}, den
                     )
                     cand = split_content_x(H)[1]
                     if bi_divexact(f, cand) is not None and bi_divexact(g, cand) is not None:
@@ -754,7 +763,7 @@ def _gcd_prime_budget(F: list[list[int]], G: list[list[int]]) -> int:
 def _columns(f: BiPoly) -> tuple[Fraction, list[list[int]]]:
     """Split f = scale * F with F in Z[x, y] primitive. Column i of F is its
     x^i coefficient as ascending y-coefficients, all of length deg_y f + 1."""
-    scale, ints = primitive_part(f.t)
+    scale, ints = f.scaled_ints()
     cols = [[0] * (f.deg_y + 1) for _ in range(f.deg_x + 1)]
     for (i, j), c in ints.items():
         cols[i][j] = c
@@ -885,4 +894,5 @@ def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
         coeffs = linalg._crt(coeffs, modulus, _interpolate_mod(xs, ys, p), p)
         modulus *= p
     scale = s**n * t**m
-    return UniPoly({j: (c - modulus if 2 * c > modulus else c) * scale for j, c in enumerate(coeffs)})
+    out = {j: (c - modulus if 2 * c > modulus else c) * scale.numerator for j, c in enumerate(coeffs) if c}
+    return UniPoly._over(out, scale.denominator)

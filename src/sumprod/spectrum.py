@@ -27,7 +27,7 @@ from .factor import (
     factor_rational,
     rational_roots,
 )
-from .poly import BiPoly, UniPoly, resultant_eliminating, uni_squarefree_part
+from .poly import BiPoly, resultant_eliminating, uni_squarefree_part
 
 DEFAULT_SWEEP_HEIGHT = 5
 
@@ -116,7 +116,8 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
     """Rational roots of the eliminant of {f - lambda, f_x, f_y}.
 
     Spurious roots from resultant inflation are acceptable; the scan filters
-    every candidate by an actual reducibility test.
+    every candidate by an actual reducibility test. When the root search runs
+    out of budget, the critical values are skipped with a logged warning.
     """
     fx = f.derivative("x")
     fy = f.derivative("y")
@@ -134,24 +135,20 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
             return []
         if r1.deg_x <= 0 and r2.deg_x <= 0:
             # no y left to eliminate; any common root shows up in either one
-            elim = _first_nonconstant_unipoly(r1, r2)
+            elim = next((p for p in (r1.to_unipoly()[0], r2.to_unipoly()[0]) if p.degree >= 1), None)
         else:
             elim = resultant_eliminating(r1, r2, "x")
     if elim is None or elim.is_zero or elim.degree < 1:
         return []
     try:
         return rational_roots(uni_squarefree_part(elim))
-    except FactorBudgetExceeded:
+    except FactorBudgetExceeded as exc:
+        import logging  # imported on this rare path only, to keep it out of every start-up
+
+        logging.getLogger(__name__).warning(
+            "sigma: rational critical values skipped, their root search ran out of budget: %s", exc
+        )
         return []
-
-
-def _first_nonconstant_unipoly(*rs: BiPoly) -> UniPoly | None:
-    """The first of `rs` that is nonconstant, as a polynomial in lambda (axis 1)."""
-    for r in rs:
-        p = UniPoly({j: v for (_, j), v in r.t.items()})
-        if p.degree >= 1:
-            return p
-    return None
 
 
 def sweep_candidates(height: int = DEFAULT_SWEEP_HEIGHT) -> list[Fraction]:

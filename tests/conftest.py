@@ -6,6 +6,7 @@ lambdas, and incidence counting is a full double loop. Expected values in the
 tests are either frozen from these oracles or recomputed by them in place.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,43 @@ def naive_pow(a: dict, n: int) -> dict:
     for _ in range(n):
         out = naive_mul(out, a)
     return out
+
+
+def naive_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b, term by term."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, F(0)) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_derivative(a: dict, var: str) -> dict:
+    if var == "x":
+        return {(i - 1, j): c * i for (i, j), c in a.items() if i}
+    return {(i, j - 1): c * j for (i, j), c in a.items() if j}
+
+
+def naive_specialize_y(a: dict, b: F) -> dict:
+    """Coefficients {i: c_i} of x -> f(x, b)."""
+    out: dict = {}
+    for (i, j), c in a.items():
+        out[i] = out.get(i, F(0)) + c * b**j
+    return {i: v for i, v in out.items() if v}
+
+
+def naive_swap(a: dict) -> dict:
+    return {(j, i): c for (i, j), c in a.items()}
+
+
+def naive_primitive(a: dict) -> tuple[F, dict]:
+    """(scale, ints) with a = scale * ints, ints coprime integers whose
+    graded-lex leading one (x ahead of y) is positive; a is nonzero."""
+    L = math.lcm(*(c.denominator for c in a.values()))
+    nums = {k: int(c * L) for k, c in a.items()}
+    g = math.gcd(*nums.values())
+    if nums[max(nums, key=lambda k: (k[0] + k[1], k[0]))] < 0:
+        g = -g
+    return F(g, L), {k: v // g for k, v in nums.items()}
 
 
 def to_terms(f: BiPoly) -> dict:
@@ -152,13 +190,17 @@ def rational_grid_polys(draw, max_deg=3):
     return terms
 
 
-# The Fraction reference for the integer curve keys of `build_family`. Unlike
-# the oracles above it uses the package's Fraction `specialize_y` and `shift`,
-# which share no code with the integer grid.
+# The Fraction reference for the integer curve keys of `build_family`: each
+# term c x^i y^j of f gives c b^j (x - a)^i, expanded by the binomial theorem.
 def curve_key(f: BiPoly, a: F, b: F) -> tuple:
-    """Coefficient vector of x -> f(x - a, b), ascending degree."""
-    shifted = f.specialize_y(b).shift(-a)
-    return tuple(shifted.coeff_list())
+    """Coefficient vector of x -> f(x - a, b), ascending degree, trailing
+    zeros dropped."""
+    out: dict = {}
+    for (i, j), c in f.t.items():
+        for k in range(i + 1):
+            out[k] = out.get(k, F(0)) + c * b**j * math.comb(i, k) * (-a) ** (i - k)
+    deg = max((k for k, v in out.items() if v), default=-1)
+    return tuple(out.get(k, F(0)) for k in range(deg + 1))
 
 
 def double_loop_incidences(curve_keys, points) -> tuple[int, list[int]]:
@@ -223,7 +265,7 @@ def sympy_factor_multiset(f: BiPoly):
 
 
 # The subresultant gcd, an independent route the tests compare `uni_gcd`
-# against; like `curve_key` it uses the package's Fraction `UniPoly`.
+# against; it uses the package's `UniPoly` arithmetic.
 def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
     """prem(a, b) = rem(lc(b)^(deg a - deg b + 1) * a, b), division-free."""
     d = a.degree - b.degree

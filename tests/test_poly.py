@@ -20,7 +20,6 @@ from sumprod.poly import (
     UniPoly,
     bi_divexact,
     bi_gcd,
-    primitive_part,
     resultant_eliminating,
     uni_gcd,
     uni_resultant,
@@ -28,7 +27,8 @@ from sumprod.poly import (
 from sumprod.parsing import parse_poly as P
 
 from conftest import (
-    grid_rationals, naive_eval, naive_mul, naive_pow, rational_grid_polys, to_terms, uni_gcd_subresultant,
+    grid_rationals, naive_add, naive_derivative, naive_eval, naive_mul, naive_pow, naive_primitive,
+    naive_specialize_y, naive_swap, rational_grid_polys, to_terms, uni_gcd_subresultant,
 )
 
 
@@ -76,6 +76,94 @@ def from_sympy(expr, x, y) -> BiPoly:
 def unipolys(draw, max_deg=5, max_terms=4, coeffs=rationals):
     n = draw(st.integers(0, max_terms))
     return UniPoly([(draw(st.integers(0, max_deg)), draw(coeffs)) for _ in range(n)])
+
+
+# Fraction term maps, the input of the oracles in conftest
+wide_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), wide_rationals.filter(bool), max_size=5
+)
+
+
+def assert_canonical(p):
+    """n / d in lowest terms: d > 0, no zero numerator, gcd(d, *n) == 1."""
+    assert type(p.d) is int and p.d > 0
+    assert all(type(v) is int and v for v in p.n.values())
+    assert math.gcd(p.d, *p.n.values()) == 1
+
+
+class TestIntegerCore:
+    """The numerators-over-one-denominator form against the Fraction oracles."""
+
+    @given(wide_terms, wide_terms, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations_match_oracle(self, a, b, e):
+        f, g = BiPoly(a), BiPoly(b)
+        for got, want in (
+            (f, a),
+            (-f, {k: -v for k, v in a.items()}),
+            (f + g, naive_add(a, b)),
+            (f - g, naive_add(a, b, -1)),
+            (f - f, {}),
+            (f * g, naive_mul(a, b)),
+            (f**e, naive_pow(a, e)),
+        ):
+            assert_canonical(got)
+            assert to_terms(got) == want
+
+    @given(wide_terms, wide_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_specialize_swap_match_oracle(self, a, b):
+        f = BiPoly(a)
+        for var in ("x", "y"):
+            assert_canonical(f.derivative(var))
+            assert to_terms(f.derivative(var)) == naive_derivative(a, var)
+        u = f.specialize_y(b)
+        assert_canonical(u)
+        assert dict(u.c) == naive_specialize_y(a, b)
+        assert_canonical(f.swap())
+        assert to_terms(f.swap()) == naive_swap(a)
+
+    @given(wide_terms)
+    @settings(max_examples=60, deadline=None)
+    def test_primitive_and_columns_round_trip(self, a):
+        f = BiPoly(a)
+        cols = f.coeffs_in_x()
+        for i, col in cols.items():
+            assert_canonical(col)
+            assert dict(col.c) == {j: c for (k, j), c in a.items() if k == i}
+        back = BiPoly.from_coeffs_in_x(cols)
+        assert_canonical(back)
+        assert back == f
+        assume(a)
+        prim, scale = f.primitive()
+        assert_canonical(prim)
+        assert (scale, dict(prim.n)) == naive_primitive(a)
+
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), huge, min_size=1, max_size=5),
+        wide_rationals.filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_are_equal_and_hash_equal(self, ints, s):
+        f = BiPoly(ints)
+        assert f.d == 1
+        routes = [
+            BiPoly({k: F(v) for k, v in ints.items()}),
+            BiPoly([(k, F(2 * v, 2)) for k, v in ints.items()]),
+            sum((BiPoly({k: v}) for k, v in ints.items()), BiPoly.zero()),
+            f * s * (1 / s),
+            (f + f) * F(1, 2),
+            f.swap().swap(),
+        ]
+        for g in routes:
+            assert_canonical(g)
+            assert g == f and hash(g) == hash(f)
+        scaled = [f * s, BiPoly({k: v * s for k, v in ints.items()}), s * f, f - f * (1 - s)]
+        for g in scaled:
+            assert_canonical(g)
+            assert g == scaled[0] and hash(g) == hash(scaled[0])
+        u = UniPoly({i: v for (i, _), v in ints.items()})
+        assert u.to_bipoly("x").to_unipoly()[0] == u and hash(u * s * (1 / s)) == hash(u)
 
 
 class TestArith:
@@ -302,6 +390,44 @@ class TestGcd:
         assert all(line.startswith("raised: gcd of x-degrees 2 and 2 not certified after") for line in lines)
 
 
+class TestDivisionMatchesSympy:
+    @given(
+        bipolys(max_deg=2, coeffs=st.integers(-4, 4)),
+        st.sampled_from([1, 2, -1, -6]),
+        bipolys(max_deg=2, coeffs=wide_rationals),
+        wide_rationals.filter(bool),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bi_divexact(self, base, content, h, s):
+        # g = content * (a primitive part with a positive or a non-monic
+        # leading coefficient): integer content, non-monic and negative leads
+        g = base.normalized() * content
+        assume(not g.is_constant and not h.is_zero)
+        x, y = sympy.symbols("x y")
+        f = g * h
+        q, r = sympy.div(to_sympy(f, x, y), to_sympy(g, x, y), x, y, domain=sympy.QQ)
+        assert r == 0 and from_sympy(q, x, y) == h
+        got = bi_divexact(f, g)
+        assert_canonical(got)
+        assert got == h
+        # a divisor with a denominator of its own
+        assert bi_divexact(f, g * s) == h * (1 / s)
+        _, r = sympy.div(to_sympy(f + 1, x, y), to_sympy(g, x, y), x, y, domain=sympy.QQ)
+        assert r != 0 and bi_divexact(f + 1, g) is None
+
+    @given(unipolys(max_deg=7, coeffs=wide_rationals), unipolys(max_deg=4, coeffs=wide_rationals))
+    @settings(max_examples=60, deadline=None)
+    def test_unipoly_divrem(self, p, q):
+        assume(not q.is_zero)
+        x, y = sympy.symbols("x y")
+        want = sympy.div(to_sympy(p.to_bipoly("x"), x, y), to_sympy(q.to_bipoly("x"), x, y), x, domain=sympy.QQ)
+        got = p.divrem(q)
+        for part, expected in zip(got, want):
+            assert_canonical(part)
+            assert part.to_bipoly("x") == from_sympy(expected, x, y)
+        assert got[0] * q + got[1] == p
+
+
 class TestNormalization:
     def test_primitive_positive_lead(self):
         f = P("-2x^2 - 4 x y")
@@ -312,12 +438,18 @@ class TestNormalization:
 
     @given(st.dictionaries(st.integers(0, 6), wide_rationals.filter(bool), min_size=1, max_size=5), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_primitive_part(self, coeffs, signed):
-        lead = max(coeffs) if signed else None
-        scale, ints = primitive_part(coeffs, lead)
-        assert {k: scale * v for k, v in ints.items()} == coeffs
-        assert all(type(v) is int for v in ints.values()) and math.gcd(*ints.values()) == 1
-        assert (ints[lead] if signed else scale) > 0
+    def test_primitive_part(self, coeffs, negate):
+        # the same coefficients on x^k and on x^(k // 2) y^(k % 2), either sign
+        if negate:
+            coeffs = {k: -v for k, v in coeffs.items()}
+        uni = UniPoly(coeffs)
+        bi = BiPoly({(k // 2, k % 2): v for k, v in coeffs.items()})
+        for poly, key, lead in ((uni, lambda k: k, uni.degree), (bi, lambda k: (k // 2, k % 2), None)):
+            prim, scale = poly.primitive()
+            assert {k: scale * prim.n[key(k)] for k in coeffs} == coeffs and len(prim.n) == len(coeffs)
+            ints = list(prim.n.values())
+            assert prim.d == 1 and all(type(v) is int for v in ints) and math.gcd(*ints) == 1
+            assert prim.n[lead if lead is not None else prim.leading_term()[0]] > 0
 
     def test_leading_term_order(self):
         # graded lex, x ahead of y: x^2 leads x y leads y^2 leads x

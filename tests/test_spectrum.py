@@ -1,5 +1,6 @@
 """Reducible-fiber search, certificates, and row removal."""
 
+import logging
 from fractions import Fraction as F
 
 import sympy
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from sumprod import spectrum
 from sumprod.classify import is_composite
+from sumprod.errors import FactorBudgetExceeded
 from sumprod.factor import AbsReducibleWitness, FactorList
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
@@ -44,6 +47,18 @@ class TestCandidates:
         sw = sweep_candidates(1)
         assert sw == [F(-1), F(0), F(1)]
         assert F(2, 5) in sweep_candidates(5)
+
+    def test_skipped_critical_values_are_reported(self, monkeypatch, caplog):
+        def out_of_budget(p):
+            raise FactorBudgetExceeded("rho budget exceeded for 91")
+
+        monkeypatch.setattr(spectrum, "rational_roots", out_of_budget)
+        with caplog.at_level(logging.WARNING, logger="sumprod.spectrum"):
+            cands = sigma_candidates(P("x y"), extra=(F(17),), sweep_height=2)
+        assert cands == sorted(sweep_candidates(2) + [F(17)])
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and record.name == "sumprod.spectrum"
+        assert "critical values skipped" in record.getMessage() and "rho budget exceeded" in record.getMessage()
 
 
 small_bipolys = st.dictionaries(
