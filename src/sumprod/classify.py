@@ -107,17 +107,12 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
         raise ConstantPolynomial("cannot classify a constant")
     fx = f.derivative("x")
     fy = f.derivative("y")
-    if fy.is_zero:
-        outer = f.to_unipoly()[0]
-        dec = Decomposition(outer, BiPoly.x(), "degenerate", LinearForm(Fraction(1), Fraction(0)))
+    if fx.is_zero or fy.is_zero:
+        outer, var = f.to_unipoly()
+        form = LinearForm(Fraction(var == "x"), Fraction(var == "y"))
+        dec = Decomposition(outer, form.to_bipoly(), "degenerate", form)
         if not dec.verify(f):
-            raise CertificationFailed("y-free polynomial failed to re-expand from its x-coefficients")
-        return dec
-    if fx.is_zero:
-        outer = f.to_unipoly()[0]
-        dec = Decomposition(outer, BiPoly.y(), "degenerate", LinearForm(Fraction(0), Fraction(1)))
-        if not dec.verify(f):
-            raise CertificationFailed("x-free polynomial failed to re-expand from its y-coefficients")
+            raise CertificationFailed(f"{var}-only polynomial failed to re-expand from its coefficients")
         return dec
     key, lead = fy.leading_term()
     c = fx.coeff(*key) / lead

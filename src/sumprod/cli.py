@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import re
@@ -45,7 +46,10 @@ _SPEC_RE = re.compile(r"^(ap|gp|randomint|random)\(([^)]*)\)$", re.IGNORECASE)
 
 
 def _parse_rat(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def parse_set_spec(text: str, default_seed: int):
@@ -55,6 +59,9 @@ def parse_set_spec(text: str, default_seed: int):
         raise ValueError(f"unrecognized set spec {text!r}")
     kind = m.group(1).lower()
     args = [a.strip() for a in m.group(2).split(",") if a.strip()]
+    arity = (3,) if kind in ("ap", "gp") else (3, 4)
+    if len(args) not in arity:
+        raise ValueError(f"{m.group(1)} takes {' or '.join(map(str, arity))} arguments, got {len(args)}")
     if kind == "ap":
         n, start, step = int(args[0]), _parse_rat(args[1]), _parse_rat(args[2])
         return ApSpec(n, start, step)
@@ -72,7 +79,7 @@ def load_set(source: str, default_seed: int) -> RatSet:
     path = Path(source)
     if path.exists() and path.is_file():
         elems = sorted(
-            {Fraction(line.strip()) for line in path.read_text().splitlines() if line.strip()}
+            {_parse_rat(line) for line in path.read_text().splitlines() if line.strip()}
         )
         return RatSet(tuple(elems), f"file({source})")
     return generate_set(parse_set_spec(source, default_seed))
@@ -184,7 +191,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sigma(args) -> int:
     f = load_poly(args.poly)
-    extra = tuple(Fraction(v) for v in args.extra_candidates.split(",") if v)
+    extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
     cands = sigma_candidates(f, extra=extra, sweep_height=args.sweep_height)
     report = sigma_scan(f, cands, cap=args.degree_cap)
     payload = report.to_dict()
@@ -215,7 +222,8 @@ def cmd_incidence(args) -> int:
     verdict = is_composite(f) if (f.total_degree >= 2 and not degenerate) else None
     composite = bool(verdict.composite) if verdict else False
     # the class-size ceiling only applies off the degenerate/composite cases
-    bound = check_class_bound(family, family.degree, composite or degenerate)
+    bound = check_class_bound(family, composite or degenerate)
+    histogram = sorted(family.histogram().items())
     payload = {
         "polynomial": format_bipoly(f),
         "set": A.provenance,
@@ -223,8 +231,8 @@ def cmd_incidence(args) -> int:
         "removed_rows": [str(b) for b in family.removed_b],
         "degenerate": degenerate,
         "composite": composite,
-        "incidence": report.to_dict(),
-        "class_histogram": family.histogram(),
+        "incidence": dataclasses.asdict(report),
+        "class_histogram": histogram,
         "max_class_size": bound.max_class_size,
         "class_count": bound.class_count,
     }
@@ -235,7 +243,7 @@ def cmd_incidence(args) -> int:
         f"per-curve minimum: {report.per_curve_min}",
         f"szekely ratio: {report.szekely_ratio:.6f}",
         "class histogram (size,count): "
-        + " ".join(f"{s},{c}" for s, c in family.histogram()),
+        + " ".join(f"{s},{c}" for s, c in histogram),
     ]
     if args.out:
         outdir = Path(args.out)
@@ -243,8 +251,7 @@ def cmd_incidence(args) -> int:
         with open(outdir / "histogram.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["class_size", "count"])
-            for size, count in family.histogram():
-                w.writerow([size, count])
+            w.writerows(histogram)
     _emit(args, payload, lines)
     return 0
 
@@ -270,7 +277,7 @@ def cmd_scan(args) -> int:
             specs.append(GpSpec(n, Fraction(1), Fraction(2)))
         else:
             specs.append(RandomIntSpec(n, lo, hi, args.seed))
-    floor = Fraction(args.floor) if args.floor else None
+    floor = _parse_rat(args.floor) if args.floor else None
     result = run_scan(f, specs, floor_c=floor, poly_id=format_bipoly(f))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -10,8 +10,9 @@ rescaling (`poly.integer_grid`): D * A + D * A = D * (A + A) with D the lcm of
 the denominators of A, and S * f(a, b) = row_b(D * a) with S = L * D^k, L the
 lcm of f's coefficient denominators and k its total degree. Both maps
 a -> D * a and v -> S * v are increasing bijections, so sizes, equalities and
-order are those over Q; `sumset` and `image_set` divide back once per
-element, and `run_scan` only counts.
+order are those over Q. `IntegerGrid.sumset` and `IntegerGrid.image` give
+the scaled sets; `sumset` and `image_set` divide back once per element, and
+`run_scan` only counts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .classify import is_degenerate
 from .errors import DegenerateSpec, HypothesisViolated
-from .poly import BiPoly, IntegerGrid, horner_int, integer_grid
+from .poly import BiPoly, integer_grid
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,16 @@ def generate_set(spec: SetSpec) -> RatSet:
     return RatSet(tuple(elems), spec.describe())
 
 
-def _sums(points) -> set[int]:
-    return {p + q for p in points for q in points}
-
-
-def _image(grid: IntegerGrid) -> set[int]:
-    return {horner_int(row, p) for row in grid.rows for p in grid.points}
-
-
 def sumset(A: RatSet) -> RatSet:
-    D = math.lcm(*(a.denominator for a in A.elements))
-    vals = sorted(_sums([a.numerator * (D // a.denominator) for a in A.elements]))
-    return RatSet(tuple(Fraction(v, D) for v in vals), f"sumset({A.provenance})")
+    grid = integer_grid(BiPoly.x(), A.elements)
+    vals = sorted(grid.sumset())
+    return RatSet(tuple(Fraction(v, grid.D) for v in vals), f"sumset({A.provenance})")
 
 
 def image_set(f: BiPoly, A: RatSet) -> RatSet:
     """All values f(a, a') over ordered pairs from A."""
     grid = integer_grid(f, A.elements)
-    vals = sorted(_image(grid))
+    vals = sorted(grid.image())
     return RatSet(tuple(Fraction(v, grid.S) for v in vals), f"image({A.provenance})")
 
 
@@ -202,8 +195,8 @@ def run_scan(
         A = generate_set(spec)
         n = len(A)
         grid = integer_grid(f, A.elements)
-        s = len(_sums(grid.points))
-        i = len(_image(grid))
+        s = len(grid.sumset())
+        i = len(grid.image())
         removed = sum(1 for row in grid.rows if not row)
         product = s * i
         violation = False

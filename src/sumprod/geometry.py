@@ -12,9 +12,12 @@ The arithmetic runs in Python ints after one exact rescaling
 S = L * D^k, L the lcm of f's coefficient denominators, the row of b is
 X -> S * f(X / D, b), and the pair (a, b) is keyed by the integer Taylor
 shift row_b(X - D a) = S * T(X / D). Its coefficient i is S t_i / D^i, so
-two integer keys agree exactly when the curves do; each class converts its
-key once to the Fraction coefficients t_i. Since a -> D a and v -> S v are
-increasing bijections, every count, equality and order is the one over Q.
+two integer keys agree exactly when the curves do, and as S / D^i > 0 they
+sort as the Fraction keys do. A class holds the index pairs of its members
+in the pruned set. Keys and members stay integers: the Fraction coefficients
+t_i and pairs (a, b) appear only at the edge, through `CurveFamily.curve_key`
+and `CurveFamily.members`. Since a -> D a and v -> S v are increasing
+bijections, every count, equality and order is the one over Q.
 
 Incidences are counted from one hit set per row: H_b holds every d in the
 scaled difference set (A'+A') - A' with row_b(d) a kept scaled value. The
@@ -28,6 +31,7 @@ is the scaled value n S / q when q divides n S, and no value otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,12 +49,12 @@ from .poly import (
 )
 from .spectrum import SigmaReport
 
-CurveKey = tuple[Fraction, ...]
+CurveKey = tuple[int, ...]  # row_b(X - D a) = S * T(X / D), see the module docstring
 
 
 @dataclass(frozen=True)
 class CurveFamily:
-    classes: dict[CurveKey, tuple[tuple[Fraction, Fraction], ...]]
+    classes: dict[CurveKey, tuple[tuple[int, int], ...]]  # sorted (index of a, index of b) in base
     removed_b: tuple[Fraction, ...]
     base: tuple[Fraction, ...]
     degree: int
@@ -64,12 +68,18 @@ class CurveFamily:
     def max_class_size(self) -> int:
         return max((len(v) for v in self.classes.values()), default=0)
 
-    def histogram(self) -> list[tuple[int, int]]:
-        """(class size, number of classes) pairs, ascending size."""
-        counts: dict[int, int] = {}
-        for members in self.classes.values():
-            counts[len(members)] = counts.get(len(members), 0) + 1
-        return sorted(counts.items())
+    def histogram(self) -> Counter[int]:
+        """Number of classes of each size."""
+        return Counter(map(len, self.classes.values()))
+
+    def curve_key(self, key: CurveKey) -> tuple[Fraction, ...]:
+        """Coefficients t_i = key_i D^i / S of the class's curve, ascending."""
+        D, S = self.grid.D, self.grid.S
+        return tuple(Fraction(c * D**i, S) for i, c in enumerate(key))
+
+    def members(self, key: CurveKey) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The pairs (a, b) of the class, sorted."""
+        return tuple((self.base[i], self.base[j]) for i, j in self.classes[key])
 
 
 def build_family(f: BiPoly, A) -> CurveFamily:
@@ -89,16 +99,12 @@ def build_family(f: BiPoly, A) -> CurveFamily:
         raise CertificationFailed("zero-row count exceeds the degree bound")
     kept = tuple(b for b, row in zip(elements, full.rows) if row)
     grid = integer_grid(f, kept) if removed else full
-    classes: dict[tuple[int, ...], list[tuple[Fraction, Fraction]]] = {}
-    for b, row in zip(kept, grid.rows):
-        for a, p in zip(kept, grid.points):
-            classes.setdefault(shift_int(row, -p), []).append((a, b))
-    powers = [grid.D**i for i in range(k + 1)]
-    frozen = {
-        tuple(Fraction(c * powers[i], grid.S) for i, c in enumerate(key)): tuple(sorted(v))
-        for key, v in classes.items()
-    }
-    return CurveFamily(classes=frozen, removed_b=removed, base=kept, degree=k, grid=grid)
+    groups: dict[CurveKey, list[tuple[int, int]]] = {}
+    for j, row in enumerate(grid.rows):
+        for i, p in enumerate(grid.points):
+            groups.setdefault(shift_int(row, -p), []).append((i, j))
+    classes = {key: tuple(sorted(v)) for key, v in groups.items()}
+    return CurveFamily(classes=classes, removed_b=removed, base=kept, degree=k, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -107,31 +113,34 @@ class ClassBoundReport:
     class_count: int
     size_bound: int
     count_floor_num: int  # |A'|^2, compared as class_count * k^3 >= |A'|^2
-    composite_witness: tuple[CurveKey, tuple] | None
+    composite_witness: tuple[tuple[Fraction, ...], tuple] | None
     ok: bool
 
 
-def check_class_bound(family: CurveFamily, k: int, composite: bool) -> ClassBoundReport:
-    """Check the k^3 class-size ceiling and the |A'|^2/k^3 class-count floor.
+def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
+    """Check the k^3 class-size ceiling and the |A'|^2/k^3 class-count floor,
+    k the family's degree.
 
     For a composite polynomial the bounds can fail legitimately; the largest
-    class is returned as the witness instead.
+    class is returned as the witness instead. Witnesses are the Fraction view
+    (`curve_key`, `members`); the integer keys order as the Fraction ones do.
     """
+    classes = family.classes
     n = len(family.base)
-    bound = k**3
+    bound = family.degree**3
     mx = family.max_class_size
     cnt = family.class_count
     if composite:
         witness = None
-        if family.classes:
-            key = max(family.classes, key=lambda kk: (len(family.classes[kk]), kk))
-            witness = (key, family.classes[key])
+        if classes:
+            key = max(classes, key=lambda kk: (len(classes[kk]), kk))
+            witness = (family.curve_key(key), family.members(key))
         return ClassBoundReport(mx, cnt, bound, n * n, witness, ok=True)
     if mx > bound:
-        key = max(family.classes, key=lambda kk: len(family.classes[kk]))
+        key = max(classes, key=lambda kk: len(classes[kk]))
         raise BoundViolated(
             f"class of size {mx} exceeds {bound} for a non-composite polynomial",
-            witness=(key, family.classes[key]),
+            witness=(family.curve_key(key), family.members(key)),
         )
     if cnt * bound < n * n:
         raise BoundViolated(
@@ -152,19 +161,6 @@ class IncidenceReport:
     per_curve_min: int
     removed_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "point_count": self.point_count,
-            "curve_count": self.curve_count,
-            "incidences": self.incidences,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "szekely_terms": list(self.szekely_terms),
-            "szekely_ratio": self.szekely_ratio,
-            "per_curve_min": self.per_curve_min,
-            "removed_points": self.removed_points,
-        }
-
 
 def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport, CurveFamily]:
     """Count exact incidences between the pruned grid and the curve family.
@@ -180,8 +176,8 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
     family = build_family(f, A)
     grid = family.grid
     S = grid.S
-    sums = {p + q for p in grid.points for q in grid.points}
-    values = {horner_int(row, p) for row in grid.rows for p in grid.points}
+    sums = grid.sumset()
+    values = grid.image()
     flagged = {
         lam.numerator * S // lam.denominator
         for lam in sigma.found_values
@@ -191,12 +187,8 @@ def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport,
     kept_values = values - removed
     diffs = {s - p for s in sums for p in grid.points}
     hits = [tuple(d for d in diffs if horner_int(row, d) in kept_values) for row in grid.rows]
-    index = {b: i for i, b in enumerate(family.base)}
-    per_curve = []
-    for members in family.classes.values():
-        a, b = members[0]
-        shift = grid.points[index[a]]
-        per_curve.append(len(sums.intersection(map(shift.__add__, hits[index[b]]))))
+    firsts = (members[0] for members in family.classes.values())
+    per_curve = [len(sums.intersection(map(grid.points[i].__add__, hits[j]))) for i, j in firsts]
     total = sum(per_curve)
     k = family.degree
     alpha = k

@@ -122,14 +122,18 @@ def poly_from_json(data) -> BiPoly:
     """Parse the structured form {"terms": [{"i":..,"j":..,"num":..,"den":..}]}."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "terms" not in data:
+    entries = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         raise PolyParseError("expected an object with a 'terms' list")
     terms = []
-    for entry in data["terms"]:
-        den = entry.get("den", 1)
+    for entry in entries:
+        fields = entry if isinstance(entry, dict) else {}
+        i, j, num, den = fields.get("i"), fields.get("j"), fields.get("num"), fields.get("den", 1)
+        if any(type(v) is not int for v in (i, j, num, den)):
+            raise PolyParseError(f"term {entry!r} needs integers i, j, num and optionally den")
         if den == 0:
             raise PolyParseError("zero denominator in term")
-        terms.append(((entry["i"], entry["j"]), Fraction(entry["num"], den)))
+        terms.append(((i, j), Fraction(num, den)))
     return BiPoly(terms)
 
 

@@ -229,10 +229,6 @@ class UniPoly(_Poly):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeff(self._lead_key())
 
-    def coeff_list(self) -> list[Fraction]:
-        """Coefficients in ascending degree, length degree+1 (empty for zero)."""
-        return [self.coeff(k) for k in range(self.degree + 1)]
-
     def __mul__(self, other) -> "UniPoly":
         if other.__class__ is not UniPoly:
             return self._scale(other)
@@ -462,22 +458,12 @@ class BiPoly(_Poly):
                 out[(k, j)] = out.get((k, j), 0) + v * math.comb(i, k) * pu[i - k] * pw[k]
         return BiPoly._over({k: v for k, v in out.items() if v}, self.d * s**m)
 
-    def shift_x(self, a) -> "BiPoly":
-        """Return f(x - a, y)."""
-        a = _rat(a)
-        return self.subst_x_affine(-a, 1) if a else self
-
     def coeffs_in_x(self) -> dict[int, UniPoly]:
         """Coefficients of powers of x, each a polynomial in y."""
         out: dict[int, dict[int, int]] = {}
         for (i, j), v in self.n.items():
             out.setdefault(i, {})[j] = v
         return {i: UniPoly._over(c, self.d) for i, c in out.items()}
-
-    @classmethod
-    def from_coeffs_in_x(cls, coeffs: dict[int, UniPoly]) -> "BiPoly":
-        d = math.lcm(*(p.d for p in coeffs.values()))
-        return cls._over({(i, j): v * (d // p.d) for i, p in coeffs.items() for j, v in p.n.items()}, d)
 
     def to_unipoly(self) -> tuple[UniPoly, str]:
         """Convert a polynomial in a single variable; returns (poly, var)."""
@@ -514,6 +500,14 @@ class IntegerGrid:
     S: int
     points: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+
+    def sumset(self) -> set[int]:
+        """D * (A + A)."""
+        return {p + q for p in self.points for q in self.points}
+
+    def image(self) -> set[int]:
+        """S * f(A, A)."""
+        return {horner_int(row, p) for row in self.rows for p in self.points}
 
 
 def integer_grid(f: BiPoly, A) -> IntegerGrid:

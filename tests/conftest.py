@@ -203,6 +203,12 @@ def curve_key(f: BiPoly, a: F, b: F) -> tuple:
     return tuple(out.get(k, F(0)) for k in range(deg + 1))
 
 
+def fraction_classes(fam) -> dict:
+    """The classes of a `CurveFamily` in its Fraction view, in class order:
+    curve coefficients -> sorted (a, b) members."""
+    return {fam.curve_key(key): fam.members(key) for key in fam.classes}
+
+
 def double_loop_incidences(curve_keys, points) -> tuple[int, list[int]]:
     """Exhaustive point-by-curve membership count."""
     per = []

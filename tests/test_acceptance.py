@@ -148,12 +148,13 @@ def test_criterion_3_class_bounds():
         for n in (10, 25, 50):
             A = [F(v) for v in range(1, n + 1)]
             fam = build_family(f, A)
-            rep = check_class_bound(fam, k, composite=False)
+            rep = check_class_bound(fam, composite=False)
+            assert rep.size_bound == k**3
             assert rep.max_class_size <= k**3
             assert rep.class_count * k**3 >= len(fam.base) ** 2
     square = P("x^2 + 2 x y + y^2")
     fam = build_family(square, [F(v) for v in range(1, 10)])
-    rep = check_class_bound(fam, 2, composite=True)
+    rep = check_class_bound(fam, composite=True)
     _, members = rep.composite_witness
     assert len(members) >= 9 > 2**3
     report(3, "class bounds", "ceiling and floor hold; witness class of 9 > 8")

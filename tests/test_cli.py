@@ -231,6 +231,30 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["incidence", "--poly", "x y", "--set", "AP(8)"],
+            ["incidence", "--poly", "x y", "--set", "GP(4,1)"],
+            ["incidence", "--poly", "x y", "--set", "RandomInt(5)"],
+            ["incidence", "--poly", "x y", "--set", "{setfile}"],
+            ["sigma", "--poly", "x y", "--extra-candidates", "1/0"],
+            ["classify", "--poly", '{"terms":[{"i":1}]}'],
+            ["classify", "--poly", '{"terms":5}'],
+            ["classify", "--poly", '{"terms":[{"i":1,"j":1,"num":"a"}]}'],
+        ],
+        ids=["ap_arity", "gp_arity", "random_arity", "set_file_zero_den", "extra_zero_den",
+             "json_missing_key", "json_terms_not_list", "json_num_not_int"],
+    )
+    def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        setfile = tmp_path / "set.txt"
+        setfile.write_text("1\n1/0\n")
+        assert main([a.replace("{setfile}", str(setfile)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 _G = parse_poly("x^2 y + x + y")
 
 

@@ -23,6 +23,7 @@ from sumprod.spectrum import sigma_candidates, sigma_scan
 from conftest import (
     curve_key,
     double_loop_incidences,
+    fraction_classes,
     naive_eval,
     naive_image,
     naive_sumset,
@@ -43,7 +44,7 @@ class TestBuildFamily:
         fam = build_family(P("x^2 + 2 x y + y^2"), [F(i) for i in range(1, 6)])
         # the key depends only on b - a, so the diagonal collapses
         key = curve_key(P("x^2 + 2 x y + y^2"), F(1), F(1))
-        assert len(fam.classes[key]) == 5
+        assert len(fraction_classes(fam)[key]) == 5
 
     def test_zero_row_removed(self):
         fam = build_family(P("y"), [F(0), F(1)])
@@ -63,26 +64,26 @@ class TestClassBound:
     def test_product_over_nonzero_grid(self):
         A = [F(v) for v in range(1, 21)]
         fam = build_family(P("x y"), A)
-        rep = check_class_bound(fam, 2, composite=False)
+        rep = check_class_bound(fam, composite=False)
         assert rep.max_class_size == 1 <= 8
 
     def test_composite_witness_exceeds_cube(self):
         A = [F(v) for v in range(1, 10)]  # nine elements, bound is 8
         fam = build_family(P("x^2 + 2 x y + y^2"), A)
-        rep = check_class_bound(fam, 2, composite=True)
+        rep = check_class_bound(fam, composite=True)
         key, members = rep.composite_witness
         assert len(members) == 9 > 2**3
 
     def test_parabola_grid(self):
         fam = build_family(P("x^2 + y"), [F(1), F(2), F(3)])
-        rep = check_class_bound(fam, 2, composite=False)
+        rep = check_class_bound(fam, composite=False)
         assert rep.class_count == 9 and rep.max_class_size == 1
 
     def test_violation_raises_for_noncomposite_claim(self):
         A = [F(v) for v in range(1, 10)]
         fam = build_family(P("x^2 + 2 x y + y^2"), A)
         with pytest.raises(BoundViolated):
-            check_class_bound(fam, 2, composite=False)
+            check_class_bound(fam, composite=False)
 
 
 class TestIncidence:
@@ -97,7 +98,7 @@ class TestIncidence:
         sums = sorted({a + b for a in A for b in A})
         vals = sorted({a * b for a in A for b in A})
         points = [(s, v) for s in sums for v in vals]
-        total, per = double_loop_incidences(sorted(fam.classes), points)
+        total, per = double_loop_incidences(sorted(fraction_classes(fam)), points)
         assert rep.incidences == total == 29
         assert rep.per_curve_min == min(per) == 3
 
@@ -132,7 +133,7 @@ class TestIncidence:
         vals = {f(a, b) for a in fam.base for b in fam.base} - set(
             sig.found_values
         )
-        for key, members in fam.classes.items():
+        for key, members in fraction_classes(fam).items():
             counts = set()
             for (a, b) in members:
                 assert curve_key(f, a, b) == key
@@ -189,8 +190,28 @@ class TestRationalSets:
                 expected.setdefault(curve_key(f, a, b), []).append((a, b))
         assert fam.base == tuple(base)
         assert fam.removed_b == tuple(b for b in A if naive_zero_row(terms, b))
-        assert list(fam.classes) == list(expected)  # first-seen order, too
-        assert fam.classes == {key: tuple(sorted(v)) for key, v in expected.items()}
+        classes = fraction_classes(fam)
+        assert list(classes) == list(expected)  # first-seen order, too
+        assert classes == {key: tuple(sorted(v)) for key, v in expected.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_sets(), rational_grid_polys())
+    def test_composite_witness_matches_fraction_grouping(self, A, terms):
+        # integer keys order as the Fraction keys do, so the witness is the
+        # largest class, ties going to the largest Fraction key
+        f = BiPoly(terms)
+        fam = build_family(f, A)
+        base = [b for b in A if not naive_zero_row(terms, b)]
+        groups: dict = {}
+        for b in base:
+            for a in base:
+                groups.setdefault(curve_key(f, a, b), []).append((a, b))
+        expected = max(
+            ((key, tuple(sorted(v))) for key, v in groups.items()),
+            key=lambda kv: (len(kv[1]), kv[0]),
+            default=None,
+        )
+        assert check_class_bound(fam, composite=True).composite_witness == expected
 
     @settings(max_examples=30, deadline=None)
     @given(rational_sets(max_size=5), rational_grid_polys(), st.data())

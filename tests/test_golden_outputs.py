@@ -1,0 +1,151 @@
+"""Golden digests of the CLI's outputs on a fixed corpus.
+
+Each call runs in process with `--json` (and `--out` where the case writes
+data files). The digest covers stdout and every file written to the output
+directory except `manifest.json`, which carries timestamps and timings. The
+output directory is replaced by `<out>` and every float in a JSON document
+is rounded to 9 significant digits before hashing, so the digests pin the
+emitted bytes of every exact field.
+
+To print the digests of the current code: `python3 tests/test_golden_outputs.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from sumprod.cli import main
+
+# (case id, argv without --json/--out, whether the case writes --out files)
+CORPUS = [
+    ("classify-square-of-sum", ["classify", "--poly", "x^2 + 2x y + y^2"], False),
+    ("classify-chain", ["classify", "--poly", "x^2y^2 + 3"], True),
+    ("sigma-extra", ["sigma", "--poly", "x^2 + y^2", "--extra-candidates", "1/4,2"], False),
+    ("sigma-difference", ["sigma", "--poly", "x^2 - y^2", "--sweep-height", "2"], True),
+    ("incidence-ap24", ["incidence", "--poly", "x^3 + x y", "--set", "AP(24,1,1)"], True),
+    (
+        "incidence-sigma-rows",
+        ["incidence", "--poly", "x^2 + 2 x y + y^2", "--set", "AP(8,1,1)"],
+        False,
+    ),
+    (
+        "incidence-rational",
+        ["incidence", "--poly", "x^2 + 1/2 x y - 3", "--set", "AP(9,-1/2,1/3)"],
+        True,
+    ),
+    (
+        "incidence-zero-row",
+        ["incidence", "--poly", "x^2 y - 1/6 x^2 + x y^2 - 1/6 x y", "--set", "AP(9,-1/2,1/3)"],
+        False,
+    ),
+    (
+        "incidence-random",
+        ["incidence", "--poly", "x^3 + y", "--set", "RandomInt(12,-20,20,5)"],
+        False,
+    ),
+    (
+        "scan-ap",
+        ["scan", "--poly", "x^3 + x y", "--family", "AP", "--sizes", "8,16,32"],
+        True,
+    ),
+    (
+        "scan-random",
+        ["scan", "--poly", "x^2 + y", "--family", "random", "--sizes", "8,16",
+         "--seed", "42", "--range", "1:500"],
+        True,
+    ),
+]
+
+# recorded before the curve classes moved to integer keys
+GOLDEN = {
+    "classify-square-of-sum": {
+        "stdout": "af8bc6516bac56061e50ee3482aa3d5deedc8986b08312dfa29a6cae7b7babe5",
+    },
+    "classify-chain": {
+        "stdout": "18d35c5309a85d037cf944edafb9dc3c53c13fefca4105699fefeff6eb709baa",
+        "classify.json": "18d35c5309a85d037cf944edafb9dc3c53c13fefca4105699fefeff6eb709baa",
+    },
+    "sigma-extra": {
+        "stdout": "0d08aaf68ce91768f2b0eef9aebbae18fede2c3176016f5e81bb877ba81ec84c",
+    },
+    "sigma-difference": {
+        "stdout": "11ca9f632f522038090d8b5fb8adf166c701e695505b80184d9e4e6a7bf5780f",
+        "sigma.json": "11ca9f632f522038090d8b5fb8adf166c701e695505b80184d9e4e6a7bf5780f",
+    },
+    "incidence-ap24": {
+        "stdout": "593f661c4e52388b1771999c5edb8c48f6eab4f3a6a969ef3b25046c66aac4e1",
+        "histogram.csv": "f0328ffe6c6b3ae60cb63589e5b6ca92b37e6c2af2215ff18d50bb33b2665bda",
+        "incidence.json": "593f661c4e52388b1771999c5edb8c48f6eab4f3a6a969ef3b25046c66aac4e1",
+    },
+    "incidence-sigma-rows": {
+        "stdout": "37916293751a11f288eebf75df1e7f8f206a35c17b5322897d1ab7ae7eaf7bd5",
+    },
+    "incidence-rational": {
+        "stdout": "f822f19dd31d2e45f02edd452a6416f88276dba6fda1bd0e1ba960e9a07e12ca",
+        "histogram.csv": "7374644597c795ee3aefd288a46ce137f317f0068c1876c62a432c991b6f626c",
+        "incidence.json": "f822f19dd31d2e45f02edd452a6416f88276dba6fda1bd0e1ba960e9a07e12ca",
+    },
+    "incidence-zero-row": {
+        "stdout": "cda78e3e867f58609629dea165c3ad1e7d2db1aad68c896bf080415c0601dac2",
+    },
+    "incidence-random": {
+        "stdout": "576947ec22719d9ff64c73f3cb852b27498697a6831347d6f313ab3628afe716",
+    },
+    "scan-ap": {
+        "stdout": "b18c90af5c5278260e5cc3a08e059ee82f2ab8a1778c8ea926b2972384c16116",
+        "records.csv": "8dda270a2f7680c1c20e638276cd891b86e79720ddeed8ca1c5a6a2611ad3ea7",
+        "summary.json": "b18c90af5c5278260e5cc3a08e059ee82f2ab8a1778c8ea926b2972384c16116",
+    },
+    "scan-random": {
+        "stdout": "e650286403b8b77ecfe7520111b2d2405b73f118c998edba7dc7eea3c7b576d8",
+        "records.csv": "6959cbe7c302015a0cb3cae33203f69c0083af488b17eb6be54f5604a6520e5e",
+        "summary.json": "e650286403b8b77ecfe7520111b2d2405b73f118c998edba7dc7eea3c7b576d8",
+    },
+}
+
+
+def _round_floats(value):
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, list):
+        return [_round_floats(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    return value
+
+
+def _digest(text: str, out: Path, is_json: bool) -> str:
+    text = text.replace(str(out), "<out>")
+    if is_json:
+        text = json.dumps(_round_floats(json.loads(text)), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_case(argv, writes, out: Path) -> tuple[int, dict[str, str]]:
+    extra = ["--out", str(out)] if writes else []
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv + ["--json"] + extra)
+    digests = {"stdout": _digest(stdout.getvalue(), out, True)}
+    if writes:
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digests[path.name] = _digest(path.read_text(), out, path.suffix == ".json")
+    return code, digests
+
+
+@pytest.mark.parametrize(("case", "argv", "writes"), CORPUS, ids=[c[0] for c in CORPUS])
+def test_outputs_match_golden(case, argv, writes, tmp_path):
+    code, digests = run_case(argv, writes, tmp_path / "out")
+    assert code == 0
+    assert digests == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {case: run_case(argv, writes, Path(tmp) / case)[1] for case, argv, writes in CORPUS}
+    print(json.dumps(golden, indent=4))

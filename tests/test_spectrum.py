@@ -127,7 +127,7 @@ class TestLargeEliminant:
         lam = sympy.symbols("lam")
 
         def to_sympy(p):
-            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeff_list())], lam)
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed([p.coeff(k) for k in range(p.degree + 1)])], lam)
 
         gcd = sympy.gcd(to_sympy(elim), to_sympy(elim.derivative()))
         expected = UniPoly({int(k[0]): F(int(c.p), int(c.q)) for k, c in gcd.terms()}).normalized()
