@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import re
 import sys
@@ -85,37 +86,36 @@ def load_set(source: str, default_seed: int) -> RatSet:
     return generate_set(parse_set_spec(source, default_seed))
 
 
+def _dumps(payload: dict) -> str:
+    """JSON text of an output document; NaN and infinities are not JSON, so
+    they raise here instead of being written."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_manifest(outdir: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     payload["version"] = __version__
-    (outdir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    (outdir / "manifest.json").write_text(_dumps(payload))
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     payload = dict(payload)
     payload["config"] = _resolved_config(args)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in human_lines:
             print(line)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{args.command}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True)
-        )
+        (outdir / f"{args.command}.json").write_text(_dumps(payload))
         _write_manifest(outdir, {"argv_config": _resolved_config(args)})
 
 
 def _resolved_config(args) -> dict:
-    skip = {"func"}
-    return {
-        k: (str(v) if isinstance(v, Fraction) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in skip
-    }
+    return {k: (str(v) if isinstance(v, Fraction) else v) for k, v in sorted(vars(args).items())}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def cmd_scan(args) -> int:
         "slope": result.summary.slope,
         "violations": result.summary.violations,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (outdir / "summary.json").write_text(_dumps(summary))
     _write_manifest(
         outdir,
         {
@@ -334,14 +334,15 @@ def cmd_scan(args) -> int:
     lines = [
         f"scan of {format_bipoly(f)} over {args.family} at sizes {sizes}",
         f"min ratio {result.summary.min_ratio_decimal}, "
-        f"max ratio {result.summary.max_ratio_decimal}, slope {result.summary.slope:.4f}",
+        f"max ratio {result.summary.max_ratio_decimal}, slope "
+        + ("n/a" if result.summary.slope is None else f"{result.summary.slope:.4f}"),
         f"records written to {outdir / 'records.csv'}",
     ]
     if not args.json:
         for line in lines:
             print(line)
     else:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(_dumps(summary))
     if result.summary.violations:
         print(
             f"floor violation in {result.summary.violations} record(s)", file=sys.stderr
@@ -353,7 +354,11 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It names no handler:
+    `main` looks `cmd_<command>` up in this module at call time, so a handler
+    replaced after the first call (by a tracer, say) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="sumprod",
         description="Exact toolkit for polynomial sum-product growth experiments.",
@@ -375,21 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="degeneracy / compositeness with certificates")
     p.add_argument("--poly", required=True, help="polynomial text, JSON, or file")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sigma", help="scan for reducible fibers f - lambda")
     p.add_argument("--poly", required=True)
     p.add_argument("--extra-candidates", default="", help="comma-separated rationals")
     p.add_argument("--sweep-height", type=int, default=DEFAULT_SWEEP_HEIGHT)
     common(p)
-    p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("incidence", help="translated-curve incidence statistics")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", required=True, help="generator spec like AP(8,1,1) or a file")
     p.add_argument("--sweep-height", type=int, default=DEFAULT_SWEEP_HEIGHT)
     common(p)
-    p.set_defaults(func=cmd_incidence)
 
     p = sub.add_parser("scan", help="sum-product growth scan over a set family")
     p.add_argument("--poly", required=True)
@@ -398,15 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", default=None, help="regression floor c (rational)")
     p.add_argument("--range", default="1:10000", help="lo:hi for the random family")
     common(p)
-    p.set_defaults(func=cmd_scan)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DegreeCapExceeded as exc:
         print(f"degree cap exceeded: {exc}", file=sys.stderr)
         return 3

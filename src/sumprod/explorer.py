@@ -13,6 +13,17 @@ a -> D * a and v -> S * v are increasing bijections, so sizes, equalities and
 order are those over Q. `IntegerGrid.sumset` and `IntegerGrid.image` give
 the scaled sets; `sumset` and `image_set` divide back once per element, and
 `run_scan` only counts.
+
+`IntegerGrid.image` evaluates a row at all of D * A in one batched pass per
+coefficient (`poly.horner_all`), so the work per row follows the row's
+length, deg_x + 1. The image is read off the grid of f with x and y swapped
+when deg_y < deg_x (`_image_poly`): D depends on A alone and L and k are the
+same for the swapped polynomial, so S is too, and {S g(a, b)} over A x A with
+g(a, b) = f(b, a) is the same set of integers, from rows of length deg_y + 1.
+Zero rows (`removed_rows`) are still those of the x-oriented grid.
+
+`generate_set` builds AP, GP and RandomInt sets as integer numerators over
+one denominator, sorts the integers and makes each Fraction once.
 """
 
 from __future__ import annotations
@@ -91,6 +102,12 @@ class RatSet:
         return iter(self.elements)
 
 
+def _over(nums, den: int) -> list[Fraction]:
+    """The rationals v / den in increasing order (den > 0); the integers are
+    sorted, and each Fraction is made once."""
+    return [Fraction(v, den) for v in sorted(nums)]
+
+
 def generate_set(spec: SetSpec) -> RatSet:
     """Materialize a generator spec; deterministic for a fixed seed."""
     if isinstance(spec, ApSpec):
@@ -98,7 +115,11 @@ def generate_set(spec: SetSpec) -> RatSet:
             raise DegenerateSpec("need n >= 1")
         if not spec.step:
             raise DegenerateSpec("zero step collapses the progression")
-        elems = sorted(Fraction(spec.start) + Fraction(spec.step) * i for i in range(spec.n))
+        start, step = Fraction(spec.start), Fraction(spec.step)
+        D = math.lcm(start.denominator, step.denominator)
+        s0 = start.numerator * (D // start.denominator)
+        ds = step.numerator * (D // step.denominator)
+        elems = _over((s0 + ds * i for i in range(spec.n)), D)
     elif isinstance(spec, GpSpec):
         if spec.n < 1:
             raise DegenerateSpec("need n >= 1")
@@ -106,7 +127,11 @@ def generate_set(spec: SetSpec) -> RatSet:
             raise DegenerateSpec("zero first term collapses the progression")
         if spec.ratio in (0, 1, -1):
             raise DegenerateSpec("ratio must avoid 0 and +-1")
-        elems = sorted(Fraction(spec.first) * Fraction(spec.ratio) ** i for i in range(spec.n))
+        # first * (p/q)^i = first.num * p^i * q^(m-i) / (first.den * q^m)
+        first, ratio = Fraction(spec.first), Fraction(spec.ratio)
+        p, q, m = ratio.numerator, ratio.denominator, spec.n - 1
+        nums = (first.numerator * p**i * q ** (m - i) for i in range(spec.n))
+        elems = _over(nums, first.denominator * q**m)
     elif isinstance(spec, RandomIntSpec):
         population = spec.hi - spec.lo + 1
         if spec.n < 1 or population < spec.n:
@@ -114,7 +139,7 @@ def generate_set(spec: SetSpec) -> RatSet:
                 f"cannot draw {spec.n} distinct integers from [{spec.lo},{spec.hi}]"
             )
         rng = random.Random(spec.seed)
-        elems = sorted(Fraction(v) for v in rng.sample(range(spec.lo, spec.hi + 1), spec.n))
+        elems = _over(rng.sample(range(spec.lo, spec.hi + 1), spec.n), 1)
     elif isinstance(spec, UnionSpec):
         merged = set()
         for part in spec.parts:
@@ -122,8 +147,6 @@ def generate_set(spec: SetSpec) -> RatSet:
         elems = sorted(merged)
     else:
         raise TypeError(f"unknown spec {spec!r}")
-    if len(set(elems)) != len(elems):
-        raise DegenerateSpec("generator produced duplicate elements")
     return RatSet(tuple(elems), spec.describe())
 
 
@@ -133,9 +156,15 @@ def sumset(A: RatSet) -> RatSet:
     return RatSet(tuple(Fraction(v, grid.D) for v in vals), f"sumset({A.provenance})")
 
 
+def _image_poly(f: BiPoly) -> BiPoly:
+    """f, or f with x and y swapped when that shortens the grid rows; both
+    have the same image over A x A and the same S (see the module docstring)."""
+    return f.swap() if f.deg_y < f.deg_x else f
+
+
 def image_set(f: BiPoly, A: RatSet) -> RatSet:
     """All values f(a, a') over ordered pairs from A."""
-    grid = integer_grid(f, A.elements)
+    grid = integer_grid(_image_poly(f), A.elements)
     vals = sorted(grid.image())
     return RatSet(tuple(Fraction(v, grid.S) for v in vals), f"image({A.provenance})")
 
@@ -161,7 +190,7 @@ class ScanSummary:
     max_ratio_squared: tuple[int, int]
     min_ratio_decimal: str
     max_ratio_decimal: str
-    slope: float
+    slope: float | None  # None below two distinct sizes
     violations: int
 
 
@@ -189,6 +218,7 @@ def run_scan(
     """
     if f.is_constant or is_degenerate(f) is not None:
         raise HypothesisViolated("scan requires a non-degenerate polynomial")
+    g = _image_poly(f)
     records = []
     for spec in specs:
         t0 = time.perf_counter()
@@ -196,7 +226,7 @@ def run_scan(
         n = len(A)
         grid = integer_grid(f, A.elements)
         s = len(grid.sumset())
-        i = len(grid.image())
+        i = len((grid if g is f else integer_grid(g, A.elements)).image())
         removed = sum(1 for row in grid.rows if not row)
         product = s * i
         violation = False
@@ -224,13 +254,12 @@ def run_scan(
     ratios = [Fraction(p2, n5) for r in records for (p2, n5) in [r.ratio_squared]]
     lo = min(ratios)
     hi = max(ratios)
+    slope = None
     if len({r.n for r in records}) >= 2:
         fit = statistics.linear_regression(
             [math.log(r.n) for r in records], [math.log(r.product) for r in records]
         )
         slope = fit.slope
-    else:
-        slope = float("nan")
     summary = ScanSummary(
         min_ratio_squared=(lo.numerator, lo.denominator),
         max_ratio_squared=(hi.numerator, hi.denominator),

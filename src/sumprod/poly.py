@@ -494,6 +494,12 @@ class IntegerGrid:
     the order of A. So S * f(a, b) = row_b(D * a) and S * f(x - a, b) at
     x = s / D is row_b(s - D * a). As D, S > 0, a -> D * a and v -> S * v are
     increasing bijections: equalities, counts and order carry over exactly.
+
+    `image` evaluates each row at all points at once (`horner_all`): one
+    pass over the points per coefficient below the row's leading one. D, L
+    and k, hence S, are the same for f and for f with x and y swapped, and
+    both range over all of A x A, so the grid of the swapped polynomial has
+    the same image; when deg_y < deg_x its rows are the shorter ones.
     """
 
     D: int
@@ -502,12 +508,16 @@ class IntegerGrid:
     rows: tuple[tuple[int, ...], ...]
 
     def sumset(self) -> set[int]:
-        """D * (A + A)."""
-        return {p + q for p in self.points for q in self.points}
+        """D * (A + A), from the unordered pairs p_i + p_j with i <= j."""
+        pts = self.points
+        return {p + q for i, p in enumerate(pts) for q in pts[i:]}
 
     def image(self) -> set[int]:
         """S * f(A, A)."""
-        return {horner_int(row, p) for row in self.rows for p in self.points}
+        out: set[int] = set()
+        for row in self.rows:
+            out.update(horner_all(row, self.points))
+        return out
 
 
 def integer_grid(f: BiPoly, A) -> IntegerGrid:
@@ -539,6 +549,20 @@ def horner_int(row: tuple[int, ...], x: int) -> int:
     for c in reversed(row):
         v = v * x + c
     return v
+
+
+def horner_all(row: tuple[int, ...], xs: tuple[int, ...]) -> list[int]:
+    """Values of the ascending integer coefficient row at every x in xs.
+
+    One list pass per coefficient below the leading one; a zero coefficient
+    costs only the multiply.
+    """
+    if not row:
+        return [0] * len(xs)
+    vals = [row[-1]] * len(xs)
+    for c in reversed(row[:-1]):
+        vals = [v * x + c for v, x in zip(vals, xs)] if c else [v * x for v, x in zip(vals, xs)]
+    return vals
 
 
 def shift_int(row: tuple[int, ...], t: int) -> tuple[int, ...]:

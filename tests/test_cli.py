@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and output reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -200,6 +201,20 @@ class TestScanCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("sizes", ["8", "8,8"])
+    def test_one_size_writes_json_without_nan(self, sizes, tmp_path, capsys):
+        # a slope needs two distinct sizes; without them it is null, not NaN
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        argv = ["scan", "--poly", "x y", "--family", "AP", "--sizes", sizes, "--out", str(tmp_path)]
+        assert main(argv + ["--json"]) == 0
+        stdout = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+        assert summary == stdout and summary["slope"] is None
+        assert main(argv) == 0
+        assert "slope n/a" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "scan",
@@ -229,6 +244,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestDispatch:
+    def test_handler_is_looked_up_at_call_time(self, monkeypatch, capsys):
+        # the parser is built once; a handler replaced after that still runs
+        assert main(["classify", "--poly", "x y"]) == 0
+        seen = []
+        monkeypatch.setattr(sumprod.cli, "cmd_classify", lambda args: seen.append(args.poly) or 0)
+        assert main(["classify", "--poly", "x^2 + y"]) == 0
+        assert seen == ["x^2 + y"]
 
 
 class TestMalformedInput:
@@ -318,3 +343,20 @@ def test_incidence_at_ap_256_ends():
     assert run.returncode == 0, run.stderr
     inc = json.loads(run.stdout)["incidence"]
     assert inc["incidences"] == 16_777_216 and inc["point_count"] == 32_619_174
+
+
+def test_scan_to_1024_ends(tmp_path):
+    # about a million pairs at n = 1024, each row evaluated at all points in one pass
+    src = str(Path(sumprod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "scan", "--poly", "x^2 + x y + y^2", "--family", "AP",
+         "--sizes", "128,256,512,1024", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = {r["n"]: r for r in csv.DictReader((tmp_path / "records.csv").read_text().splitlines())}
+    assert rows["1024"]["sumset"] == "2047" and rows["1024"]["image"] == "347239"

@@ -55,6 +55,32 @@ class TestGenerators:
         A = generate_set(UnionSpec((ApSpec(3, F(1), F(1)), ApSpec(3, F(2), F(2)))))
         assert A.elements == (F(1), F(2), F(3), F(4), F(6))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12),
+        grid_rationals,
+        grid_rationals.filter(bool),
+        grid_rationals.filter(bool),
+        grid_rationals.filter(lambda r: r not in (0, 1, -1)),
+    )
+    # negative step and ratio, rational first term
+    @example(5, F(-7, 3), F(-5, 2), F(5, 6), F(-3, 4))
+    def test_progressions_match_closed_forms(self, n, start, step, first, ratio):
+        assert generate_set(ApSpec(n, start, step)).elements == tuple(
+            sorted(start + step * i for i in range(n))
+        )
+        assert generate_set(GpSpec(n, first, ratio)).elements == tuple(
+            sorted(first * ratio**i for i in range(n))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(-50, 50), st.integers(0, 60), st.integers(0, 10**6))
+    def test_random_matches_sample(self, n, lo, width, seed):
+        hi = lo + width
+        assume(width + 1 >= n)
+        expected = sorted(random.Random(seed).sample(range(lo, hi + 1), n))
+        assert generate_set(RandomIntSpec(n, lo, hi, seed)).elements == tuple(map(F, expected))
+
     def test_degenerate_specs(self):
         with pytest.raises(DegenerateSpec):
             generate_set(ApSpec(3, F(1), F(0)))
@@ -192,6 +218,9 @@ class TestRationalSets:
     )
     # the row at b = 0 is a nonzero constant, not a zero row
     @example({(1, 1): F(1), (0, 0): F(1, 2)}, 3, F(-1, 2), F(1, 2), F(-2))
+    # (x^2 + 1)(y - 1): deg_x 2 > deg_y 1, so the image comes from the swapped
+    # grid, while the zero row at b = 1 is one of the x-oriented grid
+    @example({(2, 1): F(1), (0, 1): F(1), (2, 0): F(-1), (0, 0): F(-1)}, 3, F(1), F(1), F(2))
     def test_scan_counts_match_double_loops(self, terms, n, start, step, ratio):
         f = BiPoly(terms)
         assume(is_degenerate(f) is None)
