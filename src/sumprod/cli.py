@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 assertion or floor violation (including refused
 hypotheses, and CertificationFailed when an exact certificate does not
-check), 2 usage error, 3 degree cap exceeded (DegreeCapExceeded) or an
+check), 2 usage error, 3 from sigma, the one subcommand that factors fibers
+(`incidence` only tests them): degree cap exceeded (DegreeCapExceeded) or an
 integer that Brent's rho cannot split within its budget
-(FactorBudgetExceeded). Every run given --out
-writes a manifest.json echoing the resolved configuration; wall-clock timing
-lives only in the manifest so the data files stay byte-reproducible.
+(FactorBudgetExceeded). Every run given --out writes a manifest.json
+echoing the resolved configuration; wall-clock timing lives only in the
+manifest so the data files stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .explorer import (
 from .factor import DEFAULT_DEGREE_CAP
 from .geometry import check_class_bound, incidence_report
 from .parsing import PolyParseError, format_bipoly, format_unipoly, load_poly
-from .spectrum import DEFAULT_SWEEP_HEIGHT, SigmaReport, sigma_candidates, sigma_scan
+from .spectrum import DEFAULT_SWEEP_HEIGHT, sigma_candidates, sigma_scan
 
 _SPEC_RE = re.compile(r"^(ap|gp|randomint|random)\(([^)]*)\)$", re.IGNORECASE)
 
@@ -209,15 +210,8 @@ def cmd_sigma(args) -> int:
 def cmd_incidence(args) -> int:
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
-    if f.total_degree >= 2:
-        cands = sigma_candidates(f, sweep_height=args.sweep_height)
-        sigma = sigma_scan(f, cands, cap=args.degree_cap)
-    else:
-        sigma = SigmaReport(
-            degree_k=f.total_degree, found=(), candidate_count=0,
-            stein_bound_respected=True,
-        )
-    report, family = incidence_report(f, A.elements, sigma)
+    cands = sigma_candidates(f, sweep_height=args.sweep_height) if f.total_degree >= 2 else []
+    report, family = incidence_report(f, A.elements, cands)
     degenerate = is_degenerate(f) is not None
     verdict = is_composite(f) if (f.total_degree >= 2 and not degenerate) else None
     composite = bool(verdict.composite) if verdict else False
@@ -374,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--degree-cap",
             type=int,
             default=DEFAULT_DEGREE_CAP,
-            help="total-degree cap for the factorization oracle",
+            help="total-degree cap for the factorization oracle (read by sigma)",
         )
 
     p = sub.add_parser("classify", help="degeneracy / compositeness with certificates")

@@ -20,7 +20,9 @@ length, deg_x + 1. The image is read off the grid of f with x and y swapped
 when deg_y < deg_x (`_image_poly`): D depends on A alone and L and k are the
 same for the swapped polynomial, so S is too, and {S g(a, b)} over A x A with
 g(a, b) = f(b, a) is the same set of integers, from rows of length deg_y + 1.
-Zero rows (`removed_rows`) are still those of the x-oriented grid.
+`run_scan` builds that grid alone: the sumset depends on A only, and the
+zero rows (`removed_rows`), the b with f(x, b) = 0, are the b in A where the
+x-content of f vanishes (`poly.split_content_x`), found once per scan.
 
 `generate_set` builds AP, GP and RandomInt sets as integer numerators over
 one denominator, sorts the integers and makes each Fraction once.
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from .classify import is_degenerate
 from .errors import DegenerateSpec, HypothesisViolated
-from .poly import BiPoly, integer_grid
+from .poly import BiPoly, integer_grid, split_content_x
 
 
 @dataclass(frozen=True)
@@ -219,15 +221,16 @@ def run_scan(
     if f.is_constant or is_degenerate(f) is not None:
         raise HypothesisViolated("scan requires a non-degenerate polynomial")
     g = _image_poly(f)
+    content = split_content_x(f)[0]
     records = []
     for spec in specs:
         t0 = time.perf_counter()
         A = generate_set(spec)
         n = len(A)
-        grid = integer_grid(f, A.elements)
+        grid = integer_grid(g, A.elements)
         s = len(grid.sumset())
-        i = len((grid if g is f else integer_grid(g, A.elements)).image())
-        removed = sum(1 for row in grid.rows if not row)
+        i = len(grid.image())
+        removed = sum(1 for b in A if not content(b)) if content.degree > 0 else 0
         product = s * i
         violation = False
         if floor_c is not None:

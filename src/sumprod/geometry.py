@@ -24,9 +24,10 @@ scaled difference set (A'+A') - A' with row_b(d) a kept scaled value. The
 curve of (a, b) meets the point (s, v) exactly when row_b(D s - D a) = S v,
 and D s - D a always lies in that difference set, so the class of (a, b)
 has #{d in H_b : d + D a in D (A'+A')} incidences. Each row is evaluated
-once per distinct argument, not once per class and sum. The rows of
-certified lambdas are removed in integers too: lambda = n/q in lowest terms
-is the scaled value n S / q when q divides n S, and no value otherwise.
+once per distinct argument, not once per class and sum. A candidate lambda
+= n/q in lowest terms is the scaled value n S / q when q divides n S, and
+no value otherwise; only candidates on a scaled value are tested, on one
+`FiberPencil` of f, and their rows removed when f - lambda is reducible.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundViolated, CertificationFailed, DegenerateSystem
-from .factor import FactorList, factor_rational, rational_roots
+from .factor import FactorList, FiberPencil, factor_rational, rational_roots
 from .poly import (
     BiPoly,
     IntegerGrid,
@@ -47,7 +48,6 @@ from .poly import (
     shift_int,
     uni_gcd,
 )
-from .spectrum import SigmaReport
 
 CurveKey = tuple[int, ...]  # row_b(X - D a) = S * T(X / D), see the module docstring
 
@@ -122,25 +122,23 @@ def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
     k the family's degree.
 
     For a composite polynomial the bounds can fail legitimately; the largest
-    class is returned as the witness instead. Witnesses are the Fraction view
-    (`curve_key`, `members`); the integer keys order as the Fraction ones do.
+    class is returned as the witness instead. Either witness is the largest
+    class, ties going to the largest key, in the Fraction view (`curve_key`,
+    `members`); the integer keys order as the Fraction ones do.
     """
     classes = family.classes
     n = len(family.base)
     bound = family.degree**3
     mx = family.max_class_size
     cnt = family.class_count
+    key = max(classes, key=lambda kk: (len(classes[kk]), kk), default=None)
+    witness = None if key is None else (family.curve_key(key), family.members(key))
     if composite:
-        witness = None
-        if classes:
-            key = max(classes, key=lambda kk: (len(classes[kk]), kk))
-            witness = (family.curve_key(key), family.members(key))
         return ClassBoundReport(mx, cnt, bound, n * n, witness, ok=True)
     if mx > bound:
-        key = max(classes, key=lambda kk: len(classes[kk]))
         raise BoundViolated(
             f"class of size {mx} exceeds {bound} for a non-composite polynomial",
-            witness=(family.curve_key(key), family.members(key)),
+            witness=witness,
         )
     if cnt * bound < n * n:
         raise BoundViolated(
@@ -162,28 +160,29 @@ class IncidenceReport:
     removed_points: int
 
 
-def incidence_report(f: BiPoly, A, sigma: SigmaReport) -> tuple[IncidenceReport, CurveFamily]:
+def incidence_report(f: BiPoly, A, candidates) -> tuple[IncidenceReport, CurveFamily]:
     """Count exact incidences between the pruned grid and the curve family.
 
     Points are (sum, value) pairs from (A'+A') x f(A', A') minus the rows
-    whose value is a certified reducible-fiber lambda. Each curve is a graph,
-    so it meets a column of the grid at most once and the count per curve is
-    the number of sums s with T(s) a kept value. On the integer grid that is
-    the number of d in the row's hit set H_b with d + D a in D (A'+A') (see
-    the module docstring); a lambda removes a row only when S * lambda is an
-    integer among the scaled values.
+    whose value is a candidate lambda with f - lambda reducible over C (only
+    candidates on the grid are tested, and no fiber is factored). Each curve
+    is a graph, so it meets a column of the grid at most once and the count
+    per curve is the number of sums s with T(s) a kept value. On the integer
+    grid that is the number of d in the row's hit set H_b with
+    d + D a in D (A'+A') (see the module docstring).
     """
     family = build_family(f, A)
     grid = family.grid
     S = grid.S
     sums = grid.sumset()
     values = grid.image()
-    flagged = {
-        lam.numerator * S // lam.denominator
-        for lam in sigma.found_values
-        if lam.numerator * S % lam.denominator == 0
-    }
-    removed = values & flagged
+    on_grid = {}  # scaled value -> lambda
+    for lam in map(Fraction, candidates):
+        v, r = divmod(lam.numerator * S, lam.denominator)
+        if not r and v in values:
+            on_grid[v] = lam
+    pencil = FiberPencil(f) if on_grid else None
+    removed = {v for v, lam in on_grid.items() if pencil.status(lam).reducible}
     kept_values = values - removed
     diffs = {s - p for s in sums for p in grid.points}
     hits = [tuple(d for d in diffs if horner_int(row, d) in kept_values) for row in grid.rows]

@@ -204,10 +204,10 @@ def test_criterion_5_per_curve_floor():
     for text in CORPUS:
         f = P(text)
         k = f.total_degree
-        sig = sigma_scan(f, sigma_candidates(f))
+        cands = sigma_candidates(f)
         for n in (8, 16, 32):
             A = [F(v) for v in range(1, n + 1)]
-            rep, fam = incidence_report(f, A, sig)
+            rep, fam = incidence_report(f, A, cands)
             floor = -(-len(fam.base) // k)  # ceil division
             assert rep.per_curve_min >= floor, (text, n)
     report(5, "per-curve incidence floor", "5 polynomials x sizes 8,16,32")

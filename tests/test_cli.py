@@ -5,17 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sumprod
+from sumprod.classify import is_composite
 from sumprod.cli import main, parse_set_spec
 from sumprod.explorer import ApSpec, GpSpec, RandomIntSpec
+from sumprod.factor import FiberPencil
 from sumprod.parsing import format_bipoly, parse_poly
 from sumprod.spectrum import sigma_candidates, sigma_scan
 
-from conftest import LARGE_ELIMINANT
+from conftest import LARGE_ELIMINANT, naive_image
 
 
 class TestSpecParsing:
@@ -141,6 +144,37 @@ class TestIncidenceCommand:
         assert main(["classify", "--poly", str(polyfile), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["composite"]["verdict"] is False
+
+    def test_composite_past_the_degree_cap_exits_0(self, capsys):
+        # sigma exits 3 on this input (its certificates exceed the default
+        # degree cap), but incidence factors no fiber, so the cap never bites
+        poly = "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"
+        assert main(["incidence", "--poly", poly, "--set", "AP(6,1,1)", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["composite"] is True
+
+    @pytest.mark.parametrize(
+        ("poly", "spec", "n"),
+        [("x^3 + x y", "AP(24,1,1)", 24), ("x^2 + 2 x y + y^2", "AP(8,1,1)", 8)],
+    )
+    def test_fibers_tested_only_on_grid(self, poly, spec, n, monkeypatch, capsys):
+        tested = []
+        status = FiberPencil.status
+
+        def counting(self, lam):
+            tested.append(lam)
+            return status(self, lam)
+
+        monkeypatch.setattr(FiberPencil, "status", counting)
+        f = parse_poly(poly)
+        is_composite(f)
+        composite_tests = len(tested)
+        assert main(["incidence", "--poly", poly, "--set", spec, "--json"]) == 0
+        A = [Fraction(v) for v in range(1, n + 1)]  # no zero rows for these f
+        values = naive_image(f, A)
+        cands = sigma_candidates(f)
+        on_grid = [lam for lam in cands if lam in values]
+        assert len(on_grid) < len(cands)
+        assert len(tested) - composite_tests <= len(on_grid) + composite_tests
 
     def test_degree_cap_exit_code(self, capsys):
         # the fiber at zero is a tenth-degree perfect power; factoring its

@@ -82,16 +82,29 @@ class TestClassBound:
     def test_violation_raises_for_noncomposite_claim(self):
         A = [F(v) for v in range(1, 10)]
         fam = build_family(P("x^2 + 2 x y + y^2"), A)
-        with pytest.raises(BoundViolated):
+        with pytest.raises(BoundViolated) as exc:
             check_class_bound(fam, composite=False)
+        # one largest-class rule for both witnesses
+        assert exc.value.witness == check_class_bound(fam, composite=True).composite_witness
+
+    def test_violation_witness_breaks_ties_by_key(self):
+        # (x + 2y)^2 keys the pair by c = 2b - a; over 1..17 each odd c in
+        # 1..17 has 9 > 8 members, and the tie goes to the largest key, c = 17
+        A = [F(v) for v in range(1, 18)]
+        fam = build_family(P("x^2 + 4 x y + 4 y^2"), A)
+        with pytest.raises(BoundViolated) as exc:
+            check_class_bound(fam, composite=False)
+        key, members = exc.value.witness
+        assert key == (F(289), F(34), F(1)) and len(members) == 9
+        assert exc.value.witness == check_class_bound(fam, composite=True).composite_witness
 
 
 class TestIncidence:
     def test_product_small_grid_against_double_loop(self):
         f = P("x y")
         A = [F(1), F(2), F(3)]
-        sig = sigma_scan(f, sigma_candidates(f))
-        rep, fam = incidence_report(f, A, sig)
+        cands = sigma_candidates(f)
+        rep, fam = incidence_report(f, A, cands)
         assert rep.point_count == 30  # 5 sums x 6 values, nothing removed
         assert rep.curve_count == 9
         # independent full double loop over points x curves
@@ -106,29 +119,29 @@ class TestIncidence:
         # every curve through (a, b) passes through (a' + a, f(a', b))
         f = P("x y")
         A = [F(1), F(2), F(3)]
-        sig = sigma_scan(f, sigma_candidates(f))
-        rep, _ = incidence_report(f, A, sig)
+        cands = sigma_candidates(f)
+        rep, _ = incidence_report(f, A, cands)
         assert rep.per_curve_min >= -(-len(A) // f.total_degree)
 
     def test_empty_set(self):
         f = P("x y")
-        sig = sigma_scan(f, [F(0)])
-        rep, fam = incidence_report(f, [], sig)
+        rep, fam = incidence_report(f, [], [F(0)])
         assert rep.point_count == 0 and rep.incidences == 0
         assert rep.per_curve_min == 0 and rep.curve_count == 0
 
     def test_alpha_beta_are_degree_derived(self):
         f = P("x^3 + x y")
-        sig = sigma_scan(f, sigma_candidates(f))
-        rep, _ = incidence_report(f, [F(1), F(2)], sig)
+        cands = sigma_candidates(f)
+        rep, _ = incidence_report(f, [F(1), F(2)], cands)
         assert rep.alpha == 3 and rep.beta == 9
 
     def test_representative_independence(self):
         # counts depend only on the key, so recounting from any member agrees
         f = P("x^2 + 2 x y + y^2")
         A = [F(1), F(2), F(3), F(4)]
-        sig = sigma_scan(f, sigma_candidates(f))
-        rep, fam = incidence_report(f, A, sig)
+        cands = sigma_candidates(f)
+        sig = sigma_scan(f, cands)
+        rep, fam = incidence_report(f, A, cands)
         sums = sorted({a + b for a in fam.base for b in fam.base})
         vals = {f(a, b) for a in fam.base for b in fam.base} - set(
             sig.found_values
@@ -163,7 +176,7 @@ class TestIncidence:
         f = P("x^2 + 2 x y + y^2")
         sig = sigma_scan(f, lams)
         assert sig.found_values == tuple(lams)
-        rep, _ = incidence_report(f, A, sig)
+        rep, _ = incidence_report(f, A, lams)
         sums = sorted(naive_sumset(A))
         values = naive_image(lambda a, b: (a + b) ** 2, A)
         assert set(removed) <= values
@@ -221,8 +234,9 @@ class TestRationalSets:
         base = [b for b in A if not naive_zero_row(terms, b)]
         values = sorted(naive_image(lambda a, b: naive_eval(terms, a, b), base))
         cands = data.draw(st.lists(st.sampled_from(values), max_size=3)) if values else []
-        sig = sigma_scan(f, sorted({F(0), *cands}))
-        rep, _ = incidence_report(f, A, sig)
+        lams = sorted({F(0), *cands})
+        sig = sigma_scan(f, lams)
+        rep, _ = incidence_report(f, A, lams)
         kept = [v for v in values if v not in set(sig.found_values)]
         points = [(s, v) for s in sorted(naive_sumset(base)) for v in kept]
         keys = sorted({curve_key(f, a, b) for a in base for b in base})

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,6 +48,21 @@ CORPUS = [
         "incidence-random",
         ["incidence", "--poly", "x^3 + y", "--set", "RandomInt(12,-20,20,5)"],
         False,
+    ),
+    (
+        "incidence-sigma-rows-rational",
+        ["incidence", "--poly", "x^2 + 2 x y + y^2", "--set", "AP(6,1/2,1/2)"],
+        False,
+    ),
+    (
+        "incidence-sigma-rows-random",
+        ["incidence", "--poly", "x^2 - y^2", "--set", "RandomInt(10,-30,30,3)"],
+        False,
+    ),
+    (
+        "incidence-sigma-rows-negative",
+        ["incidence", "--poly", "x^3 + x y", "--set", "AP(12,-3,1)"],
+        True,
     ),
     (
         "scan-ap",
@@ -96,6 +112,18 @@ GOLDEN = {
     "incidence-random": {
         "stdout": "576947ec22719d9ff64c73f3cb852b27498697a6831347d6f313ab3628afe716",
     },
+    # recorded before incidence stopped running the whole sigma scan
+    "incidence-sigma-rows-rational": {
+        "stdout": "3f9107a36508347c51fec19a133ad79cb52cf62cbda00bcdf9eecbde4a65c9be",
+    },
+    "incidence-sigma-rows-random": {
+        "stdout": "025d6c627c541ffc83a623280ad0b82dd14a99b2df86b0b9501cac580c53d192",
+    },
+    "incidence-sigma-rows-negative": {
+        "stdout": "a1f72069540faa3e6dd4378368c00b51e84f44c3103e22bbdf8f6d466dbe3c70",
+        "histogram.csv": "56d3309d8fbaf580c84c9db4866967ed108f3064022549e5bd7cd4b512adad1a",
+        "incidence.json": "a1f72069540faa3e6dd4378368c00b51e84f44c3103e22bbdf8f6d466dbe3c70",
+    },
     "scan-ap": {
         "stdout": "b18c90af5c5278260e5cc3a08e059ee82f2ab8a1778c8ea926b2972384c16116",
         "records.csv": "8dda270a2f7680c1c20e638276cd891b86e79720ddeed8ca1c5a6a2611ad3ea7",
@@ -140,6 +168,23 @@ def run_case(argv, writes, out: Path) -> tuple[int, dict[str, str]]:
 
 @pytest.mark.parametrize(("case", "argv", "writes"), CORPUS, ids=[c[0] for c in CORPUS])
 def test_outputs_match_golden(case, argv, writes, tmp_path):
+    code, digests = run_case(argv, writes, tmp_path / "out")
+    assert code == 0
+    assert digests == GOLDEN[case]
+
+
+def test_incidence_needs_no_factorization(monkeypatch, tmp_path):
+    # incidence only asks whether f - lambda is reducible; it factors nothing
+    # and never runs the sigma scan, so both may fail without changing a byte
+    def refuse(*args, **kwargs):
+        raise RuntimeError("incidence called a certificate builder")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sumprod" or name.startswith("sumprod."):
+            for attr in ("factor_rational", "sigma_scan"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    case, argv, writes = next(c for c in CORPUS if c[0] == "incidence-sigma-rows")
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0
     assert digests == GOLDEN[case]
