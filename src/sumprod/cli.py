@@ -42,7 +42,7 @@ from .explorer import (
 from .factor import DEFAULT_DEGREE_CAP
 from .geometry import check_class_bound, incidence_report
 from .parsing import PolyParseError, format_bipoly, format_unipoly, load_poly
-from .spectrum import DEFAULT_SWEEP_HEIGHT, sigma_candidates, sigma_scan
+from .spectrum import DEFAULT_SWEEP_HEIGHT, rational_critical_values, sigma_candidates, sigma_scan
 
 _SPEC_RE = re.compile(r"^(ap|gp|randomint|random)\(([^)]*)\)$", re.IGNORECASE)
 
@@ -190,10 +190,17 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _sweep_height(args) -> int:
+    if args.sweep_height < 0:
+        raise ValueError(f"--sweep-height must be >= 0, got {args.sweep_height}")
+    return args.sweep_height
+
+
 def cmd_sigma(args) -> int:
+    height = _sweep_height(args)
     f = load_poly(args.poly)
     extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
-    cands = sigma_candidates(f, extra=extra, sweep_height=args.sweep_height)
+    cands = sigma_candidates(f, extra=extra, sweep_height=height)
     report = sigma_scan(f, cands, cap=args.degree_cap)
     payload = report.to_dict()
     lines = [
@@ -208,10 +215,13 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_incidence(args) -> int:
+    height = _sweep_height(args)
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
-    cands = sigma_candidates(f, sweep_height=args.sweep_height) if f.total_degree >= 2 else []
-    report, family = incidence_report(f, A.elements, cands)
+    if f.total_degree >= 2:
+        report, family = incidence_report(f, A.elements, rational_critical_values(f), height)
+    else:
+        report, family = incidence_report(f, A.elements)
     degenerate = is_degenerate(f) is not None
     verdict = is_composite(f) if (f.total_degree >= 2 and not degenerate) else None
     composite = bool(verdict.composite) if verdict else False

@@ -11,11 +11,12 @@ The arithmetic runs in Python ints after one exact rescaling
 (`poly.integer_grid`): with D the lcm of the denominators of the set and
 S = L * D^k, L the lcm of f's coefficient denominators, the row of b is
 X -> S * f(X / D, b), and the pair (a, b) is keyed by the integer Taylor
-shift row_b(X - D a) = S * T(X / D). Its coefficient i is S t_i / D^i, so
-two integer keys agree exactly when the curves do, and as S / D^i > 0 they
-sort as the Fraction keys do. A class holds the index pairs of its members
-in the pruned set. Keys and members stay integers: the Fraction coefficients
-t_i and pairs (a, b) appear only at the edge, through `CurveFamily.curve_key`
+shift row_b(X - D a) = S * T(X / D), taken for all a of a row at once
+(`poly.shift_all`). Its coefficient i is S t_i / D^i, so two integer keys
+agree exactly when the curves do, and as S / D^i > 0 they sort as the
+Fraction keys do. A class holds the index pairs of its members in the
+pruned set. Keys and members stay integers: the Fraction coefficients t_i
+and pairs (a, b) appear only at the edge, through `CurveFamily.curve_key`
 and `CurveFamily.members`. Since a -> D a and v -> S v are increasing
 bijections, every count, equality and order is the one over Q.
 
@@ -24,10 +25,13 @@ scaled difference set (A'+A') - A' with row_b(d) a kept scaled value. The
 curve of (a, b) meets the point (s, v) exactly when row_b(D s - D a) = S v,
 and D s - D a always lies in that difference set, so the class of (a, b)
 has #{d in H_b : d + D a in D (A'+A')} incidences. Each row is evaluated
-once per distinct argument, not once per class and sum. A candidate lambda
-= n/q in lowest terms is the scaled value n S / q when q divides n S, and
-no value otherwise; only candidates on a scaled value are tested, on one
-`FiberPencil` of f, and their rows removed when f - lambda is reducible.
+at the whole difference set in one batched pass (`poly.horner_all`), not
+once per class and sum. A candidate lambda = n/q in lowest terms is the
+scaled value n S / q when q divides n S, and no value otherwise; only
+candidates on a scaled value are tested, on one `FiberPencil` of f, and
+their rows removed when f - lambda is reducible. The small-height sweep,
++-n/q for coprime n, q <= h and 0, is read off the grid the same way in
+integers, with no Fraction list built or sorted.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import BoundViolated, CertificationFailed, DegenerateSystem
 from .factor import FactorList, FiberPencil, factor_rational, rational_roots
@@ -42,12 +47,13 @@ from .poly import (
     BiPoly,
     IntegerGrid,
     bi_gcd,
-    horner_int,
+    horner_all,
     integer_grid,
     resultant_eliminating,
-    shift_int,
+    shift_all,
     uni_gcd,
 )
+from .spectrum import coprime_pairs
 
 CurveKey = tuple[int, ...]  # row_b(X - D a) = S * T(X / D), see the module docstring
 
@@ -100,9 +106,10 @@ def build_family(f: BiPoly, A) -> CurveFamily:
     kept = tuple(b for b, row in zip(elements, full.rows) if row)
     grid = integer_grid(f, kept) if removed else full
     groups: dict[CurveKey, list[tuple[int, int]]] = {}
+    shifts = tuple(-p for p in grid.points)
     for j, row in enumerate(grid.rows):
-        for i, p in enumerate(grid.points):
-            groups.setdefault(shift_int(row, -p), []).append((i, j))
+        for i, key in enumerate(shift_all(row, shifts)):
+            groups.setdefault(key, []).append((i, j))
     classes = {key: tuple(sorted(v)) for key, v in groups.items()}
     return CurveFamily(classes=classes, removed_b=removed, base=kept, degree=k, grid=grid)
 
@@ -160,16 +167,19 @@ class IncidenceReport:
     removed_points: int
 
 
-def incidence_report(f: BiPoly, A, candidates) -> tuple[IncidenceReport, CurveFamily]:
+def incidence_report(
+    f: BiPoly, A, candidates=(), sweep_height: int | None = None
+) -> tuple[IncidenceReport, CurveFamily]:
     """Count exact incidences between the pruned grid and the curve family.
 
     Points are (sum, value) pairs from (A'+A') x f(A', A') minus the rows
     whose value is a candidate lambda with f - lambda reducible over C (only
-    candidates on the grid are tested, and no fiber is factored). Each curve
-    is a graph, so it meets a column of the grid at most once and the count
-    per curve is the number of sums s with T(s) a kept value. On the integer
-    grid that is the number of d in the row's hit set H_b with
-    d + D a in D (A'+A') (see the module docstring).
+    candidates on the grid are tested, and no fiber is factored): the given
+    `candidates`, plus `spectrum.sweep_candidates(sweep_height)` unless the
+    height is None. Each curve is a graph, so it meets a column of the grid
+    at most once and the count per curve is the number of sums s with T(s) a
+    kept value. On the integer grid that is the number of d in the row's hit
+    set H_b with d + D a in D (A'+A') (see the module docstring).
     """
     family = build_family(f, A)
     grid = family.grid
@@ -181,11 +191,16 @@ def incidence_report(f: BiPoly, A, candidates) -> tuple[IncidenceReport, CurveFa
         v, r = divmod(lam.numerator * S, lam.denominator)
         if not r and v in values:
             on_grid[v] = lam
+    if sweep_height is not None:
+        on_grid.update((v, Fraction(v, S)) for v in _sweep_on_grid(values, S, sweep_height))
     pencil = FiberPencil(f) if on_grid else None
     removed = {v for v, lam in on_grid.items() if pencil.status(lam).reducible}
     kept_values = values - removed
-    diffs = {s - p for s in sums for p in grid.points}
-    hits = [tuple(d for d in diffs if horner_int(row, d) in kept_values) for row in grid.rows]
+    diffs = tuple({s - p for s in sums for p in grid.points})
+    hits = [
+        tuple(compress(diffs, map(kept_values.__contains__, horner_all(row, diffs))))
+        for row in grid.rows
+    ]
     firsts = (members[0] for members in family.classes.values())
     per_curve = [len(sums.intersection(map(grid.points[i].__add__, hits[j]))) for i, j in firsts]
     total = sum(per_curve)
@@ -212,6 +227,18 @@ def incidence_report(f: BiPoly, A, candidates) -> tuple[IncidenceReport, CurveFa
         removed_points=len(sums) * len(removed),
     )
     return report, family
+
+
+def _sweep_on_grid(values: set[int], S: int, height: int) -> list[int]:
+    """The scaled values S * lambda in `values` of the sweep lambdas: 0 and
+    +-n/q for coprime 1 <= n, q <= height. As gcd(n, q) = 1, S n / q is an
+    integer exactly when q divides S."""
+    out = [0] if 0 in values else []
+    for n, q in coprime_pairs(height):
+        if not S % q:
+            v = n * (S // q)
+            out += (w for w in (v, -v) if w in values)
+    return out
 
 
 @dataclass(frozen=True)

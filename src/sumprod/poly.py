@@ -313,14 +313,15 @@ class UniPoly(_Poly):
         With a = u / w and N the numerators of p, of degree m, the integer
         polynomial C(z) = sum_k N_k w^(m - k) (z + u)^k gives
         N(x + a) = w^(-m) C(w x), so coefficient k of p(x + a) is
-        C_k w^k / (d w^m).
+        C_k w^k / (d w^m). C is the integer shift `shift_all` at the one
+        point u.
         """
         a = _rat(a)
         if not a or self.is_zero:
             return self
         u, w = a.numerator, a.denominator
         m = self.degree
-        c = shift_int(tuple(self.n.get(k, 0) * w ** (m - k) for k in range(m + 1)), u)
+        (c,) = shift_all(tuple(self.n.get(k, 0) * w ** (m - k) for k in range(m + 1)), (u,))
         return UniPoly._over({k: v * w**k for k, v in enumerate(c) if v}, self.d * w**m)
 
     def compose(self, inner):
@@ -496,7 +497,10 @@ class IntegerGrid:
     increasing bijections: equalities, counts and order carry over exactly.
 
     `image` evaluates each row at all points at once (`horner_all`): one
-    pass over the points per coefficient below the row's leading one. D, L
+    pass over the points per coefficient below the row's leading one. The
+    incidence count evaluates each row at the scaled difference set the same
+    way, and the curve keys row_b(X - D a) of a row are its Taylor shifts by
+    every -D a at once (`shift_all`). D, L
     and k, hence S, are the same for f and for f with x and y swapped, and
     both range over all of A x A, so the grid of the swapped polynomial has
     the same image; when deg_y < deg_x its rows are the shorter ones.
@@ -565,13 +569,22 @@ def horner_all(row: tuple[int, ...], xs: tuple[int, ...]) -> list[int]:
     return vals
 
 
-def shift_int(row: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """Ascending coefficients of p(X + t), for p given by an integer row."""
-    c = list(row)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += t * c[j + 1]
-    return tuple(c)
+def shift_all(row: tuple[int, ...], ts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Ascending coefficients of p(X + t) for every t in ts, p given by an
+    integer row.
+
+    The Taylor shift by repeated synthetic division, c_j += t c_(j+1) for
+    j = m - 1 down to i at steps i = 0, ..., m - 1, with each coefficient
+    held as a list over ts: one list pass per (i, j) step. The leading
+    coefficient never changes.
+    """
+    if len(row) < 2:
+        return [tuple(row)] * len(ts)
+    c = [[v] * len(ts) for v in row]
+    for i in range(len(row) - 1):
+        for j in range(len(row) - 2, i - 1, -1):
+            c[j] = [v + t * w for v, t, w in zip(c[j], ts, c[j + 1])]
+    return list(zip(*c))
 
 
 # ---------------------------------------------------------------------------
@@ -836,12 +849,16 @@ def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
 
 def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
     """Ascending coefficients mod p of the polynomial of degree < len(xs)
-    through the points (xs[i], ys[i]), by Newton's divided differences."""
+    through the points (xs[i], ys[i]), by Newton's divided differences.
+
+    Each distinct difference xs[i] - xs[j] is inverted once per call; at the
+    consecutive points of a resultant there are only len(xs) - 1 of them.
+    """
     n = len(xs)
+    inverse = {d: pow(d, -1, p) for d in {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}}
     c = list(ys)
     for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - k], -1, p) % p
+        c[k:] = [(c[i] - c[i - 1]) * inverse[xs[i] - xs[i - k]] % p for i in range(k, n)]
     out = [c[-1]]
     for k in range(n - 2, -1, -1):
         # out <- out * (X - xs[k]) + c[k]

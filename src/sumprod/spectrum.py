@@ -14,8 +14,10 @@ completeness over all complex lambda is not claimed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FactorBudgetExceeded
 from .factor import (
@@ -151,13 +153,20 @@ def rational_critical_values(f: BiPoly) -> list[Fraction]:
         return []
 
 
+def coprime_pairs(height: int) -> Iterator[tuple[int, int]]:
+    """The pairs (n, q) with 1 <= n, q <= height and gcd(n, q) = 1: the
+    nonzero sweep values are exactly the +-n/q, each once."""
+    for q in range(1, height + 1):
+        for n in range(1, height + 1):
+            if gcd(n, q) == 1:
+                yield n, q
+
+
 def sweep_candidates(height: int = DEFAULT_SWEEP_HEIGHT) -> list[Fraction]:
     """All reduced p/q with |p| <= height and 1 <= q <= height, plus zero."""
-    out = {Fraction(0)}
-    for q in range(1, height + 1):
-        for p in range(1, height + 1):
-            out.add(Fraction(p, q))
-            out.add(Fraction(-p, q))
+    out = [Fraction(0)]
+    for n, q in coprime_pairs(height):
+        out += Fraction(n, q), Fraction(-n, q)
     return sorted(out)
 
 

@@ -203,6 +203,18 @@ def curve_key(f: BiPoly, a: F, b: F) -> tuple:
     return tuple(out.get(k, F(0)) for k in range(deg + 1))
 
 
+# The Fraction reference for the small-height sweep: every reduced p/q with
+# |p| <= height and 1 <= q <= height, plus zero, collected one Fraction at a
+# time.
+def fraction_sweep(height: int) -> list:
+    out = {F(0)}
+    for q in range(1, height + 1):
+        for p in range(1, height + 1):
+            out.add(F(p, q))
+            out.add(F(-p, q))
+    return sorted(out)
+
+
 def fraction_classes(fam) -> dict:
     """The classes of a `CurveFamily` in its Fraction view, in class order:
     curve coefficients -> sorted (a, b) members."""

@@ -94,6 +94,11 @@ class TestSigmaCommand:
         assert all(hit.revalidate(f) for hit in report.found)
         assert any(h["certificate"]["kind"] == "rational-factorization" for h in data["found"])
 
+    def test_sweep_height_zero_tests_zero(self, capsys):
+        assert main(["sigma", "--poly", "x*y", "--sweep-height", "0", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [h["lambda"] for h in data["found"]] == ["0"]
+
     def test_factor_budget_exit_code(self, capsys):
         # the fiber at 0 splits over C, and its factor search needs this
         # 100-bit semiprime factored, which Brent's rho cannot do in budget
@@ -302,9 +307,12 @@ class TestMalformedInput:
             ["classify", "--poly", '{"terms":[{"i":1}]}'],
             ["classify", "--poly", '{"terms":5}'],
             ["classify", "--poly", '{"terms":[{"i":1,"j":1,"num":"a"}]}'],
+            ["sigma", "--poly", "x y", "--sweep-height", "-2"],
+            ["incidence", "--poly", "x y", "--set", "AP(8,1,1)", "--sweep-height", "-1"],
         ],
         ids=["ap_arity", "gp_arity", "random_arity", "set_file_zero_den", "extra_zero_den",
-             "json_missing_key", "json_terms_not_list", "json_num_not_int"],
+             "json_missing_key", "json_terms_not_list", "json_num_not_int",
+             "sigma_negative_sweep", "incidence_negative_sweep"],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
         setfile = tmp_path / "set.txt"

@@ -11,6 +11,7 @@ from sumprod.errors import BoundViolated, DegenerateSystem
 from sumprod.geometry import (
     CommonFactor,
     SolutionCount,
+    _sweep_on_grid,
     build_family,
     check_class_bound,
     curve_pair_solutions,
@@ -24,6 +25,7 @@ from conftest import (
     curve_key,
     double_loop_incidences,
     fraction_classes,
+    fraction_sweep,
     naive_eval,
     naive_image,
     naive_sumset,
@@ -186,6 +188,18 @@ class TestIncidence:
         assert rep.removed_points == len(sums) * len(removed)
         assert rep.point_count == len(sums) * len(kept)
         assert rep.incidences == total and rep.per_curve_min == min(per)
+
+
+class TestSweepOnGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5040), st.sets(st.integers(-500, 500), max_size=20), st.integers(0, 7), st.data())
+    def test_matches_fraction_sweep(self, S, values, h, data):
+        # values hold 0, negatives, and scaled sweep values of other heights
+        scaled = sorted({int(lam * S) for lam in fraction_sweep(7) if (lam * S).denominator == 1})
+        values |= {0, *data.draw(st.lists(st.sampled_from(scaled), max_size=10))}
+        sweep = set(fraction_sweep(h))
+        got = _sweep_on_grid(values, S, h)
+        assert sorted(got) == sorted(v for v in values if F(v, S) in sweep)
 
 
 class TestRationalSets:

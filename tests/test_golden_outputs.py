@@ -65,6 +65,18 @@ CORPUS = [
         True,
     ),
     (
+        "incidence-sweep-0-random",
+        ["incidence", "--poly", "x^2 - y^2", "--set", "RandomInt(10,-30,30,3)",
+         "--sweep-height", "0"],
+        False,
+    ),
+    (
+        "incidence-sweep-1-rational",
+        ["incidence", "--poly", "x^2 + 2 x y + y^2", "--set", "AP(6,1/2,1/2)",
+         "--sweep-height", "1"],
+        False,
+    ),
+    (
         "scan-ap",
         ["scan", "--poly", "x^3 + x y", "--family", "AP", "--sizes", "8,16,32"],
         True,
@@ -118,6 +130,13 @@ GOLDEN = {
     },
     "incidence-sigma-rows-random": {
         "stdout": "025d6c627c541ffc83a623280ad0b82dd14a99b2df86b0b9501cac580c53d192",
+    },
+    # recorded before incidence decided sweep membership in integers
+    "incidence-sweep-0-random": {
+        "stdout": "2994a9a06e6893cf6f33ec9559b2fbda12e12a5020927b28619d452b7afa5386",
+    },
+    "incidence-sweep-1-rational": {
+        "stdout": "ed4656c3cf11a1c22acee462ddb36581e0732e949f612d5c224e0517c919a086",
     },
     "incidence-sigma-rows-negative": {
         "stdout": "a1f72069540faa3e6dd4378368c00b51e84f44c3103e22bbdf8f6d466dbe3c70",
@@ -185,6 +204,24 @@ def test_incidence_needs_no_factorization(monkeypatch, tmp_path):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     case, argv, writes = next(c for c in CORPUS if c[0] == "incidence-sigma-rows")
+    code, digests = run_case(argv, writes, tmp_path / "out")
+    assert code == 0
+    assert digests == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["incidence-sigma-rows-rational", "incidence-sweep-1-rational"])
+def test_incidence_builds_no_candidate_list(case, monkeypatch, tmp_path):
+    # incidence reads its sweep off the grid in integers, so the Fraction
+    # candidate lists may fail without changing a byte
+    def refuse(*args, **kwargs):
+        raise RuntimeError("incidence built a Fraction candidate list")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sumprod" or name.startswith("sumprod."):
+            for attr in ("sweep_candidates", "sigma_candidates"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    argv, writes = next((a, w) for c, a, w in CORPUS if c == case)
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0
     assert digests == GOLDEN[case]

@@ -19,15 +19,17 @@ from sumprod.poly import (
     BiPoly,
     UniPoly,
     bi_divexact,
+    _interpolate_mod,
     bi_gcd,
     resultant_eliminating,
+    shift_all,
     uni_gcd,
     uni_resultant,
 )
 from sumprod.parsing import parse_poly as P
 
 from conftest import (
-    grid_rationals, naive_add, naive_derivative, naive_eval, naive_mul, naive_pow, naive_primitive,
+    _uni_lagrange, curve_key, grid_rationals, naive_add, naive_derivative, naive_eval, naive_mul, naive_pow, naive_primitive,
     naive_specialize_y, naive_swap, rational_grid_polys, to_terms, uni_gcd_subresultant,
 )
 
@@ -164,6 +166,39 @@ class TestIntegerCore:
             assert g == scaled[0] and hash(g) == hash(scaled[0])
         u = UniPoly({i: v for (i, _), v in ints.items()})
         assert u.to_bipoly("x").to_unipoly()[0] == u and hash(u * s * (1 / s)) == hash(u)
+
+
+class TestBatchedIntegerRoutines:
+    """The batched integer routines of the grid and of the resultants
+    against the Fraction oracles."""
+
+    @given(
+        st.lists(st.lists(st.integers(-(10**6), 10**6), max_size=6), min_size=1, max_size=4),
+        st.lists(st.one_of(st.integers(-9, 9), huge), max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_shift_all_matches_binomial_oracle(self, rows, ts):
+        # rows of mixed lengths from the empty and the constant row up; shifts
+        # negative, zero and of up to 45 digits
+        for row in rows:
+            got = shift_all(tuple(row), tuple(ts))
+            assert len(got) == len(ts)
+            f = BiPoly({(i, 0): c for i, c in enumerate(row)})
+            for t, key in zip(ts, got):
+                want = curve_key(f, F(-t), F(1))
+                assert all(type(c) is int for c in key)
+                assert key == want + (0,) * (len(row) - len(want))
+
+    @given(st.sets(st.integers(0, 80), min_size=1, max_size=14), st.sampled_from([101, 2**61 - 1]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interpolate_mod_on_gapped_points_matches_lagrange(self, xs, p, data):
+        # resultant_eliminating skips the points where a leading coefficient
+        # vanishes mod p, so the points come with gaps
+        xs = sorted(xs)
+        ys = data.draw(st.lists(st.integers(0, p - 1), min_size=len(xs), max_size=len(xs)))
+        want = _uni_lagrange([(x, F(y)) for x, y in zip(xs, ys)])
+        want += [F(0)] * (len(xs) - len(want))
+        assert _interpolate_mod(xs, ys, p) == [c.numerator * pow(c.denominator, -1, p) % p for c in want]
 
 
 class TestArith:

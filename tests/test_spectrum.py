@@ -24,7 +24,7 @@ from sumprod.spectrum import (
     sweep_candidates,
 )
 
-from conftest import LARGE_ELIMINANT, NON_COMPOSITE, naive_image, CORPUS_EVAL
+from conftest import LARGE_ELIMINANT, NON_COMPOSITE, naive_image, CORPUS_EVAL, fraction_sweep
 
 
 class TestCandidates:
@@ -47,6 +47,10 @@ class TestCandidates:
         sw = sweep_candidates(1)
         assert sw == [F(-1), F(0), F(1)]
         assert F(2, 5) in sweep_candidates(5)
+
+    def test_sweep_matches_fraction_oracle(self):
+        for height in range(8):
+            assert sweep_candidates(height) == fraction_sweep(height)
 
     def test_skipped_critical_values_are_reported(self, monkeypatch, caplog):
         def out_of_budget(p):
