@@ -10,13 +10,11 @@ from .classify import (
     CompositenessVerdict,
     Decomposition,
     LinearForm,
-    ShiftSamples,
     decompose_composite,
     decompose_fully,
     is_composite,
     is_degenerate,
     normalize_orientation,
-    reconstruct_shift_decomposition,
 )
 from .errors import (
     BoundViolated,
@@ -27,7 +25,6 @@ from .errors import (
     DegreeCapExceeded,
     FactorBudgetExceeded,
     HypothesisViolated,
-    InsufficientSamples,
     NotSquarefree,
     SumprodError,
     UnivariateInput,
@@ -38,8 +35,6 @@ from .explorer import (
     GpSpec,
     RandomIntSpec,
     RatSet,
-    UnionSpec,
-    check_core_inequality,
     generate_set,
     image_set,
     run_scan,
@@ -72,7 +67,6 @@ from .poly import (
     bi_gcd,
     resultant_eliminating,
     uni_gcd,
-    uni_resultant,
 )
 from .spectrum import (
     PrunedGrid,

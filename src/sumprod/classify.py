@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    CertificationFailed,
-    ConstantPolynomial,
-    HypothesisViolated,
-    InsufficientSamples,
-)
+from .errors import CertificationFailed, ConstantPolynomial, HypothesisViolated
 from .factor import FiberPencil
 from .poly import BiPoly, UniPoly
 
@@ -64,18 +59,6 @@ class Decomposition:
         if self.kind == "composite" and self.outer.degree < 2:
             return False
         return self.expand() == f
-
-
-@dataclass(frozen=True)
-class ShiftSamples:
-    """Rows (a_i, b_i) with pairwise distinct a_i."""
-
-    pairs: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        avals = [a for a, _ in self.pairs]
-        if len(set(avals)) != len(avals):
-            raise ValueError("sample rows must have pairwise distinct a values")
 
 
 @dataclass(frozen=True)
@@ -303,39 +286,3 @@ def decompose_composite(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
             raise CertificationFailed("decomposition chain failed to re-expand")
         return inner, chain
     raise CertificationFailed("composite polynomial without an extractable inner")
-
-
-def reconstruct_shift_decomposition(
-    f: BiPoly, outer: UniPoly, samples: ShiftSamples
-) -> BiPoly | None:
-    """Rebuild the inner polynomial x + b(y) from shifted-fiber samples.
-
-    Given rows satisfying f(x, a_i) = outer(x + b_i) for more than
-    (total degree)^2 distinct a_i, the coefficient of x^(m-1) in f determines
-    b(y) = (that coefficient - q_{m-1}) / (m * q_m) with m = deg outer, and
-    the reconstruction is verified by exact re-expansion. Returns None when
-    verification fails.
-    """
-    k = f.total_degree
-    if k < 2:
-        raise ValueError("reconstruction needs total degree >= 2")
-    m = outer.degree
-    if m < 1:
-        raise ValueError("outer polynomial must be nonconstant")
-    if len(samples.pairs) < k * k + 1:
-        raise InsufficientSamples(
-            f"need at least {k * k + 1} rows, got {len(samples.pairs)}"
-        )
-    for a, b in samples.pairs:
-        if f.specialize_y(a) != outer.shift(b):
-            raise HypothesisViolated(
-                f"row a={a}, b={b} fails the shifted-fiber relation"
-            )
-    coeff_m1 = f.coeffs_in_x().get(m - 1, UniPoly.zero())
-    b_of_y = (coeff_m1 - UniPoly.const(outer.coeff(m - 1))) * (
-        Fraction(1) / (outer.coeff(m) * m)
-    )
-    inner = BiPoly.x() + b_of_y.to_bipoly("y")
-    if outer.compose_bi(inner) != f:
-        return None
-    return inner

@@ -34,10 +34,6 @@ class ConstantPolynomial(SumprodError):
     """Operation is undefined for constant polynomials."""
 
 
-class InsufficientSamples(SumprodError):
-    """Too few distinct sample rows for the shift reconstruction."""
-
-
 class HypothesisViolated(SumprodError):
     """Input data does not satisfy the hypotheses the operation relies on."""
 

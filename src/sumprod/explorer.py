@@ -73,16 +73,7 @@ class RandomIntSpec:
         return f"RandomInt(n={self.n},lo={self.lo},hi={self.hi},seed={self.seed})"
 
 
-@dataclass(frozen=True)
-class UnionSpec:
-    parts: tuple
-
-    def describe(self) -> str:
-        inner = ",".join(p.describe() for p in self.parts)
-        return f"Union({inner})"
-
-
-SetSpec = ApSpec | GpSpec | RandomIntSpec | UnionSpec
+SetSpec = ApSpec | GpSpec | RandomIntSpec
 
 
 @dataclass(frozen=True)
@@ -142,11 +133,6 @@ def generate_set(spec: SetSpec) -> RatSet:
             )
         rng = random.Random(spec.seed)
         elems = _over(rng.sample(range(spec.lo, spec.hi + 1), spec.n), 1)
-    elif isinstance(spec, UnionSpec):
-        merged = set()
-        for part in spec.parts:
-            merged.update(generate_set(part).elements)
-        elems = sorted(merged)
     else:
         raise TypeError(f"unknown spec {spec!r}")
     return RatSet(tuple(elems), spec.describe())
@@ -272,29 +258,3 @@ def run_scan(
         violations=sum(1 for r in records if r.floor_violation),
     )
     return ScanResult(tuple(records), summary)
-
-
-@dataclass(frozen=True)
-class CoreInequalityReport:
-    image_f: int
-    image_core: int
-    chain_degree: int
-    ok: bool
-
-
-def check_core_inequality(f: BiPoly, A: RatSet) -> CoreInequalityReport:
-    """Verify |f(A,A)| >= |core(A,A)| / (product of outer degrees) exactly."""
-    from .classify import decompose_fully
-
-    core, chain = decompose_fully(f)
-    deg = 1
-    for q in chain:
-        deg *= q.degree
-    img_f = len(image_set(f, A))
-    img_core = len(image_set(core, A))
-    return CoreInequalityReport(
-        image_f=img_f,
-        image_core=img_core,
-        chain_degree=deg,
-        ok=img_f * deg >= img_core,
-    )

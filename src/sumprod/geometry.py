@@ -124,6 +124,13 @@ class ClassBoundReport:
     ok: bool
 
 
+def _largest_class(family: CurveFamily) -> tuple[tuple[Fraction, ...], tuple] | None:
+    """The largest class, ties going to the largest key, in the Fraction view."""
+    classes = family.classes
+    key = max(classes, key=lambda kk: (len(classes[kk]), kk), default=None)
+    return None if key is None else (family.curve_key(key), family.members(key))
+
+
 def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
     """Check the k^3 class-size ceiling and the |A'|^2/k^3 class-count floor,
     k the family's degree.
@@ -133,19 +140,16 @@ def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
     class, ties going to the largest key, in the Fraction view (`curve_key`,
     `members`); the integer keys order as the Fraction ones do.
     """
-    classes = family.classes
     n = len(family.base)
     bound = family.degree**3
     mx = family.max_class_size
     cnt = family.class_count
-    key = max(classes, key=lambda kk: (len(classes[kk]), kk), default=None)
-    witness = None if key is None else (family.curve_key(key), family.members(key))
     if composite:
-        return ClassBoundReport(mx, cnt, bound, n * n, witness, ok=True)
+        return ClassBoundReport(mx, cnt, bound, n * n, _largest_class(family), ok=True)
     if mx > bound:
         raise BoundViolated(
             f"class of size {mx} exceeds {bound} for a non-composite polynomial",
-            witness=witness,
+            witness=_largest_class(family),
         )
     if cnt * bound < n * n:
         raise BoundViolated(

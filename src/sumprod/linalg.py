@@ -29,7 +29,8 @@ The modular resultants and gcds of `poly` run on the same primes (`_primes`),
 combine their images with `_crt` and lift gcds with `_lift`.
 
 `det_in_ring`, the fraction-free (Bareiss) determinant over an integral
-domain, has no caller in the package; the benchmark tracer still looks it up
+domain, and `rank_mod_prime`, the rank modulo one prime, have no caller in
+the package; they are kept only because the benchmark tracer looks them up
 by name. `rref`, Gauss-Jordan over the rationals, is the reference the tests
 compare the engine against.
 """

@@ -872,11 +872,6 @@ def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
 # resultants
 
 
-def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """Sylvester determinant of two univariate polynomials (p-block first)."""
-    return resultant_eliminating(p.to_bipoly("x"), q.to_bipoly("x"), "x").coeff(0)
-
-
 def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
     """Resultant of f, g with respect to `var`, a polynomial in the other one.
 

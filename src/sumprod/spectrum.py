@@ -197,9 +197,10 @@ def sigma_scan(
     k = f.total_degree
     if k < 2:
         raise ValueError("scan needs total degree >= 2")
+    lams = sorted(set(map(Fraction, candidates)))
     hits = []
     pencil = FiberPencil(f)
-    for lam in sorted(set(Fraction(v) for v in candidates)):
+    for lam in lams:
         status = pencil.status(lam)
         if not status.reducible:
             continue
@@ -215,11 +216,10 @@ def sigma_scan(
             else:
                 cert = AbsReducibleWitness("nullspace", status.abs_count)
         hits.append(SigmaHit(lam, cert))
-    hits.sort(key=lambda h: h.lam)
     return SigmaReport(
         degree_k=k,
         found=tuple(hits),
-        candidate_count=len(set(candidates)),
+        candidate_count=len(lams),
         stein_bound_respected=len(hits) < k,
     )
 

@@ -1,4 +1,4 @@
-"""Degeneracy, compositeness, decomposition, and shift reconstruction."""
+"""Degeneracy, compositeness and decomposition."""
 
 import math
 import random
@@ -12,16 +12,14 @@ from sumprod.classify import (
     LinearForm,
     _jacobian_kernel,
     _jacobian_matrix,
-    ShiftSamples,
     decompose_chain,
     decompose_fully,
     is_composite,
     is_degenerate,
     normalize_orientation,
-    reconstruct_shift_decomposition,
     recompose,
 )
-from sumprod.errors import ConstantPolynomial, HypothesisViolated, InsufficientSamples
+from sumprod.errors import ConstantPolynomial, HypothesisViolated
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 
@@ -251,44 +249,6 @@ class TestDecomposeChain:
             acc = acc.compose(q)
         assert acc == u
         assert all(q.degree == 2 for q in chain)
-
-
-class TestReconstruct:
-    def test_square_of_sum(self):
-        outer = UniPoly({2: 1})
-        f = P("x^2 + 2 x y + y^2")
-        samples = ShiftSamples(tuple((F(i), F(i)) for i in range(5)))
-        inner = reconstruct_shift_decomposition(f, outer, samples)
-        assert inner == P("x + y")
-
-    def test_cube_of_shifted_parabola(self):
-        outer = UniPoly({3: 1})
-        f = outer.compose_bi(P("x + y^2"))
-        k = f.total_degree
-        samples = ShiftSamples(tuple((F(i), F(i) ** 2) for i in range(k * k + 1)))
-        inner = reconstruct_shift_decomposition(f, outer, samples)
-        assert inner == P("x + y^2")
-        assert outer.compose_bi(inner) == f
-
-    def test_bad_samples_raise(self):
-        with pytest.raises(HypothesisViolated):
-            reconstruct_shift_decomposition(
-                P("x y"),
-                UniPoly({2: 1}),
-                ShiftSamples(tuple((F(i), F(i)) for i in range(5))),
-            )
-
-    def test_too_few_rows(self):
-        with pytest.raises(InsufficientSamples):
-            reconstruct_shift_decomposition(
-                P("x^2 + 2 x y + y^2"),
-                UniPoly({2: 1}),
-                ShiftSamples(((F(0), F(0)), (F(1), F(1)))),
-            )
-
-    def test_distinct_rows_enforced(self):
-        with pytest.raises(ValueError):
-            ShiftSamples(((F(1), F(2)), (F(1), F(3))))
 
 
 class TestJacobianSystem:

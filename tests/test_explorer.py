@@ -14,8 +14,6 @@ from sumprod.explorer import (
     GpSpec,
     RandomIntSpec,
     RatSet,
-    UnionSpec,
-    check_core_inequality,
     generate_set,
     image_set,
     run_scan,
@@ -50,10 +48,6 @@ class TestGenerators:
         s = RandomIntSpec(5, 1, 100, 7)
         assert generate_set(s).elements == generate_set(s).elements
         assert len(generate_set(s)) == 5
-
-    def test_union(self):
-        A = generate_set(UnionSpec((ApSpec(3, F(1), F(1)), ApSpec(3, F(2), F(2)))))
-        assert A.elements == (F(1), F(2), F(3), F(4), F(6))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -232,26 +226,3 @@ class TestRationalSets:
             assert rec.sumset_size == len(naive_sumset(A))
             assert rec.image_size == len(naive_image(lambda a, b: naive_eval(terms, a, b), A))
             assert rec.removed_rows == sum(naive_zero_row(terms, b) for b in A)
-
-
-class TestCoreInequality:
-    def test_squared_product(self):
-        A = generate_set(ApSpec(3, F(1), F(1)))
-        rep = check_core_inequality(P("x^2 y^2 + 3"), A)
-        assert rep.image_core == 6 and rep.chain_degree == 2
-        assert rep.image_f == 6  # squares of six distinct positive products
-        assert rep.ok
-
-    def test_trivial_chain(self):
-        A = generate_set(ApSpec(3, F(1), F(1)))
-        rep = check_core_inequality(P("x y"), A)
-        assert rep.chain_degree == 1 and rep.image_f == rep.image_core
-        assert rep.ok
-
-    def test_deep_chain(self):
-        inner = P("x^2 + y")
-        f = (inner * inner + 1) ** 2
-        A = generate_set(ApSpec(2, F(0), F(1)))
-        rep = check_core_inequality(f, A)
-        assert rep.chain_degree == 4
-        assert rep.ok

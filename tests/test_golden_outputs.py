@@ -26,6 +26,12 @@ from sumprod.cli import main
 CORPUS = [
     ("classify-square-of-sum", ["classify", "--poly", "x^2 + 2x y + y^2"], False),
     ("classify-chain", ["classify", "--poly", "x^2y^2 + 3"], True),
+    (
+        "classify-nested-chain",
+        ["classify", "--poly",
+         "x^8 + 4 x^6 y + 6 x^4 y^2 + 4 x^2 y^3 + 2 x^4 + y^4 + 4 x^2 y + 2 y^2 + 1"],
+        True,
+    ),
     ("sigma-extra", ["sigma", "--poly", "x^2 + y^2", "--extra-candidates", "1/4,2"], False),
     ("sigma-difference", ["sigma", "--poly", "x^2 - y^2", "--sweep-height", "2"], True),
     ("incidence-ap24", ["incidence", "--poly", "x^3 + x y", "--set", "AP(24,1,1)"], True),
@@ -97,6 +103,13 @@ GOLDEN = {
     "classify-chain": {
         "stdout": "18d35c5309a85d037cf944edafb9dc3c53c13fefca4105699fefeff6eb709baa",
         "classify.json": "18d35c5309a85d037cf944edafb9dc3c53c13fefca4105699fefeff6eb709baa",
+    },
+    # recorded before the shift reconstruction and the core-inequality report
+    # were deleted; the chain t^2 + 2 t + 1 o t^2 o (x^2 + y) is split by
+    # classify._split_right
+    "classify-nested-chain": {
+        "stdout": "b7d6daac22fc153a5fc4ce89f98a71d9c01d4f435f91e642850b98c3e27c1e0d",
+        "classify.json": "b7d6daac22fc153a5fc4ce89f98a71d9c01d4f435f91e642850b98c3e27c1e0d",
     },
     "sigma-extra": {
         "stdout": "0d08aaf68ce91768f2b0eef9aebbae18fede2c3176016f5e81bb877ba81ec84c",

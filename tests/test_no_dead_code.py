@@ -1,0 +1,117 @@
+"""Every top-level function and class in the package has a user.
+
+A definition counts as used when its name appears as an AST `Name` or
+`Attribute` somewhere in `src/sumprod` outside its own definition and outside
+`__init__.py` (whose re-exports use nothing), or as a string in a
+`bench/*.py` file, which is how `bench/tracer.py` names the functions it
+wraps. Tests do not count: a route only tests call is a test helper.
+
+A name that only states a type is not a use: a type annotation, the class
+argument of `isinstance`, or a member of a module-level alias `X = A | B`.
+A class named only there is never built, so its branches never run.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sumprod"
+BENCH = ROOT / "bench"
+
+# kept without a caller in the package, each for its reason
+ALLOWED = {
+    # the Bezout check of acceptance criterion 4: two curves of the family
+    # meet in at most k^2 points unless they share a component
+    "geometry.curve_pair_solutions",
+    # the writer of the JSON wire format that `load_poly` reads back through
+    # `poly_from_json`; the CLI itself writes no polynomial in that format
+    "parsing.poly_to_json",
+}
+
+
+def _type_positions(stmt: ast.stmt) -> list[ast.AST]:
+    """The subtrees of `stmt` that only state a type."""
+    found = []
+    if isinstance(stmt, ast.Assign) and isinstance(getattr(stmt.value, "op", None), ast.BitOr):
+        found.append(stmt.value)
+    for node in ast.walk(stmt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            found += [a.annotation for a in every if a and a.annotation]
+            if node.returns is not None:
+                found.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "isinstance" and len(node.args) == 2:
+                found.append(node.args[1])
+    return found
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    skip = {id(sub) for tree in _type_positions(stmt) for sub in ast.walk(tree)}
+    names = set()
+    for sub in ast.walk(stmt):
+        if id(sub) in skip:
+            continue
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def unused_definitions(src: Path, bench: Path) -> list[str]:
+    """`module.name` of every top-level def or class that nothing uses."""
+    defs = []  # (module, name, the statement that defines it)
+    statements = []  # (statement, names it references)
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            statements.append((stmt, _referenced(stmt)))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, stmt.name, stmt))
+    strings = set().union(*(_strings(ast.parse(p.read_text())) for p in sorted(bench.glob("*.py"))))
+    unused = []
+    for module, name, own in defs:
+        used = name in strings or any(
+            name in refs for stmt, refs in statements if stmt is not own
+        )
+        if not used:
+            unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_definition_has_a_user():
+    unused = unused_definitions(SRC, BENCH)
+    assert sorted(set(unused) - ALLOWED) == []
+    # an exception whose definition went, or gained a user, is dropped here
+    assert sorted(ALLOWED - set(unused)) == []
+
+
+def test_guard_ignores_self_reference_and_init(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .m import exported\n")
+    (src / "m.py").write_text(
+        "def exported():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def called():\n    return 2\n\n"
+        "def traced():\n    return 3\n\n"
+        "class Used:\n    pass\n\n"
+        "class Typed:\n    pass\n\n"
+        "Alias = Used | Typed\n\n"
+        "def user(x: Typed) -> Typed:\n"
+        "    y: Typed = x\n"
+        "    return called() if isinstance(y, Typed) else Used()\n"
+    )
+    (bench / "t.py").write_text("TARGETS = ('traced', 'user')\n")
+    assert unused_definitions(src, bench) == ["m.exported", "m.recursive", "m.Typed"]
