@@ -45,19 +45,17 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A verified composition f = outer(inner)."""
+    """A verified degenerate decomposition f = outer(inner), with inner the
+    linear form `linear`."""
 
     outer: UniPoly
     inner: BiPoly
-    kind: str  # "degenerate" or "composite"
-    linear: LinearForm | None = None
+    linear: LinearForm
 
     def expand(self) -> BiPoly:
         return self.outer.compose_bi(self.inner)
 
     def verify(self, f: BiPoly) -> bool:
-        if self.kind == "composite" and self.outer.degree < 2:
-            return False
         return self.expand() == f
 
 
@@ -93,7 +91,7 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     if fx.is_zero or fy.is_zero:
         outer, var = f.to_unipoly()
         form = LinearForm(Fraction(var == "x"), Fraction(var == "y"))
-        dec = Decomposition(outer, form.to_bipoly(), "degenerate", form)
+        dec = Decomposition(outer, form.to_bipoly(), form)
         if not dec.verify(f):
             raise CertificationFailed(f"{var}-only polynomial failed to re-expand from its coefficients")
         return dec
@@ -103,7 +101,7 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
         return None
     form = LinearForm(c, Fraction(1))  # canonicalizes to x + y/c
     outer = f.specialize_y(0)
-    dec = Decomposition(outer, form.to_bipoly(), "degenerate", form)
+    dec = Decomposition(outer, form.to_bipoly(), form)
     if not dec.verify(f):
         return None
     return dec
@@ -148,16 +146,16 @@ def _divisors_ascending(n: int) -> list[int]:
     return [d for d in range(2, n // 2 + 1) if n % d == 0]
 
 
-def _jacobian_matrix(f: BiPoly, monomials: list[tuple[int, int]]) -> list[list[int]]:
-    """Integer matrix of h -> f_x h_y - f_y h_x, f scaled to its primitive
-    part in Z[x, y]; column k is the image of h = x^i y^j, (i, j) = monomials[k]."""
+def _jacobian_columns(f: BiPoly, monomials: list[tuple[int, int]]) -> list[dict]:
+    """Sparse integer columns of h -> f_x h_y - f_y h_x, f scaled to its
+    primitive part in Z[x, y]; column k is the image of h = x^i y^j,
+    (i, j) = monomials[k], keyed by monomial."""
     ints = f.scaled_ints()[1]
     # read off term by term from the integer coefficients c of f
-    columns = [
+    return [
         {(u + i - 1, v + j - 1): (u * j - v * i) * c for (u, v), c in ints.items() if u * j != v * i}
         for i, j in monomials
     ]
-    return linalg.rows_from_columns(columns)[0]
 
 
 def _jacobian_kernel(f: BiPoly, d: int) -> list[BiPoly]:
@@ -167,22 +165,21 @@ def _jacobian_kernel(f: BiPoly, d: int) -> list[BiPoly]:
     kernel element of minimal degree is an inner polynomial of f.
     """
     monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-    basis = linalg.nullspace_basis(_jacobian_matrix(f, monomials), len(monomials))
+    basis = linalg.nullspace_basis(_jacobian_columns(f, monomials))
     return [BiPoly(dict(zip(monomials, vec))) for vec in basis]
 
 
 def _solve_outer(f: BiPoly, g: BiPoly, m: int) -> UniPoly | None:
     """Solve f = sum u_i g^i for scalar coefficients u_0..u_m, g in Z[x, y].
 
-    The columns are the integer coefficients of the powers of g; a term of f
-    outside them is caught by the re-expansion check.
+    The columns are the integer coefficients of the powers of g, and the
+    right-hand side those of f.
     """
     powers = [BiPoly.const(1)]
     for _ in range(m):
         powers.append(powers[-1] * g)
-    rows, keys = linalg.rows_from_columns([p.n for p in powers])
     # solved for the numerators of f, so the outer polynomial is sol / f.d
-    sol = linalg.solve_exact(rows, [f.n.get(key, 0) for key in keys])
+    sol = linalg.solve_exact([p.n for p in powers], f.n)
     if sol is None:
         return None
     outer = UniPoly(dict(enumerate(sol))) * Fraction(1, f.d)

@@ -183,12 +183,6 @@ def _ruppert_columns(ints: dict, dx: int, dy: int) -> list[dict]:
     ]
 
 
-def _ruppert_matrix(f: BiPoly) -> list[list[int]]:
-    """Integer matrix of the Ruppert/Gao system of f, from its primitive
-    integer coefficients; the columns are those of `_ruppert_columns`."""
-    return linalg.rows_from_columns(_ruppert_columns(f.scaled_ints()[1], f.deg_x, f.deg_y))[0]
-
-
 # ---------------------------------------------------------------------------
 # univariate factorization (Kronecker)
 
@@ -370,12 +364,11 @@ def factor_univariate(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
 def _gao_factors(s: BiPoly) -> list[BiPoly]:
     """The factors irreducible over Q of a squarefree s primitive in x (the
     module docstring shows why both searches below end in a hit)."""
-    matrix = _ruppert_matrix(s)
-    kernel = linalg.certified_nullspace(matrix, len(matrix[0]))
+    dx, dy = s.deg_x, s.deg_y
+    kernel = linalg.certified_nullspace(_ruppert_columns(s.scaled_ints()[1], dx, dy))
     r = len(kernel.vectors)
     if r == 1:
         return [s]
-    dx, dy = s.deg_x, s.deg_y
     sx = s.derivative("x")
     for y0 in sorted(range(-dx * dy, dx * dy + 1), key=abs):
         a = s.specialize_y(y0)
@@ -512,9 +505,10 @@ class FiberPencil:
 
     With f = s F, F primitive in Z[x, y], and lambda / s = a / b in lowest
     terms, the system of f - lambda is b R(F) - a R(1) (module docstring).
-    Both matrices are built once, over one row set, with the column of the
-    gradient solution removed; R(1) has at most one nonzero per column and is
-    kept as (row, column, value) entries.
+    Both matrices are built once as sparse columns keyed by monomial (the
+    `linalg` format), with the column of the gradient solution sliced out.
+    R(1) has at most one nonzero per column, so each fiber's columns are
+    those of b R(F) with that one entry changed.
     """
 
     def __init__(self, f: BiPoly):
@@ -525,39 +519,33 @@ class FiberPencil:
         dx, dy = f.deg_x, f.deg_y
         self.scale, ints = f.scaled_ints()
         columns = _ruppert_columns(ints, dx, dy)
-        self.rows, keys = linalg.rows_from_columns(columns)
-        index = {key: r for r, key in enumerate(keys)}
-        ones = []
-        for k, col in enumerate(_ruppert_columns({(0, 0): 1}, dx, dy)):
-            for key, v in col.items():
-                if key not in index:
-                    index[key] = len(self.rows)
-                    self.rows.append([0] * len(columns))
-                ones.append((index[key], k, v))
+        ones = _ruppert_columns({(0, 0): 1}, dx, dy)
         # the gradient solves R(F) and R(1), so it solves every fiber's system
         grad = _gradient(ints, dx, dy)
-        image = [0] * len(self.rows)
-        for r, k, v in ones:
-            image[r] += v * grad[k]
-        if any(image) or not linalg._annihilates(self.rows, grad):
+        if not (linalg._annihilates(columns, grad) and linalg._annihilates(ones, grad)):
             raise CertificationFailed("the gradient (f_x, f_y) does not solve the fiber systems")
         # F_x is nonzero, so some column carries the gradient; removing it
         # leaves the solutions that vanish there, one fewer for every fiber
         drop = next(k for k, w in enumerate(grad) if w)
-        for row in self.rows:
-            del row[drop]
-        self.ones = [(r, k - (k > drop), v) for r, k, v in ones if k != drop]
+        self.columns = columns[:drop] + columns[drop + 1 :]
+        self.ones = ones[:drop] + ones[drop + 1 :]
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""
         t = Fraction(lam) / self.scale
         a, b = t.numerator, t.denominator
-        rows = self.rows
+        columns = self.columns
         if a:
-            rows = [[b * v for v in row] for row in rows] if b != 1 else [row[:] for row in rows]
-            for r, k, v in self.ones:
-                rows[r][k] -= a * v
-        return 1 + len(self.rows[0]) - linalg.rank_int(rows)
+            columns = []
+            for col, one in zip(self.columns, self.ones):
+                col = {key: b * v for key, v in col.items()}
+                for key, v in one.items():
+                    if m := col.get(key, 0) - a * v:
+                        col[key] = m
+                    else:
+                        del col[key]
+                columns.append(col)
+        return 1 + len(columns) - linalg.rank_int(columns)
 
     def status(self, lam: Fraction | int) -> FiberStatus:
         """Decide whether f - lambda factors over the complex numbers.

@@ -1,6 +1,13 @@
 """Exact linear algebra: one certified modular nullspace engine, and the
 prime sequence and Chinese-remainder step it shares with `poly`.
 
+A matrix is a list of sparse integer columns, each a map {row key: nonzero
+int}; column k holds the coefficients of unknown k, and a row is named by
+any hashable key, such as the monomial whose coefficient it equates. The
+system builders of `factor` and `classify` produce this format, and the
+engine reads it as it is. Row keys carry no order: the result does not
+depend on their type or on the order they are first seen in.
+
 Rank, nullspace and linear solves over Q (`rank_int`, `nullspace_basis`,
 `solve_exact`) all run on `certified_nullspace`. One elimination mod a 61-bit
 prime p gives the rank r_p, which is a lower bound on the rank over Q, and a
@@ -14,25 +21,24 @@ nullspace dimension to n - r_p, so the certificate never rests on p being a
 lucky prime. A matrix of full column rank mod p has nothing to lift and is
 certified by that one elimination.
 
-The elimination is sparse. Each row is a map {column: nonzero residue}, kept
-in a bucket by its leading column. The leftmost nonempty bucket supplies the
-pivot from its sparsest row; its other rows are reduced by it and move to the
-bucket of their new leading column, and every entry that cancels mod p is
-dropped. The systems of `factor` have a few nonzeros per column, so the work
-follows the nonzeros, not the rows times the columns.
-
-The systems of `factor` and `classify` come as sparse integer columns keyed
-by monomial; `rows_from_columns` turns them into dense rows. Rational rows
-are scaled to integers row by row.
+The elimination is sparse. The nonzeros are read column by column into rows
+{column: nonzero residue}, each kept in a bucket by its leading column. The
+leftmost nonempty bucket supplies the pivot from its sparsest row; its other
+rows are reduced by it and move to the bucket of their new leading column,
+and every entry that cancels mod p is dropped. The exact check A v = 0 and
+the Hadamard bound read the columns too. The systems of `factor` have a few
+nonzeros per column, so the work follows the nonzeros, not the rows times
+the columns.
 
 The modular resultants and gcds of `poly` run on the same primes (`_primes`),
 combine their images with `_crt` and lift gcds with `_lift`.
 
 `det_in_ring`, the fraction-free (Bareiss) determinant over an integral
-domain, and `rank_mod_prime`, the rank modulo one prime, have no caller in
-the package; they are kept only because the benchmark tracer looks them up
-by name. `rref`, Gauss-Jordan over the rationals, is the reference the tests
-compare the engine against.
+domain, `rank_mod_prime`, the rank modulo one prime, and
+`scale_rows_to_int`, which scales rational rows to integers, have no caller
+in the package; they are kept only because the benchmark tracer looks them
+up by name. `rref`, Gauss-Jordan over the rationals on dense rows, is the
+reference the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -119,26 +125,31 @@ def _crt(residues: list[int], m: int, images: list[int], p: int) -> list[int]:
 
 
 def _echelon_mod(
-    rows: Sequence[Sequence[int]], ncols: int, p: int
+    columns: Sequence[dict], p: int
 ) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """Row echelon form mod p, pivoting on the leftmost nonzero column.
 
     Returns (echelon, pivots): echelon[k] lists the (column, value) pairs
     right of column pivots[k] of the k-th pivot row, scaled to a leading 1,
-    sorted by column. Rows are sparse maps {column: nonzero residue}, kept in
-    buckets by their leading column. Of the rows in the leftmost bucket, the
-    sparsest supplies the pivot, which keeps fill-in low; the others are
-    reduced by it and move to the bucket of their new leading column, or are
-    dropped once they vanish mod p. The pivot columns do not depend on which
-    row supplies the pivot.
+    sorted by column. The nonzeros are read column by column into sparse rows
+    {column: nonzero residue}, one per row key, kept in buckets by their
+    leading column. Of the rows in the leftmost bucket, the sparsest supplies
+    the pivot, which keeps fill-in low; the others are reduced by it and move
+    to the bucket of their new leading column, or are dropped once they
+    vanish mod p. The pivot columns do not depend on which row supplies the
+    pivot, nor on the order or type of the row keys.
     """
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for key, v in col.items():
+            if m := v % p:
+                rows.setdefault(key, {})[k] = m
     buckets: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        r = {j: m for j, v in enumerate(row) if v and (m := v % p)}
-        if r:
-            buckets.setdefault(min(r), []).append(r)
+    for r in rows.values():
+        # columns were read in order, so the first entry leads
+        buckets.setdefault(next(iter(r)), []).append(r)
     echelon, pivots = [], []
-    for col in range(ncols):
+    for col in range(len(columns)):
         if not buckets:
             break
         bucket = buckets.pop(col, None)
@@ -222,23 +233,25 @@ def _lift(residues: list[int], m: int) -> tuple[list[int], int] | None:
     return nums, den
 
 
-def _annihilates(rows: Sequence[Sequence[int]], w: list[int]) -> bool:
-    """A w = 0, exactly over Z."""
-    support = [j for j, v in enumerate(w) if v]
-    return all(sum(row[j] * w[j] for j in support) == 0 for row in rows)
+def _annihilates(columns: Sequence[dict], w: list[int]) -> bool:
+    """A w = 0, exactly over Z, summed over the columns where w is nonzero."""
+    image: dict = {}
+    for col, c in zip(columns, w):
+        if c:
+            for key, v in col.items():
+                image[key] = image.get(key, 0) + c * v
+    return not any(image.values())
 
 
-def _prime_budget(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Primes that always suffice to certify the nullspace of `rows`.
+def _prime_budget(columns: Sequence[dict]) -> int:
+    """Primes that always suffice to certify the nullspace of `columns`.
 
     Every minor is at most H = prod of the column norms (Hadamard), and the
     reduced-echelon basis entries are ratios of minors, so a modulus above
     2 H^2 reconstructs them. Each prime exceeds 2^60, and a prime is unlucky
     only when it divides one fixed nonzero minor, so at most log2(H)/60 are.
     """
-    bits = 0
-    for j in range(ncols):
-        bits += sum(row[j] * row[j] for row in rows).bit_length()
+    bits = sum(sum(v * v for v in col.values()).bit_length() for col in columns)
     return (bits + 1) // 60 + 1 + (bits // 2 + 1) // 60 + 1
 
 
@@ -260,16 +273,17 @@ class Nullspace:
         return [[Fraction(v, d) for v in w] for w, d in zip(self.vectors, self.denominators)]
 
 
-def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
-    """Right nullspace of an integer matrix, certified over Q.
+def certified_nullspace(columns: Sequence[dict]) -> Nullspace:
+    """Right nullspace of an integer matrix given as sparse columns, certified
+    over Q.
 
     Raises CertificationFailed when the prime budget runs out, which the
     Hadamard bound rules out for a correct implementation.
     """
-    rows = [list(r) for r in rows if any(r)]
+    ncols = len(columns)
     pivots = residues = modulus = budget = None
     for used, p in enumerate(_primes(), 1):
-        echelon, piv = _echelon_mod(rows, ncols, p)
+        echelon, piv = _echelon_mod(columns, p)
         basis = _kernel_mod(echelon, piv, ncols, p)
         # a prime is unlucky when its pivot columns come out fewer or later
         # than the true ones; keep the best pivot profile seen so far
@@ -279,7 +293,7 @@ def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
             residues = [_crt(old, modulus, new, p) for old, new in zip(residues, basis)]
             modulus *= p
         lifted = [_lift(v, modulus) for v in residues]
-        if all(got is not None and _annihilates(rows, got[0]) for got in lifted):
+        if all(got is not None and _annihilates(columns, got[0]) for got in lifted):
             return Nullspace(
                 tuple(pivots),
                 tuple(tuple(w) for w, _ in lifted),
@@ -287,36 +301,22 @@ def certified_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Nullspace:
                 used,
             )
         if budget is None:
-            budget = _prime_budget(rows, ncols)
+            budget = _prime_budget(columns)
         if used >= budget:
             raise CertificationFailed(
-                f"nullspace of a {len(rows)}x{ncols} matrix not certified after {used} primes"
+                f"nullspace of a {len(set().union(*columns))}x{ncols} matrix"
+                f" not certified after {used} primes"
             )
 
 
-def rank_mod_prime(rows: Sequence[Sequence[int]], p: int = _RANK_PRIME) -> int:
+def rank_mod_prime(columns: Sequence[dict], p: int = _RANK_PRIME) -> int:
     """Rank of the matrix reduced mod p; a certified lower bound on the rank."""
-    return len(_echelon_mod(rows, len(rows[0]) if rows else 0, p)[1])
+    return len(_echelon_mod(columns, p)[1])
 
 
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
+def rank_int(columns: Sequence[dict]) -> int:
     """Rank of an integer matrix, certified by the nullspace engine."""
-    if not rows:
-        return 0
-    return len(certified_nullspace(rows, len(rows[0])).pivots)
-
-
-def rows_from_columns(columns: Sequence[dict]) -> tuple[list[list[int]], list]:
-    """Dense rows of the matrix whose column k holds columns[k][key] in the
-    row of `key` and zeros elsewhere, and the row keys: rows come in the
-    order their keys are first seen."""
-    keys = list(dict.fromkeys(key for col in columns for key in col))
-    index = {key: r for r, key in enumerate(keys)}
-    rows = [[0] * len(columns) for _ in keys]
-    for k, col in enumerate(columns):
-        for key, v in col.items():
-            rows[index[key]][k] = v
-    return rows, keys
+    return len(certified_nullspace(columns).pivots)
 
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -328,26 +328,21 @@ def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int
     return out
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[Fraction]]:
+def nullspace_basis(columns: Sequence[dict]) -> list[list[Fraction]]:
     """Basis of the right nullspace of the matrix, as coefficient vectors."""
-    return certified_nullspace(scale_rows_to_int(rows), ncols).basis()
+    return certified_nullspace(columns).basis()
 
 
-def solve_exact(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent.
+def solve_exact(columns: Sequence[dict], rhs: dict) -> list[Fraction] | None:
+    """One exact solution of A x = b, with b a column too, or None if the
+    system is inconsistent.
 
     Free variables are pinned to zero; callers needing uniqueness verify the
     reconstruction downstream.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
     # the solutions are the nullspace vectors of [A | -b] ending in 1
-    kernel = certified_nullspace(
-        scale_rows_to_int([list(r) + [-b] for r, b in zip(rows, rhs)]), ncols + 1
-    )
+    ncols = len(columns)
+    kernel = certified_nullspace([*columns, {key: -v for key, v in rhs.items()}])
     if ncols in kernel.pivots:
         return None
     return kernel.basis()[-1][:ncols]

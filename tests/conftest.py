@@ -128,14 +128,6 @@ def nonconstant_bipolys(draw, max_deg=2):
     return f
 
 
-def sorted_rows(images: list[BiPoly]) -> list[tuple]:
-    """Rows of the matrix whose column k holds the coefficients of images[k],
-    one row per monomial, sorted. Two matrices have the same sorted rows
-    exactly when their columns agree under one relabelling of the rows."""
-    keys = set().union(*(p.t for p in images))
-    return sorted(tuple(p.t.get(k, 0) for p in images) for k in keys)
-
-
 def naive_eval(terms: dict, a: F, b: F) -> F:
     return sum((c * a**i * b**j for (i, j), c in terms.items()), F(0))
 

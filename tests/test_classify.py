@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from sumprod.classify import (
     LinearForm,
+    _jacobian_columns,
     _jacobian_kernel,
-    _jacobian_matrix,
     decompose_chain,
     decompose_fully,
     is_composite,
@@ -23,7 +23,7 @@ from sumprod.errors import ConstantPolynomial, HypothesisViolated
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 
-from conftest import nonconstant_bipolys, sorted_rows
+from conftest import nonconstant_bipolys
 
 
 class TestOrientation:
@@ -255,13 +255,13 @@ class TestJacobianSystem:
     @given(nonconstant_bipolys(max_deg=3), st.integers(1, 3), st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
     @settings(max_examples=60, deadline=None)
     def test_columns_are_the_jacobian_of_unit_monomials(self, f, d, scale):
-        assume(math.gcd(*(c.numerator for c in f.t.values())) == 1)
+        f = f * F(1, math.gcd(*(c.numerator for c in f.t.values())))
         fx, fy = f.derivative("x"), f.derivative("y")
         monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
         units = [BiPoly({m: 1}) for m in monomials]
         images = [fx * h.derivative("y") - fy * h.derivative("x") for h in units]
-        # a positive rational multiple of a primitive f gives the same matrix
-        assert sorted_rows(images) == sorted(map(tuple, _jacobian_matrix(f * scale, monomials)))
+        # a positive rational multiple of a primitive f gives the same columns
+        assert _jacobian_columns(f * scale, monomials) == [p.n for p in images]
 
     @given(
         nonconstant_bipolys(max_deg=3),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
     FiberPencil,
-    _ruppert_matrix,
+    _ruppert_columns,
     count_abs_factors,
     factor_rational,
     factor_univariate,
@@ -30,7 +30,7 @@ from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 from sumprod.spectrum import sweep_candidates
 
-from conftest import conic_abs_count, grid_factor_exists, nonconstant_bipolys, sorted_rows, sympy_factor_multiset
+from conftest import conic_abs_count, grid_factor_exists, nonconstant_bipolys, sympy_factor_multiset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -302,15 +302,18 @@ class TestRuppertMatrix:
             (zero, BiPoly({(i, j): 1})) for i in range(dx + 1) for j in range(dy)
         ]
         images = [f * (g.derivative("y") - h.derivative("x")) - fy * g + fx * h for g, h in unknowns]
-        # a positive rational multiple of a primitive f gives the same matrix
-        assert sorted_rows(images) == sorted(map(tuple, _ruppert_matrix(f * scale)))
+        # a positive rational multiple of a primitive f gives the same columns
+        assert _ruppert_columns((f * scale).scaled_ints()[1], dx, dy) == [p.n for p in images]
 
 
 def reference_dimension(f: BiPoly, lam: F) -> int:
-    """Column count minus the rational-RREF rank of the matrix of f - lam."""
-    matrix = _ruppert_matrix(f - BiPoly.const(lam))
-    _, pivots = rref([[F(v) for v in row] for row in matrix])
-    return len(matrix[0]) - len(pivots)
+    """Column count minus the rational-RREF rank of the matrix of f - lam,
+    written out densely from its columns."""
+    fiber = f - BiPoly.const(lam)
+    columns = _ruppert_columns(fiber.scaled_ints()[1], fiber.deg_x, fiber.deg_y)
+    keys = set().union(*columns)
+    _, pivots = rref([[F(col.get(key, 0)) for col in columns] for key in keys])
+    return len(columns) - len(pivots)
 
 
 lambdas = st.one_of(

@@ -19,7 +19,6 @@ from sumprod.linalg import (
     nullspace_basis,
     rank_int,
     rank_mod_prime,
-    rows_from_columns,
     rref,
     solve_exact,
 )
@@ -42,6 +41,11 @@ def reference_nullspace(rows, ncols):
 
 def times(rows, vec):
     return [sum(a * v for a, v in zip(r, vec)) for r in rows]
+
+
+def columns(rows):
+    """The sparse columns {row index: nonzero entry} of a dense matrix."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(len(rows[0]))]
 
 
 @st.composite
@@ -78,43 +82,77 @@ class TestAgainstReference:
     def test_rank_nullspace_and_solve(self, A, b):
         ncols = len(A[0])
         expected = reference_nullspace(A, ncols)
-        basis = nullspace_basis([[F(v) for v in r] for r in A], ncols)
-        assert rank_int(A) == ncols - len(expected) == rank_mod_prime(A)
+        cols = columns(A)
+        basis = nullspace_basis(cols)
+        assert rank_int(cols) == ncols - len(expected) == rank_mod_prime(cols)
         assert len(basis) == len(expected)
         assert basis == expected
-        assert nullspace_basis(A, ncols) == expected
         for vec in basis:
             assert times(A, vec) == [0] * len(A)
         # an inconsistent system is one whose augmented column is a pivot
-        rhs = [F(v) for v in b[: len(A)]]
-        _, pivots = rref([[F(v) for v in r] + [c] for r, c in zip(A, rhs)])
-        x = solve_exact([[F(v) for v in r] for r in A], rhs)
+        rhs = b[: len(A)]
+        _, pivots = rref([[F(v) for v in r] + [F(c)] for r, c in zip(A, rhs)])
+        x = solve_exact(cols, columns([[c] for c in rhs])[0])
         if ncols in pivots:
             assert x is None
         else:
             assert x is not None and times(A, x) == rhs
         # b = A x0 is always consistent
-        rhs = times(A, [F(v) for v in b[:ncols]])
-        x = solve_exact([[F(v) for v in r] for r in A], rhs)
+        rhs = times(A, b[:ncols])
+        x = solve_exact(cols, columns([[c] for c in rhs])[0])
         assert x is not None and times(A, x) == rhs
 
 
-def test_rows_from_columns_in_first_seen_order():
-    rows, keys = rows_from_columns([{"b": 1, "a": 2}, {}, {"c": 3, "a": -4}])
-    assert keys == ["b", "a", "c"]
-    assert rows == [[1, 0, 0], [2, 0, -4], [0, 0, 3]]
+class TestRowKeys:
+    """The engine's output does not depend on how the rows are named."""
+
+    @given(int_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_nullspace_for_any_row_keys(self, A, rnd):
+        expected = certified_nullspace(columns(A))
+        order = list(range(len(A)))
+        rnd.shuffle(order)
+        renamings = [
+            lambda i: (i, -i),  # tuples, as the monomial keys of the builders
+            lambda i: f"row {i}",
+            lambda i: order[i],  # the same integers, permuted
+        ]
+        for name in renamings:
+            cols = [{name(i): v for i, v in col.items()} for col in columns(A)]
+            assert certified_nullspace(cols) == expected
+        # rows first seen in another order: each column's entries reversed,
+        # and the columns built visiting the rows in the shuffled order
+        shuffled = [{i: col[i] for i in reversed(list(col))} for col in columns(A)]
+        assert certified_nullspace(shuffled) == expected
+        rows_shuffled = [{i: A[i][j] for i in order if A[i][j]} for j in range(len(A[0]))]
+        assert certified_nullspace(rows_shuffled) == expected
+
+    def test_no_columns(self):
+        kernel = certified_nullspace([])
+        assert kernel.pivots == () and kernel.basis() == []
+        assert rank_int([]) == rank_mod_prime([]) == 0
+        assert solve_exact([], {}) == []
+        assert solve_exact([], {"a": 1}) is None
+
+    def test_empty_columns(self):
+        kernel = certified_nullspace([{}, {}, {}])
+        assert kernel.pivots == () and kernel.primes == 1
+        assert kernel.basis() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert rank_int([{}, {}]) == rank_mod_prime([{}, {}]) == 0
+        assert solve_exact([{}, {}], {}) == [0, 0]
+        assert solve_exact([{}, {}], {(0, 1): 5}) is None
 
 
 class TestPrimes:
     def test_unlucky_prime(self):
         # 2^61 - 1 is the first prime, and it kills the only entry
-        assert rank_mod_prime([[2**61 - 1]]) == 0
-        assert rank_int([[2**61 - 1]]) == 1
-        assert certified_nullspace([[2**61 - 1]], 1).primes == 2
+        assert rank_mod_prime([{0: 2**61 - 1}]) == 0
+        assert rank_int([{0: 2**61 - 1}]) == 1
+        assert certified_nullspace([{0: 2**61 - 1}]).primes == 2
 
     def test_kernel_entry_needs_second_prime(self):
         # 2^40 + 1 is above the ~2^30 a single 61-bit prime can reconstruct
-        kernel = certified_nullspace([[1, -(2**40 + 1)]], 2)
+        kernel = certified_nullspace([{0: 1}, {0: -(2**40 + 1)}])
         assert kernel.primes == 2
         assert kernel.basis() == [[2**40 + 1, 1]]
 
@@ -128,7 +166,7 @@ class TestPrimes:
             assert False, "asserts must be stripped"
             linalg._annihilates = lambda rows, w: False
             try:
-                linalg.rank_int([[1, 2], [2, 4]])
+                linalg.rank_int([{0: 1, 1: 2}, {0: 2, 1: 4}])
             except CertificationFailed as exc:
                 print("raised:", exc)
             """
