@@ -30,10 +30,18 @@ F_xy = F_yx) and R(1), hence every M. Take a column c with w_c != 0 and let
 M' be M without that column. A kernel vector of M' is one of M that vanishes
 at c; and for any v in the kernel of M, v - (v_c / w_c) w is one that
 vanishes at c. So the dimension of every fiber is 1 + the nullity of M'. An
-absolutely irreducible fiber has M' of full column rank, and one elimination
-mod a prime shows that, with no kernel vector to lift and verify
-(`linalg`). The gradient identity is checked exactly over Z when the pencil
-is built.
+absolutely irreducible fiber has M' of full column rank, and elimination mod
+a prime shows that, with no kernel vector to lift and verify (`linalg`). The
+gradient identity is checked exactly over Z when the pencil is built.
+
+lambda enters M' only in the rows where R(1)' is nonzero: the monomials
+x^i y^j with i < deg_x f and j < deg_y f, about a quarter of the rows. On
+the other rows M' is b R(F)', so their part A0 of R(F)' has one kernel K0
+for every fiber. `linalg.Pencil` eliminates A0 once per prime and, per
+fiber, only the lambda rows A1 of M' times K0, a system with at most
+deg_x f deg_y f rows: rank M' = rank A0 + rank(A1 K0), and the kernel of M'
+is K0 times that of A1 K0, already in the reduced-echelon form that
+eliminating M' itself gives.
 
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
@@ -506,9 +514,11 @@ class FiberPencil:
     With f = s F, F primitive in Z[x, y], and lambda / s = a / b in lowest
     terms, the system of f - lambda is b R(F) - a R(1) (module docstring).
     Both matrices are built once as sparse columns keyed by monomial (the
-    `linalg` format), with the column of the gradient solution sliced out.
-    R(1) has at most one nonzero per column, so each fiber's columns are
-    those of b R(F) with that one entry changed.
+    `linalg` format), with the column of the gradient solution sliced out,
+    and handed to a `linalg.Pencil`: the rows where R(1) vanishes are
+    eliminated once per prime, and per fiber only the others times their
+    kernel (module docstring). Each fiber's kernel is verified against its
+    own columns b R(F) - a R(1).
     """
 
     def __init__(self, f: BiPoly):
@@ -527,25 +537,12 @@ class FiberPencil:
         # F_x is nonzero, so some column carries the gradient; removing it
         # leaves the solutions that vanish there, one fewer for every fiber
         drop = next(k for k, w in enumerate(grad) if w)
-        self.columns = columns[:drop] + columns[drop + 1 :]
-        self.ones = ones[:drop] + ones[drop + 1 :]
+        self.pencil = linalg.Pencil(columns[:drop] + columns[drop + 1 :], ones[:drop] + ones[drop + 1 :])
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""
         t = Fraction(lam) / self.scale
-        a, b = t.numerator, t.denominator
-        columns = self.columns
-        if a:
-            columns = []
-            for col, one in zip(self.columns, self.ones):
-                col = {key: b * v for key, v in col.items()}
-                for key, v in one.items():
-                    if m := col.get(key, 0) - a * v:
-                        col[key] = m
-                    else:
-                        del col[key]
-                columns.append(col)
-        return 1 + len(columns) - linalg.rank_int(columns)
+        return 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
 
     def status(self, lam: Fraction | int) -> FiberStatus:
         """Decide whether f - lambda factors over the complex numbers.

@@ -65,14 +65,11 @@ class CurveFamily:
     base: tuple[Fraction, ...]
     degree: int
     grid: IntegerGrid  # f over `base`, rescaled to integers
+    max_class_size: int  # members of the largest class, 0 when there is none
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    @property
-    def max_class_size(self) -> int:
-        return max((len(v) for v in self.classes.values()), default=0)
 
     def histogram(self) -> Counter[int]:
         """Number of classes of each size."""
@@ -111,7 +108,10 @@ def build_family(f: BiPoly, A) -> CurveFamily:
         for i, key in enumerate(shift_all(row, shifts)):
             groups.setdefault(key, []).append((i, j))
     classes = {key: tuple(sorted(v)) for key, v in groups.items()}
-    return CurveFamily(classes=classes, removed_b=removed, base=kept, degree=k, grid=grid)
+    largest = max(map(len, groups.values()), default=0)
+    return CurveFamily(
+        classes=classes, removed_b=removed, base=kept, degree=k, grid=grid, max_class_size=largest
+    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,14 @@ the Hadamard bound read the columns too. The systems of `factor` have a few
 nonzeros per column, so the work follows the nonzeros, not the rows times
 the columns.
 
+A pencil b B - a C whose C is nonzero on few rows (`Pencil`, the fiber
+systems of `factor`) is eliminated by blocks: with A0 the rows where C
+vanishes and K0 its kernel, rank [A0; A1] = rank A0 + rank(A1 K0) and
+ker [A0; A1] = K0 ker(A1 K0). A0 is eliminated once per prime, and each
+member costs one elimination of A1 K0, which has only the rows of C. K0 times
+the reduced-echelon kernel of A1 K0 is the member's own reduced-echelon
+kernel, which the certificate above lifts and verifies on the member's columns.
+
 The modular resultants and gcds of `poly` run on the same primes (`_primes`),
 combine their images with `_crt` and lift gcds with `_lift`.
 
@@ -43,9 +51,12 @@ reference the tests compare the engine against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import CertificationFailed
@@ -97,6 +108,9 @@ def det_in_ring(
 
 # ---------------------------------------------------------------------------
 # certified modular nullspace engine
+
+# p -> (pivot columns, sparse reduced-echelon nullspace basis) mod p
+KernelMod = Callable[[int], tuple[list[int], list[dict[int, int]]]]
 
 _RANK_PRIME = (1 << 61) - 1
 
@@ -175,23 +189,32 @@ def _echelon_mod(
 
 def _kernel_mod(
     echelon: list[list[tuple[int, int]]], pivots: list[int], ncols: int, p: int
-) -> list[list[int]]:
-    """Reduced-echelon nullspace basis mod p, one vector per free column.
+) -> list[dict[int, int]]:
+    """Reduced-echelon nullspace basis mod p, one sparse vector
+    {column: nonzero residue} per free column.
 
     The vector of free column c has 1 at c and 0 at every other free column.
     """
     pivot_set = set(pivots)
+    # a pivot row with an empty tail puts 0 at its pivot in every vector
+    rows = [(row, pc) for row, pc in zip(echelon, pivots) if row]
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [0] * ncols
-        v[fc] = 1
+        v = {fc: 1}
         # entries right of fc stay zero, so back-substitution starts left of it
-        for row, pc in reversed([(r, c) for r, c in zip(echelon, pivots) if c < fc]):
-            v[pc] = -sum(a * v[j] for j, a in row) % p
+        for row, pc in reversed(rows[: bisect_left(rows, fc, key=itemgetter(1))]):
+            if s := sum(a * v[j] for j, a in row if j in v) % p:
+                v[pc] = p - s
         basis.append(v)
     return basis
+
+
+def _reduce_mod(columns: Sequence[dict], p: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Pivot columns and sparse reduced-echelon nullspace basis mod p."""
+    echelon, pivots = _echelon_mod(columns, p)
+    return pivots, _kernel_mod(echelon, pivots, len(columns), p)
 
 
 def _ratrec(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -273,18 +296,28 @@ class Nullspace:
         return [[Fraction(v, d) for v in w] for w, d in zip(self.vectors, self.denominators)]
 
 
-def certified_nullspace(columns: Sequence[dict]) -> Nullspace:
+def certified_nullspace(columns: Sequence[dict], kernel_mod: KernelMod | None = None) -> Nullspace:
     """Right nullspace of an integer matrix given as sparse columns, certified
     over Q.
 
-    Raises CertificationFailed when the prime budget runs out, which the
-    Hadamard bound rules out for a correct implementation.
+    `kernel_mod(p)` gives the pivot columns and the sparse reduced-echelon
+    nullspace basis mod p of a matrix with the same nullspace over Q, such as
+    a `Pencil` fiber; by default `columns` is eliminated mod p. Raises
+    CertificationFailed when the prime budget runs out, which the Hadamard
+    bound rules out for a correct implementation.
     """
     ncols = len(columns)
+    if kernel_mod is None:
+        kernel_mod = partial(_reduce_mod, columns)
     pivots = residues = modulus = budget = None
     for used, p in enumerate(_primes(), 1):
-        echelon, piv = _echelon_mod(columns, p)
-        basis = _kernel_mod(echelon, piv, ncols, p)
+        piv, sparse = kernel_mod(p)
+        basis = []
+        for v in sparse:
+            dense = [0] * ncols
+            for j, a in v.items():
+                dense[j] = a
+            basis.append(dense)
         # a prime is unlucky when its pivot columns come out fewer or later
         # than the true ones; keep the best pivot profile seen so far
         if pivots is None or (len(piv), [-c for c in piv]) > (len(pivots), [-c for c in pivots]):
@@ -314,9 +347,10 @@ def rank_mod_prime(columns: Sequence[dict], p: int = _RANK_PRIME) -> int:
     return len(_echelon_mod(columns, p)[1])
 
 
-def rank_int(columns: Sequence[dict]) -> int:
-    """Rank of an integer matrix, certified by the nullspace engine."""
-    return len(certified_nullspace(columns).pivots)
+def rank_int(columns: Sequence[dict], kernel_mod: KernelMod | None = None) -> int:
+    """Rank of an integer matrix, certified by the nullspace engine
+    (`kernel_mod` as in `certified_nullspace`)."""
+    return len(certified_nullspace(columns, kernel_mod).pivots)
 
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -346,6 +380,95 @@ def solve_exact(columns: Sequence[dict], rhs: dict) -> list[Fraction] | None:
     if ncols in kernel.pivots:
         return None
     return kernel.basis()[-1][:ncols]
+
+
+# ---------------------------------------------------------------------------
+# pencils b B - a C by block elimination
+
+
+class Pencil:
+    """The integer matrices b B - a C, for coprime a and b, of two sparse
+    column lists B and C of one shape whose C is nonzero on few rows.
+
+    On the rows where C vanishes every member is b B, whose nullspace is that
+    of the rows of B there, A0, with the other rows A1(a, b) = b B1 - a C1.
+    Over any field rank [A0; A1] = rank A0 + rank(A1 K0) and
+    ker [A0; A1] = K0 ker(A1 K0), with K0 a basis of ker A0. So per prime p,
+    once: A0 is eliminated, K0 kept as sparse reduced-echelon vectors, and
+    G = B1 K0 and H = C1 K0 stored as sparse columns. Per member: the |K0|
+    columns b G - a H, with as many rows as C has nonzero rows, are
+    eliminated, and W = ker(b G - a H) gives the kernel K0 W mod p.
+
+    K0 W is already the reduced-echelon basis that eliminating the member
+    itself would give. A column of the member is free, that is dependent on
+    the columns left of it, only if it is free in A0; the free column c_i of
+    A0 is free in the member exactly when column i of b G - a H is free,
+    since a kernel vector that vanishes right of c_i is the K0-combination of
+    its values at the free columns of A0. The vector K0 W_i is 1 at c_i, 0 at
+    the other free columns of the member and 0 right of c_i, which fixes the
+    reduced-echelon vector. A0 is not scaled by b: over Q that is a row
+    scaling with the same nullspace and column norms no larger, so the
+    certificate and the prime budget of `certified_nullspace`, read off the
+    member's own columns, hold unchanged, also for a prime that divides b.
+    """
+
+    def __init__(self, B: Sequence[dict], C: Sequence[dict]):
+        self.B, self.C = B, C
+        self.c_rows = set().union(*C)  # the rows where C is nonzero
+        self._blocks: dict = {}  # p -> (pivots of A0, free columns of A0, K0, G, H)
+
+    def columns(self, a: int, b: int) -> list[dict]:
+        """The columns of b B - a C."""
+        if not a:
+            return list(self.B)  # b = 1, as a and b are coprime
+        out = []
+        for col, one in zip(self.B, self.C):
+            col = {key: b * v for key, v in col.items()}
+            for key, v in one.items():
+                if m := col.get(key, 0) - a * v:
+                    col[key] = m
+                else:
+                    del col[key]
+            out.append(col)
+        return out
+
+    def rank(self, a: int, b: int) -> int:
+        """Certified rank of b B - a C."""
+        return rank_int(self.columns(a, b), partial(self.kernel_mod, a, b))
+
+    def kernel_mod(self, a: int, b: int, p: int) -> tuple[list[int], list[dict[int, int]]]:
+        """Pivot columns and sparse reduced-echelon nullspace basis mod p of
+        [A0; b B1 - a C1], by block elimination."""
+        pivots, free, K0, G, H = self._block(p)
+        small = [{key: b * g.get(key, 0) - a * h.get(key, 0) for key in g.keys() | h.keys()}
+                 for g, h in zip(G, H)]
+        echelon, piv = _echelon_mod(small, p)
+        basis = [_combine(K0, w, p) for w in _kernel_mod(echelon, piv, len(small), p)]
+        return sorted(pivots + [free[i] for i in piv]), basis
+
+    def _block(self, p: int) -> tuple:
+        """The per-prime part: A0 eliminated mod p, K0, G and H (class docstring)."""
+        block = self._blocks.get(p)
+        if block is None:
+            rows = self.c_rows
+            A0 = [{key: v for key, v in col.items() if key not in rows} for col in self.B]
+            B1 = [{key: v for key, v in col.items() if key in rows} for col in self.B]
+            echelon, pivots = _echelon_mod(A0, p)
+            K0 = _kernel_mod(echelon, pivots, len(A0), p)
+            free = sorted(set(range(len(A0))).difference(pivots))
+            G = [_combine(B1, v, p) for v in K0]
+            H = [_combine(self.C, v, p) for v in K0]
+            block = self._blocks[p] = (pivots, free, K0, G, H)
+        return block
+
+
+def _combine(columns: Sequence[dict], w: dict[int, int], p: int) -> dict:
+    """The sparse column sum_j w_j columns[j] mod p, without zeros."""
+    out: dict = {}
+    for j, c in w.items():
+        for key, x in columns[j].items():
+            out[key] = (out.get(key, 0) + c * x) % p
+    return {key: x for key, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------

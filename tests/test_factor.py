@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
     FiberPencil,
+    _gradient,
     _ruppert_columns,
     count_abs_factors,
     factor_rational,
@@ -25,7 +27,7 @@ from sumprod.factor import (
     rational_roots,
     squarefree_part,
 )
-from sumprod.linalg import rref
+from sumprod.linalg import certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 from sumprod.spectrum import sweep_candidates
@@ -316,6 +318,37 @@ def reference_dimension(f: BiPoly, lam: F) -> int:
     return len(columns) - len(pivots)
 
 
+def pencil_and_engine(f: BiPoly, lam: F):
+    """The nullspace of f - lam certified through the pencil, the one the
+    engine certifies on the Ruppert columns built from the fiber itself less
+    the column the pencil drops, and the denominator b of lam / s."""
+    fiber_pencil = FiberPencil(f)
+    pencil = fiber_pencil.pencil
+    t = F(lam) / fiber_pencil.scale
+    a, b = t.numerator, t.denominator
+    block = certified_nullspace(pencil.columns(a, b), partial(pencil.kernel_mod, a, b))
+    dx, dy = f.deg_x, f.deg_y
+    columns = _ruppert_columns((f - BiPoly.const(lam)).scaled_ints()[1], dx, dy)
+    drop = next(k for k, w in enumerate(_gradient(f.scaled_ints()[1], dx, dy)) if w)
+    direct = certified_nullspace(columns[:drop] + columns[drop + 1 :])
+    assert fiber_pencil.dimension(lam) == 1 + len(direct.vectors)
+    return block, direct, b
+
+
+def assert_pencil_matches_engine(f: BiPoly, lam: F):
+    """The same certified nullspace both ways, down to the primes used; a prime
+    that divides b can only cost the engine's route more primes."""
+    block, direct, b = pencil_and_engine(f, lam)
+    assert (block.pivots, block.vectors, block.denominators) == (
+        direct.pivots, direct.vectors, direct.denominators
+    ), (f, lam)
+    if b % (2**61 - 1):
+        assert block.primes == direct.primes, (f, lam)
+    else:
+        assert block.primes <= direct.primes, (f, lam)
+    return direct
+
+
 lambdas = st.one_of(
     st.sampled_from(sweep_candidates(3)),
     st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(lambda v: v.denominator > 1),
@@ -351,6 +384,60 @@ class TestFiberPencil:
         status = FiberPencil(f).status(c)
         assert status.reducible
         assert status.abs_count == reference_dimension(f, c)
+
+    @given(
+        primitive_bivariate_polys(max_deg=2),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+        st.sampled_from([-2, -1, 1, 3]),
+        st.lists(lambdas, min_size=1, max_size=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_composite_fibers_match_the_engine(self, g, lower, lead, lams):
+        # f = Q(g) with deg Q >= 2, so every fiber f - lam is reducible
+        f = BiPoly.zero()
+        for c in [lead, *lower]:  # Horner, highest coefficient first
+            f = f * g + BiPoly.const(c)
+        f = f * g
+        for lam in [F(0), *lams]:
+            kernel = assert_pencil_matches_engine(f, lam)
+            assert len(kernel.vectors) >= 1, (f, lam)
+
+    def test_repeated_factor_fiber_matches_the_engine(self):
+        # f - 1 = x^2 (x^2 + y)^2
+        f = P("x^6 + 2 x^4 y + x^2 y^2 + 1")
+        assert 1 + len(assert_pencil_matches_engine(f, F(1)).vectors) == 9
+        for lam in (F(0), F(2), F(-1, 3), F(5, 7)):
+            assert_pencil_matches_engine(f, lam)
+
+    @given(
+        primitive_bivariate_polys(),
+        st.integers(-30, 30),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: abs(v) not in (0, 1)),
+        st.lists(lambdas, min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_polys_match_the_engine(self, g, constant, scale, lams):
+        # s F with s = |scale| != 1, at lambda = 0, at the constant term and at
+        # lambdas with denominators
+        h = g + BiPoly.const(constant)
+        f = h * (scale / math.gcd(*h.n.values()))
+        assert FiberPencil(f).scale == abs(scale)
+        for lam in [F(0), f.coeff(0, 0), *lams]:
+            assert_pencil_matches_engine(f, lam)
+
+    def test_denominator_a_multiple_of_the_first_prime(self):
+        # s = 3 and lambda / s = 5 / p: the fiber's own matrix b R(F) - a R(1)
+        # loses every lambda-free row mod p, the pencil keeps them unscaled
+        p = 2**61 - 1
+        f = P("3 x^2 y + 6 x y^2 + 9")
+        block, direct, b = pencil_and_engine(f, F(15, p))
+        assert b == p
+        assert (block.pivots, block.vectors, block.denominators) == (
+            direct.pivots, direct.vectors, direct.denominators
+        )
+        assert (block.primes, direct.primes) == (1, 2)
+        for lam in (F(3, 2 * p), F(-3 * 7, p), F(3, p**2)):
+            assert_pencil_matches_engine(f, lam)
 
     def test_univariate(self):
         pencil = FiberPencil(P("1/2 x^3 + x"))

@@ -5,7 +5,9 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from functools import partial
 from itertools import islice
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from sumprod import linalg
 from sumprod.linalg import (
+    Pencil,
     _primes,
     certified_nullspace,
     nullspace_basis,
@@ -141,6 +144,29 @@ class TestRowKeys:
         assert rank_int([{}, {}]) == rank_mod_prime([{}, {}]) == 0
         assert solve_exact([{}, {}], {}) == [0, 0]
         assert solve_exact([{}, {}], {(0, 1): 5}) is None
+
+
+class TestPencil:
+    """Block elimination of b B - a C against eliminating the member itself."""
+
+    @given(int_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_members_match_the_engine(self, B, data):
+        m, n = len(B), len(B[0])
+        # C is nonzero only on the rows in `rows`, as R(1) is in a fiber pencil
+        rows = data.draw(st.sets(st.integers(0, m - 1), max_size=m))
+        entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        C = [data.draw(entries) if i in rows else [0] * n for i in range(m)]
+        pencil = Pencil(columns(B), columns(C))
+        for a, b in data.draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)), min_size=1, max_size=4)):
+            if gcd(a, b) != 1:
+                continue
+            member = [[b * u - a * v for u, v in zip(r, s)] for r, s in zip(B, C)]
+            cols = pencil.columns(a, b)
+            assert cols == columns(member)
+            expected = certified_nullspace(cols)
+            assert certified_nullspace(cols, partial(pencil.kernel_mod, a, b)) == expected
+            assert pencil.rank(a, b) == len(expected.pivots)
 
 
 class TestPrimes:
