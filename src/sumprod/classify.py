@@ -108,14 +108,15 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
 
 
 def is_composite(
-    f: BiPoly, lam_schedule: tuple[Fraction, ...] | None = None
+    f: BiPoly, lam_schedule: tuple[Fraction, ...] | None = None, pencil: FiberPencil | None = None
 ) -> CompositenessVerdict:
     """Decide whether f = Q(g) for some outer Q of degree >= 2.
 
     Tests k = total-degree distinct fibers f - lambda for reducibility over
-    the complex numbers. A composite polynomial has every fiber reducible; a
-    non-composite one has fewer than k reducible fibers in total, so some
-    sampled fiber is irreducible and certifies the verdict.
+    the complex numbers, on `pencil` when given. A composite polynomial has
+    every fiber reducible; a non-composite one has fewer than k reducible
+    fibers in total, so some sampled fiber is irreducible and certifies the
+    verdict.
     """
     k = f.total_degree
     if k < 2:
@@ -130,7 +131,8 @@ def is_composite(
     else:
         lams = [Fraction(j) for j in range(1, k + 1)]
     witnesses = []
-    pencil = FiberPencil(f)
+    if pencil is None:
+        pencil = FiberPencil(f)
     for lam in lams:
         if not pencil.status(lam).reducible:
             return CompositenessVerdict(composite=False, certificate_lambda=lam)

@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 assertion or floor violation (including refused
 hypotheses, and CertificationFailed when an exact certificate does not
 check), 2 usage error, 3 from sigma, the one subcommand that factors fibers
 (`incidence` only tests them): degree cap exceeded (DegreeCapExceeded) or an
-integer that Brent's rho cannot split within its budget
-(FactorBudgetExceeded). Every run given --out writes a manifest.json
-echoing the resolved configuration; wall-clock timing lives only in the
-manifest so the data files stay byte-reproducible.
+integer in a divisor list of Kronecker's univariate factor search that
+Brent's rho cannot split within its budget (FactorBudgetExceeded). Every
+run given --out writes a manifest.json echoing the resolved configuration;
+wall-clock timing lives only in the manifest so the data files stay
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .explorer import (
     generate_set,
     run_scan,
 )
-from .factor import DEFAULT_DEGREE_CAP
+from .factor import DEFAULT_DEGREE_CAP, FiberPencil
 from .geometry import check_class_bound, incidence_report
 from .parsing import PolyParseError, format_bipoly, format_unipoly, load_poly
 from .spectrum import DEFAULT_SWEEP_HEIGHT, rational_critical_values, sigma_candidates, sigma_scan
@@ -200,12 +201,14 @@ def cmd_sigma(args) -> int:
     height = _sweep_height(args)
     f = load_poly(args.poly)
     extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
-    cands = sigma_candidates(f, extra=extra, sweep_height=height)
-    report = sigma_scan(f, cands, cap=args.degree_cap)
+    pencil = FiberPencil(f)
+    cands = sigma_candidates(f, extra=extra, sweep_height=height, pencil=pencil)
+    report = sigma_scan(f, cands, cap=args.degree_cap, pencil=pencil)
     payload = report.to_dict()
     lines = [
         f"polynomial: {format_bipoly(f)} (degree {report.degree_k})",
-        f"candidates tested: {report.candidate_count}",
+        f"candidates tested: {report.candidate_count}"
+        + (" (complete over Q)" if report.candidates_complete else ""),
         f"reducible fibers found: {len(report.found)}"
         + (f" at {', '.join(str(v) for v in report.found_values)}" if report.found else ""),
         f"Stein bound respected: {report.stein_bound_respected}",
@@ -218,12 +221,14 @@ def cmd_incidence(args) -> int:
     height = _sweep_height(args)
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
-    if f.total_degree >= 2:
-        report, family = incidence_report(f, A.elements, rational_critical_values(f), height)
+    pencil = FiberPencil(f) if f.total_degree >= 2 else None
+    if pencil is not None:
+        spectrum = rational_critical_values(f, pencil) or ()
+        report, family = incidence_report(f, A.elements, spectrum, height, pencil)
     else:
         report, family = incidence_report(f, A.elements)
     degenerate = is_degenerate(f) is not None
-    verdict = is_composite(f) if (f.total_degree >= 2 and not degenerate) else None
+    verdict = is_composite(f, pencil=pencil) if (pencil is not None and not degenerate) else None
     composite = bool(verdict.composite) if verdict else False
     # the class-size ceiling only applies off the degenerate/composite cases
     bound = check_class_bound(family, composite or degenerate)

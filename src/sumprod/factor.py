@@ -43,6 +43,42 @@ deg_x f deg_y f rows: rank M' = rank A0 + rank(A1 K0), and the kernel of M'
 is K0 times that of A1 K0, already in the reduced-echelon form that
 eliminating M' itself gives.
 
+The same blocks give every lambda whose fiber can be reducible. With
+t = lambda / s, M'(t) has full column rank exactly when
+A1(t) K0 = G - t H does, G = B1 K0 and H = C1 K0 over Q, B1 and C1 the
+lambda rows of R(F)' and R(1)'. For a fixed |K0| x (rows of C1) matrix P of
+small integers (`linalg._projector`) let D(t) = det(P (G - t H)). Where D is
+nonzero, G - t H has full column rank, so the fiber is absolutely
+irreducible: D vanishes at t = lambda / s for every lambda with f - lambda
+reducible over C. When D is not identically zero, its rational roots are
+thus a finite list that holds every such rational lambda, a list complete
+over Q. D is identically zero when every fiber is reducible (f composite),
+and can be for an unlucky P, so two fixed P are used: the common rational
+roots of their D are kept, and the list is given up only when both vanish
+(`FiberPencil.spectrum`). Roots are found p-adically (`rational_roots`).
+
+D is made exact over Q from its images mod the `linalg` primes. Let A0_R be
+rank A0 independent rows of A0, X the unit columns at the pivot columns of
+A0, and N(t) = [A0_R; P (B1 - t C1)], a square integer matrix. As
+A0_R K0 = 0, N(t) [X | K0] is block triangular with diagonal blocks A0_R X
+and P (G - t H), and det [X | K0] = +-1 (K0 is in reduced-echelon form),
+so det N(t) = +-c0 D(t) with c0 = det(A0_R X) != 0. The monic D therefore
+has the coefficients E_j / E_d of E = det N, ratios of integers that
+Hadamard's inequality bounds by H, with H^2 < 2^b for the b of
+`linalg.Pencil.projection_bits`; rational reconstruction mod m > 2 H^2
+recovers them. Mod p, D has degree at most rank(P H), and is interpolated
+from that many values plus one of det(P (G - t H)) mod p, then made monic.
+A prime is unlucky when A0 mod p has fewer or later pivots than over Q
+(K0 mod p is then not the image of K0) or when it kills the leading
+coefficient of D; both need p to divide c0 E_d, whose absolute value is at
+most H^2 < 2^b. Images are joined by CRT only for the best (pivot profile,
+degree) seen, which every lucky prime attains, and every prime exceeds
+2^60. So once more than b / 60 primes share the best profile, one of them
+is lucky, hence all are, and the reconstruction past 2^(b + 1) is exact.
+A prime at which det(P (G - t H)) vanishes at t = (p - 1) / 2 is taken for
+D = 0 mod p, and two such primes give the list up: that can only cost
+completeness, which is then not claimed.
+
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
 g = sum_i lambda_i (f/f_i) d f_i/dx, and f_i divides every term of
@@ -58,27 +94,35 @@ most r (r-1)^2 / 2 integers c fail. Each factor E_j of E irreducible over Q
 then gives the factor gcd(f, E_j(g/f_x) f_x^(deg E_j)) of f irreducible over
 Q: the product of the f_i with E_j(lambda_i) = 0.
 
-Univariate polynomials, and E, are factored by Kronecker's method,
-interpolation through divisor tuples of integer evaluations. It is
-exponential, so a hard degree cap (and an internal search budget) turns
-pathological inputs into a clear error instead of a hang. Every returned
-factorization is certified by re-expansion before it leaves this module.
+Univariate polynomials, and E, lose their linear factors to the p-adic
+root finder, which factors no integer, and are then factored by Kronecker's
+method, interpolation through divisor tuples of integer evaluations. It is
+exponential, and its divisor lists factor integers, so a hard degree cap
+(and an internal search budget) turns pathological inputs into a clear
+error instead of a hang. Every returned factorization is certified by
+re-expansion before it leaves this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import count
+from math import isqrt
+from typing import Iterator
 
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
-    BiPoly, UniPoly, bi_divexact, bi_gcd, grlex_key, horner_int, resultant_eliminating, split_content_x,
-    uni_gcd, uni_squarefree_part,
+    BiPoly, UniPoly, _gcd_mod, _interpolate_mod, bi_divexact, bi_gcd, grlex_key, horner_int,
+    resultant_eliminating, split_content_x, uni_gcd, uni_squarefree_part,
 )
 
 DEFAULT_DEGREE_CAP = 8
+
+# seeds of the two fixed projections P of the rank-drop polynomials D(t)
+_PROJECTIONS = (1, 2)
 
 # combined cap on divisor-tuple attempts inside one univariate factor search
 _SEARCH_BUDGET = 400_000
@@ -196,35 +240,67 @@ def _ruppert_columns(ints: dict, dx: int, dy: int) -> list[dict]:
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """Distinct rational roots, via the rational root theorem.
+    """Distinct rational roots, found p-adically (Loos 1983); no integer is
+    factored.
 
-    A root n/den in lowest terms makes den x - n an integer factor of p
-    (Gauss's lemma), so den - n divides p(1) and den + n divides p(-1).
+    Let q = q_0 + ... + q_d x^d be p made primitive in Z[x], with a factor
+    x^v (so the root 0 when v > 0) divided out, and replaced by its
+    squarefree part unless it is squarefree modulo the least prime not
+    dividing q_d. A root n/den in lowest terms has n | q_0 and den | q_d
+    (Gauss), so q_d n/den is an integer of absolute value at most
+    |q_0 q_d|. Take the least prime l that divides neither q_d nor the
+    discriminant, that is with q mod l squarefree of degree d. Every
+    rational root reduces to a simple root of q mod l, and Newton's
+    iteration lifts that root to the only l-adic root above it. Once
+    l^e > 2 |q_0 q_d|, the symmetric residue of q_d times the lifted root
+    mod l^e is the only integer candidate for q_d n/den, and the candidate
+    is kept when q vanishes at it exactly.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
     ints = p.primitive()[0].n
-    low = min(ints)
-    roots = [Fraction(0)] if low else []
-    row = [ints.get(k, 0) for k in range(low, max(ints) + 1)]  # p / x^low, ascending
-    if len(row) == 1:
+    roots = [Fraction(0)] if min(ints) else []
+    q = _ascending(ints)
+    if len(q) == 1:
         return roots
-    coeffs = row[::-1]  # highest degree first
-    at_one, at_minus_one = sum(row), horner_int(row, -1)
-    for num in integers.divisors(coeffs[-1]):
-        for den in integers.divisors(coeffs[0]):
-            if gcd(num, den) > 1:
-                continue
-            for n in (num, -num):
-                if (den - n and at_one % (den - n)) or (den + n and at_minus_one % (den + n)):
-                    continue
-                value, den_power = 0, 1  # den^deg p * p(n/den), by Horner
-                for c in coeffs:
-                    value = value * n + c * den_power
-                    den_power *= den
-                if value == 0:
-                    roots.append(Fraction(n, den))
+    ell = next(ell for ell in _small_primes() if q[-1] % ell)
+    if not _squarefree_mod(q, ell):
+        # q has a repeated factor, or ell divides its discriminant
+        q = _ascending(uni_squarefree_part(p).primitive()[0].n)
+        ell = next(ell for ell in _small_primes() if q[-1] % ell and _squarefree_mod(q, ell))
+    lead, bound = q[-1], 2 * abs(q[0] * q[-1])
+    deriv = [k * c for k, c in enumerate(q)][1:]
+    for r in range(ell):
+        if horner_int(q, r) % ell:
+            continue
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - horner_int(q, r) * pow(horner_int(deriv, r), -1, m)) % m
+        v = lead * r % m
+        n = v - m if 2 * v > m else v
+        # lead^d q(n / lead) is an integer, zero exactly when q(n / lead) is
+        if not sum(c * n**k * lead ** (len(q) - 1 - k) for k, c in enumerate(q)):
+            roots.append(Fraction(n, lead))
     return sorted(roots)
+
+
+def _ascending(ints: dict[int, int]) -> list[int]:
+    """The coefficient list of sum c x^k over ints, divided by its lowest power of x."""
+    return [ints.get(k, 0) for k in range(min(ints), max(ints) + 1)]
+
+
+def _small_primes() -> Iterator[int]:
+    """The primes in increasing order, by trial division."""
+    return (n for n in count(2) if all(n % j for j in range(2, isqrt(n) + 1)))
+
+
+def _squarefree_mod(q: list[int], ell: int) -> bool:
+    """Whether q, with ell not dividing its leading coefficient, is squarefree mod ell."""
+    dq = [k * c % ell for k, c in enumerate(q)][1:]
+    while dq and not dq[-1]:
+        dq.pop()
+    return bool(dq) and len(_gcd_mod([c % ell for c in q], dq, ell)) == 1
 
 
 def _interpolate(points: list[tuple[int, Fraction]]) -> UniPoly:
@@ -538,6 +614,72 @@ class FiberPencil:
         # leaves the solutions that vanish there, one fewer for every fiber
         drop = next(k for k, w in enumerate(grad) if w)
         self.pencil = linalg.Pencil(columns[:drop] + columns[drop + 1 :], ones[:drop] + ones[drop + 1 :])
+
+    @cached_property
+    def spectrum(self) -> tuple[Fraction, ...] | None:
+        """A finite list of rationals holding every rational lambda with
+        f - lambda reducible over C, or None when the pencil gives none.
+
+        The list is s t over the rational roots t of gcd(D_1, D_2), for the
+        rank-drop polynomials of two fixed projections (module docstring).
+        None means both vanish identically: every fiber is reducible, as for
+        a composite or univariate f.
+        """
+        if self.univariate:
+            return None
+        drops = [d for d in map(self._drop_polynomial, _PROJECTIONS) if d is not None]
+        if not drops:
+            return None
+        return tuple(self.scale * t for t in rational_roots(uni_gcd(*drops) if len(drops) > 1 else drops[0]))
+
+    def _drop_polynomial(self, seed: int) -> UniPoly | None:
+        """D(t) = det(P (G - t H)) made monic over Q, P the projection of
+        `seed`, or None when it vanishes identically at two primes.
+
+        Per prime, D mod p, of degree at most r = rank(P H), is interpolated
+        from its values at r + 1 points, one of them first alone: a zero
+        there counts as D = 0 mod p. Images are kept only for the best
+        (pivot profile of A0, degree of D) seen, and joined by CRT; the
+        module docstring shows why the count of primes and the modulus at
+        which this stops make the result exact.
+        """
+        pencil = self.pencil
+        best = residues = modulus = bits = None
+        zeros = same = 0
+        for p in linalg._primes():
+            pivots, PG, PH = pencil.projection_mod(seed, p)
+
+            def at(t):
+                return linalg._det_mod([[(g - t * h) % p for g, h in zip(rg, rh)] for rg, rh in zip(PG, PH)], p)
+
+            first = at(p >> 1)
+            if not first:
+                zeros += 1
+                if zeros == 2:
+                    return None
+                continue
+            nodes = range(len(linalg._echelon_mod([dict(enumerate(row)) for row in PH], p)[1]))
+            image = _interpolate_mod([p >> 1, *nodes], [first, *map(at, nodes)], p)
+            while not image[-1]:
+                image.pop()
+            inv = pow(image[-1], -1, p)
+            image = [c * inv % p for c in image]
+            profile = (len(pivots), [-c for c in pivots], len(image))
+            if best is None or profile > best:
+                best, residues, modulus, same = profile, image, p, 1
+                bits = pencil.projection_bits(seed, len(PG))
+            elif profile == best:
+                residues = linalg._crt(residues, modulus, image, p)
+                modulus *= p
+                same += 1
+            else:
+                continue
+            if same > bits // 60 and modulus >> (bits + 1):
+                lifted = linalg._lift(residues, modulus)
+                if lifted is None:
+                    raise CertificationFailed("the rank-drop polynomial did not reconstruct within its bound")
+                nums, den = lifted
+                return UniPoly._over({k: v for k, v in enumerate(nums) if v}, den)
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""

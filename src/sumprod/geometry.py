@@ -172,7 +172,7 @@ class IncidenceReport:
 
 
 def incidence_report(
-    f: BiPoly, A, candidates=(), sweep_height: int | None = None
+    f: BiPoly, A, candidates=(), sweep_height: int | None = None, pencil: FiberPencil | None = None
 ) -> tuple[IncidenceReport, CurveFamily]:
     """Count exact incidences between the pruned grid and the curve family.
 
@@ -180,10 +180,11 @@ def incidence_report(
     whose value is a candidate lambda with f - lambda reducible over C (only
     candidates on the grid are tested, and no fiber is factored): the given
     `candidates`, plus `spectrum.sweep_candidates(sweep_height)` unless the
-    height is None. Each curve is a graph, so it meets a column of the grid
-    at most once and the count per curve is the number of sums s with T(s) a
-    kept value. On the integer grid that is the number of d in the row's hit
-    set H_b with d + D a in D (A'+A') (see the module docstring).
+    height is None, tested on `pencil` when given. Each curve is a graph, so
+    it meets a column of the grid at most once and the count per curve is
+    the number of sums s with T(s) a kept value. On the integer grid that is
+    the number of d in the row's hit set H_b with d + D a in D (A'+A') (see
+    the module docstring).
     """
     family = build_family(f, A)
     grid = family.grid
@@ -197,7 +198,8 @@ def incidence_report(
             on_grid[v] = lam
     if sweep_height is not None:
         on_grid.update((v, Fraction(v, S)) for v in _sweep_on_grid(values, S, sweep_height))
-    pencil = FiberPencil(f) if on_grid else None
+    if on_grid and pencil is None:
+        pencil = FiberPencil(f)
     removed = {v for v, lam in on_grid.items() if pencil.status(lam).reducible}
     kept_values = values - removed
     diffs = tuple({s - p for s in sums for p in grid.points})

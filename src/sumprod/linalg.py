@@ -37,6 +37,11 @@ ker [A0; A1] = K0 ker(A1 K0). A0 is eliminated once per prime, and each
 member costs one elimination of A1 K0, which has only the rows of C. K0 times
 the reduced-echelon kernel of A1 K0 is the member's own reduced-echelon
 kernel, which the certificate above lifts and verifies on the member's columns.
+A member's own columns are built only when a kernel vector needs that check.
+Per prime the pencil also gives P G and P H, G = B1 K0 and H = C1 K0, for a
+fixed small-integer projection P (`Pencil.projection_mod`), with a Hadamard
+bound on the determinant they lead to (`Pencil.projection_bits`): `factor`
+reads off det(b P G - a P H) the members that can lose rank.
 
 The modular resultants and gcds of `poly` run on the same primes (`_primes`),
 combine their images with `_crt` and lift gcds with `_lift`.
@@ -52,12 +57,13 @@ reference the tests compare the engine against.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import gcd, isqrt, lcm
+from functools import cache, cached_property, partial
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .errors import CertificationFailed
 from .integers import is_probable_prime
@@ -414,7 +420,10 @@ class Pencil:
 
     def __init__(self, B: Sequence[dict], C: Sequence[dict]):
         self.B, self.C = B, C
-        self.c_rows = set().union(*C)  # the rows where C is nonzero
+        # the rows where C is nonzero, numbered in the order the columns of C meet them
+        rows = self.c_rows = {key: r for r, key in enumerate(dict.fromkeys(key for col in C for key in col))}
+        self.A0 = [{key: v for key, v in col.items() if key not in rows} for col in B]
+        self.B1 = [{key: v for key, v in col.items() if key in rows} for col in B]
         self._blocks: dict = {}  # p -> (pivots of A0, free columns of A0, K0, G, H)
 
     def columns(self, a: int, b: int) -> list[dict]:
@@ -434,7 +443,7 @@ class Pencil:
 
     def rank(self, a: int, b: int) -> int:
         """Certified rank of b B - a C."""
-        return rank_int(self.columns(a, b), partial(self.kernel_mod, a, b))
+        return rank_int(_Member(self, a, b), partial(self.kernel_mod, a, b))
 
     def kernel_mod(self, a: int, b: int, p: int) -> tuple[list[int], list[dict[int, int]]]:
         """Pivot columns and sparse reduced-echelon nullspace basis mod p of
@@ -450,16 +459,112 @@ class Pencil:
         """The per-prime part: A0 eliminated mod p, K0, G and H (class docstring)."""
         block = self._blocks.get(p)
         if block is None:
-            rows = self.c_rows
-            A0 = [{key: v for key, v in col.items() if key not in rows} for col in self.B]
-            B1 = [{key: v for key, v in col.items() if key in rows} for col in self.B]
+            A0 = self.A0
             echelon, pivots = _echelon_mod(A0, p)
             K0 = _kernel_mod(echelon, pivots, len(A0), p)
             free = sorted(set(range(len(A0))).difference(pivots))
-            G = [_combine(B1, v, p) for v in K0]
+            G = [_combine(self.B1, v, p) for v in K0]
             H = [_combine(self.C, v, p) for v in K0]
             block = self._blocks[p] = (pivots, free, K0, G, H)
         return block
+
+    def projection_mod(self, seed: int, p: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """The pivot columns of A0 mod p, and P G and P H mod p as dense
+        |K0| x |K0| rows, with P = `_projector(seed, |K0|, rows of C)`.
+
+        The member b B - a C has full column rank mod p wherever
+        det(b P G - a P H) is nonzero mod p, since then its block A1 K0 has
+        rank |K0| (class docstring)."""
+        pivots, _, K0, G, H = self._block(p)
+        P = _projector(seed, len(K0), len(self.c_rows))
+        return pivots, self._project(P, G, p), self._project(P, H, p)
+
+    def _project(self, P: Sequence[Sequence[int]], columns: Sequence[dict], p: int = 0) -> list[list[int]]:
+        """P times the matrix of `columns` restricted to the rows of C,
+        reduced mod p when p is nonzero."""
+        rows = self.c_rows
+        out = [[sum(row[rows[key]] * v for key, v in col.items()) for col in columns] for row in P]
+        return [[v % p for v in r] for r in out] if p else out
+
+    def projection_bits(self, seed: int, k: int) -> int:
+        """Bits of a bound on H^2, with H bounding every t-coefficient of
+        det [A0_R; P (B1 - t C1)] for any set R of rows of A0 and
+        P = `_projector(seed, k, rows of C)`.
+
+        Row i of that matrix is u_i - t v_i, so the coefficient of t^j is a
+        sum over the j-sets S of rows of +-det(v on S, u elsewhere), and
+        Hadamard's inequality bounds it by prod_i (|u_i| + |v_i|). As
+        (|u| + |v|)^2 <= 2 (|u|^2 + |v|^2), and each row of A0 (v = 0) has
+        |u|^2 >= 1, H^2 is below 2^bits with bits the bit length of the
+        product of |a|^2 over every row a of A0 and of 2 (|u_i|^2 + |v_i|^2)
+        over the k rows of P (B1 - t C1).
+        """
+        norms: dict = {}
+        for col in self.A0:
+            for key, v in col.items():
+                norms[key] = norms.get(key, 0) + v * v
+        P = _projector(seed, k, len(self.c_rows))
+        PB, PC = self._project(P, self.B1), self._project(P, self.C)
+        return (prod(norms.values()) * prod(2 * sum(x * x for x in u + v) for u, v in zip(PB, PC))).bit_length()
+
+
+class _Member(Sequence):
+    """The columns of the member b B - a C of a `Pencil`, built on first
+    read. `certified_nullspace` reads them only to verify a lifted kernel
+    vector or to set its prime budget, so a member of full column rank at
+    the first prime never builds them."""
+
+    def __init__(self, pencil: Pencil, a: int, b: int):
+        self.pencil, self.a, self.b = pencil, a, b
+
+    def __len__(self) -> int:
+        return len(self.pencil.B)
+
+    @cached_property
+    def _columns(self) -> list[dict]:
+        return self.pencil.columns(self.a, self.b)
+
+    def __getitem__(self, k):
+        return self._columns[k]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+
+@cache
+def _projector(seed: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """A fixed k x m matrix of small nonzero integers, drawn row by row from
+    a linear congruential generator started at `seed`: its first rows do not
+    depend on k."""
+    x, out = seed, []
+    for _ in range(k):
+        row = []
+        for _ in range(m):
+            x = (x * 1103515245 + 12345) % (1 << 31)
+            v = (x >> 16) % 6
+            row.append(v - 3 if v < 3 else v - 2)  # -3..-1, 1..3
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p of a dense square matrix, by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    det = 1
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, len(m)):
+            if f := m[r][c] * inv % p:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
 
 
 def _combine(columns: Sequence[dict], w: dict[int, int], p: int) -> dict:

@@ -1,15 +1,23 @@
 """Search for and certify reducible fibers f - lambda.
 
-Candidate lambdas come from three sources: rational critical values of f
-(obtained by eliminating x and then y from the system {f - lambda, f_x, f_y}
-with resultants), a small-height rational sweep, and user-supplied values.
-Every resultant is the modular `poly.resultant_eliminating`. For a
-univariate f, lambda stands on the free y axis, so one resultant gives the
-eliminant; for a bivariate f, the resultants that keep lambda symbolic are
-evaluated at integer lambdas and interpolated.
+Candidate lambdas come from three sources: the rational spectrum of the
+fiber pencil, a small-height sweep, and user-supplied values. The spectrum
+is read off the rank drop of the Ruppert pencil (`factor.FiberPencil`):
+with t = lambda / s, the system of f - lambda loses column rank exactly
+where the fiber is reducible, so the determinant D(t) = det(P (G - t H)) of
+a fixed square projection of its lambda block vanishes there. When D is not
+identically zero, its rational roots form a finite list that holds every
+rational lambda with f - lambda reducible over C: the list is complete over
+Q. The `factor` module docstring shows how D is made exact over Q. When D
+vanishes identically for both fixed projections, as it does when every
+fiber is reducible (composite or univariate f), there is no finite list and
+the candidates are the sweep and the user values.
+
 The scan then decides reducibility of every candidate fiber with a
-certificate. Membership of a tested lambda is certified either way;
-completeness over all complex lambda is not claimed.
+certificate. Membership of a tested lambda is certified either way. The
+report is `candidates_complete` when the candidates held the spectrum, so
+that its hits are every rational lambda with a reducible fiber; completeness
+over all complex lambda is not claimed.
 """
 
 from __future__ import annotations
@@ -19,17 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import FactorBudgetExceeded
 from .factor import (
     AbsReducibleWitness,
     FactorList,
     DEFAULT_DEGREE_CAP,
     FiberPencil,
-    _interpolate,
     factor_rational,
-    rational_roots,
 )
-from .poly import BiPoly, resultant_eliminating, uni_squarefree_part
+from .poly import BiPoly
 
 DEFAULT_SWEEP_HEIGHT = 5
 
@@ -57,6 +62,7 @@ class SigmaReport:
     found: tuple[SigmaHit, ...]
     candidate_count: int
     stein_bound_respected: bool
+    candidates_complete: bool  # every rational lambda with a reducible fiber was tested
 
     @property
     def found_values(self) -> tuple[Fraction, ...]:
@@ -73,6 +79,7 @@ class SigmaReport:
                 for hit in self.found
             ],
             "candidate_count": self.candidate_count,
+            "candidates_complete": self.candidates_complete,
             "stein_bound_respected": self.stein_bound_respected,
         }
 
@@ -95,62 +102,14 @@ def _certificate_summary(cert) -> dict:
 # candidates
 
 
-def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
-    """res_x(f - lambda, g) as a polynomial in (y, lambda), y on axis 0.
-
-    lambda only enters the x^0 coefficient of f - lambda, so the Sylvester
-    matrix has the same shape for every lambda, and lambda fills one entry in
-    each of deg_x g rows. The resultant therefore has lambda-degree at most
-    deg_x g, and its values at lambda = 0, 1, ..., deg_x g determine each
-    y-coefficient exactly by interpolation.
+def rational_critical_values(f: BiPoly, pencil: FiberPencil | None = None) -> list[Fraction] | None:
+    """Every rational lambda with f - lambda reducible over C, possibly with
+    a few more, read off the rank drop of the fiber pencil
+    (`FiberPencil.spectrum`, shared with `pencil` when given); None when f
+    has no such finite list (composite or univariate f).
     """
-    values = [resultant_eliminating(f - BiPoly.const(t), g, "x") for t in range(g.deg_x + 1)]
-    return BiPoly(
-        {
-            (j, k): v
-            for j in set().union(*(r.c for r in values))
-            for k, v in _interpolate([(t, r.coeff(j)) for t, r in enumerate(values)]).c.items()
-        }
-    )
-
-
-def rational_critical_values(f: BiPoly) -> list[Fraction]:
-    """Rational roots of the eliminant of {f - lambda, f_x, f_y}.
-
-    Spurious roots from resultant inflation are acceptable; the scan filters
-    every candidate by an actual reducibility test. When the root search runs
-    out of budget, the critical values are skipped with a logged warning.
-    """
-    fx = f.derivative("x")
-    fy = f.derivative("y")
-    if fx.is_zero and fy.is_zero:
-        return []
-    if fx.is_zero or fy.is_zero:
-        # univariate f: critical values are f at the roots of f', the roots
-        # of res_x(p(x) - lambda, p'(x)) with lambda on the y axis
-        p, _ = f.to_unipoly()
-        elim = resultant_eliminating(p.to_bipoly("x") - BiPoly.y(), p.derivative().to_bipoly("x"), "x")
-    else:
-        r1 = _resultant_x_with_lambda(f, fx)
-        r2 = _resultant_x_with_lambda(f, fy)
-        if r1.is_zero or r2.is_zero:
-            return []
-        if r1.deg_x <= 0 and r2.deg_x <= 0:
-            # no y left to eliminate; any common root shows up in either one
-            elim = next((p for p in (r1.to_unipoly()[0], r2.to_unipoly()[0]) if p.degree >= 1), None)
-        else:
-            elim = resultant_eliminating(r1, r2, "x")
-    if elim is None or elim.is_zero or elim.degree < 1:
-        return []
-    try:
-        return rational_roots(uni_squarefree_part(elim))
-    except FactorBudgetExceeded as exc:
-        import logging  # imported on this rare path only, to keep it out of every start-up
-
-        logging.getLogger(__name__).warning(
-            "sigma: rational critical values skipped, their root search ran out of budget: %s", exc
-        )
-        return []
+    spectrum = (pencil if pencil is not None else FiberPencil(f)).spectrum
+    return None if spectrum is None else list(spectrum)
 
 
 def coprime_pairs(height: int) -> Iterator[tuple[int, int]]:
@@ -174,13 +133,15 @@ def sigma_candidates(
     f: BiPoly,
     extra: tuple[Fraction, ...] = (),
     sweep_height: int = DEFAULT_SWEEP_HEIGHT,
+    pencil: FiberPencil | None = None,
 ) -> list[Fraction]:
-    """Candidate lambdas: critical values, small-height sweep, user values."""
+    """Candidate lambdas: the rational spectrum of the pencil when f has
+    one (`rational_critical_values`), small-height sweep, user values."""
     if f.is_constant:
         raise ValueError("candidates need a nonconstant polynomial")
     cands = set(sweep_candidates(sweep_height))
     cands.update(Fraction(v) for v in extra)
-    cands.update(rational_critical_values(f))
+    cands.update(rational_critical_values(f, pencil) or ())
     return sorted(cands)
 
 
@@ -192,14 +153,20 @@ def sigma_scan(
     f: BiPoly,
     candidates: list[Fraction],
     cap: int = DEFAULT_DEGREE_CAP,
+    pencil: FiberPencil | None = None,
 ) -> SigmaReport:
-    """Certify reducibility of f - lambda for every candidate lambda."""
+    """Certify reducibility of f - lambda for every candidate lambda, on
+    `pencil` when given. The report is `candidates_complete` when f has a
+    rational spectrum (`FiberPencil.spectrum`) and the candidates hold it:
+    every rational lambda with f - lambda reducible was then tested."""
     k = f.total_degree
     if k < 2:
         raise ValueError("scan needs total degree >= 2")
     lams = sorted(set(map(Fraction, candidates)))
     hits = []
-    pencil = FiberPencil(f)
+    if pencil is None:
+        pencil = FiberPencil(f)
+    spectrum = pencil.spectrum
     for lam in lams:
         status = pencil.status(lam)
         if not status.reducible:
@@ -221,6 +188,7 @@ def sigma_scan(
         found=tuple(hits),
         candidate_count=len(lams),
         stein_bound_respected=len(hits) < k,
+        candidates_complete=spectrum is not None and set(spectrum) <= set(lams),
     )
 
 

@@ -100,10 +100,12 @@ class TestSigmaCommand:
         assert [h["lambda"] for h in data["found"]] == ["0"]
 
     def test_factor_budget_exit_code(self, capsys):
-        # the fiber at 0 splits over C, and its factor search needs this
-        # 100-bit semiprime factored, which Brent's rho cannot do in budget
+        # the fiber at 0 is x (y^4 + n), and Kronecker's search for a
+        # quadratic factor of the content y^4 + n needs the divisors of its
+        # value n at y = 0: a 100-bit semiprime that Brent's rho cannot split
+        # in budget
         n = 1267650600228402790082356974917
-        assert main(["sigma", "--poly", f"x^2 - {n} y^2", "--sweep-height", "1"]) == 3
+        assert main(["sigma", "--poly", f"x y^4 + {n} x", "--sweep-height", "1"]) == 3
         err = capsys.readouterr().err
         assert err == f"factor budget exceeded: rho budget exceeded for {n}\n"
 
@@ -180,6 +182,22 @@ class TestIncidenceCommand:
         on_grid = [lam for lam in cands if lam in values]
         assert len(on_grid) < len(cands)
         assert len(tested) - composite_tests <= len(on_grid) + composite_tests
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigma", "--poly", "x^3 + x y", "--extra-candidates", "7/3"],
+            ["incidence", "--poly", "x^2 - y^2", "--set", "AP(6,-2,1)"],
+        ],
+        ids=["sigma", "incidence"],
+    )
+    def test_one_fiber_pencil_per_command(self, argv, monkeypatch, capsys):
+        # the spectrum, the fiber tests and the compositeness test share it
+        built = []
+        init = FiberPencil.__init__
+        monkeypatch.setattr(FiberPencil, "__init__", lambda self, f: built.append(f) or init(self, f))
+        assert main(argv + ["--json"]) == 0
+        assert built == [parse_poly(argv[2])]
 
     def test_degree_cap_exit_code(self, capsys):
         # the fiber at zero is a tenth-degree perfect power; factoring its
@@ -355,7 +373,7 @@ class TestOptimizedInterpreter:
 
 
 def test_sigma_on_a_large_eliminant_ends():
-    # the critical values' squarefree part runs a gcd of degree-115 inputs
+    # the eliminant of the critical values by resultants had degree 115
     src = str(Path(sumprod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
@@ -366,9 +384,12 @@ def test_sigma_on_a_large_eliminant_ends():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert "1/2" in [hit["lambda"] for hit in json.loads(run.stdout)["found"]]
-    # the critical values' root search runs out of budget, and says so
-    assert "rational critical values skipped" in run.stderr and "budget" in run.stderr
+    report = json.loads(run.stdout)
+    assert "1/2" in [hit["lambda"] for hit in report["found"]]
+    # the spectrum comes from the pencil's rank drop, which factors no
+    # integer: nothing is skipped, and the candidate list is complete over Q
+    assert "skipped" not in run.stderr and "budget" not in run.stderr
+    assert report["candidates_complete"] is True
 
 
 def test_incidence_at_ap_256_ends():

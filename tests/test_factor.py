@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
+    _PROJECTIONS,
     FiberPencil,
     _gradient,
     _ruppert_columns,
@@ -27,7 +28,7 @@ from sumprod.factor import (
     rational_roots,
     squarefree_part,
 )
-from sumprod.linalg import certified_nullspace, rref
+from sumprod.linalg import _projector, certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 from sumprod.spectrum import sweep_candidates
@@ -147,6 +148,35 @@ class TestRationalRoots:
             if rng.random() < 0.5:
                 p = p * UniPoly({2: rng.randint(1, 6), 0: rng.randint(1, 30)})
             assert rational_roots(p) == sorted(expected), p
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(10**32), 10**32), st.integers(1, 10**30), st.integers(1, 3)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2),
+        st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=4),
+        st.integers(1, 10**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_ground_roots(self, planted, zero_mult, cofactor, scale):
+        # (den x - n)^mult for each planted root, x^zero_mult, a cofactor
+        # with integer coefficients, and a scale: 60+-digit coefficients,
+        # repeated roots, the root 0 and denominators
+        import sympy
+
+        x = sympy.symbols("x")
+        expr = sympy.Rational(1, scale) * x**zero_mult * sum(c * x**k for k, c in enumerate(cofactor))
+        for n, den, mult in planted:
+            expr *= (den * x - n) ** mult
+        poly = sympy.Poly(sympy.expand(expr), x)
+        assume(not poly.is_zero)
+        p = UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in poly.terms()})
+        expected = sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots())
+        assert rational_roots(p) == expected
 
 
 class TestFactorUnivariate:
@@ -445,6 +475,59 @@ class TestFiberPencil:
             status = pencil.status(lam)
             assert status.reducible and status.kind == "univariate" and status.abs_count is None
         assert not FiberPencil(P("2 y")).status(F(5)).reducible
+
+
+def sympy_drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:
+    """det(P A1(t) K0) over Q by sympy, made monic, or None when it is zero:
+    K0 a kernel basis of the lambda-free rows A0, A1(t) = B1 - t C1 the
+    other rows, P the fixed projection of `seed` (any basis of ker A0 gives
+    the same monic polynomial)."""
+    import sympy
+
+    t = sympy.symbols("t")
+    pen = pencil.pencil
+    n = len(pen.B)
+    a0_rows = sorted({key for col in pen.A0 for key in col})
+    kernel = sympy.Matrix(len(a0_rows), n, lambda i, j: pen.A0[j].get(a0_rows[i], 0)).nullspace()
+    K0 = sympy.Matrix.hstack(*kernel) if kernel else sympy.zeros(n, 0)
+    rows = list(pen.c_rows)
+    A1 = sympy.Matrix(len(rows), n, lambda i, j: pen.B1[j].get(rows[i], 0) - t * pen.C[j].get(rows[i], 0))
+    P_ = sympy.Matrix(len(kernel), len(rows), lambda i, j: _projector(seed, len(kernel), len(rows))[i][j])
+    det = sympy.Poly(sympy.expand((P_ * A1 * K0).det(method="berkowitz")), t)
+    if det.is_zero:
+        return None
+    monic = det.monic()
+    return UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in monic.terms()})
+
+
+class TestRankDropPolynomial:
+    """D(t) = det(P (G - t H)) from the pencil's blocks against sympy."""
+
+    @given(primitive_bivariate_polys(max_deg=2))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sympy(self, f):
+        pencil = FiberPencil(f)
+        for seed in _PROJECTIONS:
+            assert pencil._drop_polynomial(seed) == sympy_drop_polynomial(pencil, seed), f
+
+    # the coefficients of D for the fifth input need three primes
+    @pytest.mark.parametrize(
+        "poly",
+        ["x^4 + x y^2 + y", "x^3 y^2 + x y + 7", "x^3 + y^3", "x^2 + 2 x y + y^2", "x^3 y^2 + 1234567 x y + 7654321"],
+    )
+    def test_matches_sympy_on_fixed_inputs(self, poly):
+        pencil = FiberPencil(P(poly))
+        for seed in _PROJECTIONS:
+            assert pencil._drop_polynomial(seed) == sympy_drop_polynomial(pencil, seed)
+
+    @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-60, max_value=60, max_denominator=60))
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_holds_every_reducible_fiber(self, g, h, c):
+        # f - c = g h is reducible, so c is in the spectrum when f has one
+        f = g * h + BiPoly.const(c)
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        spectrum = FiberPencil(f).spectrum
+        assert spectrum is None or c in spectrum
 
 
 def test_forced_gradient_failure_under_optimize():

@@ -169,6 +169,20 @@ class TestPencil:
             assert pencil.rank(a, b) == len(expected.pivots)
 
 
+    def test_columns_built_only_to_verify_a_kernel(self, monkeypatch):
+        built = []
+        build = Pencil.columns
+        monkeypatch.setattr(Pencil, "columns", lambda self, a, b: built.append((a, b)) or build(self, a, b))
+        # rows 0 and 1 are b times the identity: every member has full column rank
+        full = Pencil(columns([[1, 0], [0, 1], [1, 1]]), columns([[0, 0], [0, 0], [1, 2]]))
+        assert [full.rank(a, 1) for a in range(-3, 4)] == [2] * 7
+        assert built == []
+        # [b - a, b] has a kernel vector, which is verified on the member's columns
+        deficient = Pencil(columns([[1, 1]]), columns([[1, 0]]))
+        assert deficient.rank(2, 1) == 1
+        assert built == [(2, 1)]
+
+
 class TestPrimes:
     def test_unlucky_prime(self):
         # 2^61 - 1 is the first prime, and it kills the only entry

@@ -1,22 +1,20 @@
 """Reducible-fiber search, certificates, and row removal."""
 
-import logging
+import json
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.subresultants_qq_zz import sylvester
 
-from sumprod import spectrum
+from sumprod import integers
 from sumprod.classify import is_composite
-from sumprod.errors import FactorBudgetExceeded
+from sumprod.cli import main
 from sumprod.factor import AbsReducibleWitness, FactorList
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
-    _resultant_x_with_lambda,
     rational_critical_values,
     remove_sigma_rows,
     sigma_candidates,
@@ -52,77 +50,30 @@ class TestCandidates:
         for height in range(8):
             assert sweep_candidates(height) == fraction_sweep(height)
 
-    def test_skipped_critical_values_are_reported(self, monkeypatch, caplog):
-        def out_of_budget(p):
-            raise FactorBudgetExceeded("rho budget exceeded for 91")
 
-        monkeypatch.setattr(spectrum, "rational_roots", out_of_budget)
-        with caplog.at_level(logging.WARNING, logger="sumprod.spectrum"):
-            cands = sigma_candidates(P("x y"), extra=(F(17),), sweep_height=2)
-        assert cands == sorted(sweep_candidates(2) + [F(17)])
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING and record.name == "sumprod.spectrum"
-        assert "critical values skipped" in record.getMessage() and "rho budget exceeded" in record.getMessage()
+def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
+    """res_x(f - lambda, g) as a polynomial in (y, lambda), y on axis 0.
 
-
-small_bipolys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-4, 4), min_size=1, max_size=5
-).map(BiPoly)
-
-
-class TestResultantWithLambda:
-    @given(small_bipolys, small_bipolys)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_sympy_sylvester_determinant(self, f, g):
-        assume(f.deg_x >= 1 and g.deg_x >= 1)
-        x, y, lam = sympy.symbols("x y lam")
-
-        def expr(p):
-            return sum(int(c) * x**i * y**j for (i, j), c in p.t.items())
-
-        # the textbook definition; sympy.resultant itself flips the sign for
-        # some degree pairs, e.g. resultant(x - 2, x**3, x) == -8. The
-        # determinant is taken in sympy's polynomial domain: `Matrix.det`
-        # gives the same, far more slowly
-        matrix = DomainMatrix.from_Matrix(sylvester(expr(f) - lam, expr(g), x))
-        det = matrix.domain.to_sympy(matrix.det())
-        expected = sympy.Poly(sympy.expand(det), y, lam)
-        got = _resultant_x_with_lambda(f, g)
-        assert {k: sympy.Rational(v.numerator, v.denominator) for k, v in got.t.items()} == {
-            k: v for k, v in expected.terms() if v
-        }
-
-
-@st.composite
-def univariate_with_critical_points(draw):
-    """p with p' = c (x - r_1)...(x - r_k) (x^2 - a): rational critical
-    points r_i, and irrational ones when a is not a square."""
-    roots = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
-    deriv = [F(draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])))]  # ascending coefficients
-    for r in roots + (["quadratic"] if draw(st.booleans()) else []):
-        # multiply by x - r, or by x^2 - a
-        factor = [F(-draw(st.integers(0, 5))), F(0), F(1)] if r == "quadratic" else [F(-r), F(1)]
-        deriv = [sum(deriv[i] * factor[k - i] for i in range(len(deriv)) if 0 <= k - i < len(factor))
-                 for k in range(len(deriv) + len(factor) - 1)]
-    c0 = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
-    return [c0] + [c / (k + 1) for k, c in enumerate(deriv)]
-
-
-class TestUnivariateCriticalValues:
-    @given(univariate_with_critical_points(), st.sampled_from("xy"))
-    @settings(max_examples=40, deadline=None)
-    def test_are_the_rational_roots_of_the_discriminant(self, coeffs, var):
-        x, lam = sympy.symbols("x lam")
-        p = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
-        # p - lam has a repeated root exactly at the critical values of p
-        disc = sympy.Poly(sympy.discriminant(p - lam, x), lam)
-        expected = sorted(F(int(r.p), int(r.q)) for r in sympy.roots(disc, filter="Q"))
-        f = BiPoly({((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)})
-        assert rational_critical_values(f) == expected
+    lambda fills one entry in each of deg_x g rows of the Sylvester matrix,
+    so the resultant has lambda-degree at most deg_x g and its values at
+    lambda = 0, ..., deg_x g fix each y-coefficient (Lagrange).
+    """
+    nodes = range(g.deg_x + 1)
+    values = [resultant_eliminating(f - BiPoly.const(t), g, "x") for t in nodes]
+    out = BiPoly.zero()
+    for i, r in zip(nodes, values):
+        basis = BiPoly.const(1)
+        for j in nodes:
+            if j != i:
+                basis = basis * BiPoly({(0, 1): F(1, i - j), (0, 0): F(-j, i - j)})
+        out = out + BiPoly({(k, 0): c for k, c in r.c.items()}) * basis
+    return out
 
 
 class TestLargeEliminant:
     def test_squarefree_gcd_matches_sympy(self):
+        # the eliminant of {f - lambda, f_x, f_y} by resultants: a gcd of
+        # degree-115 inputs
         f = P(LARGE_ELIMINANT)
         elim = resultant_eliminating(
             _resultant_x_with_lambda(f, f.derivative("x")), _resultant_x_with_lambda(f, f.derivative("y")), "x"
@@ -138,6 +89,92 @@ class TestLargeEliminant:
         got = uni_gcd(elim, elim.derivative())
         assert got.degree == 37
         assert got == expected
+
+
+# the height-5 sweep, every fiber of which a composite f has reducible
+SWEEP_5 = (
+    "-5 -4 -3 -5/2 -2 -5/3 -3/2 -4/3 -5/4 -1 -4/5 -3/4 -2/3 -3/5 -1/2 -2/5 -1/3 -1/4 -1/5 0"
+    " 1/5 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 1 5/4 4/3 3/2 5/3 2 5/2 3 4 5"
+).split()
+
+# (sigma argv after --poly, the hits found before the spectrum came from the
+# pencil, whether the candidates are now complete over Q)
+TIER1_SIGMA_HITS = [
+    (["x y"], ["0"], True),
+    (["x^2 + y"], [], True),
+    (["x^2 + y^2"], ["0"], True),
+    (["x^2 + x y + y^2"], ["0"], True),
+    (["x^2 - y^2"], ["0"], True),
+    (["x^3 + x y"], ["0"], True),
+    (["x^3 + y"], [], True),
+    (["x^3 + x + y"], [], True),
+    (["x^4 + y"], [], True),
+    (["x^5 + y"], [], True),
+    (["x^2 + y^2", "--extra-candidates", "1/4,2"], ["0"], True),
+    (["x^2 - y^2", "--sweep-height", "2"], ["0"], True),
+    (["x y", "--sweep-height", "0"], ["0"], True),
+    (["x^4 + x y^2 + y"], [], True),
+    (["x^3 + y^3"], ["0"], True),
+    (["x^2 y + x y^2"], ["0"], True),
+    ([LARGE_ELIMINANT], ["1/2"], True),
+    (["x^2+2xy+y^2", "--extra-candidates", "9,16"], SWEEP_5 + ["9", "16"], False),
+    (["x^2 y^2 + 3"], SWEEP_5, False),
+    (["x^3+3x^2y+3xy^2+y^3+x+y"], SWEEP_5, False),
+    (["x^2 + 2 x y + y^2"], SWEEP_5, False),
+    (["x^9 + 3 x^6 y + 3 x^3 y^2 + y^3", "--degree-cap", "9"], SWEEP_5, False),
+]
+
+
+def _sigma_json(argv, capsys) -> dict:
+    assert main(["sigma", "--poly", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+small_factors = (
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=4)
+    .map(BiPoly)
+    .filter(lambda p: not p.is_constant)
+)
+
+
+class TestRationalSpectrum:
+    @pytest.mark.parametrize(("argv", "hits", "complete"), TIER1_SIGMA_HITS, ids=[c[0][0] for c in TIER1_SIGMA_HITS])
+    def test_tier1_inputs_keep_their_hits(self, argv, hits, complete, capsys):
+        data = _sigma_json(argv, capsys)
+        assert [h["lambda"] for h in data["found"]] == hits
+        assert data["candidates_complete"] is complete
+
+    @given(small_factors, small_factors, st.integers(-50, 50), st.integers(1, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_constant_above_the_sweep_is_found(self, g, h, n, d):
+        # f - c = g h is reducible, and c lies outside the height-5 sweep
+        c = F(n, d)
+        assume(max(abs(c.numerator), c.denominator) > 5)
+        f = g * h + BiPoly.const(c)
+        assume(f.deg_x >= 1 and f.deg_y >= 1 and not is_composite(f).composite)
+        report = sigma_scan(f, sigma_candidates(f))
+        assert c in report.found_values
+        assert report.candidates_complete
+
+    def test_large_eliminant_factors_no_integer(self, monkeypatch, capsys, caplog):
+        def refuse(n):
+            raise AssertionError(f"factorint called on {n}")
+
+        monkeypatch.setattr(integers, "factorint", refuse)
+        data = _sigma_json([LARGE_ELIMINANT], capsys)
+        assert "1/2" in [h["lambda"] for h in data["found"]]
+        assert data["candidates_complete"] is True
+        assert not caplog.records
+
+    @pytest.mark.parametrize("poly", ["x^2 + 2 x y + y^2", "x^2 y^2 + 3", "x^2 + 3 x"])
+    def test_composites_have_no_complete_list(self, poly, capsys):
+        # every fiber is reducible: the candidates are the sweep and the extras
+        f = P(poly)
+        assert rational_critical_values(f) is None
+        data = _sigma_json([poly, "--extra-candidates", "9,-7/2"], capsys)
+        assert data["candidates_complete"] is False
+        assert data["candidate_count"] == len(SWEEP_5) + 2
+        assert [h["lambda"] for h in data["found"]] == sorted([*SWEEP_5, "9", "-7/2"], key=F)
 
 
 class TestScan:
