@@ -75,9 +75,14 @@ most H^2 < 2^b. Images are joined by CRT only for the best (pivot profile,
 degree) seen, which every lucky prime attains, and every prime exceeds
 2^60. So once more than b / 60 primes share the best profile, one of them
 is lucky, hence all are, and the reconstruction past 2^(b + 1) is exact.
-A prime at which det(P (G - t H)) vanishes at t = (p - 1) / 2 is taken for
-D = 0 mod p, and two such primes give the list up: that can only cost
-completeness, which is then not claimed.
+The values mod p are read first at t = 2^e, with 2^e above H
+(`linalg.Pencil._zero_point_bits`). A rational root u / v of E in lowest
+terms has u dividing the lowest nonzero coefficient of E, of absolute value
+at most H, so 2^e is a root only when E = 0. A zero of det(P (G - t H)) at
+2^e is therefore taken for D = 0 mod p: when D is not zero that happens
+only at an unlucky prime or at a prime dividing the nonzero integer E(2^e).
+Two such primes give the list up, which can only cost completeness, and
+that is then not claimed.
 
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
@@ -115,7 +120,7 @@ from typing import Iterator
 from . import integers, linalg
 from .errors import CertificationFailed, DegreeCapExceeded, NotSquarefree, UnivariateInput
 from .poly import (
-    BiPoly, UniPoly, _gcd_mod, _interpolate_mod, bi_divexact, bi_gcd, grlex_key, horner_int,
+    BiPoly, UniPoly, _gcd_mod, bi_divexact, bi_gcd, grlex_key, horner_int,
     resultant_eliminating, split_content_x, uni_gcd, uni_squarefree_part,
 )
 
@@ -622,64 +627,19 @@ class FiberPencil:
 
         The list is s t over the rational roots t of gcd(D_1, D_2), for the
         rank-drop polynomials of two fixed projections (module docstring).
-        None means both vanish identically: every fiber is reducible, as for
-        a composite or univariate f.
+        None means both vanish identically, as they do when every fiber is
+        reducible (composite or univariate f).
         """
         if self.univariate:
             return None
-        drops = [d for d in map(self._drop_polynomial, _PROJECTIONS) if d is not None]
+        drops = []
+        for seed in _PROJECTIONS:
+            if (got := self.pencil.drop_polynomial(seed)) is not None:
+                nums, den = got
+                drops.append(UniPoly._over({k: v for k, v in enumerate(nums) if v}, den))
         if not drops:
             return None
         return tuple(self.scale * t for t in rational_roots(uni_gcd(*drops) if len(drops) > 1 else drops[0]))
-
-    def _drop_polynomial(self, seed: int) -> UniPoly | None:
-        """D(t) = det(P (G - t H)) made monic over Q, P the projection of
-        `seed`, or None when it vanishes identically at two primes.
-
-        Per prime, D mod p, of degree at most r = rank(P H), is interpolated
-        from its values at r + 1 points, one of them first alone: a zero
-        there counts as D = 0 mod p. Images are kept only for the best
-        (pivot profile of A0, degree of D) seen, and joined by CRT; the
-        module docstring shows why the count of primes and the modulus at
-        which this stops make the result exact.
-        """
-        pencil = self.pencil
-        best = residues = modulus = bits = None
-        zeros = same = 0
-        for p in linalg._primes():
-            pivots, PG, PH = pencil.projection_mod(seed, p)
-
-            def at(t):
-                return linalg._det_mod([[(g - t * h) % p for g, h in zip(rg, rh)] for rg, rh in zip(PG, PH)], p)
-
-            first = at(p >> 1)
-            if not first:
-                zeros += 1
-                if zeros == 2:
-                    return None
-                continue
-            nodes = range(len(linalg._echelon_mod([dict(enumerate(row)) for row in PH], p)[1]))
-            image = _interpolate_mod([p >> 1, *nodes], [first, *map(at, nodes)], p)
-            while not image[-1]:
-                image.pop()
-            inv = pow(image[-1], -1, p)
-            image = [c * inv % p for c in image]
-            profile = (len(pivots), [-c for c in pivots], len(image))
-            if best is None or profile > best:
-                best, residues, modulus, same = profile, image, p, 1
-                bits = pencil.projection_bits(seed, len(PG))
-            elif profile == best:
-                residues = linalg._crt(residues, modulus, image, p)
-                modulus *= p
-                same += 1
-            else:
-                continue
-            if same > bits // 60 and modulus >> (bits + 1):
-                lifted = linalg._lift(residues, modulus)
-                if lifted is None:
-                    raise CertificationFailed("the rank-drop polynomial did not reconstruct within its bound")
-                nums, den = lifted
-                return UniPoly._over({k: v for k, v in enumerate(nums) if v}, den)
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""

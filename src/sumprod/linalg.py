@@ -39,12 +39,16 @@ the reduced-echelon kernel of A1 K0 is the member's own reduced-echelon
 kernel, which the certificate above lifts and verifies on the member's columns.
 A member's own columns are built only when a kernel vector needs that check.
 Per prime the pencil also gives P G and P H, G = B1 K0 and H = C1 K0, for a
-fixed small-integer projection P (`Pencil.projection_mod`), with a Hadamard
-bound on the determinant they lead to (`Pencil.projection_bits`): `factor`
-reads off det(b P G - a P H) the members that can lose rank.
+fixed small-integer projection P, and from them D(t) = det(P (G - t H)),
+which vanishes at every t = a / b whose member loses rank
+(`Pencil.drop_polynomial`): interpolated mod p, made monic, and lifted to Q
+past a Hadamard bound (`Pencil.projection_bits`).
 
-The modular resultants and gcds of `poly` run on the same primes (`_primes`),
-combine their images with `_crt` and lift gcds with `_lift`.
+A prime is unlucky when its pivot profile comes out worse than over Q; the
+nullspace engine and `drop_polynomial` keep and join by CRT only the images
+at the best profile seen (`_Images`). The modular resultants and gcds of
+`poly` run on the same primes (`_primes`), combine their images with `_crt`,
+interpolate them with `_interpolate_mod` and lift gcds with `_lift`.
 
 `det_in_ring`, the fraction-free (Bareiss) determinant over an integral
 domain, `rank_mod_prime`, the rank modulo one prime, and
@@ -272,6 +276,39 @@ def _annihilates(columns: Sequence[dict], w: list[int]) -> bool:
     return not any(image.values())
 
 
+class _Images:
+    """Images of vectors over Q mod several primes, joined by CRT.
+
+    A prime is unlucky when its pivot columns come out fewer or later than
+    over Q or, where the caller gives a degree, that degree lower; every
+    lucky prime attains the true profile. So only the images at the best
+    profile seen are kept and joined, and a prime with a worse one is
+    dropped. `certified_nullspace` and `Pencil.drop_polynomial` share it.
+    """
+
+    def __init__(self):
+        self.profile = self.pivots = self.vectors = None
+        self.modulus = 1
+        self.primes = 0  # primes joined at the best profile
+
+    def add(self, pivots: list[int], vectors: list[list[int]], p: int, degree: int = 0) -> bool:
+        """Join the images `vectors` mod p; False when p is dropped."""
+        profile = (len(pivots), [-c for c in pivots], degree)
+        if self.profile is None or profile > self.profile:
+            self.profile, self.pivots, self.vectors, self.modulus, self.primes = profile, pivots, vectors, p, 1
+        elif profile == self.profile:
+            self.vectors = [_crt(old, self.modulus, new, p) for old, new in zip(self.vectors, vectors)]
+            self.modulus *= p
+            self.primes += 1
+        else:
+            return False
+        return True
+
+    def lift(self) -> list[tuple[list[int], int] | None]:
+        """Each vector lifted to Q by `_lift`, None where that fails."""
+        return [_lift(v, self.modulus) for v in self.vectors]
+
+
 def _prime_budget(columns: Sequence[dict]) -> int:
     """Primes that always suffice to certify the nullspace of `columns`.
 
@@ -315,7 +352,8 @@ def certified_nullspace(columns: Sequence[dict], kernel_mod: KernelMod | None = 
     ncols = len(columns)
     if kernel_mod is None:
         kernel_mod = partial(_reduce_mod, columns)
-    pivots = residues = modulus = budget = None
+    images = _Images()
+    budget = None
     for used, p in enumerate(_primes(), 1):
         piv, sparse = kernel_mod(p)
         basis = []
@@ -324,17 +362,11 @@ def certified_nullspace(columns: Sequence[dict], kernel_mod: KernelMod | None = 
             for j, a in v.items():
                 dense[j] = a
             basis.append(dense)
-        # a prime is unlucky when its pivot columns come out fewer or later
-        # than the true ones; keep the best pivot profile seen so far
-        if pivots is None or (len(piv), [-c for c in piv]) > (len(pivots), [-c for c in pivots]):
-            pivots, residues, modulus = piv, basis, p
-        elif piv == pivots:
-            residues = [_crt(old, modulus, new, p) for old, new in zip(residues, basis)]
-            modulus *= p
-        lifted = [_lift(v, modulus) for v in residues]
+        images.add(piv, basis, p)
+        lifted = images.lift()
         if all(got is not None and _annihilates(columns, got[0]) for got in lifted):
             return Nullspace(
-                tuple(pivots),
+                tuple(images.pivots),
                 tuple(tuple(w) for w, _ in lifted),
                 tuple(d for _, d in lifted),
                 used,
@@ -468,16 +500,54 @@ class Pencil:
             block = self._blocks[p] = (pivots, free, K0, G, H)
         return block
 
-    def projection_mod(self, seed: int, p: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        """The pivot columns of A0 mod p, and P G and P H mod p as dense
-        |K0| x |K0| rows, with P = `_projector(seed, |K0|, rows of C)`.
+    def drop_polynomial(self, seed: int) -> tuple[list[int], int] | None:
+        """D(t) = det(P (G - t H)) made monic over Q, as ascending numerators
+        over one denominator, for P = `_projector(seed, |K0|, rows of C)`;
+        None when D is taken to vanish identically mod two primes.
 
-        The member b B - a C has full column rank mod p wherever
-        det(b P G - a P H) is nonzero mod p, since then its block A1 K0 has
-        rank |K0| (class docstring)."""
-        pivots, _, K0, G, H = self._block(p)
-        P = _projector(seed, len(K0), len(self.c_rows))
-        return pivots, self._project(P, G, p), self._project(P, H, p)
+        The member b B - a C has full column rank wherever D(a / b) is
+        nonzero, since its block A1 K0 then has rank |K0| (class docstring).
+        Mod p, D has degree at most r = rank(P H), so its values at r + 1
+        points fix it. The first point is 2^e, e = `_zero_point_bits`, which
+        is no root of D over Q unless D = 0, so a zero there is taken for
+        D = 0 mod p; that errs only at the primes dividing one fixed nonzero
+        integer (`factor` module docstring). Images are joined by `_Images`,
+        the degree of D after the pivot profile of A0. Once more than b / 60
+        primes share the best profile and their product exceeds 2^(b + 1),
+        b = `projection_bits`, one of them is lucky and the lift is exact.
+        """
+        images = _Images()
+        zeros = 0
+        for p in _primes():
+            pivots, _, K0, G, H = self._block(p)
+            P = _projector(seed, len(K0), len(self.c_rows))
+            PG, PH = self._project(P, G, p), self._project(P, H, p)
+
+            def at(t: int) -> int:
+                return _det_mod([[(g - t * h) % p for g, h in zip(rg, rh)] for rg, rh in zip(PG, PH)], p)
+
+            start = pow(2, self._zero_point_bits(len(K0)), p)
+            first = at(start)
+            if not first:
+                zeros += 1
+                if zeros == 2:
+                    return None
+                continue
+            r = len(_echelon_mod([dict(enumerate(row)) for row in PH], p)[1])
+            nodes = [start, *(t for t in range(r + 1) if t != start)][: r + 1]
+            image = _interpolate_mod(nodes, [first, *map(at, nodes[1:])], p)
+            while not image[-1]:
+                image.pop()
+            inv = pow(image[-1], -1, p)
+            if not images.add(pivots, [[c * inv % p for c in image]], p, len(image)):
+                continue
+            if images.primes == 1:
+                bits = self.projection_bits(seed, len(K0))
+            if images.primes > bits // 60 and images.modulus >> (bits + 1):
+                (lifted,) = images.lift()
+                if lifted is None:
+                    raise CertificationFailed("the rank-drop polynomial did not reconstruct within its bound")
+                return lifted
 
     def _project(self, P: Sequence[Sequence[int]], columns: Sequence[dict], p: int = 0) -> list[list[int]]:
         """P times the matrix of `columns` restricted to the rows of C,
@@ -485,6 +555,15 @@ class Pencil:
         rows = self.c_rows
         out = [[sum(row[rows[key]] * v for key, v in col.items()) for col in columns] for row in P]
         return [[v % p for v in r] for r in out] if p else out
+
+    @cached_property
+    def _a0_norms(self) -> int:
+        """The product of |a|^2 over the rows a of A0."""
+        norms: dict = {}
+        for col in self.A0:
+            for key, v in col.items():
+                norms[key] = norms.get(key, 0) + v * v
+        return prod(norms.values())
 
     def projection_bits(self, seed: int, k: int) -> int:
         """Bits of a bound on H^2, with H bounding every t-coefficient of
@@ -499,13 +578,21 @@ class Pencil:
         product of |a|^2 over every row a of A0 and of 2 (|u_i|^2 + |v_i|^2)
         over the k rows of P (B1 - t C1).
         """
-        norms: dict = {}
-        for col in self.A0:
-            for key, v in col.items():
-                norms[key] = norms.get(key, 0) + v * v
         P = _projector(seed, k, len(self.c_rows))
         PB, PC = self._project(P, self.B1), self._project(P, self.C)
-        return (prod(norms.values()) * prod(2 * sum(x * x for x in u + v) for u, v in zip(PB, PC))).bit_length()
+        return (self._a0_norms * prod(2 * sum(x * x for x in u + v) for u, v in zip(PB, PC))).bit_length()
+
+    def _zero_point_bits(self, k: int) -> int:
+        """An e with 2^e above the H of `projection_bits` for every k x (rows
+        of C) matrix P with entries in -3..3, read without forming P.
+
+        Row i of P (B1 - t C1) is u_i - t v_i = sum_j P_ij (b_j - t c_j) over
+        the rows b_j and c_j of B1 and C1, so |u_i| + |v_i| <= 3 T, with T
+        the sum of the absolute values of the entries of B1 and C1, and
+        H <= prod |a| (3 T)^k over the rows a of A0.
+        """
+        T = sum(abs(v) for col in (*self.B1, *self.C) for v in col.values())
+        return (self._a0_norms.bit_length() + 1) // 2 + k * (3 * T).bit_length()
 
 
 class _Member(Sequence):
@@ -565,6 +652,26 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
                 m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
     return det % p
 
+
+def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """Ascending coefficients mod p of the polynomial of degree < len(xs)
+    through the points (xs[i], ys[i]), by Newton's divided differences.
+
+    Each distinct difference xs[i] - xs[j] is inverted once per call; at the
+    consecutive points of a resultant there are only len(xs) - 1 of them.
+    """
+    n = len(xs)
+    inverse = {d: pow(d, -1, p) for d in {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}}
+    c = list(ys)
+    for k in range(1, n):
+        c[k:] = [(c[i] - c[i - 1]) * inverse[xs[i] - xs[i - k]] % p for i in range(k, n)]
+    out = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (X - xs[k]) + c[k]
+        out = [(c[k] - xs[k] * out[0]) % p] + [
+            (out[i - 1] - xs[k] * out[i]) % p for i in range(1, len(out))
+        ] + [out[-1]]
+    return out
 
 
 def _combine(columns: Sequence[dict], w: dict[int, int], p: int) -> dict:

@@ -765,7 +765,7 @@ def _gcd_image(
         images.append([c * scale % p for c in h])
         if len(xs) == want:
             break
-    return [v for i in range(len(images[0])) for v in _interpolate_mod(xs, [im[i] for im in images], p)]
+    return [v for i in range(len(images[0])) for v in linalg._interpolate_mod(xs, [im[i] for im in images], p)]
 
 
 def _gcd_prime_budget(F: list[list[int]], G: list[list[int]]) -> int:
@@ -847,27 +847,6 @@ def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
         a, b = b, r
 
 
-def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """Ascending coefficients mod p of the polynomial of degree < len(xs)
-    through the points (xs[i], ys[i]), by Newton's divided differences.
-
-    Each distinct difference xs[i] - xs[j] is inverted once per call; at the
-    consecutive points of a resultant there are only len(xs) - 1 of them.
-    """
-    n = len(xs)
-    inverse = {d: pow(d, -1, p) for d in {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}}
-    c = list(ys)
-    for k in range(1, n):
-        c[k:] = [(c[i] - c[i - 1]) * inverse[xs[i] - xs[i - k]] % p for i in range(k, n)]
-    out = [c[-1]]
-    for k in range(n - 2, -1, -1):
-        # out <- out * (X - xs[k]) + c[k]
-        out = [(c[k] - xs[k] * out[0]) % p] + [
-            (out[i - 1] - xs[k] * out[i]) % p for i in range(1, len(out))
-        ] + [out[-1]]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # resultants
 
@@ -921,7 +900,7 @@ def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
                 xs.append(y0)
                 ys.append(_resultant_mod(a, b, p))
             y0 += 1
-        coeffs = linalg._crt(coeffs, modulus, _interpolate_mod(xs, ys, p), p)
+        coeffs = linalg._crt(coeffs, modulus, linalg._interpolate_mod(xs, ys, p), p)
         modulus *= p
     scale = s**n * t**m
     out = {j: (c - modulus if 2 * c > modulus else c) * scale.numerator for j, c in enumerate(coeffs) if c}

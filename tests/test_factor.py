@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sumprod.classify import is_composite
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
     _PROJECTIONS,
@@ -477,6 +478,12 @@ class TestFiberPencil:
         assert not FiberPencil(P("2 y")).status(F(5)).reducible
 
 
+def drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:
+    """The pencil's monic D(t) for the projection of `seed`, as a UniPoly."""
+    got = pencil.pencil.drop_polynomial(seed)
+    return None if got is None else UniPoly._over({k: v for k, v in enumerate(got[0]) if v}, got[1])
+
+
 def sympy_drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:
     """det(P A1(t) K0) over Q by sympy, made monic, or None when it is zero:
     K0 a kernel basis of the lambda-free rows A0, A1(t) = B1 - t C1 the
@@ -508,7 +515,7 @@ class TestRankDropPolynomial:
     def test_matches_sympy(self, f):
         pencil = FiberPencil(f)
         for seed in _PROJECTIONS:
-            assert pencil._drop_polynomial(seed) == sympy_drop_polynomial(pencil, seed), f
+            assert drop_polynomial(pencil, seed) == sympy_drop_polynomial(pencil, seed), f
 
     # the coefficients of D for the fifth input need three primes
     @pytest.mark.parametrize(
@@ -518,16 +525,35 @@ class TestRankDropPolynomial:
     def test_matches_sympy_on_fixed_inputs(self, poly):
         pencil = FiberPencil(P(poly))
         for seed in _PROJECTIONS:
-            assert pencil._drop_polynomial(seed) == sympy_drop_polynomial(pencil, seed)
+            assert drop_polynomial(pencil, seed) == sympy_drop_polynomial(pencil, seed)
 
     @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-60, max_value=60, max_denominator=60))
     @settings(max_examples=40, deadline=None)
     def test_spectrum_holds_every_reducible_fiber(self, g, h, c):
-        # f - c = g h is reducible, so c is in the spectrum when f has one
+        # f - c = g h is reducible, so c is in the spectrum, which only a
+        # composite f lacks
         f = g * h + BiPoly.const(c)
         assume(f.deg_x >= 1 and f.deg_y >= 1)
         spectrum = FiberPencil(f).spectrum
-        assert spectrum is None or c in spectrum
+        if is_composite(f).composite:
+            assert spectrum is None
+        else:
+            assert spectrum is not None and c in spectrum
+
+    # f - lambda splits at lambda = -1/2, -1/3, 1/2, -1 and 0: every small
+    # rational is a root like any other, also where it reduces to a node
+    @pytest.mark.parametrize(
+        ("poly", "spectrum"),
+        [
+            ("2 x y + x + y", [F(-1, 2)]),
+            ("3 x y + x + y", [F(-1, 3)]),
+            ("2 x y + x - y", [F(1, 2)]),
+            ("x y + x + y", [F(-1)]),
+            ("x y", [F(0)]),
+        ],
+    )
+    def test_small_rational_roots_are_kept(self, poly, spectrum):
+        assert FiberPencil(P(poly)).spectrum == tuple(spectrum)
 
 
 def test_forced_gradient_failure_under_optimize():

@@ -19,12 +19,12 @@ from sumprod.poly import (
     BiPoly,
     UniPoly,
     bi_divexact,
-    _interpolate_mod,
     bi_gcd,
     resultant_eliminating,
     shift_all,
     uni_gcd,
 )
+from sumprod.linalg import _interpolate_mod
 from sumprod.parsing import parse_poly as P
 
 from conftest import (

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sumprod import integers
 from sumprod.classify import is_composite
 from sumprod.cli import main
-from sumprod.factor import AbsReducibleWitness, FactorList
+from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
@@ -155,6 +155,13 @@ class TestRationalSpectrum:
         report = sigma_scan(f, sigma_candidates(f))
         assert c in report.found_values
         assert report.candidates_complete
+
+    def test_fiber_at_minus_one_half_keeps_the_list_complete(self, capsys):
+        # 2 (2 x y + x + y) + 1 = (2 x + 1)(2 y + 1), and no other fiber splits
+        assert FiberPencil(P("2 x y + x + y")).spectrum == (F(-1, 2),)
+        data = _sigma_json(["2 x y + x + y"], capsys)
+        assert [h["lambda"] for h in data["found"]] == ["-1/2"]
+        assert data["candidates_complete"] is True
 
     def test_large_eliminant_factors_no_integer(self, monkeypatch, capsys, caplog):
         def refuse(n):
