@@ -259,7 +259,16 @@ def decompose_fully(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
 
 
 def decompose_composite(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
-    """Core and chain of f, already known to be composite and non-degenerate.
+    """Core and chain of f, already known to be composite and non-degenerate."""
+    got = composite_core(f)
+    if got is None:
+        raise CertificationFailed("composite polynomial without an extractable inner")
+    return got
+
+
+def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
+    """Core and chain of a non-degenerate f, or None when the Jacobian kernel
+    holds no inner of degree below that of f (f is not composite).
 
     The core is the nonconstant Jacobian-kernel element of least degree; it
     and the chain are re-expanded to f before they are returned.
@@ -284,4 +293,4 @@ def decompose_composite(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
         if recompose(chain, inner) != f:
             raise CertificationFailed("decomposition chain failed to re-expand")
         return inner, chain
-    raise CertificationFailed("composite polynomial without an extractable inner")
+    return None

@@ -412,8 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value of --extra-candidates such as -9/4 or -1,2 starts with "-", and
+# argparse reads a token like that as an option
+_NEGATIVE_VALUE = re.compile(r"^-[\d./]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--extra-candidates V` written `--extra-candidates=V` where
+    V starts with "-" and a digit, so that argparse takes V as the value."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--extra-candidates" and _NEGATIVE_VALUE.match(out[i + 1]):
+            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return globals()[f"cmd_{args.command}"](args)
     except DegreeCapExceeded as exc:

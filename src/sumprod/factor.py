@@ -99,6 +99,19 @@ most r (r-1)^2 / 2 integers c fail. Each factor E_j of E irreducible over Q
 then gives the factor gcd(f, E_j(g/f_x) f_x^(deg E_j)) of f irreducible over
 Q: the product of the f_i with E_j(lambda_i) = 0.
 
+A fiber of a composite f = Q(g) factors through Q (`factor_composed`): with
+Q - lambda = c prod q_j^(m_j) over Q, f - lambda = c prod q_j(g)^(m_j).
+Over the algebraic closure q_j(g) is, up to its leading coefficient, the
+product of the g - alpha over the roots alpha of q_j, and the Galois group
+permutes those roots transitively. A factor of q_j(g) over Q is fixed by
+that group, so when every g - alpha is absolutely irreducible it is the
+product over a Galois-stable set of roots, all of them or none: q_j(g) is
+irreducible over Q. For a linear g every g - alpha is a line. Otherwise
+the rank-drop polynomial of g's own pencil, gcd(D_1, D_2) written in lambda
+(`FiberPencil.drop`), vanishes at every complex lambda with g - lambda
+reducible, so gcd(q_j, drop) = 1 suffices. Every other q_j(g) is factored
+by Gao's method at its own, lower degree.
+
 Univariate polynomials, and E, lose their linear factors to the p-adic
 root finder, which factors no integer, and are then factored by Kronecker's
 method, interpolation through divisor tuples of integer evaluations. It is
@@ -543,17 +556,50 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
             add(fac, mult)
     if prim.is_constant and not prim.is_zero:
         scale *= prim.coeff(0, 0)
+    return _certified(original, scale, factors.items())
 
-    ordered = tuple(
-        sorted(
-            factors.items(),
-            key=lambda fm: (
-                fm[0].total_degree,
-                sorted(fm[0].n.items(), key=lambda kv: grlex_key(kv[0])),
-            ),
-        )
+
+def factor_composed(
+    fiber: BiPoly, outer: UniPoly, inner: BiPoly, drop: UniPoly | None, cap: int = DEFAULT_DEGREE_CAP
+) -> FactorList:
+    """Complete factorization over Q of fiber = outer(inner), read off that
+    of outer.
+
+    With outer = c prod q_j^m_j over Q, q_j(inner) is irreducible over Q
+    when gcd(q_j, drop) = 1, for a `drop` that vanishes at every complex
+    lambda with inner - lambda reducible over C (module docstring); the
+    other q_j(inner), all of them when `drop` is None, are factored by
+    `factor_rational` under `cap`.
+    """
+    constant, pieces = factor_univariate(outer)
+    factors = []
+    for q, m in pieces:
+        piece = q.compose_bi(inner)
+        if drop is not None and uni_gcd(q, drop).degree == 0:
+            factors.append((piece, m))
+            continue
+        split = factor_rational(piece, cap=cap)
+        constant *= split.constant**m
+        factors += [(p, e * m) for p, e in split.factors]
+    return _certified(fiber, constant, factors)
+
+
+def _certified(original: BiPoly, constant: Fraction, factors) -> FactorList:
+    """The FactorList of original = constant * prod p^m over the nonconstant
+    (p, m) in `factors`: each p made primitive with positive graded-lex
+    leading coefficient (its scale moved into the constant), equal factors
+    merged, factors ordered by total degree and then terms, and the product
+    re-expanded against `original`."""
+    merged: dict[BiPoly, int] = {}
+    for p, m in factors:
+        prim, scale = p.primitive()
+        constant *= scale**m
+        merged[prim] = merged.get(prim, 0) + m
+    ordered = sorted(
+        merged.items(),
+        key=lambda fm: (fm[0].total_degree, sorted(fm[0].n.items(), key=lambda kv: grlex_key(kv[0]))),
     )
-    result = FactorList(constant=scale, factors=ordered)
+    result = FactorList(constant=constant, factors=tuple(ordered))
     if not result.verify(original):
         raise CertificationFailed("factorization failed certification")
     return result
@@ -621,13 +667,11 @@ class FiberPencil:
         self.pencil = linalg.Pencil(columns[:drop] + columns[drop + 1 :], ones[:drop] + ones[drop + 1 :])
 
     @cached_property
-    def spectrum(self) -> tuple[Fraction, ...] | None:
-        """A finite list of rationals holding every rational lambda with
-        f - lambda reducible over C, or None when the pencil gives none.
-
-        The list is s t over the rational roots t of gcd(D_1, D_2), for the
-        rank-drop polynomials of two fixed projections (module docstring).
-        None means both vanish identically, as they do when every fiber is
+    def drop(self) -> UniPoly | None:
+        """gcd(D_1, D_2) of the rank-drop polynomials of two fixed
+        projections, written in lambda = s t: it vanishes at every complex
+        lambda with f - lambda reducible over C (module docstring). None
+        when both vanish identically, as they do when every fiber is
         reducible (composite or univariate f).
         """
         if self.univariate:
@@ -639,7 +683,15 @@ class FiberPencil:
                 drops.append(UniPoly._over({k: v for k, v in enumerate(nums) if v}, den))
         if not drops:
             return None
-        return tuple(self.scale * t for t in rational_roots(uni_gcd(*drops) if len(drops) > 1 else drops[0]))
+        d = uni_gcd(*drops) if len(drops) > 1 else drops[0]
+        return UniPoly({k: v / self.scale**k for k, v in d.c.items()})
+
+    @cached_property
+    def spectrum(self) -> tuple[Fraction, ...] | None:
+        """A finite list of rationals holding every rational lambda with
+        f - lambda reducible over C, the rational roots of `drop`; None when
+        the pencil gives none."""
+        return None if self.drop is None else tuple(rational_roots(self.drop))
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""

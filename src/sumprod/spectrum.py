@@ -14,10 +14,12 @@ fiber is reducible (composite or univariate f), there is no finite list and
 the candidates are the sweep and the user values.
 
 The scan then decides reducibility of every candidate fiber with a
-certificate. Membership of a tested lambda is certified either way. The
-report is `candidates_complete` when the candidates held the spectrum, so
-that its hits are every rational lambda with a reducible fiber; completeness
-over all complex lambda is not claimed.
+certificate; the fibers of a composite f = Q(g) are factored through
+Q - lambda (`composite_split`, `factor.factor_composed`). Membership of a
+tested lambda is certified either way. The report is `candidates_complete`
+when the candidates held the spectrum, so that its hits are every rational
+lambda with a reducible fiber; completeness over all complex lambda is not
+claimed.
 """
 
 from __future__ import annotations
@@ -25,16 +27,20 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
+from .classify import composite_core, is_degenerate
+from .errors import CertificationFailed
 from .factor import (
     AbsReducibleWitness,
     FactorList,
     DEFAULT_DEGREE_CAP,
     FiberPencil,
+    factor_composed,
     factor_rational,
 )
-from .poly import BiPoly
+from .poly import BiPoly, UniPoly, uni_gcd
 
 DEFAULT_SWEEP_HEIGHT = 5
 
@@ -149,6 +155,45 @@ def sigma_candidates(
 # scan
 
 
+def composite_split(f: BiPoly) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
+    """(Q, g, drop) with f = Q(g), deg Q >= 2, and `drop` vanishing at every
+    complex lambda with g - lambda reducible over C (None when the pencil of
+    g gives no such polynomial); None when f, bivariate, has no inner g of
+    lower degree (f is not composite).
+
+    g is the linear form of a degenerate f, else the Jacobian-kernel core.
+    A linear form has no reducible fiber (x -> x + c y is an automorphism of
+    Q[x, y]), so its `drop` is the constant 1.
+    """
+    dec = is_degenerate(f)
+    if dec is not None:
+        return dec.outer, dec.inner, UniPoly.const(1)
+    got = composite_core(f)
+    if got is None:
+        return None
+    core, chain = got
+    return reduce(UniPoly.compose, chain), core, FiberPencil(core).drop
+
+
+def _composed_dimension(split, lam: Fraction, pencil: FiberPencil) -> int:
+    """Ruppert dimension of the fiber Q(g) - lambda of a `composite_split`
+    (Q, g, drop) whose factorization has one piece, so that Q - lambda is
+    irreducible over Q and hence squarefree.
+
+    When gcd(Q - lambda, drop) = 1, no root alpha of Q - lambda has g - alpha
+    reducible over C: the fiber is a product of deg Q coprime absolutely
+    irreducible g - alpha, and its dimension is that count (Ruppert). Else
+    the pencil decides.
+    """
+    outer, _, drop = split
+    if drop is not None and uni_gcd(outer - lam, drop).degree == 0:
+        return outer.degree
+    count = pencil.dimension(lam)
+    if count < 2:
+        raise CertificationFailed(f"the fiber at {lam} of a composite tested absolutely irreducible")
+    return count
+
+
 def sigma_scan(
     f: BiPoly,
     candidates: list[Fraction],
@@ -158,7 +203,14 @@ def sigma_scan(
     """Certify reducibility of f - lambda for every candidate lambda, on
     `pencil` when given. The report is `candidates_complete` when f has a
     rational spectrum (`FiberPencil.spectrum`) and the candidates hold it:
-    every rational lambda with f - lambda reducible was then tested."""
+    every rational lambda with f - lambda reducible was then tested.
+
+    A bivariate f without a spectrum within the degree cap is split once as
+    f = Q(g) (`composite_split`) when it is composite. Every fiber
+    Q(g) - lambda is then reducible over C and is factored through
+    Q - lambda (`factor.factor_composed`), with no call on the pencil unless
+    that factorization has one piece (`_composed_dimension`).
+    """
     k = f.total_degree
     if k < 2:
         raise ValueError("scan needs total degree >= 2")
@@ -167,21 +219,28 @@ def sigma_scan(
     if pencil is None:
         pencil = FiberPencil(f)
     spectrum = pencil.spectrum
+    split = None
+    if spectrum is None and not pencil.univariate and k <= cap:
+        split = composite_split(f)
     for lam in lams:
-        status = pencil.status(lam)
-        if not status.reducible:
-            continue
-        fiber = f - BiPoly.const(lam)
-        cert: FactorList | AbsReducibleWitness
-        if status.kind == "univariate":
-            p, _ = fiber.to_unipoly()
-            cert = AbsReducibleWitness("univariate", p.degree)
+        if split is not None:
+            outer, core, drop = split
+            factorization = factor_composed(f - BiPoly.const(lam), outer - lam, core, drop, cap=cap)
+            count = None
         else:
+            status = pencil.status(lam)
+            if not status.reducible:
+                continue
+            fiber = f - BiPoly.const(lam)
+            if status.kind == "univariate":
+                p, _ = fiber.to_unipoly()
+                hits.append(SigmaHit(lam, AbsReducibleWitness("univariate", p.degree)))
+                continue
             factorization = factor_rational(fiber, cap=cap)
-            if factorization.nontrivial_pieces() >= 2:
-                cert = factorization
-            else:
-                cert = AbsReducibleWitness("nullspace", status.abs_count)
+            count = status.abs_count
+        cert: FactorList | AbsReducibleWitness = factorization
+        if factorization.nontrivial_pieces() < 2:
+            cert = AbsReducibleWitness("nullspace", count or _composed_dimension(split, lam, pencil))
         hits.append(SigmaHit(lam, cert))
     return SigmaReport(
         degree_k=k,

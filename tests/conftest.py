@@ -152,6 +152,38 @@ def naive_zero_row(terms: dict, b: F) -> bool:
 grid_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
+# nonlinear cores of composites; x y and x^3 + x y have a reducible fiber at
+# 0, and x^2 y + x + y at +-i, since g^2 + 1 = (x^2 + 1)(x^2 y^2 + 2 x y + y^2 + 1)
+CORES = ["x^2 + y", "x y", "x^3 + x y", "x^2 y + x + y"]
+
+
+@st.composite
+def composites(draw):
+    """Q(g) for Q of degree 2 or 3 in small integers and g a linear form or
+    one of CORES, of total degree at most 8."""
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=2))
+        g = BiPoly({(1, 0): a, (0, 1): b})
+    else:
+        g = parse_poly(draw(st.sampled_from(CORES)))
+    deg = draw(st.integers(2, min(3, 8 // g.total_degree)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1))
+    assume(coeffs[-1])
+    return UniPoly(dict(enumerate(coeffs))).compose_bi(g)
+
+
+def core_fiber_values(outer: UniPoly, drop: UniPoly) -> list:
+    """The lambda = r with outer = r mod e for a factor e of `drop`, for the
+    `spectrum.composite_split` (outer, core, drop) of a composite: e divides
+    outer - lambda, so the piece e(core) of that fiber takes the
+    `factor_rational` branch of the composed route. Input construction, not
+    an oracle: it uses the package's univariate factorization."""
+    from sumprod.factor import factor_univariate
+
+    rems = (outer.divrem(e)[1] for e, _ in factor_univariate(drop)[1])
+    return [r.coeff(0) for r in rems if r.degree <= 0]
+
+
 @st.composite
 def rational_sets(draw, max_size=7):
     """Sorted finite sets of `grid_rationals`, holding 0 about half the time."""

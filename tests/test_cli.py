@@ -83,6 +83,15 @@ class TestSigmaCommand:
         data = json.loads(capsys.readouterr().out)
         assert "9" in [h["lambda"] for h in data["found"]]
 
+    @pytest.mark.parametrize(("value", "found"), [("-9/4", ["-9/4", "0"]), ("-1,2", ["-1", "0", "2"])])
+    def test_extra_candidates_may_start_with_minus(self, value, found, capsys):
+        # every fiber of x^2 + 3 x splits over C, so every candidate is found
+        argv = ["sigma", "--poly", "x^2 + 3 x", "--sweep-height", "0", "--extra-candidates", value]
+        assert main(argv + ["--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["config"]["extra_candidates"] == value
+        assert [h["lambda"] for h in data["found"]] == found
+
     @pytest.mark.parametrize("poly", ["x^2 y^2 + 3", "x^3+3x^2y+3xy^2+y^3+x+y"])
     def test_fibers_that_split_over_q_certify(self, poly, capsys):
         # every fiber of these is reducible over C, and many split over Q

@@ -22,6 +22,7 @@ from sumprod.factor import (
     _gradient,
     _ruppert_columns,
     count_abs_factors,
+    factor_composed,
     factor_rational,
     factor_univariate,
     fiber_reducibility,
@@ -32,9 +33,16 @@ from sumprod.factor import (
 from sumprod.linalg import _projector, certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
-from sumprod.spectrum import sweep_candidates
+from sumprod.spectrum import composite_split, sweep_candidates
 
-from conftest import conic_abs_count, grid_factor_exists, nonconstant_bipolys, sympy_factor_multiset
+from conftest import (
+    composites,
+    conic_abs_count,
+    core_fiber_values,
+    grid_factor_exists,
+    nonconstant_bipolys,
+    sympy_factor_multiset,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -272,6 +280,33 @@ class TestFactorRational:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             factor_rational(BiPoly.const(3))
+
+
+class TestFactorComposed:
+    """The route that factors a fiber Q(g) - lambda through Q - lambda."""
+
+    @given(composites(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_factor_rational_and_sympy(self, f, data):
+        outer, core, drop = composite_split(f)
+        assert outer.compose_bi(core) == f
+        special = core_fiber_values(outer, drop)
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+        lam = data.draw(st.sampled_from(special) | values if special else values)
+        fiber = f - BiPoly.const(lam)
+        composed = factor_composed(fiber, outer - lam, core, drop)
+        assert composed == factor_rational(fiber)
+        assert dict(composed.factors) == dict(sympy_factor_multiset(fiber))
+
+    def test_reducible_core_fiber_factors_by_gao(self):
+        # g^2 + 1 for g = x^2 y + x + y: t^2 + 1 meets the drop polynomial of
+        # g, so the piece is split by factor_rational
+        g = P("x^2 y + x + y")
+        outer, core, drop = composite_split(g**2 + BiPoly.const(1))
+        assert (outer, core) == (UniPoly({2: 1, 0: 1}), g)
+        assert drop == UniPoly({2: 1, 0: 1})
+        fl = factor_composed(g**2 + BiPoly.const(1), outer, core, drop)
+        assert dict(fl.factors) == {P("x^2 + 1"): 1, P("x^2 y^2 + 2 x y + y^2 + 1"): 1}
 
 
 class TestFiberReducibility:

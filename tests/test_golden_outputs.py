@@ -34,6 +34,19 @@ CORPUS = [
     ),
     ("sigma-extra", ["sigma", "--poly", "x^2 + y^2", "--extra-candidates", "1/4,2"], False),
     ("sigma-difference", ["sigma", "--poly", "x^2 - y^2", "--sweep-height", "2"], True),
+    # composites: linear core x - y, core x^2 + y, core x y (whose fiber
+    # x y at lambda = -1 is reducible)
+    (
+        "sigma-linear-core",
+        ["sigma", "--poly", "x^2 - 2 x y + y^2 + x - y", "--sweep-height", "3"],
+        True,
+    ),
+    (
+        "sigma-parabola-core",
+        ["sigma", "--poly", "x^4 + 2 x^2 y + x^2 + y^2 + y", "--sweep-height", "3"],
+        True,
+    ),
+    ("sigma-bilinear-core", ["sigma", "--poly", "x^2 y^2 - 1", "--sweep-height", "2"], False),
     ("incidence-ap24", ["incidence", "--poly", "x^3 + x y", "--set", "AP(24,1,1)"], True),
     (
         "incidence-sigma-rows",
@@ -119,6 +132,19 @@ GOLDEN = {
     "sigma-difference": {
         "stdout": "f95b9caccd0ecf98164c09d97e3d3c094d78e7d9ed101c54515317652dac9237",
         "sigma.json": "f95b9caccd0ecf98164c09d97e3d3c094d78e7d9ed101c54515317652dac9237",
+    },
+    # recorded before sigma factored the fibers of a composite through its
+    # decomposition
+    "sigma-linear-core": {
+        "stdout": "0ef50423d4c908b12098f7908a5aa1bae20d1ae97b36463ea95d448479a13836",
+        "sigma.json": "0ef50423d4c908b12098f7908a5aa1bae20d1ae97b36463ea95d448479a13836",
+    },
+    "sigma-parabola-core": {
+        "stdout": "27f4626bb27d7ceb9181aa9fa1119545c3ea558604d14cb16f2f1086fda3b9c6",
+        "sigma.json": "27f4626bb27d7ceb9181aa9fa1119545c3ea558604d14cb16f2f1086fda3b9c6",
+    },
+    "sigma-bilinear-core": {
+        "stdout": "a5e1aec110f79a5d4f4612a69cd095df7b09d122c0b803f7652e659d28fc193b",
     },
     "incidence-ap24": {
         "stdout": "593f661c4e52388b1771999c5edb8c48f6eab4f3a6a969ef3b25046c66aac4e1",
@@ -207,35 +233,54 @@ def test_outputs_match_golden(case, argv, writes, tmp_path):
     assert digests == GOLDEN[case]
 
 
-def test_incidence_needs_no_factorization(monkeypatch, tmp_path):
-    # incidence only asks whether f - lambda is reducible; it factors nothing
-    # and never runs the sigma scan, so both may fail without changing a byte
+def _refuse_in_package(monkeypatch, attrs, what):
+    """Make each name in `attrs`, wherever a package module holds it, raise."""
+
     def refuse(*args, **kwargs):
-        raise RuntimeError("incidence called a certificate builder")
+        raise RuntimeError(what)
 
     for name, module in list(sys.modules.items()):
         if name == "sumprod" or name.startswith("sumprod."):
-            for attr in ("factor_rational", "sigma_scan"):
+            for attr in attrs:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def test_incidence_needs_no_factorization(monkeypatch, tmp_path):
+    # incidence only asks whether f - lambda is reducible; it factors nothing
+    # and never runs the sigma scan, so both may fail without changing a byte
+    _refuse_in_package(monkeypatch, ("factor_rational", "sigma_scan"), "incidence called a certificate builder")
     case, argv, writes = next(c for c in CORPUS if c[0] == "incidence-sigma-rows")
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0
     assert digests == GOLDEN[case]
 
 
+def test_linear_core_fibers_need_no_bivariate_factorization(monkeypatch, tmp_path):
+    # every fiber of Q(x - y) is a product of the linear pieces q(x - y),
+    # irreducible over Q for q irreducible, so Gao's method never runs
+    _refuse_in_package(monkeypatch, ("factor_rational",), "sigma factored a fiber of Q(x - y) by Gao")
+    case, argv, writes = next(c for c in CORPUS if c[0] == "sigma-linear-core")
+    code, digests = run_case(argv, writes, tmp_path / "out")
+    assert code == 0
+    assert digests == GOLDEN[case]
+
+
+def test_degree_cap_comes_before_the_decomposition(monkeypatch, capsys):
+    # (x^3 + y)^3 is over the default cap, so sigma stops there and never
+    # looks for its core
+    _refuse_in_package(monkeypatch, ("composite_split", "composite_core", "is_degenerate"), "sigma decomposed")
+    assert main(["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"]) == 3
+    assert capsys.readouterr().err == "degree cap exceeded: total degree 9 exceeds cap 8\n"
+
+
 @pytest.mark.parametrize("case", ["incidence-sigma-rows-rational", "incidence-sweep-1-rational"])
 def test_incidence_builds_no_candidate_list(case, monkeypatch, tmp_path):
     # incidence reads its sweep off the grid in integers, so the Fraction
     # candidate lists may fail without changing a byte
-    def refuse(*args, **kwargs):
-        raise RuntimeError("incidence built a Fraction candidate list")
-
-    for name, module in list(sys.modules.items()):
-        if name == "sumprod" or name.startswith("sumprod."):
-            for attr in ("sweep_candidates", "sigma_candidates"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+    _refuse_in_package(
+        monkeypatch, ("sweep_candidates", "sigma_candidates"), "incidence built a Fraction candidate list"
+    )
     argv, writes = next((a, w) for c, a, w in CORPUS if c == case)
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
+    composite_split,
     rational_critical_values,
     remove_sigma_rows,
     sigma_candidates,
@@ -22,7 +24,15 @@ from sumprod.spectrum import (
     sweep_candidates,
 )
 
-from conftest import LARGE_ELIMINANT, NON_COMPOSITE, naive_image, CORPUS_EVAL, fraction_sweep
+from conftest import (
+    CORPUS_EVAL,
+    LARGE_ELIMINANT,
+    NON_COMPOSITE,
+    composites,
+    core_fiber_values,
+    fraction_sweep,
+    naive_image,
+)
 
 
 class TestCandidates:
@@ -213,6 +223,17 @@ class TestScan:
             rep = sigma_scan(f, sigma_candidates(f))
             for hit in rep.found:
                 assert hit.revalidate(f)
+
+    @given(composites())
+    @settings(max_examples=15, deadline=None)
+    def test_composite_split_matches_the_route_without_it(self, f):
+        # the candidates reach both branches of the composed route
+        outer, _, drop = composite_split(f)
+        lams = sweep_candidates(1) + core_fiber_values(outer, drop)
+        report = sigma_scan(f, lams)
+        with mock.patch("sumprod.spectrum.composite_split", return_value=None):
+            assert sigma_scan(f, lams) == report
+        assert all(hit.revalidate(f) for hit in report.found)
 
     def test_monotone_under_more_candidates(self):
         f = P("x^3 + x y")
