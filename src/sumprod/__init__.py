@@ -10,7 +10,6 @@ from .classify import (
     CompositenessVerdict,
     Decomposition,
     LinearForm,
-    decompose_composite,
     decompose_fully,
     is_composite,
     is_degenerate,

@@ -3,10 +3,16 @@
 A polynomial is *degenerate* when it is an outer univariate polynomial applied
 to a linear form a*x + b*y, and *composite* when it is an outer polynomial of
 degree >= 2 applied to any inner bivariate polynomial. Degeneracy is decided
-by gradient proportionality with a verified certificate. Compositeness is
-decided through the Stein bound: a non-composite polynomial of total degree k
-has fewer than k reducible fibers f - lambda, so testing k distinct fibers is
-conclusive in both directions.
+by gradient proportionality with a verified certificate.
+
+A composite verdict comes from a decomposition f = Q(g), deg Q >= 2, that
+re-expands to f exactly: the linear form of a degenerate f, else the core
+and chain of `composite_core`. Every fiber f - lambda = c prod (g - alpha_i),
+over the deg Q roots alpha_i of Q - lambda, is then reducible. A
+non-composite verdict comes from an absolutely irreducible fiber. By Stein's
+theorem a non-composite polynomial of total degree k has fewer than k
+reducible fibers f - lambda, so one of k distinct fibers is irreducible and
+certifies it.
 
 A composite f is split by two integer linear systems: the Jacobian kernel
 {h : f_x h_y = f_y h_x}, built from the primitive integer coefficients of f,
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import CertificationFailed, ConstantPolynomial, HypothesisViolated
@@ -61,10 +68,21 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class CompositenessVerdict:
+    """The verdict of `is_composite` with what certifies it.
+
+    A composite verdict carries its decomposition: `degenerate` for
+    f = Q(linear form) (set for a one-variable f as well), else `core` and
+    `chain` with f = chain[0] o ... o chain[-1] o core. A non-composite one
+    carries `certificate_lambda`, whose fiber is absolutely irreducible.
+    """
+
     composite: bool
     witness_lambdas: tuple[Fraction, ...] = ()
     certificate_lambda: Fraction | None = None
     univariate: bool = False
+    degenerate: Decomposition | None = None
+    core: BiPoly | None = None
+    chain: tuple[UniPoly, ...] = ()
 
 
 def normalize_orientation(f: BiPoly) -> tuple[BiPoly, bool]:
@@ -112,40 +130,72 @@ def is_composite(
 ) -> CompositenessVerdict:
     """Decide whether f = Q(g) for some outer Q of degree >= 2.
 
-    Tests k = total-degree distinct fibers f - lambda for reducibility over
-    the complex numbers, on `pencil` when given. A composite polynomial has
-    every fiber reducible; a non-composite one has fewer than k reducible
-    fibers in total, so some sampled fiber is irreducible and certifies the
-    verdict.
+    A one-variable f is its own outer polynomial. Otherwise f is composite
+    when it has a decomposition: its linear form when it is degenerate, else
+    the core and chain of `composite_core`, both re-expanded to f. The k =
+    total-degree values of `lam_schedule` (1..k by default) are then its
+    witnesses: Q - lambda has deg Q >= 2 roots alpha_i, and
+    f - lambda = c prod (g - alpha_i) is reducible. When f has no
+    decomposition, the fibers f - lambda at those values are tested on
+    `pencil` (built when not given); a non-composite f has fewer than k
+    reducible fibers, so some fiber is absolutely irreducible and certifies
+    the verdict.
     """
     k = f.total_degree
     if k < 2:
         raise ValueError("compositeness needs total degree >= 2")
+    dec = is_degenerate(f)
     if f.deg_x <= 0 or f.deg_y <= 0:
         # a one-variable polynomial of degree >= 2 is its own outer polynomial
-        return CompositenessVerdict(composite=True, univariate=True)
+        return CompositenessVerdict(composite=True, univariate=True, degenerate=dec)
     if lam_schedule is not None:
-        lams = [Fraction(v) for v in lam_schedule]
+        lams = tuple(Fraction(v) for v in lam_schedule)
         if len(set(lams)) != k:
             raise ValueError(f"schedule must contain exactly {k} distinct values")
     else:
-        lams = [Fraction(j) for j in range(1, k + 1)]
-    witnesses = []
+        lams = tuple(Fraction(j) for j in range(1, k + 1))
+    if dec is not None:
+        return CompositenessVerdict(composite=True, witness_lambdas=lams, degenerate=dec)
+    got = composite_core(f)
+    if got is not None:
+        core, chain = got
+        return CompositenessVerdict(composite=True, witness_lambdas=lams, core=core, chain=tuple(chain))
     if pencil is None:
         pencil = FiberPencil(f)
     for lam in lams:
         if not pencil.status(lam).reducible:
             return CompositenessVerdict(composite=False, certificate_lambda=lam)
-        witnesses.append(lam)
-    return CompositenessVerdict(composite=True, witness_lambdas=tuple(witnesses))
+    raise CertificationFailed("composite polynomial without an extractable inner")
 
 
 # ---------------------------------------------------------------------------
 # constructive decomposition
 
 
-def _divisors_ascending(n: int) -> list[int]:
-    return [d for d in range(2, n // 2 + 1) if n % d == 0]
+def _newton_gcd(f: BiPoly) -> int:
+    """gcd of the vertex coordinates of N = conv(supp f + {(0, 0)}).
+
+    For f = Q(g), deg Q = m, let P = conv(supp g + {(0, 0)}). The support of
+    every g^i, i <= m, lies in i P, inside m P. A vertex v != 0 of P is one
+    of the Newton polygon of g, so the term of g^m at m v is the m-th power
+    of that of g and nothing else reaches m v: N = m P, and m divides every
+    vertex coordinate of N, among them deg_x f, deg_y f and deg f.
+    """
+    points = sorted(set(f.t) | {(0, 0)})
+
+    def half(pts):
+        # Andrew's monotone chain; collinear points are dropped
+        chain = []
+        for p in pts:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return gcd(*(c for v in half(points) + half(points[::-1]) for c in v))
 
 
 def _jacobian_columns(f: BiPoly, monomials: list[tuple[int, int]]) -> list[dict]:
@@ -164,9 +214,14 @@ def _jacobian_kernel(f: BiPoly, d: int) -> list[BiPoly]:
     """Basis of {h : deg h <= d, f_x * h_y = f_y * h_x}.
 
     Every solution is a polynomial in a common inner of f, so a nonconstant
-    kernel element of minimal degree is an inner polynomial of f.
+    kernel element of minimal degree is an inner polynomial of f. A
+    nonconstant P(g) has deg_x / deg = deg_x g / deg g = deg_x f / deg f, and
+    likewise in y, so the unknowns are the monomials of degree <= d in the
+    box i <= d deg_x f / deg f, j <= d deg_y f / deg f.
     """
-    monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    k = f.total_degree
+    top_x, top_y = d * f.deg_x // k, d * f.deg_y // k
+    monomials = [(i, j) for i in range(top_x + 1) for j in range(min(d - i, top_y) + 1)]
     basis = linalg.nullspace_basis(_jacobian_columns(f, monomials))
     return [BiPoly(dict(zip(monomials, vec))) for vec in basis]
 
@@ -246,35 +301,37 @@ def recompose(chain: list[UniPoly], core: BiPoly) -> BiPoly:
 def decompose_fully(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
     """Strip outer univariate layers down to a non-composite core.
 
-    Returns (core, chain) with f = chain[0] o ... o chain[-1] o core; the
-    chain is empty when f is already non-composite. Requires a non-degenerate
-    input, since a degenerate polynomial bottoms out in a linear form rather
-    than a bivariate core.
+    Returns (core, chain) with f = chain[0] o ... o chain[-1] o core, read off
+    the `is_composite` verdict; the chain is empty when f is already
+    non-composite. Requires a non-degenerate input, since a degenerate
+    polynomial bottoms out in a linear form rather than a bivariate core.
     """
-    if is_degenerate(f) is not None:
+    if f.is_constant:
+        raise ConstantPolynomial("cannot classify a constant")
+    verdict = is_composite(f) if f.total_degree >= 2 else None
+    if verdict is None or verdict.degenerate is not None:
         raise HypothesisViolated("decomposition core requires a non-degenerate input")
-    if f.total_degree < 2 or not is_composite(f).composite:
+    if not verdict.composite:
         return f, []
-    return decompose_composite(f)
-
-
-def decompose_composite(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
-    """Core and chain of f, already known to be composite and non-degenerate."""
-    got = composite_core(f)
-    if got is None:
-        raise CertificationFailed("composite polynomial without an extractable inner")
-    return got
+    return verdict.core, list(verdict.chain)
 
 
 def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
     """Core and chain of a non-degenerate f, or None when the Jacobian kernel
     holds no inner of degree below that of f (f is not composite).
 
-    The core is the nonconstant Jacobian-kernel element of least degree; it
-    and the chain are re-expanded to f before they are returned.
+    An inner g of f = Q(g), deg Q = m, has deg g = k / m, and only the
+    m >= 2 that divide every vertex coordinate of the Newton polygon of f
+    (`_newton_gcd`) are tried, least inner degree first. The core is the
+    nonconstant Jacobian-kernel element of least degree; it and the chain
+    are re-expanded to f before they are returned.
     """
     k = f.total_degree
-    for d in _divisors_ascending(k):
+    common = _newton_gcd(f)
+    for m in range(common, 1, -1):
+        d = k // m
+        if common % m or d < 2:
+            continue
         kernel = _jacobian_kernel(f, d)
         inner = None
         for h in kernel:
@@ -286,7 +343,7 @@ def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
             continue
         if inner.total_degree != d:
             raise CertificationFailed(f"Jacobian kernel element has degree {inner.total_degree}, not {d}")
-        outer = _solve_outer(f, inner, k // d)
+        outer = _solve_outer(f, inner, m)
         if outer is None:
             raise CertificationFailed("no outer polynomial over the least-degree kernel element")
         chain = decompose_chain(outer)

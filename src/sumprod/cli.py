@@ -25,12 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import (
-    decompose_composite,
-    is_composite,
-    is_degenerate,
-    normalize_orientation,
-)
+from .classify import is_composite, is_degenerate, normalize_orientation
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, SumprodError
 from .explorer import (
     ApSpec,
@@ -135,7 +130,9 @@ def cmd_classify(args) -> int:
     lines = [f"polynomial: {format_bipoly(f)}"]
     if swapped:
         lines.append(f"oriented:   {format_bipoly(oriented)} (variables swapped)")
-    dec = is_degenerate(oriented)
+    # the verdict carries the degenerate decomposition, so it is found once
+    verdict = is_composite(oriented) if oriented.total_degree >= 2 else None
+    dec = verdict.degenerate if verdict is not None else is_degenerate(oriented)
     if dec is not None:
         payload["degenerate"] = {
             "outer": format_unipoly(dec.outer, "t"),
@@ -148,11 +145,10 @@ def cmd_classify(args) -> int:
     else:
         payload["degenerate"] = None
         lines.append("degenerate: no")
-    if oriented.total_degree < 2:
+    if verdict is None:
         payload["composite"] = {"verdict": False, "reason": "degree below 2"}
         lines.append("composite:  no (degree below 2)")
     else:
-        verdict = is_composite(oriented)
         if verdict.composite:
             payload["composite"] = {
                 "verdict": True,
@@ -176,14 +172,13 @@ def cmd_classify(args) -> int:
                 f"composite:  no (fiber at {verdict.certificate_lambda} is absolutely irreducible)"
             )
         if dec is None and verdict.composite:
-            core, chain = decompose_composite(oriented)
             payload["decomposition"] = {
-                "core": format_bipoly(core),
-                "chain": [format_unipoly(q, "t") for q in chain],
+                "core": format_bipoly(verdict.core),
+                "chain": [format_unipoly(q, "t") for q in verdict.chain],
             }
             lines.append(
-                f"chain:      {' o '.join(format_unipoly(q, 't') for q in chain)}"
-                f" o ({format_bipoly(core)})"
+                f"chain:      {' o '.join(format_unipoly(q, 't') for q in verdict.chain)}"
+                f" o ({format_bipoly(verdict.core)})"
             )
         elif dec is None and not verdict.composite:
             payload["decomposition"] = {"core": format_bipoly(oriented), "chain": []}
@@ -227,9 +222,10 @@ def cmd_incidence(args) -> int:
         report, family = incidence_report(f, A.elements, spectrum, height, pencil)
     else:
         report, family = incidence_report(f, A.elements)
-    degenerate = is_degenerate(f) is not None
-    verdict = is_composite(f, pencil=pencil) if (pencil is not None and not degenerate) else None
-    composite = bool(verdict.composite) if verdict else False
+    verdict = is_composite(f, pencil=pencil) if pencil is not None else None
+    degenerate = (verdict.degenerate if verdict is not None else is_degenerate(f)) is not None
+    # a degenerate f is reported as degenerate only, not as composite
+    composite = verdict is not None and verdict.composite and not degenerate
     # the class-size ceiling only applies off the degenerate/composite cases
     bound = check_class_bound(family, composite or degenerate)
     histogram = sorted(family.histogram().items())

@@ -203,7 +203,9 @@ def sigma_scan(
     """Certify reducibility of f - lambda for every candidate lambda, on
     `pencil` when given. The report is `candidates_complete` when f has a
     rational spectrum (`FiberPencil.spectrum`) and the candidates hold it:
-    every rational lambda with f - lambda reducible was then tested.
+    every rational lambda with f - lambda reducible was then tested. With a
+    spectrum, a candidate where the pencil's `drop` is nonzero is absolutely
+    irreducible and skipped; the rank test runs only at roots of `drop`.
 
     A bivariate f without a spectrum within the degree cap is split once as
     f = Q(g) (`composite_split`) when it is composite. Every fiber
@@ -228,6 +230,10 @@ def sigma_scan(
             factorization = factor_composed(f - BiPoly.const(lam), outer - lam, core, drop, cap=cap)
             count = None
         else:
+            # off the roots of drop, G - t H has full rank: f - lambda is
+            # absolutely irreducible, and no rank test is needed
+            if spectrum is not None and pencil.drop(lam):
+                continue
             status = pencil.status(lam)
             if not status.reducible:
                 continue

@@ -1,17 +1,27 @@
 """Degeneracy, compositeness and decomposition."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sumprod
+from sumprod import classify, linalg
 from sumprod.classify import (
     LinearForm,
     _jacobian_columns,
     _jacobian_kernel,
+    _newton_gcd,
+    composite_core,
     decompose_chain,
     decompose_fully,
     is_composite,
@@ -20,10 +30,11 @@ from sumprod.classify import (
     recompose,
 )
 from sumprod.errors import ConstantPolynomial, HypothesisViolated
+from sumprod.factor import FiberPencil
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 
-from conftest import nonconstant_bipolys
+from conftest import naive_add, naive_pow, nonconstant_bipolys
 
 
 class TestOrientation:
@@ -135,6 +146,157 @@ class TestComposite:
                 continue
             assert is_degenerate(f) is not None
             assert is_composite(f).composite
+
+
+def _naive_compose(coeffs, inner: dict) -> dict:
+    """sum c_i inner^i by dict convolution, the re-expansion oracle."""
+    out: dict = {}
+    for i, c in enumerate(coeffs):
+        out = naive_add(out, {m: c * v for m, v in naive_pow(inner, i).items()})
+    return out
+
+
+def _reexpand(verdict) -> dict:
+    """The terms of the decomposition a composite verdict carries."""
+    if verdict.degenerate is not None:
+        dec = verdict.degenerate
+        return _naive_compose([dec.outer.coeff(i) for i in range(dec.outer.degree + 1)], dict(dec.inner.t))
+    acc = dict(verdict.core.t)
+    for q in reversed(verdict.chain):
+        acc = _naive_compose([q.coeff(i) for i in range(q.degree + 1)], acc)
+    return acc
+
+
+def _fiber_route(f: BiPoly, lams) -> list[bool]:
+    """Reducibility of each fiber f - lambda on the Ruppert pencil: the
+    k-fiber route that once decided compositeness, kept as an oracle."""
+    pencil = FiberPencil(f)
+    return [pencil.status(lam).reducible for lam in lams]
+
+
+def _refuse_pencil(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_composite built a fiber pencil")
+
+    monkeypatch.setattr(classify, "FiberPencil", refuse)
+
+
+# the composites of the benchmark's classify items, (outer coefficients, inner)
+BENCH_COMPOSITES = [
+    ([0, 1, 1], "x + y^3 - 2 y"),
+    ([0, 1, 0, 1], "x^2 + y"),
+    ([1, 0, 1], "x^3 + x y"),
+    ([0, 1, 0, 1], "x^2 y + x + y"),
+    ([0, 1, 1], "x^5 y + y"),
+    ([0, 2, 1], "x y + x - y"),
+    ([0, 1, 1], "x^2 + y"),
+]
+DEGENERATE_CUBICS = [([1, 2, 0, 1], "x + 2 y"), ([-1, -2, 0, 1], "-x + 2 y"), ([1, -2, 0, 1], "x - 2 y")]
+
+
+class TestCompositeFromDecomposition:
+    @pytest.mark.parametrize(("outer", "inner"), BENCH_COMPOSITES + DEGENERATE_CUBICS)
+    def test_verdict_needs_no_fiber_test(self, outer, inner, monkeypatch):
+        f = BiPoly(_naive_compose(outer, dict(P(inner).t)))
+        _refuse_pencil(monkeypatch)
+        verdict = is_composite(f)
+        k = f.total_degree
+        assert verdict.composite and not verdict.univariate
+        assert verdict.witness_lambdas == tuple(F(j) for j in range(1, k + 1))
+        assert (verdict.degenerate is not None) == (P(inner).total_degree == 1)
+        assert BiPoly(_reexpand(verdict)) == f
+        if verdict.degenerate is None:
+            assert verdict.core.total_degree == P(inner).total_degree
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=4).filter(lambda c: c[-1] != 0),
+        nonconstant_bipolys(max_deg=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_witnesses_are_reducible_fibers(self, outer, g):
+        f = BiPoly(_naive_compose(outer, dict(g.t)))
+        assume(2 <= f.total_degree <= 6)
+        verdict = is_composite(f)
+        assert verdict.composite
+        if not verdict.univariate:
+            assert BiPoly(_reexpand(verdict)) == f
+        assert all(_fiber_route(f, verdict.witness_lambdas))
+
+    def test_fallback_certifies_the_first_irreducible_fiber(self, monkeypatch):
+        # x y + 1 - 1 = x y splits, x y + 1 - 2 does not
+        tested = []
+        status = FiberPencil.status
+
+        def counting(self, lam):
+            tested.append(lam)
+            return status(self, lam)
+
+        monkeypatch.setattr(FiberPencil, "status", counting)
+        verdict = is_composite(P("x y + 1"))
+        assert not verdict.composite and verdict.certificate_lambda == 2
+        assert tested == [1, 2]
+        assert verdict.core is None and verdict.degenerate is None
+
+    def test_high_degree_composite_classifies_quickly(self):
+        # Q(x y) with deg Q = 60: one fiber test at degree 120 took seconds
+        src = str(Path(sumprod.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "sumprod.cli", "classify", "--poly", "x^60 y^60 + x y + 1", "--json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - t0
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["composite"]["verdict"] is True
+        assert out["decomposition"] == {"core": "x y", "chain": ["t^60 + t + 1"]}
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize(
+        ("poly", "most"),
+        # the Newton polygon of the first has the vertex (1, 1), so no outer
+        # degree divides it; the second has outer degree 2 left to try, on
+        # the box x^i y^j, i <= 60, j <= 1 (1,953 monomials of degree <= 61)
+        [("x^120 y^2 + x y + 1", 0), ("x^120 y^2 + x^2 y^2 + 1", 122)],
+    )
+    def test_non_composite_kernel_stays_small(self, poly, most, monkeypatch):
+        widths = []
+        nullspace = linalg.nullspace_basis
+
+        def recording(columns):
+            widths.append(len(columns))
+            return nullspace(columns)
+
+        monkeypatch.setattr(linalg, "nullspace_basis", recording)
+        assert composite_core(P(poly)) is None
+        assert sum(widths) == most
+
+    @pytest.mark.parametrize(
+        ("poly", "common"),
+        # x^2 y lies inside its polygon, x^3 y^3 is a vertex
+        [
+            ("x^2 y^2 + 3", 2),
+            ("x^60 y^60 + x y + 1", 60),
+            ("x^120 y^2 + x y + 1", 1),
+            ("x^4 + y^4 + x^2 y", 4),
+            ("x^4 + y^4 + x^3 y^3", 1),
+        ],
+    )
+    def test_newton_gcd(self, poly, common):
+        assert _newton_gcd(P(poly)) == common
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=4).filter(lambda c: c[-1] != 0),
+        nonconstant_bipolys(max_deg=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_outer_degree_divides_the_newton_gcd(self, outer, g):
+        f = BiPoly(_naive_compose(outer, dict(g.t)))
+        assert _newton_gcd(f) % (len(outer) - 1) == 0
 
 
 class TestDecomposeFully:

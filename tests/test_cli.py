@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import sumprod
+from sumprod import classify as classify_module
+from sumprod import cli as cli_module
 from sumprod.classify import is_composite
 from sumprod.cli import main, parse_set_spec
 from sumprod.explorer import ApSpec, GpSpec, RandomIntSpec
@@ -66,6 +68,35 @@ class TestClassifyCommand:
         monkeypatch.setattr(linalg, "_annihilates", lambda rows, w: False)
         assert main(["classify", "--poly", "x y"]) == 1
         assert "CertificationFailed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--poly", "x^2 y^2 + 3"],
+        ["classify", "--poly", "x^3 + 6 x^2 y + 12 x y^2 + 8 y^3 + x + 2 y"],
+        ["classify", "--poly", "x^3 + x y"],
+        ["classify", "--poly", "x + y"],
+        ["classify", "--poly", "y^2 + 1"],
+        ["incidence", "--poly", "x^2 + 2 x y + y^2", "--set", "AP(6,1,1)"],
+        ["incidence", "--poly", "x^3 + x y", "--set", "AP(6,1,1)"],
+        ["incidence", "--poly", "x y + x", "--set", "AP(6,1,1)"],
+    ],
+    ids=lambda argv: f"{argv[0]}:{argv[2]}",
+)
+def test_one_degeneracy_test_per_command(argv, monkeypatch, capsys):
+    # the compositeness verdict carries the degenerate decomposition
+    calls = []
+    original = classify_module.is_degenerate
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (classify_module, cli_module):
+        monkeypatch.setattr(module, "is_degenerate", counting)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 class TestSigmaCommand:

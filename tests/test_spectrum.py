@@ -32,6 +32,7 @@ from conftest import (
     core_fiber_values,
     fraction_sweep,
     naive_image,
+    nonconstant_bipolys,
 )
 
 
@@ -234,6 +235,33 @@ class TestScan:
         with mock.patch("sumprod.spectrum.composite_split", return_value=None):
             assert sigma_scan(f, lams) == report
         assert all(hit.revalidate(f) for hit in report.found)
+
+    def test_rank_test_runs_only_on_the_spectrum(self, monkeypatch, capsys):
+        # x^3 + y^3 - lambda splits only at 0, the one root of the pencil's drop
+        tested = []
+        status = FiberPencil.status
+
+        def counting(self, lam):
+            tested.append(lam)
+            return status(self, lam)
+
+        monkeypatch.setattr(FiberPencil, "status", counting)
+        assert main(["sigma", "--poly", "x^3 + y^3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [hit["lambda"] for hit in report["found"]] == ["0"]
+        assert tested == [0]
+
+    @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+    @settings(max_examples=30, deadline=None)
+    def test_skipped_candidates_are_irreducible(self, g, h, c):
+        # the hits are the candidates whose fibers test reducible on the
+        # pencil, with the rank test run on every candidate
+        f = g * h + BiPoly.const(c)
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        lams = sorted(set(sweep_candidates(1) + [c]))
+        pencil = FiberPencil(f)
+        oracle = tuple(lam for lam in lams if pencil.status(lam).reducible)
+        assert sigma_scan(f, lams).found_values == oracle
 
     def test_monotone_under_more_candidates(self):
         f = P("x^3 + x y")
