@@ -172,32 +172,6 @@ def is_composite(
 # constructive decomposition
 
 
-def _newton_gcd(f: BiPoly) -> int:
-    """gcd of the vertex coordinates of N = conv(supp f + {(0, 0)}).
-
-    For f = Q(g), deg Q = m, let P = conv(supp g + {(0, 0)}). The support of
-    every g^i, i <= m, lies in i P, inside m P. A vertex v != 0 of P is one
-    of the Newton polygon of g, so the term of g^m at m v is the m-th power
-    of that of g and nothing else reaches m v: N = m P, and m divides every
-    vertex coordinate of N, among them deg_x f, deg_y f and deg f.
-    """
-    points = sorted(set(f.t) | {(0, 0)})
-
-    def half(pts):
-        # Andrew's monotone chain; collinear points are dropped
-        chain = []
-        for p in pts:
-            while len(chain) >= 2 and (
-                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
-                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
-            ) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    return gcd(*(c for v in half(points) + half(points[::-1]) for c in v))
-
-
 def _jacobian_columns(f: BiPoly, monomials: list[tuple[int, int]]) -> list[dict]:
     """Sparse integer columns of h -> f_x h_y - f_y h_x, f scaled to its
     primitive part in Z[x, y]; column k is the image of h = x^i y^j,
@@ -320,14 +294,14 @@ def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
     """Core and chain of a non-degenerate f, or None when the Jacobian kernel
     holds no inner of degree below that of f (f is not composite).
 
-    An inner g of f = Q(g), deg Q = m, has deg g = k / m, and only the
-    m >= 2 that divide every vertex coordinate of the Newton polygon of f
-    (`_newton_gcd`) are tried, least inner degree first. The core is the
-    nonconstant Jacobian-kernel element of least degree; it and the chain
-    are re-expanded to f before they are returned.
+    An inner g of f = Q(g), deg Q = m, has deg g = k / m, and
+    deg_x f = m deg_x g, deg_y f = m deg_y g, so only the m >= 2 that divide
+    gcd(k, deg_x f, deg_y f) are tried, least inner degree first. The core
+    is the nonconstant Jacobian-kernel element of least degree; it and the
+    chain are re-expanded to f before they are returned.
     """
     k = f.total_degree
-    common = _newton_gcd(f)
+    common = gcd(k, f.deg_x, f.deg_y)
     for m in range(common, 1, -1):
         d = k // m
         if common % m or d < 2:

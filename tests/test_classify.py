@@ -20,7 +20,6 @@ from sumprod.classify import (
     LinearForm,
     _jacobian_columns,
     _jacobian_kernel,
-    _newton_gcd,
     composite_core,
     decompose_chain,
     decompose_fully,
@@ -257,13 +256,12 @@ class TestCompositeFromDecomposition:
         assert elapsed < 5.0
 
     @pytest.mark.parametrize(
-        ("poly", "most"),
-        # the Newton polygon of the first has the vertex (1, 1), so no outer
-        # degree divides it; the second has outer degree 2 left to try, on
-        # the box x^i y^j, i <= 60, j <= 1 (1,953 monomials of degree <= 61)
-        [("x^120 y^2 + x y + 1", 0), ("x^120 y^2 + x^2 y^2 + 1", 122)],
+        "poly",
+        # gcd(122, 120, 2) leaves outer degree 2, tried on the box x^i y^j,
+        # i <= 60, j <= 1 (1,953 monomials of degree <= 61)
+        ["x^120 y^2 + x y + 1", "x^120 y^2 + x^2 y^2 + 1"],
     )
-    def test_non_composite_kernel_stays_small(self, poly, most, monkeypatch):
+    def test_non_composite_kernel_stays_small(self, poly, monkeypatch):
         widths = []
         nullspace = linalg.nullspace_basis
 
@@ -273,30 +271,16 @@ class TestCompositeFromDecomposition:
 
         monkeypatch.setattr(linalg, "nullspace_basis", recording)
         assert composite_core(P(poly)) is None
-        assert sum(widths) == most
-
-    @pytest.mark.parametrize(
-        ("poly", "common"),
-        # x^2 y lies inside its polygon, x^3 y^3 is a vertex
-        [
-            ("x^2 y^2 + 3", 2),
-            ("x^60 y^60 + x y + 1", 60),
-            ("x^120 y^2 + x y + 1", 1),
-            ("x^4 + y^4 + x^2 y", 4),
-            ("x^4 + y^4 + x^3 y^3", 1),
-        ],
-    )
-    def test_newton_gcd(self, poly, common):
-        assert _newton_gcd(P(poly)) == common
+        assert sum(widths) <= 122
 
     @given(
         st.lists(st.integers(-3, 3), min_size=3, max_size=4).filter(lambda c: c[-1] != 0),
         nonconstant_bipolys(max_deg=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_outer_degree_divides_the_newton_gcd(self, outer, g):
+    def test_outer_degree_divides_the_degree_gcd(self, outer, g):
         f = BiPoly(_naive_compose(outer, dict(g.t)))
-        assert _newton_gcd(f) % (len(outer) - 1) == 0
+        assert math.gcd(f.total_degree, f.deg_x, f.deg_y) % (len(outer) - 1) == 0
 
 
 class TestDecomposeFully:
