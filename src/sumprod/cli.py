@@ -99,15 +99,16 @@ def _write_manifest(outdir: Path, payload: dict) -> None:
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     payload = dict(payload)
     payload["config"] = _resolved_config(args)
+    text = _dumps(payload) if args.json or args.out else None
     if args.json:
-        print(_dumps(payload))
+        print(text)
     else:
         for line in human_lines:
             print(line)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{args.command}.json").write_text(_dumps(payload))
+        (outdir / f"{args.command}.json").write_text(text)
         _write_manifest(outdir, {"argv_config": _resolved_config(args)})
 
 
@@ -327,7 +328,8 @@ def cmd_scan(args) -> int:
         "slope": result.summary.slope,
         "violations": result.summary.violations,
     }
-    (outdir / "summary.json").write_text(_dumps(summary))
+    summary_text = _dumps(summary)
+    (outdir / "summary.json").write_text(summary_text)
     _write_manifest(
         outdir,
         {
@@ -347,7 +349,7 @@ def cmd_scan(args) -> int:
         for line in lines:
             print(line)
     else:
-        print(_dumps(summary))
+        print(summary_text)
     if result.summary.violations:
         print(
             f"floor violation in {result.summary.violations} record(s)", file=sys.stderr

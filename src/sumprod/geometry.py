@@ -20,13 +20,19 @@ and pairs (a, b) appear only at the edge, through `CurveFamily.curve_key`
 and `CurveFamily.members`. Since a -> D a and v -> S v are increasing
 bijections, every count, equality and order is the one over Q.
 
-Incidences are counted from one hit set per row: H_b holds every d in the
-scaled difference set (A'+A') - A' with row_b(d) a kept scaled value. The
-curve of (a, b) meets the point (s, v) exactly when row_b(D s - D a) = S v,
-and D s - D a always lies in that difference set, so the class of (a, b)
-has #{d in H_b : d + D a in D (A'+A')} incidences. Each row is evaluated
-at the whole difference set in one batched pass (`poly.horner_all`), not
-once per class and sum. A candidate lambda = n/q in lowest terms is the
+Incidences are counted with bit masks over the scaled difference set
+diffs = D(A'+A') - D A'. The curve of (a, b) meets the point (s, v) exactly
+when row_b(s - D a) = S v, and d = s - D a always lies in diffs, so the
+class of (a, b) has #{d in diffs : row_b(d) kept, d + D a in D(A'+A')}
+incidences. Row b has a hit mask, with the bit of d set when row_b(d) is a
+kept scaled value, and the point D a a reach mask, with the bit of d set
+when d + D a is a scaled sum; a class count is then one AND and one
+popcount. The bits number the elements of diffs, not the integers of its
+span: the masks of GP(48,1,2) have about 51,000 bits where its span is
+near 2^48, so an AP, a GP and a random set take the same route. Each row
+is evaluated at the whole difference set in one batched pass
+(`poly.horner_all`), and a reach mask sets one bit per sum, not one per
+difference. A candidate lambda = n/q in lowest terms is the
 scaled value n S / q when q divides n S, and no value otherwise; only
 candidates on a scaled value are tested, on one `FiberPencil` of f, and
 their rows removed when f - lambda is reducible. The small-height sweep,
@@ -39,7 +45,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .errors import BoundViolated, CertificationFailed, DegenerateSystem
 from .factor import FactorList, FiberPencil, factor_rational, rational_roots
@@ -183,8 +188,7 @@ def incidence_report(
     height is None, tested on `pencil` when given. Each curve is a graph, so
     it meets a column of the grid at most once and the count per curve is
     the number of sums s with T(s) a kept value. On the integer grid that is
-    the number of d in the row's hit set H_b with d + D a in D (A'+A') (see
-    the module docstring).
+    the popcount of hit_b & reach_a (see the module docstring).
     """
     family = build_family(f, A)
     grid = family.grid
@@ -202,13 +206,17 @@ def incidence_report(
         pencil = FiberPencil(f)
     removed = {v for v, lam in on_grid.items() if pencil.status(lam).reducible}
     kept_values = values - removed
-    diffs = tuple({s - p for s in sums for p in grid.points})
-    hits = [
-        tuple(compress(diffs, map(kept_values.__contains__, horner_all(row, diffs))))
-        for row in grid.rows
-    ]
+    index = {d: k for k, d in enumerate({s - p for s in sums for p in grid.points})}
+    diffs = tuple(index)
+    hit = [_mask(bytes(map(kept_values.__contains__, horner_all(row, diffs)))) for row in grid.rows]
+    reach = []
+    for p in grid.points:
+        flags = bytearray(len(diffs))
+        for s in sums:
+            flags[index[s - p]] = 1
+        reach.append(_mask(flags))
     firsts = (members[0] for members in family.classes.values())
-    per_curve = [len(sums.intersection(map(grid.points[i].__add__, hits[j]))) for i, j in firsts]
+    per_curve = [(hit[j] & reach[i]).bit_count() for i, j in firsts]
     total = sum(per_curve)
     k = family.degree
     alpha = k
@@ -233,6 +241,15 @@ def incidence_report(
         removed_points=len(sums) * len(removed),
     )
     return report, family
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(flags: bytes | bytearray) -> int:
+    """The 0/1 flags, one per element of the difference set, read as binary
+    digits: element k has the same bit in every mask of one count."""
+    return int(flags.translate(_DIGITS), 2)
 
 
 def _sweep_on_grid(values: set[int], S: int, height: int) -> list[int]:

@@ -194,6 +194,22 @@ def rational_sets(draw, max_size=7):
 
 
 @st.composite
+def structured_sets(draw):
+    """Sets of 6 to 24 elements: an AP slice, a GP slice of ratio 2, both
+    from a possibly negative or rational start, or random integers. APs
+    repeat sums and share curve classes; GPs and random sets have nearly
+    distinct sums, so they stop at 12 elements, about 80 sums."""
+    kind = draw(st.sampled_from(["AP", "GP", "random"]))
+    if kind == "random":
+        return sorted(draw(st.sets(st.integers(-60, 60), min_size=6, max_size=12)))
+    start = draw(grid_rationals.filter(bool))
+    if kind == "GP":
+        return [start * 2**i for i in range(draw(st.integers(6, 12)))]
+    step = draw(grid_rationals.filter(bool))
+    return [start + i * step for i in range(draw(st.integers(6, 24)))]
+
+
+@st.composite
 def rational_grid_polys(draw, max_deg=3):
     """Terms of a nonconstant f with rational coefficients.
 
@@ -258,6 +274,32 @@ def double_loop_incidences(curve_keys, points) -> tuple[int, list[int]]:
                 cnt += 1
         per.append(cnt)
     return sum(per), per
+
+
+def per_curve_hits(curve_keys, sums, kept) -> list[int]:
+    """For each curve key, #{s in sums : T(s) in kept} with T the key's
+    polynomial: the per-curve incidence count, one evaluation per sum.
+
+    Exact in integers, one gcd per value: with s = n / q and the key of
+    degree d written as K_i / m over the lcm m of its denominators,
+    T(s) = sum_i K_i n^i q^(d - i) / (m q^d)."""
+    kept = {(v.numerator, v.denominator) for v in kept}
+    sums = [(s.numerator, s.denominator) for s in sums]
+    per = []
+    for key in curve_keys:
+        d = len(key) - 1
+        m = math.lcm(*(c.denominator for c in key))
+        K = [c.numerator * (m // c.denominator) for c in key]
+        hits = 0
+        for n, q in sums:
+            num = 0
+            for i in range(d, -1, -1):
+                num = num * n + K[i] * q ** (d - i)
+            den = m * q**d
+            g = math.gcd(num, den)
+            hits += (num // g, den // g) in kept
+        per.append(hits)
+    return per
 
 
 def conic_abs_count(f: BiPoly) -> int:

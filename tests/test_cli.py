@@ -448,6 +448,23 @@ def test_incidence_at_ap_256_ends():
     assert inc["incidences"] == 16_777_216 and inc["point_count"] == 32_619_174
 
 
+def test_incidence_at_ap_512_ends():
+    # 262,144 classes, each counted by one AND and one popcount of bit masks
+    # over the ~1,500 scaled differences
+    src = str(Path(sumprod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "incidence", "--poly", "x^3 + x y", "--set", "AP(512,1,1)", "--json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=10,
+    )
+    assert run.returncode == 0, run.stderr
+    inc = json.loads(run.stdout)["incidence"]
+    assert inc["incidences"] == 134_217_728 and inc["point_count"] == 262_509_984
+
+
 def test_scan_to_1024_ends(tmp_path):
     # about a million pairs at n = 1024, each row evaluated at all points in one pass
     src = str(Path(sumprod.__file__).resolve().parents[1])

@@ -28,10 +28,13 @@ from conftest import (
     fraction_sweep,
     naive_eval,
     naive_image,
+    naive_mul,
     naive_sumset,
     naive_zero_row,
+    per_curve_hits,
     rational_grid_polys,
     rational_sets,
+    structured_sets,
 )
 
 
@@ -258,6 +261,35 @@ class TestRationalSets:
         assert rep.point_count == len(points)
         assert rep.removed_points == len(naive_sumset(base)) * (len(values) - len(kept))
         assert rep.incidences == total
+        assert rep.per_curve_min == min(per, default=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(structured_sets(), st.data())
+    def test_incidences_on_structured_sets_match_per_curve_count(self, A, data):
+        # coinciding sums, classes of several members and masks of hundreds of
+        # bits; the oracle counts sums, not points, so it reaches |A| = 24
+        terms = data.draw(rational_grid_polys(max_deg=4))
+        # a factor y - c gives f a zero row at c; a factor x - c puts the
+        # reducible fiber at 0 on the grid, so the candidate 0 removes a row
+        var = data.draw(st.sampled_from([None, (1, 0), (0, 1)]))
+        if var and BiPoly(terms).total_degree <= 3:
+            c = data.draw(st.sampled_from(A))
+            terms = naive_mul(terms, {var: F(1), (0, 0): -c})
+        f = BiPoly(terms)
+        assume(1 <= f.deg_x <= 4 and f.total_degree >= 2)
+        base = [b for b in A if not naive_zero_row(terms, b)]
+        values = naive_image(lambda a, b: naive_eval(terms, a, b), base)
+        # every fiber of a squared linear form is reducible, so any value
+        # drawn there removes its row
+        cands = data.draw(st.lists(st.sampled_from(sorted(values)), max_size=3)) if values else []
+        lams = sorted({F(0), *cands})
+        kept = values - set(sigma_scan(f, lams).found_values)
+        rep, _ = incidence_report(f, A, lams)
+        sums = naive_sumset(base)
+        per = per_curve_hits({curve_key(f, a, b) for a in base for b in base}, sums, kept)
+        assert rep.curve_count == len(per)
+        assert rep.point_count == len(sums) * len(kept)
+        assert rep.incidences == sum(per)
         assert rep.per_curve_min == min(per, default=0)
 
 

@@ -9,6 +9,11 @@ wraps. Tests do not count: a route only tests call is a test helper.
 A name that only states a type is not a use: a type annotation, the class
 argument of `isinstance`, or a member of a module-level alias `X = A | B`.
 A class named only there is never built, so its branches never run.
+
+Every name a module imports must appear in that module as an AST `Name` or
+`Attribute`, type positions included: an import nothing reads is dead too.
+`__future__` imports are directives, not names, and `__init__.py` imports
+to re-export.
 """
 
 import ast
@@ -89,6 +94,26 @@ def unused_definitions(src: Path, bench: Path) -> list[str]:
     return unused
 
 
+def unused_imports(src: Path) -> list[str]:
+    """`module.name` of every imported name its module never reads."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
 def test_every_definition_has_a_user():
     unused = unused_definitions(SRC, BENCH)
     assert sorted(set(unused) - ALLOWED) == []
@@ -115,3 +140,20 @@ def test_guard_ignores_self_reference_and_init(tmp_path):
     )
     (bench / "t.py").write_text("TARGETS = ('traced', 'user')\n")
     assert unused_definitions(src, bench) == ["m.exported", "m.recursive", "m.Typed"]
+
+
+def test_every_import_is_read():
+    assert unused_imports(SRC) == []
+
+
+def test_import_guard_flags_an_unread_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import f\n")
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from itertools import compress, chain as ch\n"
+        "from typing import Any\n\n"
+        "def f(x: Any):\n"
+        "    return ch(os.path.sep, x)\n"
+    )
+    assert unused_imports(tmp_path) == ["m.compress"]
