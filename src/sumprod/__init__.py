@@ -9,7 +9,6 @@ families, all in exact rational arithmetic.
 from .classify import (
     CompositenessVerdict,
     Decomposition,
-    LinearForm,
     decompose_fully,
     is_composite,
     is_degenerate,

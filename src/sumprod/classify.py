@@ -3,16 +3,17 @@
 A polynomial is *degenerate* when it is an outer univariate polynomial applied
 to a linear form a*x + b*y, and *composite* when it is an outer polynomial of
 degree >= 2 applied to any inner bivariate polynomial. Degeneracy is decided
-by gradient proportionality with a verified certificate.
+by gradient proportionality.
 
-A composite verdict comes from a decomposition f = Q(g), deg Q >= 2, that
-re-expands to f exactly: the linear form of a degenerate f, else the core
-and chain of `composite_core`. Every fiber f - lambda = c prod (g - alpha_i),
-over the deg Q roots alpha_i of Q - lambda, is then reducible. A
-non-composite verdict comes from an absolutely irreducible fiber. By Stein's
-theorem a non-composite polynomial of total degree k has fewer than k
-reducible fibers f - lambda, so one of k distinct fibers is irreducible and
-certifies it.
+Both shapes are one certificate, a `Decomposition` f = chain[0] o ... o
+chain[-1] o inner re-expanded to f exactly: `is_degenerate` gives it with a
+one-piece chain and a linear inner, `composite_core` with the Jacobian-kernel
+core as inner. A composite verdict carries it, and every fiber
+f - lambda = c prod (g - alpha_i), over the deg Q roots alpha_i of
+Q - lambda, is then reducible. A non-composite verdict comes from an
+absolutely irreducible fiber. By Stein's theorem a non-composite polynomial
+of total degree k has fewer than k reducible fibers f - lambda, so one of k
+distinct fibers is irreducible and certifies it.
 
 A composite f is split by two integer linear systems: the Jacobian kernel
 {h : f_x h_y = f_y h_x}, built from the primitive integer coefficients of f,
@@ -21,8 +22,10 @@ holds the inner polynomial, and the outer one solves f = sum u_i inner^i.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from . import linalg
@@ -32,57 +35,43 @@ from .poly import BiPoly, UniPoly
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """A nonzero form alpha*x + beta*y, scaled so the first nonzero entry is 1."""
-
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        if not self.alpha and not self.beta:
-            raise ValueError("zero linear form")
-        lead = self.alpha if self.alpha else self.beta
-        if lead != 1:
-            object.__setattr__(self, "alpha", self.alpha / lead)
-            object.__setattr__(self, "beta", self.beta / lead)
-
-    def to_bipoly(self) -> BiPoly:
-        return BiPoly({(1, 0): self.alpha, (0, 1): self.beta})
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """A verified degenerate decomposition f = outer(inner), with inner the
-    linear form `linear`."""
+    """A verified f = chain[0] o ... o chain[-1] o inner.
 
-    outer: UniPoly
+    A degenerate f has the one-piece chain (outer,) and a linear inner x, y
+    or x + y/c; a non-degenerate composite has the indecomposable pieces of
+    its outer polynomial and the Jacobian-kernel core as inner.
+    """
+
+    chain: tuple[UniPoly, ...]
     inner: BiPoly
-    linear: LinearForm
+
+    @property
+    def outer(self) -> UniPoly:
+        return reduce(UniPoly.compose, self.chain)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.inner.total_degree == 1
 
     def expand(self) -> BiPoly:
-        return self.outer.compose_bi(self.inner)
-
-    def verify(self, f: BiPoly) -> bool:
-        return self.expand() == f
+        return recompose(self.chain, self.inner)
 
 
 @dataclass(frozen=True)
 class CompositenessVerdict:
     """The verdict of `is_composite` with what certifies it.
 
-    A composite verdict carries its decomposition: `degenerate` for
-    f = Q(linear form) (set for a one-variable f as well), else `core` and
-    `chain` with f = chain[0] o ... o chain[-1] o core. A non-composite one
-    carries `certificate_lambda`, whose fiber is absolutely irreducible.
+    A composite verdict carries its `decomposition` (for a one-variable f as
+    well). A non-composite one carries `certificate_lambda`, whose fiber is
+    absolutely irreducible.
     """
 
     composite: bool
     witness_lambdas: tuple[Fraction, ...] = ()
     certificate_lambda: Fraction | None = None
     univariate: bool = False
-    degenerate: Decomposition | None = None
-    core: BiPoly | None = None
-    chain: tuple[UniPoly, ...] = ()
+    decomposition: Decomposition | None = None
 
 
 def normalize_orientation(f: BiPoly) -> tuple[BiPoly, bool]:
@@ -95,12 +84,12 @@ def normalize_orientation(f: BiPoly) -> tuple[BiPoly, bool]:
 
 
 def is_degenerate(f: BiPoly) -> Decomposition | None:
-    """Certificate that f is an outer polynomial of a linear form, or None.
+    """Decomposition of f as an outer polynomial of a linear form, or None.
 
     When both partial derivatives are nonzero, f has this shape exactly when
     f_x is a constant multiple c of f_y, and then f = Q(x + y/c) with Q read
-    off the specialization y = 0. The certificate is re-expanded before it is
-    returned.
+    off the specialization y = 0. The decomposition is re-expanded before it
+    is returned.
     """
     if f.is_constant:
         raise ConstantPolynomial("cannot classify a constant")
@@ -108,32 +97,24 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     fy = f.derivative("y")
     if fx.is_zero or fy.is_zero:
         outer, var = f.to_unipoly()
-        form = LinearForm(Fraction(var == "x"), Fraction(var == "y"))
-        dec = Decomposition(outer, form.to_bipoly(), form)
-        if not dec.verify(f):
+        dec = Decomposition((outer,), BiPoly({(1, 0) if var == "x" else (0, 1): 1}))
+        if dec.expand() != f:
             raise CertificationFailed(f"{var}-only polynomial failed to re-expand from its coefficients")
         return dec
     key, lead = fy.leading_term()
     c = fx.coeff(*key) / lead
     if not c or fx != fy * c:
         return None
-    form = LinearForm(c, Fraction(1))  # canonicalizes to x + y/c
-    outer = f.specialize_y(0)
-    dec = Decomposition(outer, form.to_bipoly(), form)
-    if not dec.verify(f):
-        return None
-    return dec
+    dec = Decomposition((f.specialize_y(0),), BiPoly({(1, 0): 1, (0, 1): 1 / c}))
+    return dec if dec.expand() == f else None
 
 
-def is_composite(
-    f: BiPoly, lam_schedule: tuple[Fraction, ...] | None = None, pencil: FiberPencil | None = None
-) -> CompositenessVerdict:
+def is_composite(f: BiPoly, pencil: FiberPencil | None = None) -> CompositenessVerdict:
     """Decide whether f = Q(g) for some outer Q of degree >= 2.
 
     A one-variable f is its own outer polynomial. Otherwise f is composite
-    when it has a decomposition: its linear form when it is degenerate, else
-    the core and chain of `composite_core`, both re-expanded to f. The k =
-    total-degree values of `lam_schedule` (1..k by default) are then its
+    when it has a decomposition, from `is_degenerate` or else from
+    `composite_core`. The k = total-degree values 1..k are then its
     witnesses: Q - lambda has deg Q >= 2 roots alpha_i, and
     f - lambda = c prod (g - alpha_i) is reducible. When f has no
     decomposition, the fibers f - lambda at those values are tested on
@@ -147,19 +128,11 @@ def is_composite(
     dec = is_degenerate(f)
     if f.deg_x <= 0 or f.deg_y <= 0:
         # a one-variable polynomial of degree >= 2 is its own outer polynomial
-        return CompositenessVerdict(composite=True, univariate=True, degenerate=dec)
-    if lam_schedule is not None:
-        lams = tuple(Fraction(v) for v in lam_schedule)
-        if len(set(lams)) != k:
-            raise ValueError(f"schedule must contain exactly {k} distinct values")
-    else:
-        lams = tuple(Fraction(j) for j in range(1, k + 1))
+        return CompositenessVerdict(composite=True, univariate=True, decomposition=dec)
+    lams = tuple(Fraction(j) for j in range(1, k + 1))
+    dec = dec or composite_core(f)
     if dec is not None:
-        return CompositenessVerdict(composite=True, witness_lambdas=lams, degenerate=dec)
-    got = composite_core(f)
-    if got is not None:
-        core, chain = got
-        return CompositenessVerdict(composite=True, witness_lambdas=lams, core=core, chain=tuple(chain))
+        return CompositenessVerdict(composite=True, witness_lambdas=lams, decomposition=dec)
     if pencil is None:
         pencil = FiberPencil(f)
     for lam in lams:
@@ -265,7 +238,7 @@ def decompose_chain(u: UniPoly) -> list[UniPoly]:
     return [u]
 
 
-def recompose(chain: list[UniPoly], core: BiPoly) -> BiPoly:
+def recompose(chain: Sequence[UniPoly], core: BiPoly) -> BiPoly:
     acc = core
     for q in reversed(chain):
         acc = q.compose_bi(acc)
@@ -276,23 +249,23 @@ def decompose_fully(f: BiPoly) -> tuple[BiPoly, list[UniPoly]]:
     """Strip outer univariate layers down to a non-composite core.
 
     Returns (core, chain) with f = chain[0] o ... o chain[-1] o core, read off
-    the `is_composite` verdict; the chain is empty when f is already
-    non-composite. Requires a non-degenerate input, since a degenerate
-    polynomial bottoms out in a linear form rather than a bivariate core.
+    the decomposition of the `is_composite` verdict; the chain is empty when
+    f is already non-composite. Requires a non-degenerate input, since a
+    degenerate polynomial bottoms out in a linear form rather than a
+    bivariate core.
     """
     if f.is_constant:
         raise ConstantPolynomial("cannot classify a constant")
-    verdict = is_composite(f) if f.total_degree >= 2 else None
-    if verdict is None or verdict.degenerate is not None:
+    dec = is_composite(f).decomposition if f.total_degree >= 2 else None
+    if f.total_degree < 2 or (dec is not None and dec.degenerate):
         raise HypothesisViolated("decomposition core requires a non-degenerate input")
-    if not verdict.composite:
-        return f, []
-    return verdict.core, list(verdict.chain)
+    return (f, []) if dec is None else (dec.inner, list(dec.chain))
 
 
-def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
-    """Core and chain of a non-degenerate f, or None when the Jacobian kernel
-    holds no inner of degree below that of f (f is not composite).
+def composite_core(f: BiPoly) -> Decomposition | None:
+    """Decomposition of a non-degenerate f over its core, or None when the
+    Jacobian kernel holds no inner of degree below that of f (f is not
+    composite).
 
     An inner g of f = Q(g), deg Q = m, has deg g = k / m, and
     deg_x f = m deg_x g, deg_y f = m deg_y g, so only the m >= 2 that divide
@@ -320,8 +293,8 @@ def composite_core(f: BiPoly) -> tuple[BiPoly, list[UniPoly]] | None:
         outer = _solve_outer(f, inner, m)
         if outer is None:
             raise CertificationFailed("no outer polynomial over the least-degree kernel element")
-        chain = decompose_chain(outer)
-        if recompose(chain, inner) != f:
+        dec = Decomposition(tuple(decompose_chain(outer)), inner)
+        if dec.expand() != f:
             raise CertificationFailed("decomposition chain failed to re-expand")
-        return inner, chain
+        return dec
     return None

@@ -131,58 +131,37 @@ def cmd_classify(args) -> int:
     lines = [f"polynomial: {format_bipoly(f)}"]
     if swapped:
         lines.append(f"oriented:   {format_bipoly(oriented)} (variables swapped)")
-    # the verdict carries the degenerate decomposition, so it is found once
+    # the verdict carries the decomposition, so is_degenerate runs once
     verdict = is_composite(oriented) if oriented.total_degree >= 2 else None
-    dec = verdict.degenerate if verdict is not None else is_degenerate(oriented)
-    if dec is not None:
-        payload["degenerate"] = {
-            "outer": format_unipoly(dec.outer, "t"),
-            "linear_form": format_bipoly(dec.inner),
-        }
-        lines.append(
-            f"degenerate: yes, outer {format_unipoly(dec.outer, 't')} of "
-            f"linear form {format_bipoly(dec.inner)}"
-        )
+    dec = verdict.decomposition if verdict is not None else is_degenerate(oriented)
+    if dec is not None and dec.degenerate:
+        outer, form = format_unipoly(dec.outer, "t"), format_bipoly(dec.inner)
+        payload["degenerate"] = {"outer": outer, "linear_form": form}
+        lines.append(f"degenerate: yes, outer {outer} of linear form {form}")
     else:
         payload["degenerate"] = None
         lines.append("degenerate: no")
     if verdict is None:
         payload["composite"] = {"verdict": False, "reason": "degree below 2"}
         lines.append("composite:  no (degree below 2)")
+    elif verdict.composite:
+        lams = [str(v) for v in verdict.witness_lambdas]
+        payload["composite"] = {"verdict": True, "witness_lambdas": lams, "univariate": verdict.univariate}
+        lines.append(
+            f"composite:  yes (all fibers at {', '.join(lams)} reducible)"
+            if lams
+            else "composite:  yes (single-variable polynomial)"
+        )
     else:
-        if verdict.composite:
-            payload["composite"] = {
-                "verdict": True,
-                "witness_lambdas": [str(v) for v in verdict.witness_lambdas],
-                "univariate": verdict.univariate,
-            }
-            lines.append(
-                "composite:  yes"
-                + (
-                    f" (all fibers at {', '.join(str(v) for v in verdict.witness_lambdas)} reducible)"
-                    if verdict.witness_lambdas
-                    else " (single-variable polynomial)"
-                )
-            )
-        else:
-            payload["composite"] = {
-                "verdict": False,
-                "certificate_lambda": str(verdict.certificate_lambda),
-            }
-            lines.append(
-                f"composite:  no (fiber at {verdict.certificate_lambda} is absolutely irreducible)"
-            )
-        if dec is None and verdict.composite:
-            payload["decomposition"] = {
-                "core": format_bipoly(verdict.core),
-                "chain": [format_unipoly(q, "t") for q in verdict.chain],
-            }
-            lines.append(
-                f"chain:      {' o '.join(format_unipoly(q, 't') for q in verdict.chain)}"
-                f" o ({format_bipoly(verdict.core)})"
-            )
-        elif dec is None and not verdict.composite:
-            payload["decomposition"] = {"core": format_bipoly(oriented), "chain": []}
+        lam = str(verdict.certificate_lambda)
+        payload["composite"] = {"verdict": False, "certificate_lambda": lam}
+        lines.append(f"composite:  no (fiber at {lam} is absolutely irreducible)")
+        # a non-composite f is its own core, with an empty chain
+        payload["decomposition"] = {"core": format_bipoly(oriented), "chain": []}
+    if dec is not None and not dec.degenerate:
+        chain = [format_unipoly(q, "t") for q in dec.chain]
+        payload["decomposition"] = {"core": format_bipoly(dec.inner), "chain": chain}
+        lines.append(f"chain:      {' o '.join(chain)} o ({format_bipoly(dec.inner)})")
     _emit(args, payload, lines)
     return 0
 
@@ -224,9 +203,10 @@ def cmd_incidence(args) -> int:
     else:
         report, family = incidence_report(f, A.elements)
     verdict = is_composite(f, pencil=pencil) if pencil is not None else None
-    degenerate = (verdict.degenerate if verdict is not None else is_degenerate(f)) is not None
+    dec = verdict.decomposition if verdict is not None else is_degenerate(f)
     # a degenerate f is reported as degenerate only, not as composite
-    composite = verdict is not None and verdict.composite and not degenerate
+    degenerate = dec is not None and dec.degenerate
+    composite = dec is not None and not dec.degenerate
     # the class-size ceiling only applies off the degenerate/composite cases
     bound = check_class_bound(family, composite or degenerate)
     histogram = sorted(family.histogram().items())

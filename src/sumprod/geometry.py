@@ -65,7 +65,7 @@ CurveKey = tuple[int, ...]  # row_b(X - D a) = S * T(X / D), see the module docs
 
 @dataclass(frozen=True)
 class CurveFamily:
-    classes: dict[CurveKey, tuple[tuple[int, int], ...]]  # sorted (index of a, index of b) in base
+    classes: dict[CurveKey, list[tuple[int, int]]]  # (index of a, index of b) in base, in build order
     removed_b: tuple[Fraction, ...]
     base: tuple[Fraction, ...]
     degree: int
@@ -87,7 +87,7 @@ class CurveFamily:
 
     def members(self, key: CurveKey) -> tuple[tuple[Fraction, Fraction], ...]:
         """The pairs (a, b) of the class, sorted."""
-        return tuple((self.base[i], self.base[j]) for i, j in self.classes[key])
+        return tuple((self.base[i], self.base[j]) for i, j in sorted(self.classes[key]))
 
 
 def build_family(f: BiPoly, A) -> CurveFamily:
@@ -112,10 +112,9 @@ def build_family(f: BiPoly, A) -> CurveFamily:
     for j, row in enumerate(grid.rows):
         for i, key in enumerate(shift_all(row, shifts)):
             groups.setdefault(key, []).append((i, j))
-    classes = {key: tuple(sorted(v)) for key, v in groups.items()}
     largest = max(map(len, groups.values()), default=0)
     return CurveFamily(
-        classes=classes, removed_b=removed, base=kept, degree=k, grid=grid, max_class_size=largest
+        classes=groups, removed_b=removed, base=kept, degree=k, grid=grid, max_class_size=largest
     )
 
 
@@ -215,6 +214,7 @@ def incidence_report(
         for s in sums:
             flags[index[s - p]] = 1
         reach.append(_mask(flags))
+    # every member of a class has the class's curve, so any one counts it
     firsts = (members[0] for members in family.classes.values())
     per_curve = [(hit[j] & reach[i]).bit_count() for i, j in firsts]
     total = sum(per_curve)

@@ -283,7 +283,8 @@ class _Images:
     over Q or, where the caller gives a degree, that degree lower; every
     lucky prime attains the true profile. So only the images at the best
     profile seen are kept and joined, and a prime with a worse one is
-    dropped. `certified_nullspace` and `Pencil.drop_polynomial` share it.
+    dropped. `certified_nullspace`, `Pencil.drop_polynomial` and
+    `poly._primitive_gcd` share it.
     """
 
     def __init__(self):

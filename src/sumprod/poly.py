@@ -711,22 +711,17 @@ def _primitive_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     gamma = [lead_gcd.n.get(k, 0) for k in range(lead_gcd.degree + 1)]
     want = len(gamma) + min(f.deg_y, g.deg_y)
     budget = _gcd_prime_budget(F, G)
-    deg = residues = None
-    modulus = 1
+    images = linalg._Images()
     points = count()
     for used, p in enumerate(linalg._primes(), 1):
         if any(c % p for c in F[m]) and any(c % p for c in G[n]):
             image = _gcd_image(F, G, gamma, want, p, points)
             if image is None:
                 return BiPoly.const(1)
-            d = len(image) // want - 1
-            if deg is None or d < deg:
-                deg, residues, modulus = d, image, p
-            elif d == deg:
-                residues = linalg._crt(residues, modulus, image, p)
-                modulus *= p
-            if d == deg:
-                lifted = linalg._lift(residues, modulus)
+            deg = len(image) // want - 1
+            # the least x-degree is the best profile
+            if images.add([], [image], p, -deg):
+                (lifted,) = images.lift()
                 if lifted is not None:
                     nums, den = lifted
                     H = BiPoly._over(

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from .classify import composite_core, is_degenerate
@@ -161,18 +160,15 @@ def composite_split(f: BiPoly) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
     g gives no such polynomial); None when f, bivariate, has no inner g of
     lower degree (f is not composite).
 
-    g is the linear form of a degenerate f, else the Jacobian-kernel core.
-    A linear form has no reducible fiber (x -> x + c y is an automorphism of
-    Q[x, y]), so its `drop` is the constant 1.
+    Q and g are the outer and inner of the decomposition `is_degenerate` or
+    else `composite_core` gives. A linear form has no reducible fiber
+    (x -> x + c y is an automorphism of Q[x, y]), so its `drop` is the
+    constant 1.
     """
-    dec = is_degenerate(f)
-    if dec is not None:
-        return dec.outer, dec.inner, UniPoly.const(1)
-    got = composite_core(f)
-    if got is None:
+    dec = is_degenerate(f) or composite_core(f)
+    if dec is None:
         return None
-    core, chain = got
-    return reduce(UniPoly.compose, chain), core, FiberPencil(core).drop
+    return dec.outer, dec.inner, UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
 
 
 def _composed_dimension(split, lam: Fraction, pencil: FiberPencil) -> int:

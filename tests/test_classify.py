@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import sumprod
 from sumprod import classify, linalg
 from sumprod.classify import (
-    LinearForm,
     _jacobian_columns,
     _jacobian_kernel,
     composite_core,
@@ -32,8 +31,9 @@ from sumprod.errors import ConstantPolynomial, HypothesisViolated
 from sumprod.factor import FiberPencil
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
+from sumprod.spectrum import composite_split
 
-from conftest import naive_add, naive_pow, nonconstant_bipolys
+from conftest import composites, naive_add, naive_pow, nonconstant_bipolys
 
 
 class TestOrientation:
@@ -72,9 +72,9 @@ class TestDegenerate:
 
     def test_single_variable_is_degenerate(self):
         dec = is_degenerate(P("x^3 - 2x"))
-        assert dec is not None and dec.linear == LinearForm(F(1), F(0))
+        assert dec is not None and dec.inner == P("x") and dec.degenerate
         dec = is_degenerate(P("y^2 + 1"))
-        assert dec is not None and dec.linear == LinearForm(F(0), F(1))
+        assert dec is not None and dec.inner == P("y") and dec.degenerate
 
     def test_scaled_form_recovers(self):
         outer = UniPoly({2: 2, 0: -1})
@@ -82,7 +82,7 @@ class TestDegenerate:
         dec = is_degenerate(f)
         assert dec is not None and dec.expand() == f
         # canonical form leads with coefficient one
-        assert dec.linear.alpha == 1
+        assert dec.inner.coeff(1, 0) == 1
 
     def test_constant_term_absorbed_into_outer(self):
         f = UniPoly({2: 1}).compose_bi(P("x + 2y + 3"))
@@ -113,6 +113,7 @@ class TestComposite:
             is_composite(P("x + y"))
 
     def test_sample_independent(self):
+        # any k distinct fibers decide it: all reducible exactly when composite
         rng = random.Random(7)
         polys = [P("x y"), P("x^2 + y^2"), P("x^2 + 2 x y + y^2"), P("x^2 y^2 + 3")]
         for f in polys:
@@ -126,7 +127,7 @@ class TestComposite:
                     if c not in used and c not in lams:
                         lams.append(c)
                 used.update(lams)
-                assert is_composite(f, lam_schedule=tuple(lams)).composite == base
+                assert all(_fiber_route(f, lams)) == base
 
     def test_degenerate_outer_degree_two_implies_composite(self):
         rng = random.Random(11)
@@ -157,11 +158,9 @@ def _naive_compose(coeffs, inner: dict) -> dict:
 
 def _reexpand(verdict) -> dict:
     """The terms of the decomposition a composite verdict carries."""
-    if verdict.degenerate is not None:
-        dec = verdict.degenerate
-        return _naive_compose([dec.outer.coeff(i) for i in range(dec.outer.degree + 1)], dict(dec.inner.t))
-    acc = dict(verdict.core.t)
-    for q in reversed(verdict.chain):
+    dec = verdict.decomposition
+    acc = dict(dec.inner.t)
+    for q in reversed(dec.chain):
         acc = _naive_compose([q.coeff(i) for i in range(q.degree + 1)], acc)
     return acc
 
@@ -202,10 +201,9 @@ class TestCompositeFromDecomposition:
         k = f.total_degree
         assert verdict.composite and not verdict.univariate
         assert verdict.witness_lambdas == tuple(F(j) for j in range(1, k + 1))
-        assert (verdict.degenerate is not None) == (P(inner).total_degree == 1)
+        assert verdict.decomposition.degenerate == (P(inner).total_degree == 1)
         assert BiPoly(_reexpand(verdict)) == f
-        if verdict.degenerate is None:
-            assert verdict.core.total_degree == P(inner).total_degree
+        assert verdict.decomposition.inner.total_degree == P(inner).total_degree
 
     @given(
         st.lists(st.integers(-3, 3), min_size=3, max_size=4).filter(lambda c: c[-1] != 0),
@@ -217,9 +215,14 @@ class TestCompositeFromDecomposition:
         assume(2 <= f.total_degree <= 6)
         verdict = is_composite(f)
         assert verdict.composite
-        if not verdict.univariate:
-            assert BiPoly(_reexpand(verdict)) == f
+        assert BiPoly(_reexpand(verdict)) == f
         assert all(_fiber_route(f, verdict.witness_lambdas))
+
+    @given(composites())
+    @settings(max_examples=30, deadline=None)
+    def test_sigma_splits_by_the_verdict_decomposition(self, f):
+        d = is_composite(f).decomposition
+        assert composite_split(f)[:2] == (d.outer, d.inner)
 
     def test_fallback_certifies_the_first_irreducible_fiber(self, monkeypatch):
         # x y + 1 - 1 = x y splits, x y + 1 - 2 does not
@@ -234,7 +237,7 @@ class TestCompositeFromDecomposition:
         verdict = is_composite(P("x y + 1"))
         assert not verdict.composite and verdict.certificate_lambda == 2
         assert tested == [1, 2]
-        assert verdict.core is None and verdict.degenerate is None
+        assert verdict.decomposition is None
 
     def test_high_degree_composite_classifies_quickly(self):
         # Q(x y) with deg Q = 60: one fiber test at degree 120 took seconds

@@ -57,6 +57,75 @@ class TestClassifyCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["decomposition"] == {"core": "x y", "chain": ["t^2 + 3"]}
 
+    @pytest.mark.parametrize(
+        ("poly", "lines"),
+        [
+            (
+                "x^3 - 2x",
+                [
+                    "polynomial: x^3 - 2 x",
+                    "degenerate: yes, outer t^3 - 2 t of linear form x",
+                    "composite:  yes (single-variable polynomial)",
+                ],
+            ),
+            (
+                "y^2 + 1",
+                [
+                    "polynomial: y^2 + 1",
+                    "oriented:   x^2 + 1 (variables swapped)",
+                    "degenerate: yes, outer t^2 + 1 of linear form x",
+                    "composite:  yes (single-variable polynomial)",
+                ],
+            ),
+            (
+                "x^2 + 2x y + y^2",
+                [
+                    "polynomial: x^2 + 2 x y + y^2",
+                    "degenerate: yes, outer t^2 of linear form x + y",
+                    "composite:  yes (all fibers at 1, 2 reducible)",
+                ],
+            ),
+            (
+                "x^2y^2 + 3",
+                [
+                    "polynomial: x^2 y^2 + 3",
+                    "degenerate: no",
+                    "composite:  yes (all fibers at 1, 2, 3, 4 reducible)",
+                    "chain:      t^2 + 3 o (x y)",
+                ],
+            ),
+            (
+                "x y + 1",
+                [
+                    "polynomial: x y + 1",
+                    "degenerate: no",
+                    "composite:  no (fiber at 2 is absolutely irreducible)",
+                ],
+            ),
+            (
+                "x + y",
+                [
+                    "polynomial: x + y",
+                    "degenerate: yes, outer t of linear form x + y",
+                    "composite:  no (degree below 2)",
+                ],
+            ),
+            (
+                "y^3 + x",
+                [
+                    "polynomial: y^3 + x",
+                    "oriented:   x^3 + y (variables swapped)",
+                    "degenerate: no",
+                    "composite:  no (fiber at 1 is absolutely irreducible)",
+                ],
+            ),
+        ],
+        ids=["one-variable-x", "one-variable-y", "degenerate", "chain", "non-composite", "degree-1", "swapped"],
+    )
+    def test_human_output(self, poly, lines, capsys):
+        assert main(["classify", "--poly", poly]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
     def test_bad_poly_is_usage_error(self, capsys):
         assert main(["classify", "--poly", "x + $"]) == 2
 

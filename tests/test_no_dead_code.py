@@ -14,6 +14,10 @@ Every name a module imports must appear in that module as an AST `Name` or
 `Attribute`, type positions included: an import nothing reads is dead too.
 `__future__` imports are directives, not names, and `__init__.py` imports
 to re-export.
+
+Every defaulted parameter of a top-level function that the package calls is
+passed by some call in the package, by keyword, by position or through
+`*args`: a knob no caller turns is an option that only its default runs.
 """
 
 import ast
@@ -31,6 +35,13 @@ ALLOWED = {
     # the writer of the JSON wire format that `load_poly` reads back through
     # `poly_from_json`; the CLI itself writes no polynomial in that format
     "parsing.poly_to_json",
+}
+
+
+# defaulted parameters no call in the package passes, each for its reason
+ALLOWED_KNOBS = {
+    # the console entry point; `bench/run.py` and the tests pass argv
+    "cli.main(argv)",
 }
 
 
@@ -114,6 +125,52 @@ def unused_imports(src: Path) -> list[str]:
     return unused
 
 
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter; keyword-only ones have
+    position None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(k, a.arg) for k, a in enumerate(positional) if k >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    return position is not None and any(
+        isinstance(arg, ast.Starred) or k == position for k, arg in enumerate(call.args)
+    )
+
+
+def unused_knobs(src: Path) -> list[str]:
+    """`module.function(parameter)` of every defaulted parameter of a
+    top-level function with a caller in the package that no such call
+    passes."""
+    functions = []  # (module, definition)
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions += [(path.stem, s) for s in tree.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unused = []
+    for module, fn in functions:
+        callers = calls.get(fn.name, [])
+        if callers:
+            unused += [
+                f"{module}.{fn.name}({name})"
+                for position, name in _defaulted(fn)
+                if not any(_passes(call, position, name) for call in callers)
+            ]
+    return unused
+
+
 def test_every_definition_has_a_user():
     unused = unused_definitions(SRC, BENCH)
     assert sorted(set(unused) - ALLOWED) == []
@@ -157,3 +214,22 @@ def test_import_guard_flags_an_unread_name(tmp_path):
         "    return ch(os.path.sep, x)\n"
     )
     assert unused_imports(tmp_path) == ["m.compress"]
+
+
+def test_every_knob_is_turned():
+    unused = unused_knobs(SRC)
+    assert sorted(set(unused) - ALLOWED_KNOBS) == []
+    assert sorted(ALLOWED_KNOBS - set(unused)) == []
+
+
+def test_knob_guard_reads_keyword_position_and_star(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import uncalled\n")
+    (tmp_path / "m.py").write_text(
+        "def uncalled(a, b=1):\n    return a + b\n\n"
+        "def by_keyword(a, b=1, *, c=2):\n    return a + b + c\n\n"
+        "def by_position(a, b=1, c=2):\n    return a + b + c\n\n"
+        "def by_star(a, b=1):\n    return a + b\n\n"
+        "def user(xs):\n"
+        "    return by_keyword(1, c=3) + by_position(1, 2) + by_star(*xs)\n"
+    )
+    assert unused_knobs(tmp_path) == ["m.by_keyword(b)", "m.by_position(c)"]
