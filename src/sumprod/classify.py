@@ -109,7 +109,7 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     return dec if dec.expand() == f else None
 
 
-def is_composite(f: BiPoly, pencil: FiberPencil | None = None) -> CompositenessVerdict:
+def is_composite(f: BiPoly) -> CompositenessVerdict:
     """Decide whether f = Q(g) for some outer Q of degree >= 2.
 
     A one-variable f is its own outer polynomial. Otherwise f is composite
@@ -117,10 +117,9 @@ def is_composite(f: BiPoly, pencil: FiberPencil | None = None) -> CompositenessV
     `composite_core`. The k = total-degree values 1..k are then its
     witnesses: Q - lambda has deg Q >= 2 roots alpha_i, and
     f - lambda = c prod (g - alpha_i) is reducible. When f has no
-    decomposition, the fibers f - lambda at those values are tested on
-    `pencil` (built when not given); a non-composite f has fewer than k
-    reducible fibers, so some fiber is absolutely irreducible and certifies
-    the verdict.
+    decomposition, the fibers f - lambda at those values are tested on its
+    `FiberPencil`; a non-composite f has fewer than k reducible fibers, so
+    some fiber is absolutely irreducible and certifies the verdict.
     """
     k = f.total_degree
     if k < 2:
@@ -133,10 +132,9 @@ def is_composite(f: BiPoly, pencil: FiberPencil | None = None) -> CompositenessV
     dec = dec or composite_core(f)
     if dec is not None:
         return CompositenessVerdict(composite=True, witness_lambdas=lams, decomposition=dec)
-    if pencil is None:
-        pencil = FiberPencil(f)
+    pencil = FiberPencil(f)
     for lam in lams:
-        if not pencil.status(lam).reducible:
+        if pencil.witness(lam) is None:
             return CompositenessVerdict(composite=False, certificate_lambda=lam)
     raise CertificationFailed("composite polynomial without an extractable inner")
 

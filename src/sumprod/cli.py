@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import is_composite, is_degenerate, normalize_orientation
+from .classify import composite_core, is_composite, is_degenerate, normalize_orientation
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, SumprodError
 from .explorer import (
     ApSpec,
@@ -196,14 +196,10 @@ def cmd_incidence(args) -> int:
     height = _sweep_height(args)
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
-    pencil = FiberPencil(f) if f.total_degree >= 2 else None
-    if pencil is not None:
-        spectrum = rational_critical_values(f, pencil) or ()
-        report, family = incidence_report(f, A.elements, spectrum, height, pencil)
-    else:
-        report, family = incidence_report(f, A.elements)
-    verdict = is_composite(f, pencil=pencil) if pencil is not None else None
-    dec = verdict.decomposition if verdict is not None else is_degenerate(f)
+    pencil = FiberPencil(f)
+    spectrum = rational_critical_values(f, pencil) or ()
+    report, family = incidence_report(f, A.elements, spectrum, height, pencil)
+    dec = is_degenerate(f) or composite_core(f)
     # a degenerate f is reported as degenerate only, not as composite
     degenerate = dec is not None and dec.degenerate
     composite = dec is not None and not dec.degenerate

@@ -127,7 +127,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import isqrt
 from typing import Iterator
 
 from . import integers, linalg
@@ -176,20 +175,15 @@ class AbsReducibleWitness:
     """Certificate that a polynomial splits over the complex numbers.
 
     Either the solution-space dimension of the Ruppert/Gao system (>= 2), or
-    the degree of a univariate polynomial (any degree >= 2 splits over C).
+    the degree of a univariate polynomial (any degree >= 2 splits over C):
+    the verdict of `fiber_reducibility`, which `revalidate` derives again.
     """
 
     kind: str  # "nullspace" or "univariate"
     value: int
 
     def revalidate(self, fiber: BiPoly) -> bool:
-        if self.kind == "univariate":
-            try:
-                p, _ = fiber.to_unipoly()
-            except ValueError:
-                return False
-            return p.degree == self.value and self.value >= 2
-        return fiber_reducibility(fiber).abs_count == self.value and self.value >= 2
+        return self.value >= 2 and fiber_reducibility(fiber) == self
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +303,8 @@ def _ascending(ints: dict[int, int]) -> list[int]:
 
 
 def _small_primes() -> Iterator[int]:
-    """The primes in increasing order, by trial division."""
-    return (n for n in count(2) if all(n % j for j in range(2, isqrt(n) + 1)))
+    """The primes in increasing order."""
+    return filter(integers.is_probable_prime, count(2))
 
 
 def _squarefree_mod(q: list[int], ell: int) -> bool:
@@ -609,20 +603,6 @@ def _certified(original: BiPoly, constant: Fraction, factors) -> FactorList:
 # fiber reducibility (shared by the compositeness test and the sigma scan)
 
 
-@dataclass(frozen=True)
-class FiberStatus:
-    """Reducibility of one polynomial over C, with how it was decided.
-
-    `abs_count` is the Ruppert/Gao dimension. It equals the number of
-    absolutely irreducible factors only for a squarefree fiber; a fiber with
-    a repeated factor has dimension at least 2.
-    """
-
-    reducible: bool
-    kind: str  # "irreducible", "nullspace", "univariate"
-    abs_count: int | None = None
-
-
 def _gradient(ints: dict, dx: int, dy: int) -> list[int]:
     """The solution (g, h) = (F_x, F_y) of the Ruppert/Gao system of the
     integer polynomial F with coefficients `ints`, as a vector on its columns."""
@@ -698,24 +678,24 @@ class FiberPencil:
         t = Fraction(lam) / self.scale
         return 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
 
-    def status(self, lam: Fraction | int) -> FiberStatus:
-        """Decide whether f - lambda factors over the complex numbers.
+    def witness(self, lam: Fraction | int) -> AbsReducibleWitness | None:
+        """The certificate that f - lambda factors over the complex numbers,
+        or None when it is absolutely irreducible.
 
-        Univariate fibers of degree >= 2 always split over C. Otherwise the
-        Ruppert/Gao dimension alone decides: it is 1 for an absolutely
-        irreducible fiber, the factor count for a squarefree one, and at
-        least 2 when a factor repeats (d log p and d(1/p) both solve the
-        system), so no squarefree test is needed.
+        A univariate fiber splits over C when its degree is at least 2.
+        Otherwise the Ruppert/Gao dimension alone decides: it is 1 for an
+        absolutely irreducible fiber, the factor count for a squarefree one,
+        and at least 2 when a factor repeats (d log p and d(1/p) both solve
+        the system), so no squarefree test is needed.
         """
         if self.univariate:
-            p, _ = (self.f - BiPoly.const(lam)).to_unipoly()
-            return FiberStatus(reducible=p.degree >= 2, kind="univariate")
-        n = self.dimension(lam)
-        if n >= 2:
-            return FiberStatus(reducible=True, kind="nullspace", abs_count=n)
-        return FiberStatus(reducible=False, kind="irreducible", abs_count=1)
+            witness = AbsReducibleWitness("univariate", max(self.f.deg_x, self.f.deg_y))
+        else:
+            witness = AbsReducibleWitness("nullspace", self.dimension(lam))
+        return witness if witness.value >= 2 else None
 
 
-def fiber_reducibility(fiber: BiPoly) -> FiberStatus:
-    """Decide whether `fiber` (degree >= 2) factors over the complex numbers."""
-    return FiberPencil(fiber).status(0)
+def fiber_reducibility(fiber: BiPoly) -> AbsReducibleWitness | None:
+    """The certificate that `fiber` factors over the complex numbers, or None
+    when it is absolutely irreducible (`FiberPencil.witness`)."""
+    return FiberPencil(fiber).witness(0)

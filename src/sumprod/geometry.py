@@ -125,7 +125,6 @@ class ClassBoundReport:
     size_bound: int
     count_floor_num: int  # |A'|^2, compared as class_count * k^3 >= |A'|^2
     composite_witness: tuple[tuple[Fraction, ...], tuple] | None
-    ok: bool
 
 
 def _largest_class(family: CurveFamily) -> tuple[tuple[Fraction, ...], tuple] | None:
@@ -149,7 +148,7 @@ def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
     mx = family.max_class_size
     cnt = family.class_count
     if composite:
-        return ClassBoundReport(mx, cnt, bound, n * n, _largest_class(family), ok=True)
+        return ClassBoundReport(mx, cnt, bound, n * n, _largest_class(family))
     if mx > bound:
         raise BoundViolated(
             f"class of size {mx} exceeds {bound} for a non-composite polynomial",
@@ -159,7 +158,7 @@ def check_class_bound(family: CurveFamily, composite: bool) -> ClassBoundReport:
         raise BoundViolated(
             f"class count {cnt} below the floor {n * n}/{bound}", witness=None
         )
-    return ClassBoundReport(mx, cnt, bound, n * n, None, ok=True)
+    return ClassBoundReport(mx, cnt, bound, n * n, None)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def incidence_report(
         on_grid.update((v, Fraction(v, S)) for v in _sweep_on_grid(values, S, sweep_height))
     if on_grid and pencil is None:
         pencil = FiberPencil(f)
-    removed = {v for v, lam in on_grid.items() if pencil.status(lam).reducible}
+    removed = {v for v, lam in on_grid.items() if pencil.witness(lam) is not None}
     kept_values = values - removed
     index = {d: k for k, d in enumerate({s - p for s in sums for p in grid.points})}
     diffs = tuple(index)

@@ -475,8 +475,17 @@ class Pencil:
         return out
 
     def rank(self, a: int, b: int) -> int:
-        """Certified rank of b B - a C."""
-        return rank_int(_Member(self, a, b), partial(self.kernel_mod, a, b))
+        """Certified rank of b B - a C.
+
+        A member with no kernel vector mod the first prime has full column
+        rank mod p, hence over Q, and its rank is read off the pivots with
+        no column built. Only a member with a kernel mod p builds its
+        columns, for `rank_int` to verify the lifted kernel against.
+        """
+        pivots, kernel = self.kernel_mod(a, b, _RANK_PRIME)
+        if not kernel:
+            return len(pivots)
+        return rank_int(self.columns(a, b), partial(self.kernel_mod, a, b))
 
     def kernel_mod(self, a: int, b: int, p: int) -> tuple[list[int], list[dict[int, int]]]:
         """Pivot columns and sparse reduced-echelon nullspace basis mod p of
@@ -594,29 +603,6 @@ class Pencil:
         """
         T = sum(abs(v) for col in (*self.B1, *self.C) for v in col.values())
         return (self._a0_norms.bit_length() + 1) // 2 + k * (3 * T).bit_length()
-
-
-class _Member(Sequence):
-    """The columns of the member b B - a C of a `Pencil`, built on first
-    read. `certified_nullspace` reads them only to verify a lifted kernel
-    vector or to set its prime budget, so a member of full column rank at
-    the first prime never builds them."""
-
-    def __init__(self, pencil: Pencil, a: int, b: int):
-        self.pencil, self.a, self.b = pencil, a, b
-
-    def __len__(self) -> int:
-        return len(self.pencil.B)
-
-    @cached_property
-    def _columns(self) -> list[dict]:
-        return self.pencil.columns(self.a, self.b)
-
-    def __getitem__(self, k):
-        return self._columns[k]
-
-    def __iter__(self):
-        return iter(self._columns)
 
 
 @cache

@@ -224,25 +224,22 @@ def sigma_scan(
         if split is not None:
             outer, core, drop = split
             factorization = factor_composed(f - BiPoly.const(lam), outer - lam, core, drop, cap=cap)
-            count = None
+            witness = None
         else:
             # off the roots of drop, G - t H has full rank: f - lambda is
             # absolutely irreducible, and no rank test is needed
             if spectrum is not None and pencil.drop(lam):
                 continue
-            status = pencil.status(lam)
-            if not status.reducible:
+            witness = pencil.witness(lam)
+            if witness is None:
                 continue
-            fiber = f - BiPoly.const(lam)
-            if status.kind == "univariate":
-                p, _ = fiber.to_unipoly()
-                hits.append(SigmaHit(lam, AbsReducibleWitness("univariate", p.degree)))
+            if witness.kind == "univariate":
+                hits.append(SigmaHit(lam, witness))
                 continue
-            factorization = factor_rational(fiber, cap=cap)
-            count = status.abs_count
+            factorization = factor_rational(f - BiPoly.const(lam), cap=cap)
         cert: FactorList | AbsReducibleWitness = factorization
         if factorization.nontrivial_pieces() < 2:
-            cert = AbsReducibleWitness("nullspace", count or _composed_dimension(split, lam, pencil))
+            cert = witness or AbsReducibleWitness("nullspace", _composed_dimension(split, lam, pencil))
         hits.append(SigmaHit(lam, cert))
     return SigmaReport(
         degree_k=k,

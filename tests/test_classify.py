@@ -169,7 +169,7 @@ def _fiber_route(f: BiPoly, lams) -> list[bool]:
     """Reducibility of each fiber f - lambda on the Ruppert pencil: the
     k-fiber route that once decided compositeness, kept as an oracle."""
     pencil = FiberPencil(f)
-    return [pencil.status(lam).reducible for lam in lams]
+    return [pencil.witness(lam) is not None for lam in lams]
 
 
 def _refuse_pencil(monkeypatch):
@@ -227,13 +227,13 @@ class TestCompositeFromDecomposition:
     def test_fallback_certifies_the_first_irreducible_fiber(self, monkeypatch):
         # x y + 1 - 1 = x y splits, x y + 1 - 2 does not
         tested = []
-        status = FiberPencil.status
+        witness = FiberPencil.witness
 
         def counting(self, lam):
             tested.append(lam)
-            return status(self, lam)
+            return witness(self, lam)
 
-        monkeypatch.setattr(FiberPencil, "status", counting)
+        monkeypatch.setattr(FiberPencil, "witness", counting)
         verdict = is_composite(P("x y + 1"))
         assert not verdict.composite and verdict.certificate_lambda == 2
         assert tested == [1, 2]

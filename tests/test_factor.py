@@ -18,6 +18,7 @@ from sumprod.classify import is_composite
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
     _PROJECTIONS,
+    AbsReducibleWitness,
     FiberPencil,
     _gradient,
     _ruppert_columns,
@@ -311,18 +312,18 @@ class TestFactorComposed:
 
 class TestFiberReducibility:
     def test_absolutely_split_fiber(self):
-        assert fiber_reducibility(P("x^2 + y^2")).reducible
+        assert fiber_reducibility(P("x^2 + y^2")) is not None
 
     def test_irreducible_fiber(self):
-        st = fiber_reducibility(P("x^2 + y^2 - 1"))
-        assert not st.reducible and st.abs_count == 1
+        f = P("x^2 + y^2 - 1")
+        assert fiber_reducibility(f) is None and FiberPencil(f).dimension(0) == 1
 
     def test_repeated_factor_counts_as_reducible(self):
-        st = fiber_reducibility(P("x^2 + 2 x y + y^2"))
-        assert st.reducible and st.kind == "nullspace" and st.abs_count >= 2
+        witness = fiber_reducibility(P("x^2 + 2 x y + y^2"))
+        assert witness is not None and witness.kind == "nullspace" and witness.value >= 2
 
     def test_univariate_fiber_splits(self):
-        assert fiber_reducibility(P("x^2 + 1")).reducible
+        assert fiber_reducibility(P("x^2 + 1")) is not None
 
 
 class TestRuppertDimensionDecides:
@@ -333,8 +334,8 @@ class TestRuppertDimensionDecides:
     def test_repeated_factor_gives_dimension_two(self, p, q):
         f = p * p * q
         assume(f.deg_x >= 1 and f.deg_y >= 1)
-        assert fiber_reducibility(f).abs_count >= 2
-        assert fiber_reducibility(f).reducible
+        witness = fiber_reducibility(f)
+        assert witness is not None and witness.value >= 2
 
     @given(nonconstant_bipolys(), nonconstant_bipolys(), st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
@@ -343,7 +344,7 @@ class TestRuppertDimensionDecides:
         assume(f.deg_x >= 1 and f.deg_y >= 1)
         # the route with a squarefree test first, counting only squarefree f
         expected = not is_squarefree(f) or count_abs_factors(f) >= 2
-        assert fiber_reducibility(f).reducible == expected
+        assert (fiber_reducibility(f) is not None) == expected
 
 
 @st.composite
@@ -440,16 +441,21 @@ class TestFiberPencil:
         f = BiPoly({m: F(c, content) * scale for m, c in terms.items()})
         pencil = FiberPencil(f)
         for lam in [*lams, F(constant, content) * scale]:
-            assert pencil.status(lam).abs_count == reference_dimension(f, lam), (f, lam)
+            assert pencil.dimension(lam) == reference_dimension(f, lam), (f, lam)
 
     @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-9, max_value=9, max_denominator=5))
     @settings(max_examples=40, deadline=None)
     def test_reducible_fiber_g_h_plus_c(self, g, h, c):
         f = g * h + BiPoly.const(c)
         assume(f.deg_x >= 1 and f.deg_y >= 1)
-        status = FiberPencil(f).status(c)
-        assert status.reducible
-        assert status.abs_count == reference_dimension(f, c)
+        witness = FiberPencil(f).witness(c)
+        assert witness is not None
+        assert witness.value == reference_dimension(f, c)
+        fiber = f - BiPoly.const(c)
+        assert witness.revalidate(fiber)
+        assert not AbsReducibleWitness("nullspace", witness.value + 1).revalidate(fiber)
+        assert not AbsReducibleWitness("univariate", witness.value).revalidate(fiber)
+        assert not AbsReducibleWitness("nullspace", 1).revalidate(fiber)
 
     @given(
         primitive_bivariate_polys(max_deg=2),
@@ -506,11 +512,17 @@ class TestFiberPencil:
             assert_pencil_matches_engine(f, lam)
 
     def test_univariate(self):
-        pencil = FiberPencil(P("1/2 x^3 + x"))
+        f = P("1/2 x^3 + x")
+        pencil = FiberPencil(f)
         for lam in (F(0), F(1, 2), F(-3)):
-            status = pencil.status(lam)
-            assert status.reducible and status.kind == "univariate" and status.abs_count is None
-        assert not FiberPencil(P("2 y")).status(F(5)).reducible
+            witness = pencil.witness(lam)
+            assert witness == AbsReducibleWitness("univariate", 3)
+            fiber = f - BiPoly.const(lam)
+            assert witness.revalidate(fiber)
+            assert not AbsReducibleWitness("univariate", 4).revalidate(fiber)
+            assert not AbsReducibleWitness("nullspace", 3).revalidate(fiber)
+            assert not AbsReducibleWitness("univariate", 1).revalidate(fiber)
+        assert FiberPencil(P("2 y")).witness(F(5)) is None
 
 
 def drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:

@@ -239,13 +239,13 @@ class TestScan:
     def test_rank_test_runs_only_on_the_spectrum(self, monkeypatch, capsys):
         # x^3 + y^3 - lambda splits only at 0, the one root of the pencil's drop
         tested = []
-        status = FiberPencil.status
+        witness = FiberPencil.witness
 
         def counting(self, lam):
             tested.append(lam)
-            return status(self, lam)
+            return witness(self, lam)
 
-        monkeypatch.setattr(FiberPencil, "status", counting)
+        monkeypatch.setattr(FiberPencil, "witness", counting)
         assert main(["sigma", "--poly", "x^3 + y^3", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [hit["lambda"] for hit in report["found"]] == ["0"]
@@ -260,7 +260,7 @@ class TestScan:
         assume(f.deg_x >= 1 and f.deg_y >= 1)
         lams = sorted(set(sweep_candidates(1) + [c]))
         pencil = FiberPencil(f)
-        oracle = tuple(lam for lam in lams if pencil.status(lam).reducible)
+        oracle = tuple(lam for lam in lams if pencil.witness(lam) is not None)
         assert sigma_scan(f, lams).found_values == oracle
 
     def test_monotone_under_more_candidates(self):
