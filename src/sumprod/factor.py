@@ -82,7 +82,13 @@ at most H, so 2^e is a root only when E = 0. A zero of det(P (G - t H)) at
 2^e is therefore taken for D = 0 mod p: when D is not zero that happens
 only at an unlucky prime or at a prime dividing the nonzero integer E(2^e).
 Two such primes give the list up, which can only cost completeness, and
-that is then not claimed.
+that is then not claimed. Once such a zero has been seen, each later prime
+first eliminates G - 2^e H mod p, once for both P. When its rank is below
+|K0|, so is that of P (G - 2^e H) for every P, and det(P (G - 2^e H)) = 0:
+the prime is such a zero with no projection and no determinant. The shortcut
+fires only where the projected test gives 0 as well, so it cannot change a
+result; it makes a composite f, whose G - t H loses rank at every t, cheaper
+to give up on, and an f whose D has no zero at 2^e never takes it.
 
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is

@@ -42,7 +42,10 @@ Per prime the pencil also gives P G and P H, G = B1 K0 and H = C1 K0, for a
 fixed small-integer projection P, and from them D(t) = det(P (G - t H)),
 which vanishes at every t = a / b whose member loses rank
 (`Pencil.drop_polynomial`): interpolated mod p, made monic, and lifted to Q
-past a Hadamard bound (`Pencil.projection_bits`).
+past a Hadamard bound (`Pencil.projection_bits`). Once D has vanished at the
+first point t, a later prime tests whether G - t H itself loses rank there:
+then D vanishes at t for every P, and that prime's zero is read off one small
+elimination, shared by every projection.
 
 A prime is unlucky when its pivot profile comes out worse than over Q; the
 nullspace engine and `drop_polynomial` keep and join by CRT only the images
@@ -458,6 +461,8 @@ class Pencil:
         self.A0 = [{key: v for key, v in col.items() if key not in rows} for col in B]
         self.B1 = [{key: v for key, v in col.items() if key in rows} for col in B]
         self._blocks: dict = {}  # p -> (pivots of A0, free columns of A0, K0, G, H)
+        self._singular: dict = {}  # p -> whether G - s H has rank below |K0| mod p, s the zero point
+        self._zero_seen = False  # whether a projected determinant has vanished at the zero point
 
     def columns(self, a: int, b: int) -> list[dict]:
         """The columns of b B - a C."""
@@ -491,8 +496,7 @@ class Pencil:
         """Pivot columns and sparse reduced-echelon nullspace basis mod p of
         [A0; b B1 - a C1], by block elimination."""
         pivots, free, K0, G, H = self._block(p)
-        small = [{key: b * g.get(key, 0) - a * h.get(key, 0) for key in g.keys() | h.keys()}
-                 for g, h in zip(G, H)]
+        small = _member(G, H, a, b)
         echelon, piv = _echelon_mod(small, p)
         basis = [_combine(K0, w, p) for w in _kernel_mod(echelon, piv, len(small), p)]
         return sorted(pivots + [free[i] for i in piv]), basis
@@ -510,6 +514,15 @@ class Pencil:
             block = self._blocks[p] = (pivots, free, K0, G, H)
         return block
 
+    def _singular_at(self, p: int, s: int) -> bool:
+        """Whether G - s H has rank below |K0| mod p, for s the zero point of
+        `drop_polynomial`, which p fixes: eliminated once for every projection."""
+        singular = self._singular.get(p)
+        if singular is None:
+            _, _, K0, G, H = self._block(p)
+            singular = self._singular[p] = len(_echelon_mod(_member(G, H, s, 1), p)[1]) < len(K0)
+        return singular
+
     def drop_polynomial(self, seed: int) -> tuple[list[int], int] | None:
         """D(t) = det(P (G - t H)) made monic over Q, as ascending numerators
         over one denominator, for P = `_projector(seed, |K0|, rows of C)`;
@@ -525,19 +538,34 @@ class Pencil:
         the degree of D after the pivot profile of A0. Once more than b / 60
         primes share the best profile and their product exceeds 2^(b + 1),
         b = `projection_bits`, one of them is lucky and the lift is exact.
+
+        Once a projected determinant has vanished at the zero point s, for
+        any prime and projection, every later prime first tests G - s H
+        itself, once for every projection (`_singular_at`). When its rank is
+        below |K0|, so is the rank of P (G - s H) for every P, and
+        det(P (G - s H)) = 0: the prime counts as a zero with no projection
+        and no determinant. When the rank is full the projected test runs as
+        before. The shortcut fires only where that test gives 0 too, so it
+        changes no result and no prime count; it makes a composite f, whose
+        D vanishes identically, cheaper to give up on, and costs a pencil
+        whose D has no zero at s nothing.
         """
         images = _Images()
         zeros = 0
         for p in _primes():
             pivots, _, K0, G, H = self._block(p)
-            P = _projector(seed, len(K0), len(self.c_rows))
-            PG, PH = self._project(P, G, p), self._project(P, H, p)
+            start = pow(2, self._zero_point_bits(len(K0)), p)
 
             def at(t: int) -> int:
                 return _det_mod([[(g - t * h) % p for g, h in zip(rg, rh)] for rg, rh in zip(PG, PH)], p)
 
-            start = pow(2, self._zero_point_bits(len(K0)), p)
-            first = at(start)
+            if self._zero_seen and self._singular_at(p, start):
+                first = 0
+            else:
+                P = _projector(seed, len(K0), len(self.c_rows))
+                PG, PH = self._project(P, G, p), self._project(P, H, p)
+                first = at(start)
+                self._zero_seen |= not first
             if not first:
                 zeros += 1
                 if zeros == 2:
@@ -601,8 +629,12 @@ class Pencil:
         the sum of the absolute values of the entries of B1 and C1, and
         H <= prod |a| (3 T)^k over the rows a of A0.
         """
-        T = sum(abs(v) for col in (*self.B1, *self.C) for v in col.values())
-        return (self._a0_norms.bit_length() + 1) // 2 + k * (3 * T).bit_length()
+        return (self._a0_norms.bit_length() + 1) // 2 + k * (3 * self._entry_sum).bit_length()
+
+    @cached_property
+    def _entry_sum(self) -> int:
+        """T, the sum of the absolute values of the entries of B1 and C."""
+        return sum(abs(v) for col in (*self.B1, *self.C) for v in col.values())
 
 
 @cache
@@ -659,6 +691,11 @@ def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
             (out[i - 1] - xs[k] * out[i]) % p for i in range(1, len(out))
         ] + [out[-1]]
     return out
+
+
+def _member(G: Sequence[dict], H: Sequence[dict], a: int, b: int) -> list[dict]:
+    """The columns b G - a H."""
+    return [{key: b * g.get(key, 0) - a * h.get(key, 0) for key in g.keys() | h.keys()} for g, h in zip(G, H)]
 
 
 def _combine(columns: Sequence[dict], w: dict[int, int], p: int) -> dict:

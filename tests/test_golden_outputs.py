@@ -95,6 +95,12 @@ CORPUS = [
          "--sweep-height", "1"],
         False,
     ),
+    # a composite with a nonlinear core: (x^3 + y)^3
+    (
+        "incidence-cubed-core",
+        ["incidence", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3", "--set", "AP(12,1,1)"],
+        True,
+    ),
     (
         "scan-ap",
         ["scan", "--poly", "x^3 + x y", "--family", "AP", "--sizes", "8,16,32"],
@@ -183,6 +189,12 @@ GOLDEN = {
         "stdout": "a1f72069540faa3e6dd4378368c00b51e84f44c3103e22bbdf8f6d466dbe3c70",
         "histogram.csv": "56d3309d8fbaf580c84c9db4866967ed108f3064022549e5bd7cd4b512adad1a",
         "incidence.json": "a1f72069540faa3e6dd4378368c00b51e84f44c3103e22bbdf8f6d466dbe3c70",
+    },
+    # recorded before the pencil decided a singular lambda block by its rank
+    "incidence-cubed-core": {
+        "stdout": "bb99519ce6225efc1acc423e8af95456ac0ce710da3eaacec9a0114da6cebd84",
+        "histogram.csv": "56d3309d8fbaf580c84c9db4866967ed108f3064022549e5bd7cd4b512adad1a",
+        "incidence.json": "bb99519ce6225efc1acc423e8af95456ac0ce710da3eaacec9a0114da6cebd84",
     },
     "scan-ap": {
         "stdout": "b18c90af5c5278260e5cc3a08e059ee82f2ab8a1778c8ea926b2972384c16116",

@@ -1,6 +1,7 @@
 """Reducible-fiber search, certificates, and row removal."""
 
 import json
+from contextlib import nullcontext
 from fractions import Fraction as F
 from unittest import mock
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumprod import integers
+from sumprod import integers, linalg
 from sumprod.classify import is_composite
 from sumprod.cli import main
 from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil
@@ -193,6 +194,86 @@ class TestRationalSpectrum:
         assert data["candidates_complete"] is False
         assert data["candidate_count"] == len(SWEEP_5) + 2
         assert [h["lambda"] for h in data["found"]] == sorted([*SWEEP_5, "9", "-7/2"], key=F)
+
+
+def _drops(f: BiPoly, route: str) -> list:
+    """`Pencil.drop_polynomial` for both projections on one pencil of f: as
+    the pencil runs it ("default"), with the lambda block's rank tested at
+    every prime ("rank first") or at none ("projected")."""
+    pencil = FiberPencil(f).pencil
+    pencil._zero_seen = route == "rank first"
+    never = mock.patch.object(linalg.Pencil, "_singular_at", lambda self, p, s: False)
+    with never if route == "projected" else nullcontext():
+        return [pencil.drop_polynomial(seed) for seed in (1, 2)]
+
+
+def _assert_same_drops(f: BiPoly):
+    assert _drops(f, "default") == _drops(f, "rank first") == _drops(f, "projected"), f
+
+
+class TestSingularZeroPoint:
+    """A singular lambda block at the zero point decides a prime's zero
+    without projecting, and gives every D, and every spectrum, unchanged."""
+
+    @given(composites())
+    @settings(max_examples=30, deadline=None)
+    def test_composites_match_the_projected_test(self, f):
+        _assert_same_drops(f)
+        assert FiberPencil(f).spectrum is None
+
+    @given(small_factors, small_factors, st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    @settings(max_examples=30, deadline=None)
+    def test_non_composites_match_the_projected_test(self, g, h, c):
+        f = g * h + BiPoly.const(c)
+        assume(f.deg_x >= 1 and f.deg_y >= 1 and not is_composite(f).composite)
+        _assert_same_drops(f)
+
+    @given(
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=5).filter(lambda c: c[-1]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_polynomials_of_a_line_have_no_spectrum(self, a, b, coeffs):
+        f = UniPoly(dict(enumerate(coeffs))).compose_bi(BiPoly({(1, 0): a, (0, 1): b}))
+        assert FiberPencil(f).spectrum is None
+
+    @pytest.mark.parametrize("poly", ["x^9 + 3 x^6 y + 3 x^3 y^2 + y^3", "x^2 + 2 x y + y^2"])
+    def test_composite_projects_once(self, poly, monkeypatch):
+        calls = _spy(monkeypatch, "_project", "_det_mod", "_echelon_mod")
+        pencil = FiberPencil(P(poly))
+        assert pencil.drop is None
+        # only the first prime of the first projection is projected; after its
+        # zero, each prime's lambda block is eliminated once for both
+        # projections, beside its A0
+        assert (calls["_project"], calls["_det_mod"]) == (2, 1)
+        assert len(pencil.pencil._blocks) == len(pencil.pencil._singular) == 2
+        assert calls["_echelon_mod"] == 2 * len(pencil.pencil._blocks)
+
+    def test_non_composite_eliminates_no_lambda_block(self, monkeypatch, capsys):
+        calls = _spy(monkeypatch, "_project")
+        pencil = FiberPencil(P("x^3 + y^3"))
+        assert pencil.spectrum == (F(0),)
+        assert calls["_project"] and not pencil.pencil._singular
+        data = _sigma_json(["x^3 + y^3"], capsys)
+        assert [h["lambda"] for h in data["found"]] == ["0"]
+        assert data["candidates_complete"] is True
+
+
+def _spy(monkeypatch, *names) -> dict:
+    """Count the calls to each named function of `linalg` or method of
+    `linalg.Pencil`."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner = linalg.Pencil if hasattr(linalg.Pencil, name) else linalg
+        real = getattr(owner, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestScan:
