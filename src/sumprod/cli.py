@@ -220,7 +220,8 @@ def cmd_incidence(args) -> int:
     }
     lines = [
         f"polynomial: {format_bipoly(f)}",
-        f"set: {A.provenance} (|A|={len(A)}, removed rows: {len(family.removed_b)})",
+        f"set: {A.provenance} (|A|={len(A)}, zero rows: {len(family.removed_b)},"
+        f" removed points: {report.removed_points})",
         f"points: {report.point_count}  curves: {report.curve_count}  incidences: {report.incidences}",
         f"per-curve minimum: {report.per_curve_min}",
         f"szekely ratio: {report.szekely_ratio:.6f}",

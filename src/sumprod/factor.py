@@ -46,49 +46,50 @@ eliminating M' itself gives.
 The same blocks give every lambda whose fiber can be reducible. With
 t = lambda / s, M'(t) has full column rank exactly when
 A1(t) K0 = G - t H does, G = B1 K0 and H = C1 K0 over Q, B1 and C1 the
-lambda rows of R(F)' and R(1)'. For a fixed |K0| x (rows of C1) matrix P of
-small integers (`linalg._projector`) let D(t) = det(P (G - t H)). Where D is
-nonzero, G - t H has full column rank, so the fiber is absolutely
-irreducible: D vanishes at t = lambda / s for every lambda with f - lambda
-reducible over C. When D is not identically zero, its rational roots are
-thus a finite list that holds every such rational lambda, a list complete
-over Q. D is identically zero when every fiber is reducible (f composite),
-and can be for an unlucky P, so two fixed P are used: the common rational
-roots of their D are kept, and the list is given up only when both vanish
-(`FiberPencil.spectrum`). Roots are found p-adically (`rational_roots`).
+lambda rows of R(F)' and R(1)'. For a set R of |K0| lambda rows let
+D_R(t) = det((G - t H)_R). Where D_R is nonzero, G - t H has full column
+rank: D_R vanishes at t = lambda / s for every lambda with f - lambda
+reducible over C, and when D_R is not identically zero its rational roots
+are a finite list that holds every such rational lambda, complete over Q.
+R is a row basis of G - 2^e H mod a prime (2^e below), taken greedily in
+the order of the lambda rows and in the reverse order
+(`linalg.Pencil.drop_polynomial`). The common rational roots of the two D_R
+are kept where the fiber's system has a kernel mod the first prime, as full
+rank mod p is full rank over Q (`FiberPencil.spectrum`). When every fiber is
+reducible (f composite) no D_R is nonzero, and the list is given up. Roots
+are found p-adically (`rational_roots`).
 
-D is made exact over Q from its images mod the `linalg` primes. Let A0_R be
-rank A0 independent rows of A0, X the unit columns at the pivot columns of
-A0, and N(t) = [A0_R; P (B1 - t C1)], a square integer matrix. As
-A0_R K0 = 0, N(t) [X | K0] is block triangular with diagonal blocks A0_R X
-and P (G - t H), and det [X | K0] = +-1 (K0 is in reduced-echelon form),
-so det N(t) = +-c0 D(t) with c0 = det(A0_R X) != 0. The monic D therefore
-has the coefficients E_j / E_d of E = det N, ratios of integers that
-Hadamard's inequality bounds by H, with H^2 < 2^b for the b of
-`linalg.Pencil.projection_bits`; rational reconstruction mod m > 2 H^2
-recovers them. Mod p, D has degree at most rank(P H), and is interpolated
-from that many values plus one of det(P (G - t H)) mod p, then made monic.
-A prime is unlucky when A0 mod p has fewer or later pivots than over Q
-(K0 mod p is then not the image of K0) or when it kills the leading
-coefficient of D; both need p to divide c0 E_d, whose absolute value is at
-most H^2 < 2^b. Images are joined by CRT only for the best (pivot profile,
-degree) seen, which every lucky prime attains, and every prime exceeds
-2^60. So once more than b / 60 primes share the best profile, one of them
-is lucky, hence all are, and the reconstruction past 2^(b + 1) is exact.
+D_R is made exact over Q from its images mod the `linalg` primes. Let A0_S
+be rank A0 independent rows of A0, X the unit columns at the pivot columns
+of A0, and N_R(t) = [A0_S; (B1 - t C1)_R], a square integer matrix. As
+A0_S K0 = 0, N_R(t) [X | K0] is block triangular with diagonal blocks
+A0_S X and (G - t H)_R, and det [X | K0] = +-1 (K0 is in reduced-echelon
+form), so det N_R(t) = +-c0 D_R(t) with c0 = det(A0_S X) != 0. The monic
+D_R therefore has the coefficients E_j / E_d of E = det N_R, ratios of
+integers that Hadamard's inequality bounds by H, with H^2 < 2^b for the b
+that `linalg.Pencil.minor_bits` reads from the rows R of B1 and C1;
+rational reconstruction mod m > 2 H^2 recovers them. Mod p, D_R has degree
+at most rank(H_R), and is interpolated from that many values plus one of
+det((G - t H)_R) mod p, then made monic. A prime is unlucky when A0 mod p
+has fewer or later pivots than over Q (K0 mod p is then not the image of
+K0) or when it kills the leading coefficient of D_R; both need p to divide
+c0 E_d, of absolute value at most H^2 < 2^b. R is kept for every prime with
+the pivot profile it was picked at, so the images joined by CRT, those at
+the best (pivot profile, degree) seen, which every lucky prime attains, are
+of one D_R. Every prime exceeds 2^60, so once more than b / 60 primes share
+the best profile, one of them is lucky, hence all are, and the
+reconstruction past 2^(b + 1) is exact.
+
 The values mod p are read first at t = 2^e, with 2^e above H
 (`linalg.Pencil._zero_point_bits`). A rational root u / v of E in lowest
 terms has u dividing the lowest nonzero coefficient of E, of absolute value
-at most H, so 2^e is a root only when E = 0. A zero of det(P (G - t H)) at
-2^e is therefore taken for D = 0 mod p: when D is not zero that happens
-only at an unlucky prime or at a prime dividing the nonzero integer E(2^e).
-Two such primes give the list up, which can only cost completeness, and
-that is then not claimed. Once such a zero has been seen, each later prime
-first eliminates G - 2^e H mod p, once for both P. When its rank is below
-|K0|, so is that of P (G - 2^e H) for every P, and det(P (G - 2^e H)) = 0:
-the prime is such a zero with no projection and no determinant. The shortcut
-fires only where the projected test gives 0 as well, so it cannot change a
-result; it makes a composite f, whose G - t H loses rank at every t, cheaper
-to give up on, and an f whose D has no zero at 2^e never takes it.
+at most H, so 2^e is a root only when E = 0. R is picked where
+(G - 2^e H)_R is nonsingular mod p, so at a lucky prime D_R is not zero. A
+rank of G - 2^e H below |K0| mod p, or a zero of D_R(2^e) at a later prime,
+is taken for D_R = 0 mod p: when some D_R is not zero that happens only at
+an unlucky prime or at one dividing the nonzero integer E(2^e). Two such
+primes give the list up, which can only cost completeness, and that is then
+not claimed.
 
 The rational factors are read off the same nullspace (Gao 2003). Let f be
 squarefree and primitive in x, so gcd(f, f_x) = 1. A g-part is
@@ -113,8 +114,8 @@ permutes those roots transitively. A factor of q_j(g) over Q is fixed by
 that group, so when every g - alpha is absolutely irreducible it is the
 product over a Galois-stable set of roots, all of them or none: q_j(g) is
 irreducible over Q. For a linear g every g - alpha is a line. Otherwise
-the rank-drop polynomial of g's own pencil, gcd(D_1, D_2) written in lambda
-(`FiberPencil.drop`), vanishes at every complex lambda with g - lambda
+the rank-drop polynomial of g's own pencil, the gcd of its two D_R written
+in lambda (`FiberPencil.drop`), vanishes at every complex lambda with g - lambda
 reducible, so gcd(q_j, drop) = 1 suffices. Every other q_j(g) is factored
 by Gao's method at its own, lower degree.
 
@@ -143,9 +144,6 @@ from .poly import (
 )
 
 DEFAULT_DEGREE_CAP = 8
-
-# seeds of the two fixed projections P of the rank-drop polynomials D(t)
-_PROJECTIONS = (1, 2)
 
 # combined cap on divisor-tuple attempts inside one univariate factor search
 _SEARCH_BUDGET = 400_000
@@ -654,30 +652,38 @@ class FiberPencil:
 
     @cached_property
     def drop(self) -> UniPoly | None:
-        """gcd(D_1, D_2) of the rank-drop polynomials of two fixed
-        projections, written in lambda = s t: it vanishes at every complex
+        """gcd(D_R, D_R') of the rank-drop polynomials of two row bases R and
+        R' of the lambda block, picked in the order of its rows and in the
+        reverse order, written in lambda = s t: it vanishes at every complex
         lambda with f - lambda reducible over C (module docstring). None
-        when both vanish identically, as they do when every fiber is
-        reducible (composite or univariate f).
+        when either is given up, as both are when every fiber is reducible
+        (composite or univariate f); the second is then never computed.
         """
         if self.univariate:
             return None
         drops = []
-        for seed in _PROJECTIONS:
-            if (got := self.pencil.drop_polynomial(seed)) is not None:
-                nums, den = got
-                drops.append(UniPoly._over({k: v for k, v in enumerate(nums) if v}, den))
-        if not drops:
-            return None
-        d = uni_gcd(*drops) if len(drops) > 1 else drops[0]
+        for reverse in (False, True):
+            if (got := self.pencil.drop_polynomial(reverse)) is None:
+                return None
+            nums, den = got
+            drops.append(UniPoly._over({k: v for k, v in enumerate(nums) if v}, den))
+        d = uni_gcd(*drops)
         return UniPoly({k: v / self.scale**k for k, v in d.c.items()})
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...] | None:
-        """A finite list of rationals holding every rational lambda with
-        f - lambda reducible over C, the rational roots of `drop`; None when
-        the pencil gives none."""
-        return None if self.drop is None else tuple(rational_roots(self.drop))
+        """Every rational lambda with f - lambda reducible over C: the
+        rational roots of `drop` where the fiber's system has a kernel mod
+        the first prime, as full rank mod p is full rank over Q; None when
+        the pencil gives no such list."""
+        if self.drop is None:
+            return None
+        out = []
+        for lam in rational_roots(self.drop):
+            t = lam / self.scale
+            if self.pencil.kernel_mod(t.numerator, t.denominator, linalg._RANK_PRIME)[1]:
+                out.append(lam)
+        return tuple(out)
 
     def dimension(self, lam: Fraction | int) -> int:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f."""

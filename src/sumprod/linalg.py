@@ -38,14 +38,12 @@ member costs one elimination of A1 K0, which has only the rows of C. K0 times
 the reduced-echelon kernel of A1 K0 is the member's own reduced-echelon
 kernel, which the certificate above lifts and verifies on the member's columns.
 A member's own columns are built only when a kernel vector needs that check.
-Per prime the pencil also gives P G and P H, G = B1 K0 and H = C1 K0, for a
-fixed small-integer projection P, and from them D(t) = det(P (G - t H)),
-which vanishes at every t = a / b whose member loses rank
-(`Pencil.drop_polynomial`): interpolated mod p, made monic, and lifted to Q
-past a Hadamard bound (`Pencil.projection_bits`). Once D has vanished at the
-first point t, a later prime tests whether G - t H itself loses rank there:
-then D vanishes at t for every P, and that prime's zero is read off one small
-elimination, shared by every projection.
+The rows of G - t H, G = B1 K0 and H = C1 K0, also give a polynomial that
+vanishes at every t = a / b whose member loses rank
+(`Pencil.drop_polynomial`): D_R(t) = det((G - t H)_R), for R a row basis
+of G - s H mod p at one point s. It is interpolated mod p, made monic, and
+lifted to Q past a Hadamard bound read from the rows R
+(`Pencil.minor_bits`).
 
 A prime is unlucky when its pivot profile comes out worse than over Q; the
 nullspace engine and `drop_polynomial` keep and join by CRT only the images
@@ -67,7 +65,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -456,13 +454,11 @@ class Pencil:
 
     def __init__(self, B: Sequence[dict], C: Sequence[dict]):
         self.B, self.C = B, C
-        # the rows where C is nonzero, numbered in the order the columns of C meet them
-        rows = self.c_rows = {key: r for r, key in enumerate(dict.fromkeys(key for col in C for key in col))}
+        # the rows where C is nonzero, in the order the columns of C meet them
+        rows = self.c_rows = dict.fromkeys(key for col in C for key in col)
         self.A0 = [{key: v for key, v in col.items() if key not in rows} for col in B]
         self.B1 = [{key: v for key, v in col.items() if key in rows} for col in B]
         self._blocks: dict = {}  # p -> (pivots of A0, free columns of A0, K0, G, H)
-        self._singular: dict = {}  # p -> whether G - s H has rank below |K0| mod p, s the zero point
-        self._zero_seen = False  # whether a projected determinant has vanished at the zero point
 
     def columns(self, a: int, b: int) -> list[dict]:
         """The columns of b B - a C."""
@@ -514,65 +510,51 @@ class Pencil:
             block = self._blocks[p] = (pivots, free, K0, G, H)
         return block
 
-    def _singular_at(self, p: int, s: int) -> bool:
-        """Whether G - s H has rank below |K0| mod p, for s the zero point of
-        `drop_polynomial`, which p fixes: eliminated once for every projection."""
-        singular = self._singular.get(p)
-        if singular is None:
-            _, _, K0, G, H = self._block(p)
-            singular = self._singular[p] = len(_echelon_mod(_member(G, H, s, 1), p)[1]) < len(K0)
-        return singular
+    def drop_polynomial(self, reverse: bool) -> tuple[list[int], int] | None:
+        """D_R(t) = det((G - t H)_R) made monic over Q, as ascending
+        numerators over one denominator, for R the first rows of G - s H that
+        are independent mod p, read in the order of the rows of C, reversed
+        when `reverse`, with s = 2^e, e = `_zero_point_bits`; None when
+        G - s H has rank below |K0|, or D_R(s) vanishes, mod two primes.
 
-    def drop_polynomial(self, seed: int) -> tuple[list[int], int] | None:
-        """D(t) = det(P (G - t H)) made monic over Q, as ascending numerators
-        over one denominator, for P = `_projector(seed, |K0|, rows of C)`;
-        None when D is taken to vanish identically mod two primes.
-
-        The member b B - a C has full column rank wherever D(a / b) is
-        nonzero, since its block A1 K0 then has rank |K0| (class docstring).
-        Mod p, D has degree at most r = rank(P H), so its values at r + 1
-        points fix it. The first point is 2^e, e = `_zero_point_bits`, which
-        is no root of D over Q unless D = 0, so a zero there is taken for
-        D = 0 mod p; that errs only at the primes dividing one fixed nonzero
-        integer (`factor` module docstring). Images are joined by `_Images`,
-        the degree of D after the pivot profile of A0. Once more than b / 60
-        primes share the best profile and their product exceeds 2^(b + 1),
-        b = `projection_bits`, one of them is lucky and the lift is exact.
-
-        Once a projected determinant has vanished at the zero point s, for
-        any prime and projection, every later prime first tests G - s H
-        itself, once for every projection (`_singular_at`). When its rank is
-        below |K0|, so is the rank of P (G - s H) for every P, and
-        det(P (G - s H)) = 0: the prime counts as a zero with no projection
-        and no determinant. When the rank is full the projected test runs as
-        before. The shortcut fires only where that test gives 0 too, so it
-        changes no result and no prime count; it makes a composite f, whose
-        D vanishes identically, cheaper to give up on, and costs a pencil
-        whose D has no zero at s nothing.
+        D_R(s) is nonzero mod the prime that picks R, so D_R is not zero, and
+        like every maximal minor it vanishes at every t = a / b whose member
+        b B - a C loses rank (class docstring). R is picked once for each
+        pivot profile of A0 and kept for the later primes with that profile,
+        so the images `_Images` joins are all of one D_R. Mod p, D_R has
+        degree at most r = rank(H_R), so its values at r + 1 points, the
+        first at s, fix it. A zero at s is taken for D_R = 0 mod p; that errs
+        only at the primes dividing one fixed nonzero integer (`factor`
+        module docstring). Once more than b / 60 primes share the best
+        profile and their product exceeds 2^(b + 1), b = `minor_bits`
+        of R, one of them is lucky and the lift is exact.
         """
+        order = list(self.c_rows)[:: -1 if reverse else 1]
+        picked: dict = {}  # A0 pivots -> R
         images = _Images()
         zeros = 0
         for p in _primes():
             pivots, _, K0, G, H = self._block(p)
-            start = pow(2, self._zero_point_bits(len(K0)), p)
+            s = pow(2, self._zero_point_bits(len(K0)), p)
+            R = picked.get(key := tuple(pivots))
+            if R is None:
+                R = _pivot_rows(_member(G, H, s, 1), order, p)
+                if len(R) == len(K0):
+                    picked[key] = R
+            GR, HR = _rows(G, R), _rows(H, R)
 
             def at(t: int) -> int:
-                return _det_mod([[(g - t * h) % p for g, h in zip(rg, rh)] for rg, rh in zip(PG, PH)], p)
+                return _det_mod([[(g.get(j, 0) - t * h.get(j, 0)) % p for j in range(len(K0))] for g, h in zip(GR, HR)], p)
 
-            if self._zero_seen and self._singular_at(p, start):
-                first = 0
-            else:
-                P = _projector(seed, len(K0), len(self.c_rows))
-                PG, PH = self._project(P, G, p), self._project(P, H, p)
-                first = at(start)
-                self._zero_seen |= not first
+            # a row basis short of |K0| rows: every D_R vanishes at s mod p
+            first = len(R) == len(K0) and at(s)
             if not first:
                 zeros += 1
                 if zeros == 2:
                     return None
                 continue
-            r = len(_echelon_mod([dict(enumerate(row)) for row in PH], p)[1])
-            nodes = [start, *(t for t in range(r + 1) if t != start)][: r + 1]
+            r = len(_echelon_mod(HR, p)[1])
+            nodes = [s, *(t for t in range(r + 1) if t != s)][: r + 1]
             image = _interpolate_mod(nodes, [first, *map(at, nodes[1:])], p)
             while not image[-1]:
                 image.pop()
@@ -580,19 +562,12 @@ class Pencil:
             if not images.add(pivots, [[c * inv % p for c in image]], p, len(image)):
                 continue
             if images.primes == 1:
-                bits = self.projection_bits(seed, len(K0))
+                bits = self.minor_bits(R)
             if images.primes > bits // 60 and images.modulus >> (bits + 1):
                 (lifted,) = images.lift()
                 if lifted is None:
                     raise CertificationFailed("the rank-drop polynomial did not reconstruct within its bound")
                 return lifted
-
-    def _project(self, P: Sequence[Sequence[int]], columns: Sequence[dict], p: int = 0) -> list[list[int]]:
-        """P times the matrix of `columns` restricted to the rows of C,
-        reduced mod p when p is nonzero."""
-        rows = self.c_rows
-        out = [[sum(row[rows[key]] * v for key, v in col.items()) for col in columns] for row in P]
-        return [[v % p for v in r] for r in out] if p else out
 
     @cached_property
     def _a0_norms(self) -> int:
@@ -603,33 +578,30 @@ class Pencil:
                 norms[key] = norms.get(key, 0) + v * v
         return prod(norms.values())
 
-    def projection_bits(self, seed: int, k: int) -> int:
+    def minor_bits(self, R: Sequence) -> int:
         """Bits of a bound on H^2, with H bounding every t-coefficient of
-        det [A0_R; P (B1 - t C1)] for any set R of rows of A0 and
-        P = `_projector(seed, k, rows of C)`.
+        det [A0_S; (B1 - t C1)_R] for any set S of rows of A0.
 
         Row i of that matrix is u_i - t v_i, so the coefficient of t^j is a
-        sum over the j-sets S of rows of +-det(v on S, u elsewhere), and
+        sum over the j-sets of rows of +-det(v on the set, u elsewhere), and
         Hadamard's inequality bounds it by prod_i (|u_i| + |v_i|). As
         (|u| + |v|)^2 <= 2 (|u|^2 + |v|^2), and each row of A0 (v = 0) has
         |u|^2 >= 1, H^2 is below 2^bits with bits the bit length of the
         product of |a|^2 over every row a of A0 and of 2 (|u_i|^2 + |v_i|^2)
-        over the k rows of P (B1 - t C1).
+        over the rows R of B1 - t C1.
         """
-        P = _projector(seed, k, len(self.c_rows))
-        PB, PC = self._project(P, self.B1), self._project(P, self.C)
-        return (self._a0_norms * prod(2 * sum(x * x for x in u + v) for u, v in zip(PB, PC))).bit_length()
+        norms = (sum(x * x for x in (*u.values(), *v.values())) for u, v in zip(_rows(self.B1, R), _rows(self.C, R)))
+        return (self._a0_norms * prod(2 * n for n in norms)).bit_length()
 
     def _zero_point_bits(self, k: int) -> int:
-        """An e with 2^e above the H of `projection_bits` for every k x (rows
-        of C) matrix P with entries in -3..3, read without forming P.
+        """An e with 2^e above the H of `minor_bits` for every set R of
+        k rows, read without picking R.
 
-        Row i of P (B1 - t C1) is u_i - t v_i = sum_j P_ij (b_j - t c_j) over
-        the rows b_j and c_j of B1 and C1, so |u_i| + |v_i| <= 3 T, with T
-        the sum of the absolute values of the entries of B1 and C1, and
-        H <= prod |a| (3 T)^k over the rows a of A0.
+        Row i of (B1 - t C1)_R is u_i - t v_i, rows of B1 and C1, so
+        |u_i| + |v_i| <= T, the sum of the absolute values of the entries of
+        B1 and C1, and H <= prod |a| T^k over the rows a of A0.
         """
-        return (self._a0_norms.bit_length() + 1) // 2 + k * (3 * self._entry_sum).bit_length()
+        return (self._a0_norms.bit_length() + 1) // 2 + k * self._entry_sum.bit_length()
 
     @cached_property
     def _entry_sum(self) -> int:
@@ -637,20 +609,21 @@ class Pencil:
         return sum(abs(v) for col in (*self.B1, *self.C) for v in col.values())
 
 
-@cache
-def _projector(seed: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """A fixed k x m matrix of small nonzero integers, drawn row by row from
-    a linear congruential generator started at `seed`: its first rows do not
-    depend on k."""
-    x, out = seed, []
-    for _ in range(k):
-        row = []
-        for _ in range(m):
-            x = (x * 1103515245 + 12345) % (1 << 31)
-            v = (x >> 16) % 6
-            row.append(v - 3 if v < 3 else v - 2)  # -3..-1, 1..3
-        out.append(tuple(row))
-    return tuple(out)
+def _rows(columns: Sequence[dict], keys: Sequence) -> list[dict[int, int]]:
+    """The rows `keys` of the matrix of `columns`, each {column: nonzero}:
+    the columns of its transpose."""
+    rows: dict = {key: {} for key in keys}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if key in rows:
+                rows[key][j] = v
+    return list(rows.values())
+
+
+def _pivot_rows(columns: Sequence[dict], keys: Sequence, p: int) -> list:
+    """The first of `keys` whose rows of the matrix of `columns` are
+    independent mod p, a row basis: the pivot columns of its transpose."""
+    return [keys[i] for i in _echelon_mod(_rows(columns, keys), p)[1]]
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:

@@ -4,12 +4,12 @@ Candidate lambdas come from three sources: the rational spectrum of the
 fiber pencil, a small-height sweep, and user-supplied values. The spectrum
 is read off the rank drop of the Ruppert pencil (`factor.FiberPencil`):
 with t = lambda / s, the system of f - lambda loses column rank exactly
-where the fiber is reducible, so the determinant D(t) = det(P (G - t H)) of
-a fixed square projection of its lambda block vanishes there. When D is not
-identically zero, its rational roots form a finite list that holds every
-rational lambda with f - lambda reducible over C: the list is complete over
-Q. The `factor` module docstring shows how D is made exact over Q. When D
-vanishes identically for both fixed projections, as it does when every
+where the fiber is reducible, so every maximal minor D(t) of its lambda
+block vanishes there. When a minor is not identically zero, its rational
+roots form a finite list that holds every rational lambda with f - lambda
+reducible over C: the list is complete over Q. The `factor` module
+docstring shows which two minors are taken and how they are made exact
+over Q. When the lambda block loses rank everywhere, as it does when every
 fiber is reducible (composite or univariate f), there is no finite list and
 the candidates are the sweep and the user values.
 
@@ -108,10 +108,10 @@ def _certificate_summary(cert) -> dict:
 
 
 def rational_critical_values(f: BiPoly, pencil: FiberPencil | None = None) -> list[Fraction] | None:
-    """Every rational lambda with f - lambda reducible over C, possibly with
-    a few more, read off the rank drop of the fiber pencil
-    (`FiberPencil.spectrum`, shared with `pencil` when given); None when f
-    has no such finite list (composite or univariate f).
+    """Every rational lambda with f - lambda reducible over C, read off the
+    rank drop of the fiber pencil (`FiberPencil.spectrum`, shared with
+    `pencil` when given); None when f has no such finite list (composite or
+    univariate f).
     """
     spectrum = (pencil if pencil is not None else FiberPencil(f)).spectrum
     return None if spectrum is None else list(spectrum)

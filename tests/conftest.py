@@ -348,6 +348,84 @@ def sympy_factor_multiset(f: BiPoly):
     return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)))
 
 
+# The rank-drop polynomials of a `linalg.Pencil` over Q by sympy. The block
+# A1(t) K0 = G - t H is rebuilt from the pencil's matrices, with K0 any
+# kernel basis of its lambda-free rows A0: another basis multiplies every
+# maximal minor by one nonzero constant, which the monic form removes.
+
+
+def sympy_lambda_block(pencil):
+    """(A1(t) K0, t): the lambda block of `pencil` over Q[t] as a sympy
+    Matrix, one row per row of C in the pencil's order."""
+    import sympy
+
+    t = sympy.symbols("t")
+    n = len(pencil.B)
+    a0_rows = sorted({key for col in pencil.A0 for key in col})
+    kernel = sympy.Matrix(len(a0_rows), n, lambda i, j: pencil.A0[j].get(a0_rows[i], 0)).nullspace()
+    K0 = sympy.Matrix.hstack(*kernel) if kernel else sympy.zeros(n, 0)
+    rows = list(pencil.c_rows)
+    A1 = sympy.Matrix(len(rows), n, lambda i, j: pencil.B1[j].get(rows[i], 0) - t * pencil.C[j].get(rows[i], 0))
+    return A1 * K0, t
+
+
+def sympy_det_monic(M, t) -> UniPoly | None:
+    """det M of a square sympy Matrix over Q[t], made monic, or None when it
+    is zero; the determinant is taken over the polynomial ring (DomainMatrix)."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    if not M.rows:
+        return UniPoly.const(1)
+    dm = DomainMatrix.from_Matrix(M)
+    poly = sympy.Poly(dm.domain.to_sympy(dm.det()), t)
+    if poly.is_zero:
+        return None
+    return UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in poly.monic().terms()})
+
+
+def projector(seed: int, k: int, m: int) -> list[list[int]]:
+    """A fixed k x m matrix of small nonzero integers, drawn row by row from
+    a linear congruential generator started at `seed`."""
+    x, out = seed, []
+    for _ in range(k):
+        row = []
+        for _ in range(m):
+            x = (x * 1103515245 + 12345) % (1 << 31)
+            v = (x >> 16) % 6
+            row.append(v - 3 if v < 3 else v - 2)  # -3..-1, 1..3
+        out.append(row)
+    return out
+
+
+def projected_drop(pencil, seed: int) -> UniPoly | None:
+    """D(t) = det(P A1(t) K0) made monic, or None when it is zero, for the
+    projection P = projector(seed, |K0|, rows of C): a fixed combination of
+    the maximal minors of the lambda block (Cauchy-Binet), which the
+    spectrum was once read from."""
+    import sympy
+
+    block, t = sympy_lambda_block(pencil)
+    P = sympy.Matrix(block.cols, block.rows, [v for row in projector(seed, block.cols, block.rows) for v in row])
+    return sympy_det_monic(P * block, t)
+
+
+def projected_spectrum(fiber_pencil) -> tuple | None:
+    """The rational lambda = s t at which the lambda block of a
+    `factor.FiberPencil` loses rank, read off the common rational roots of
+    the projected D of two fixed projections; None when both vanish."""
+    import sympy
+
+    block, t = sympy_lambda_block(fiber_pencil.pencil)
+    drops = [d for d in (projected_drop(fiber_pencil.pencil, seed) for seed in (1, 2)) if d is not None]
+    if not drops:
+        return None
+    common = sympy.gcd_list([sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in d.c.items()) for d in drops])
+    roots = sympy.Poly(common, t).ground_roots()
+    drops_rank = [r for r in roots if block.subs(t, r).rank() < block.cols]
+    return tuple(sorted(F(int(r.p), int(r.q)) * fiber_pencil.scale for r in drops_rank))
+
+
 # The subresultant gcd, an independent route the tests compare `uni_gcd`
 # against; it uses the package's `UniPoly` arithmetic.
 def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:

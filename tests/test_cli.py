@@ -254,6 +254,18 @@ class TestIncidenceCommand:
         assert data["degenerate"] is True
         assert data["max_class_size"] == 9
 
+    @pytest.mark.parametrize(
+        ("poly", "spec", "zero_rows", "removed_points"),
+        [("x^4 + 2 x^2 y + y^2", "AP(16,1,1)", 0, 31), ("x y", "AP(4,0,1)", 1, 0)],
+    )
+    def test_human_line_counts_zero_rows_and_removed_points(self, poly, spec, zero_rows, removed_points, capsys):
+        assert main(["incidence", "--poly", poly, "--set", spec, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (len(data["removed_rows"]), data["incidence"]["removed_points"]) == (zero_rows, removed_points)
+        assert main(["incidence", "--poly", poly, "--set", spec]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.endswith(f"(|A|={data['set_size']}, zero rows: {zero_rows}, removed points: {removed_points})")
+
     def test_poly_from_file(self, tmp_path, capsys):
         polyfile = tmp_path / "poly.txt"
         polyfile.write_text("x^2 + y^2\n")

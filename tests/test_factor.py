@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sumprod.classify import is_composite
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
-    _PROJECTIONS,
     AbsReducibleWitness,
     FiberPencil,
     _gradient,
@@ -31,7 +30,7 @@ from sumprod.factor import (
     rational_roots,
     squarefree_part,
 )
-from sumprod.linalg import _projector, certified_nullspace, rref
+from sumprod.linalg import certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
 from sumprod.spectrum import composite_split, sweep_candidates
@@ -42,7 +41,9 @@ from conftest import (
     core_fiber_values,
     grid_factor_exists,
     nonconstant_bipolys,
+    sympy_det_monic,
     sympy_factor_multiset,
+    sympy_lambda_block,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -525,54 +526,59 @@ class TestFiberPencil:
         assert FiberPencil(P("2 y")).witness(F(5)) is None
 
 
-def drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:
-    """The pencil's monic D(t) for the projection of `seed`, as a UniPoly."""
-    got = pencil.pencil.drop_polynomial(seed)
+def drop_polynomial(pencil: FiberPencil, reverse: bool) -> UniPoly | None:
+    """The pencil's monic D_R(t) for the rows read in the given order, as a
+    UniPoly."""
+    got = pencil.pencil.drop_polynomial(reverse)
     return None if got is None else UniPoly._over({k: v for k, v in enumerate(got[0]) if v}, got[1])
 
 
-def sympy_drop_polynomial(pencil: FiberPencil, seed: int) -> UniPoly | None:
-    """det(P A1(t) K0) over Q by sympy, made monic, or None when it is zero:
-    K0 a kernel basis of the lambda-free rows A0, A1(t) = B1 - t C1 the
-    other rows, P the fixed projection of `seed` (any basis of ker A0 gives
-    the same monic polynomial)."""
-    import sympy
-
-    t = sympy.symbols("t")
+def sympy_drop_polynomial(pencil: FiberPencil, reverse: bool) -> UniPoly | None:
+    """det((A1(t) K0)_R) over Q by sympy, made monic, or None when the block
+    loses rank at t = 2^e: R the first rows of the lambda block A1(t) K0
+    independent over Q at that t, read in the order of the rows of C, or in
+    the reverse order."""
     pen = pencil.pencil
-    n = len(pen.B)
-    a0_rows = sorted({key for col in pen.A0 for key in col})
-    kernel = sympy.Matrix(len(a0_rows), n, lambda i, j: pen.A0[j].get(a0_rows[i], 0)).nullspace()
-    K0 = sympy.Matrix.hstack(*kernel) if kernel else sympy.zeros(n, 0)
-    rows = list(pen.c_rows)
-    A1 = sympy.Matrix(len(rows), n, lambda i, j: pen.B1[j].get(rows[i], 0) - t * pen.C[j].get(rows[i], 0))
-    P_ = sympy.Matrix(len(kernel), len(rows), lambda i, j: _projector(seed, len(kernel), len(rows))[i][j])
-    det = sympy.Poly(sympy.expand((P_ * A1 * K0).det(method="berkowitz")), t)
-    if det.is_zero:
+    block, t = sympy_lambda_block(pen)
+    k = block.cols
+    at = block.subs(t, 2 ** pen._zero_point_bits(k))
+    R: list[int] = []
+    for i in reversed(range(block.rows)) if reverse else range(block.rows):
+        if len(R) < k and at.extract(R + [i], list(range(k))).rank() > len(R):
+            R.append(i)
+    if len(R) < k:
         return None
-    monic = det.monic()
-    return UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in monic.terms()})
+    return sympy_det_monic(block.extract(R, list(range(k))), t)
 
 
 class TestRankDropPolynomial:
-    """D(t) = det(P (G - t H)) from the pencil's blocks against sympy."""
+    """D_R(t) = det((G - t H)_R) from the pencil's blocks against sympy."""
 
     @given(primitive_bivariate_polys(max_deg=2))
     @settings(max_examples=30, deadline=None)
     def test_matches_sympy(self, f):
         pencil = FiberPencil(f)
-        for seed in _PROJECTIONS:
-            assert drop_polynomial(pencil, seed) == sympy_drop_polynomial(pencil, seed), f
+        for reverse in (False, True):
+            assert drop_polynomial(pencil, reverse) == sympy_drop_polynomial(pencil, reverse), f
 
-    # the coefficients of D for the fifth input need three primes
+    # the coefficients of D_R for the fifth input need nine primes
     @pytest.mark.parametrize(
         "poly",
         ["x^4 + x y^2 + y", "x^3 y^2 + x y + 7", "x^3 + y^3", "x^2 + 2 x y + y^2", "x^3 y^2 + 1234567 x y + 7654321"],
     )
     def test_matches_sympy_on_fixed_inputs(self, poly):
         pencil = FiberPencil(P(poly))
-        for seed in _PROJECTIONS:
-            assert drop_polynomial(pencil, seed) == sympy_drop_polynomial(pencil, seed)
+        for reverse in (False, True):
+            assert drop_polynomial(pencil, reverse) == sympy_drop_polynomial(pencil, reverse)
+
+    def test_every_row_of_c_is_a_pivot_row(self):
+        # |K0| is the 2 rows of C, so both orders take both rows; a fixed
+        # small-integer projection of them was singular and gave D = 0
+        pencil = FiberPencil(P("x^2 y + x + y"))
+        assert len(pencil.pencil.c_rows) == 2
+        for reverse in (False, True):
+            assert drop_polynomial(pencil, reverse) == UniPoly({2: 1, 0: 1})
+        assert pencil.spectrum == ()
 
     @given(nonconstant_bipolys(), nonconstant_bipolys(), st.fractions(min_value=-60, max_value=60, max_denominator=60))
     @settings(max_examples=40, deadline=None)

@@ -1,10 +1,13 @@
-"""Every top-level function and class in the package has a user.
+"""Every top-level function and class in the package, and every method of
+its classes but the dunders, has a user.
 
 A definition counts as used when its name appears as an AST `Name` or
 `Attribute` somewhere in `src/sumprod` outside its own definition and outside
 `__init__.py` (whose re-exports use nothing), or as a string in a
 `bench/*.py` file, which is how `bench/tracer.py` names the functions it
-wraps. Tests do not count: a route only tests call is a test helper.
+wraps (a method as "Class.method"). A method's own definition is its body; a
+class's is the whole class, so its methods calling each other do not use it.
+Tests do not count: a route only tests call is a test helper.
 
 A name that only states a type is not a use: a type annotation, the class
 argument of `isinstance`, or a member of a module-level alias `X = A | B`.
@@ -35,6 +38,12 @@ ALLOWED = {
     # the writer of the JSON wire format that `load_poly` reads back through
     # `poly_from_json`; the CLI itself writes no polynomial in that format
     "parsing.poly_to_json",
+    # the re-check of a reducible-fiber certificate against its fiber, which
+    # the tests run on every hit; the CLI reports the certificate only
+    "spectrum.SigmaHit.revalidate",
+    # the points a pruned grid removed; the class stays for the benchmark
+    # tracer, which names `remove_sigma_rows`
+    "spectrum.PrunedGrid.removed_count",
 }
 
 
@@ -82,26 +91,46 @@ def _strings(tree: ast.AST) -> set[str]:
     return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
+def _units(stmt: ast.stmt) -> list[ast.AST]:
+    """The parts of a top-level statement whose names are read apart: each
+    statement of a class body, and the class's decorators and bases
+    together; any other statement whole."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [stmt]
+    header = [*stmt.decorator_list, *stmt.bases, *(k.value for k in stmt.keywords)]
+    return [ast.Module(body=[ast.Expr(e) for e in header], type_ignores=[]), *stmt.body]
+
+
 def unused_definitions(src: Path, bench: Path) -> list[str]:
-    """`module.name` of every top-level def or class that nothing uses."""
-    defs = []  # (module, name, the statement that defines it)
-    statements = []  # (statement, names it references)
+    """`module.name` of every top-level def or class, and `module.Class.name`
+    of every method but the dunders, that nothing uses."""
+    defs = []  # (label, name, the units of its own definition)
+    units = []  # (unit, names it references)
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            statements.append((stmt, _referenced(stmt)))
+            own = _units(stmt)
+            units += [(unit, _referenced(unit)) for unit in own]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((path.stem, stmt.name, stmt))
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, own))
+            if isinstance(stmt, ast.ClassDef):
+                defs += [
+                    (f"{path.stem}.{stmt.name}.{sub.name}", sub.name, [sub])
+                    for sub in stmt.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                ]
     strings = set().union(*(_strings(ast.parse(p.read_text())) for p in sorted(bench.glob("*.py"))))
     unused = []
-    for module, name, own in defs:
-        used = name in strings or any(
-            name in refs for stmt, refs in statements if stmt is not own
+    for label, name, own in defs:
+        # the tracer names a method as "Class.method"
+        used = name in strings or label.split(".", 1)[1] in strings or any(
+            name in refs for unit, refs in units if not any(unit is mine for mine in own)
         )
         if not used:
-            unused.append(f"{module}.{name}")
+            unused.append(label)
     return unused
 
 
@@ -197,6 +226,23 @@ def test_guard_ignores_self_reference_and_init(tmp_path):
     )
     (bench / "t.py").write_text("TARGETS = ('traced', 'user')\n")
     assert unused_definitions(src, bench) == ["m.exported", "m.recursive", "m.Typed"]
+
+
+def test_guard_flags_an_unused_method(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    def traced(self):\n        return 2\n\n"
+        "    def orphan(self):\n        return 3\n\n"
+        "def user():\n    return Box().v\n"
+    )
+    (bench / "t.py").write_text("TARGETS = ('Box.traced', 'user')\n")
+    assert unused_definitions(src, bench) == ["m.Box.recursive", "m.Box.orphan"]
 
 
 def test_every_import_is_read():

@@ -1,7 +1,6 @@
 """Reducible-fiber search, certificates, and row removal."""
 
 import json
-from contextlib import nullcontext
 from fractions import Fraction as F
 from unittest import mock
 
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from sumprod import integers, linalg
 from sumprod.classify import is_composite
 from sumprod.cli import main
-from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil
+from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, rational_roots
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
@@ -34,6 +33,7 @@ from conftest import (
     fraction_sweep,
     naive_image,
     nonconstant_bipolys,
+    projected_spectrum,
 )
 
 
@@ -196,37 +196,26 @@ class TestRationalSpectrum:
         assert [h["lambda"] for h in data["found"]] == sorted([*SWEEP_5, "9", "-7/2"], key=F)
 
 
-def _drops(f: BiPoly, route: str) -> list:
-    """`Pencil.drop_polynomial` for both projections on one pencil of f: as
-    the pencil runs it ("default"), with the lambda block's rank tested at
-    every prime ("rank first") or at none ("projected")."""
-    pencil = FiberPencil(f).pencil
-    pencil._zero_seen = route == "rank first"
-    never = mock.patch.object(linalg.Pencil, "_singular_at", lambda self, p, s: False)
-    with never if route == "projected" else nullcontext():
-        return [pencil.drop_polynomial(seed) for seed in (1, 2)]
-
-
-def _assert_same_drops(f: BiPoly):
-    assert _drops(f, "default") == _drops(f, "rank first") == _drops(f, "projected"), f
-
-
 class TestSingularZeroPoint:
-    """A singular lambda block at the zero point decides a prime's zero
-    without projecting, and gives every D, and every spectrum, unchanged."""
+    """A lambda block that loses rank at the zero point gives a prime up as a
+    zero, with no determinant; otherwise its pivot rows give D_R, whose
+    spectrum is the one the fixed projections gave
+    (`conftest.projected_spectrum`), and holds only real rank drops."""
 
     @given(composites())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_composites_match_the_projected_test(self, f):
-        _assert_same_drops(f)
-        assert FiberPencil(f).spectrum is None
+        pencil = FiberPencil(f)
+        assert pencil.spectrum is None
+        assert projected_spectrum(pencil) is None
 
     @given(small_factors, small_factors, st.fractions(min_value=-9, max_value=9, max_denominator=5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_non_composites_match_the_projected_test(self, g, h, c):
         f = g * h + BiPoly.const(c)
         assume(f.deg_x >= 1 and f.deg_y >= 1 and not is_composite(f).composite)
-        _assert_same_drops(f)
+        pencil = FiberPencil(f)
+        assert pencil.spectrum == projected_spectrum(pencil), f
 
     @given(
         st.integers(-3, 3).filter(bool),
@@ -238,41 +227,67 @@ class TestSingularZeroPoint:
         f = UniPoly(dict(enumerate(coeffs))).compose_bi(BiPoly({(1, 0): a, (0, 1): b}))
         assert FiberPencil(f).spectrum is None
 
+    @given(
+        st.one_of(
+            composites(),
+            st.builds(lambda g, h, c: g * h + BiPoly.const(c), small_factors, small_factors, st.integers(-9, 9)),
+            nonconstant_bipolys(max_deg=3),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_holds_only_rank_drops(self, f):
+        assume(f.deg_x >= 1 and f.deg_y >= 1)
+        pencil = FiberPencil(f)
+        for lam in pencil.spectrum or ():
+            assert pencil.dimension(lam) >= 2, (f, lam)
+
+    def test_shared_spurious_root_is_dropped(self, capsys):
+        # both minors vanish at lambda = -15, where the fiber is absolutely
+        # irreducible; kept, it would be a 40th candidate beside the sweep
+        poly = "x^2 y + 2 y^3 - 5 x y - 6 x"
+        pencil = FiberPencil(P(poly))
+        assert rational_roots(pencil.drop) == [F(-15)]
+        assert pencil.dimension(-15) == 1
+        assert pencil.spectrum == ()
+        data = _sigma_json([poly], capsys)
+        assert data["candidate_count"] == len(SWEEP_5)
+        assert data["candidates_complete"] is True
+
     @pytest.mark.parametrize("poly", ["x^9 + 3 x^6 y + 3 x^3 y^2 + y^3", "x^2 + 2 x y + y^2"])
-    def test_composite_projects_once(self, poly, monkeypatch):
-        calls = _spy(monkeypatch, "_project", "_det_mod", "_echelon_mod")
+    def test_composite_takes_no_determinant(self, poly, monkeypatch):
+        calls = _spy(monkeypatch, "_det_mod", "_interpolate_mod", "_echelon_mod")
         pencil = FiberPencil(P(poly))
         assert pencil.drop is None
-        # only the first prime of the first projection is projected; after its
-        # zero, each prime's lambda block is eliminated once for both
-        # projections, beside its A0
-        assert (calls["_project"], calls["_det_mod"]) == (2, 1)
-        assert len(pencil.pencil._blocks) == len(pencil.pencil._singular) == 2
-        assert calls["_echelon_mod"] == 2 * len(pencil.pencil._blocks)
+        # the first row order gives two primes up on the rank of the lambda
+        # block at the zero point, and the second order is never tried: one
+        # elimination of A0 and one of G - s H per prime
+        assert (calls["_det_mod"], calls["_interpolate_mod"]) == (0, 0)
+        assert len(pencil.pencil._blocks) == 2
+        assert calls["_echelon_mod"] == 2 * 2
 
-    def test_non_composite_eliminates_no_lambda_block(self, monkeypatch, capsys):
-        calls = _spy(monkeypatch, "_project")
+    def test_non_composite_reuses_its_pivot_rows(self, monkeypatch, capsys):
+        calls = _spy(monkeypatch, "_pivot_rows")
         pencil = FiberPencil(P("x^3 + y^3"))
         assert pencil.spectrum == (F(0),)
-        assert calls["_project"] and not pencil.pencil._singular
+        # D_R takes two primes for each order, and R is picked at the first
+        assert len(pencil.pencil._blocks) == 2
+        assert calls["_pivot_rows"] == 2
         data = _sigma_json(["x^3 + y^3"], capsys)
         assert [h["lambda"] for h in data["found"]] == ["0"]
         assert data["candidates_complete"] is True
 
 
 def _spy(monkeypatch, *names) -> dict:
-    """Count the calls to each named function of `linalg` or method of
-    `linalg.Pencil`."""
+    """Count the calls to each named function of `linalg`."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        owner = linalg.Pencil if hasattr(linalg.Pencil, name) else linalg
-        real = getattr(owner, name)
+        real = getattr(linalg, name)
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
