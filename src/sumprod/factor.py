@@ -52,12 +52,12 @@ rank: D_R vanishes at t = lambda / s for every lambda with f - lambda
 reducible over C, and when D_R is not identically zero its rational roots
 are a finite list that holds every such rational lambda, complete over Q.
 R is a row basis of G - 2^e H mod a prime (2^e below), taken greedily in
-the order of the lambda rows and in the reverse order
-(`linalg.Pencil.drop_polynomial`). The common rational roots of the two D_R
-are kept where the fiber's system has a kernel mod the first prime, as full
-rank mod p is full rank over Q (`FiberPencil.spectrum`). When every fiber is
-reducible (f composite) no D_R is nonzero, and the list is given up. Roots
-are found p-adically (`rational_roots`).
+the order of the lambda rows (`linalg.Pencil.drop_polynomial`). D_R may
+also vanish where another maximal minor does not, so a rational root is
+kept only where the fiber's certified dimension is at least 2
+(`FiberPencil.spectrum`). When every fiber is reducible (f composite) no
+D_R is nonzero, and the list is given up. Roots are found p-adically
+(`rational_roots`).
 
 D_R is made exact over Q from its images mod the `linalg` primes. Let A0_S
 be rank A0 independent rows of A0, X the unit columns at the pivot columns
@@ -114,8 +114,8 @@ permutes those roots transitively. A factor of q_j(g) over Q is fixed by
 that group, so when every g - alpha is absolutely irreducible it is the
 product over a Galois-stable set of roots, all of them or none: q_j(g) is
 irreducible over Q. For a linear g every g - alpha is a line. Otherwise
-the rank-drop polynomial of g's own pencil, the gcd of its two D_R written
-in lambda (`FiberPencil.drop`), vanishes at every complex lambda with g - lambda
+the rank-drop polynomial of g's own pencil, its D_R written in lambda
+(`FiberPencil.drop`), vanishes at every complex lambda with g - lambda
 reducible, so gcd(q_j, drop) = 1 suffices. Every other q_j(g) is factored
 by Gao's method at its own, lower degree.
 
@@ -649,46 +649,38 @@ class FiberPencil:
         # leaves the solutions that vanish there, one fewer for every fiber
         drop = next(k for k, w in enumerate(grad) if w)
         self.pencil = linalg.Pencil(columns[:drop] + columns[drop + 1 :], ones[:drop] + ones[drop + 1 :])
+        self._dimensions: dict[Fraction, int] = {}
 
     @cached_property
     def drop(self) -> UniPoly | None:
-        """gcd(D_R, D_R') of the rank-drop polynomials of two row bases R and
-        R' of the lambda block, picked in the order of its rows and in the
-        reverse order, written in lambda = s t: it vanishes at every complex
-        lambda with f - lambda reducible over C (module docstring). None
-        when either is given up, as both are when every fiber is reducible
-        (composite or univariate f); the second is then never computed.
+        """The rank-drop polynomial D_R of the lambda block, for R its row
+        basis picked in the order of its rows, written in lambda = s t: it
+        vanishes at every complex lambda with f - lambda reducible over C
+        (module docstring). None when it is given up, as it is when every
+        fiber is reducible (composite or univariate f).
         """
-        if self.univariate:
+        if self.univariate or (got := self.pencil.drop_polynomial()) is None:
             return None
-        drops = []
-        for reverse in (False, True):
-            if (got := self.pencil.drop_polynomial(reverse)) is None:
-                return None
-            nums, den = got
-            drops.append(UniPoly._over({k: v for k, v in enumerate(nums) if v}, den))
-        d = uni_gcd(*drops)
-        return UniPoly({k: v / self.scale**k for k, v in d.c.items()})
+        nums, den = got
+        return UniPoly({k: Fraction(v, den * self.scale**k) for k, v in enumerate(nums) if v})
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...] | None:
         """Every rational lambda with f - lambda reducible over C: the
-        rational roots of `drop` where the fiber's system has a kernel mod
-        the first prime, as full rank mod p is full rank over Q; None when
-        the pencil gives no such list."""
+        rational roots of `drop` whose certified dimension is at least 2;
+        None when the pencil gives no such list."""
         if self.drop is None:
             return None
-        out = []
-        for lam in rational_roots(self.drop):
-            t = lam / self.scale
-            if self.pencil.kernel_mod(t.numerator, t.denominator, linalg._RANK_PRIME)[1]:
-                out.append(lam)
-        return tuple(out)
+        return tuple(lam for lam in rational_roots(self.drop) if self.dimension(lam) >= 2)
 
     def dimension(self, lam: Fraction | int) -> int:
-        """Ruppert/Gao dimension of f - lambda, for a bivariate f."""
-        t = Fraction(lam) / self.scale
-        return 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
+        """Ruppert/Gao dimension of f - lambda, for a bivariate f, kept per
+        lambda."""
+        lam = Fraction(lam)
+        if lam not in self._dimensions:
+            t = lam / self.scale
+            self._dimensions[lam] = 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
+        return self._dimensions[lam]
 
     def witness(self, lam: Fraction | int) -> AbsReducibleWitness | None:
         """The certificate that f - lambda factors over the complex numbers,

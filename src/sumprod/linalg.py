@@ -481,12 +481,14 @@ class Pencil:
         A member with no kernel vector mod the first prime has full column
         rank mod p, hence over Q, and its rank is read off the pivots with
         no column built. Only a member with a kernel mod p builds its
-        columns, for `rank_int` to verify the lifted kernel against.
+        columns, for `rank_int` to verify the lifted kernel against; it is
+        handed the image mod the first prime, so each prime eliminates the
+        member once.
         """
-        pivots, kernel = self.kernel_mod(a, b, _RANK_PRIME)
-        if not kernel:
-            return len(pivots)
-        return rank_int(self.columns(a, b), partial(self.kernel_mod, a, b))
+        first = self.kernel_mod(a, b, _RANK_PRIME)
+        if not first[1]:
+            return len(first[0])
+        return rank_int(self.columns(a, b), lambda p: first if p == _RANK_PRIME else self.kernel_mod(a, b, p))
 
     def kernel_mod(self, a: int, b: int, p: int) -> tuple[list[int], list[dict[int, int]]]:
         """Pivot columns and sparse reduced-echelon nullspace basis mod p of
@@ -510,16 +512,17 @@ class Pencil:
             block = self._blocks[p] = (pivots, free, K0, G, H)
         return block
 
-    def drop_polynomial(self, reverse: bool) -> tuple[list[int], int] | None:
+    def drop_polynomial(self) -> tuple[list[int], int] | None:
         """D_R(t) = det((G - t H)_R) made monic over Q, as ascending
         numerators over one denominator, for R the first rows of G - s H that
-        are independent mod p, read in the order of the rows of C, reversed
-        when `reverse`, with s = 2^e, e = `_zero_point_bits`; None when
-        G - s H has rank below |K0|, or D_R(s) vanishes, mod two primes.
+        are independent mod p, read in the order of the rows of C, with
+        s = 2^e, e = `_zero_point_bits`; None when G - s H has rank below
+        |K0|, or D_R(s) vanishes, mod two primes.
 
         D_R(s) is nonzero mod the prime that picks R, so D_R is not zero, and
         like every maximal minor it vanishes at every t = a / b whose member
-        b B - a C loses rank (class docstring). R is picked once for each
+        b B - a C loses rank (class docstring); it may also vanish where
+        another maximal minor does not. R is picked once for each
         pivot profile of A0 and kept for the later primes with that profile,
         so the images `_Images` joins are all of one D_R. Mod p, D_R has
         degree at most r = rank(H_R), so its values at r + 1 points, the
@@ -529,7 +532,6 @@ class Pencil:
         profile and their product exceeds 2^(b + 1), b = `minor_bits`
         of R, one of them is lucky and the lift is exact.
         """
-        order = list(self.c_rows)[:: -1 if reverse else 1]
         picked: dict = {}  # A0 pivots -> R
         images = _Images()
         zeros = 0
@@ -538,7 +540,7 @@ class Pencil:
             s = pow(2, self._zero_point_bits(len(K0)), p)
             R = picked.get(key := tuple(pivots))
             if R is None:
-                R = _pivot_rows(_member(G, H, s, 1), order, p)
+                R = _pivot_rows(_member(G, H, s, 1), list(self.c_rows), p)
                 if len(R) == len(K0):
                     picked[key] = R
             GR, HR = _rows(G, R), _rows(H, R)

@@ -8,10 +8,11 @@ where the fiber is reducible, so every maximal minor D(t) of its lambda
 block vanishes there. When a minor is not identically zero, its rational
 roots form a finite list that holds every rational lambda with f - lambda
 reducible over C: the list is complete over Q. The `factor` module
-docstring shows which two minors are taken and how they are made exact
-over Q. When the lambda block loses rank everywhere, as it does when every
-fiber is reducible (composite or univariate f), there is no finite list and
-the candidates are the sweep and the user values.
+docstring shows which minor is taken, how it is made exact over Q, and how
+its roots where the rank does not drop are left out. When the lambda block
+loses rank everywhere, as it does when every fiber is reducible (composite
+or univariate f), there is no finite list and the candidates are the sweep
+and the user values.
 
 The scan then decides reducibility of every candidate fiber with a
 certificate; the fibers of a composite f = Q(g) are factored through
@@ -200,8 +201,8 @@ def sigma_scan(
     `pencil` when given. The report is `candidates_complete` when f has a
     rational spectrum (`FiberPencil.spectrum`) and the candidates hold it:
     every rational lambda with f - lambda reducible was then tested. With a
-    spectrum, a candidate where the pencil's `drop` is nonzero is absolutely
-    irreducible and skipped; the rank test runs only at roots of `drop`.
+    spectrum, a candidate outside it is absolutely irreducible and skipped;
+    a candidate in it has its dimension already certified on the pencil.
 
     A bivariate f without a spectrum within the degree cap is split once as
     f = Q(g) (`composite_split`) when it is composite. Every fiber
@@ -226,9 +227,8 @@ def sigma_scan(
             factorization = factor_composed(f - BiPoly.const(lam), outer - lam, core, drop, cap=cap)
             witness = None
         else:
-            # off the roots of drop, G - t H has full rank: f - lambda is
-            # absolutely irreducible, and no rank test is needed
-            if spectrum is not None and pencil.drop(lam):
+            # off the spectrum f - lambda is absolutely irreducible
+            if spectrum is not None and lam not in spectrum:
                 continue
             witness = pencil.witness(lam)
             if witness is None:

@@ -242,12 +242,13 @@ class TestSingularZeroPoint:
             assert pencil.dimension(lam) >= 2, (f, lam)
 
     def test_shared_spurious_root_is_dropped(self, capsys):
-        # both minors vanish at lambda = -15, where the fiber is absolutely
-        # irreducible; kept, it would be a 40th candidate beside the sweep
+        # the minor vanishes at lambda = -15 and 0, where the fiber is
+        # absolutely irreducible; -15 kept would be a 40th candidate beside
+        # the sweep
         poly = "x^2 y + 2 y^3 - 5 x y - 6 x"
         pencil = FiberPencil(P(poly))
-        assert rational_roots(pencil.drop) == [F(-15)]
-        assert pencil.dimension(-15) == 1
+        assert rational_roots(pencil.drop) == [F(-15), F(0)]
+        assert pencil.dimension(-15) == pencil.dimension(0) == 1
         assert pencil.spectrum == ()
         data = _sigma_json([poly], capsys)
         assert data["candidate_count"] == len(SWEEP_5)
@@ -258,9 +259,8 @@ class TestSingularZeroPoint:
         calls = _spy(monkeypatch, "_det_mod", "_interpolate_mod", "_echelon_mod")
         pencil = FiberPencil(P(poly))
         assert pencil.drop is None
-        # the first row order gives two primes up on the rank of the lambda
-        # block at the zero point, and the second order is never tried: one
-        # elimination of A0 and one of G - s H per prime
+        # two primes give D_R up on the rank of the lambda block at the zero
+        # point: one elimination of A0 and one of G - s H per prime
         assert (calls["_det_mod"], calls["_interpolate_mod"]) == (0, 0)
         assert len(pencil.pencil._blocks) == 2
         assert calls["_echelon_mod"] == 2 * 2
@@ -269,12 +269,29 @@ class TestSingularZeroPoint:
         calls = _spy(monkeypatch, "_pivot_rows")
         pencil = FiberPencil(P("x^3 + y^3"))
         assert pencil.spectrum == (F(0),)
-        # D_R takes two primes for each order, and R is picked at the first
+        # D_R takes two primes, and R is picked at the first
         assert len(pencil.pencil._blocks) == 2
-        assert calls["_pivot_rows"] == 2
+        assert calls["_pivot_rows"] == 1
         data = _sigma_json(["x^3 + y^3"], capsys)
         assert [h["lambda"] for h in data["found"]] == ["0"]
         assert data["candidates_complete"] is True
+
+    def test_each_fiber_is_eliminated_once_per_prime(self, monkeypatch, capsys):
+        # the spectrum certifies the dimension at 0; the scan reads it back,
+        # and the rank's certificate reuses the image mod the first prime
+        calls = []
+        kernel_mod = linalg.Pencil.kernel_mod
+
+        def counted(self, a, b, p):
+            calls.append((a, b, p))
+            return kernel_mod(self, a, b, p)
+
+        monkeypatch.setattr(linalg.Pencil, "kernel_mod", counted)
+        pivot_rows = _spy(monkeypatch, "_pivot_rows")
+        data = _sigma_json(["x^3 + y^3"], capsys)
+        assert [h["lambda"] for h in data["found"]] == ["0"]
+        assert calls.count((0, 1, (1 << 61) - 1)) == 1
+        assert pivot_rows["_pivot_rows"] == 1
 
 
 def _spy(monkeypatch, *names) -> dict:
