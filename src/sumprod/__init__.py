@@ -9,6 +9,7 @@ families, all in exact rational arithmetic.
 from .classify import (
     CompositenessVerdict,
     Decomposition,
+    decompose,
     decompose_fully,
     is_composite,
     is_degenerate,
@@ -41,6 +42,7 @@ from .explorer import (
 from .factor import (
     AbsReducibleWitness,
     FactorList,
+    FiberPencil,
     count_abs_factors,
     factor_rational,
     factor_univariate,

@@ -8,9 +8,9 @@ by gradient proportionality.
 Both shapes are one certificate, a `Decomposition` f = chain[0] o ... o
 chain[-1] o inner re-expanded to f exactly: `is_degenerate` gives it with a
 one-piece chain and a linear inner, `composite_core` with the Jacobian-kernel
-core as inner. A composite verdict carries it, and every fiber
-f - lambda = c prod (g - alpha_i), over the deg Q roots alpha_i of
-Q - lambda, is then reducible. A non-composite verdict comes from an
+core as inner, and `decompose` asks them in that order. A composite verdict
+carries it, and every fiber f - lambda = c prod (g - alpha_i), over the
+deg Q roots alpha_i of Q - lambda, is then reducible. A non-composite verdict comes from an
 absolutely irreducible fiber. By Stein's theorem a non-composite polynomial
 of total degree k has fewer than k reducible fibers f - lambda, so one of k
 distinct fibers is irreducible and certifies it.
@@ -109,14 +109,20 @@ def is_degenerate(f: BiPoly) -> Decomposition | None:
     return dec if dec.expand() == f else None
 
 
+def decompose(f: BiPoly) -> Decomposition | None:
+    """The decomposition of f over a linear form (`is_degenerate`), else
+    over its core (`composite_core`); None when f has neither. Of total
+    degree >= 2, f is composite exactly when it has one."""
+    return is_degenerate(f) or composite_core(f)
+
+
 def is_composite(f: BiPoly) -> CompositenessVerdict:
     """Decide whether f = Q(g) for some outer Q of degree >= 2.
 
     A one-variable f is its own outer polynomial. Otherwise f is composite
-    when it has a decomposition, from `is_degenerate` or else from
-    `composite_core`. The k = total-degree values 1..k are then its
-    witnesses: Q - lambda has deg Q >= 2 roots alpha_i, and
-    f - lambda = c prod (g - alpha_i) is reducible. When f has no
+    when it has a `decompose` decomposition. The k = total-degree values
+    1..k are then its witnesses: Q - lambda has deg Q >= 2 roots alpha_i,
+    and f - lambda = c prod (g - alpha_i) is reducible. When f has no
     decomposition, the fibers f - lambda at those values are tested on its
     `FiberPencil`; a non-composite f has fewer than k reducible fibers, so
     some fiber is absolutely irreducible and certifies the verdict.
@@ -124,12 +130,11 @@ def is_composite(f: BiPoly) -> CompositenessVerdict:
     k = f.total_degree
     if k < 2:
         raise ValueError("compositeness needs total degree >= 2")
-    dec = is_degenerate(f)
+    dec = decompose(f)
     if f.deg_x <= 0 or f.deg_y <= 0:
         # a one-variable polynomial of degree >= 2 is its own outer polynomial
         return CompositenessVerdict(composite=True, univariate=True, decomposition=dec)
     lams = tuple(Fraction(j) for j in range(1, k + 1))
-    dec = dec or composite_core(f)
     if dec is not None:
         return CompositenessVerdict(composite=True, witness_lambdas=lams, decomposition=dec)
     pencil = FiberPencil(f)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import composite_core, is_composite, is_degenerate, normalize_orientation
+from .classify import decompose, is_composite, is_degenerate, normalize_orientation
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, SumprodError
 from .explorer import (
     ApSpec,
@@ -177,8 +177,8 @@ def cmd_sigma(args) -> int:
     f = load_poly(args.poly)
     extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
     pencil = FiberPencil(f)
-    cands = sigma_candidates(f, extra=extra, sweep_height=height, pencil=pencil)
-    report = sigma_scan(f, cands, cap=args.degree_cap, pencil=pencil)
+    cands = sigma_candidates(pencil, extra=extra, sweep_height=height)
+    report = sigma_scan(pencil, cands, cap=args.degree_cap)
     payload = report.to_dict()
     lines = [
         f"polynomial: {format_bipoly(f)} (degree {report.degree_k})",
@@ -197,14 +197,14 @@ def cmd_incidence(args) -> int:
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
     pencil = FiberPencil(f)
-    spectrum = rational_critical_values(f, pencil) or ()
-    report, family = incidence_report(f, A.elements, spectrum, height, pencil)
-    dec = is_degenerate(f) or composite_core(f)
+    spectrum = rational_critical_values(pencil) or ()
+    report, family = incidence_report(pencil, A.elements, spectrum, height)
+    dec = decompose(f)
     # a degenerate f is reported as degenerate only, not as composite
     degenerate = dec is not None and dec.degenerate
     composite = dec is not None and not dec.degenerate
     # the class-size ceiling only applies off the degenerate/composite cases
-    bound = check_class_bound(family, composite or degenerate)
+    bound = check_class_bound(family, dec is not None)
     histogram = sorted(family.histogram().items())
     payload = {
         "polynomial": format_bipoly(f),
@@ -251,7 +251,10 @@ def cmd_scan(args) -> int:
         raise ValueError("need at least one size")
     if args.family not in _FAMILIES:
         raise ValueError(f"family must be one of {sorted(_FAMILIES)}")
-    lo, hi = (int(v) for v in args.range.split(":"))
+    try:
+        lo, hi = (int(v) for v in args.range.split(":"))
+    except ValueError:
+        raise ValueError(f"--range must be lo:hi with integers lo and hi, got {args.range!r}") from None
     specs = []
     for n in sizes:
         if args.family == "AP":
@@ -387,17 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# a value of --extra-candidates such as -9/4 or -1,2 starts with "-", and
+# a value such as -x^2+y, -50:50, -1/2 or -1,2 starts with "-", and
 # argparse reads a token like that as an option
-_NEGATIVE_VALUE = re.compile(r"^-[\d./]")
+_NEGATIVE_VALUE = re.compile(r"^-[^-]")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """argv with `--extra-candidates V` written `--extra-candidates=V` where
-    V starts with "-" and a digit, so that argparse takes V as the value."""
+    """argv with `--opt V` written `--opt=V` where --opt, of any subcommand,
+    takes one value and V starts with a single "-", so that argparse takes V
+    as the value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    one_value = {s for p in sub.choices.values() for a in p._actions if a.nargs is None for s in a.option_strings}
     out = list(argv)
     for i in range(len(out) - 2, -1, -1):
-        if out[i] == "--extra-candidates" and _NEGATIVE_VALUE.match(out[i + 1]):
+        if out[i] in one_value and _NEGATIVE_VALUE.match(out[i + 1]):
             out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
     return out
 

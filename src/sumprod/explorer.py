@@ -221,9 +221,8 @@ def run_scan(
         violation = False
         if floor_c is not None:
             c = Fraction(floor_c)
-            violation = (
-                product * product * c.denominator**2 < c.numerator**2 * n**5
-            )
+            # no c <= 0 can fail, as product >= 0; squaring is exact for c > 0
+            violation = c > 0 and product * product * c.denominator**2 < c.numerator**2 * n**5
         records.append(
             ExperimentRecord(
                 poly_id=poly_id,

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundViolated, CertificationFailed, DegenerateSystem
+from .errors import BoundViolated, CertificationFailed, ConstantPolynomial, DegenerateSystem
 from .factor import FactorList, FiberPencil, factor_rational, rational_roots
 from .poly import (
     BiPoly,
@@ -98,7 +98,7 @@ def build_family(f: BiPoly, A) -> CurveFamily:
     both coordinates.
     """
     if f.is_constant:
-        raise ValueError("family needs a nonconstant polynomial")
+        raise ConstantPolynomial("family needs a nonconstant polynomial")
     k = f.total_degree
     elements = sorted(set(Fraction(v) for v in A))
     full = integer_grid(f, elements)
@@ -175,20 +175,20 @@ class IncidenceReport:
 
 
 def incidence_report(
-    f: BiPoly, A, candidates=(), sweep_height: int | None = None, pencil: FiberPencil | None = None
+    pencil: FiberPencil, A, candidates=(), sweep_height: int | None = None
 ) -> tuple[IncidenceReport, CurveFamily]:
-    """Count exact incidences between the pruned grid and the curve family.
+    """Count exact incidences between the pruned grid and the curves of f = `pencil.f`.
 
     Points are (sum, value) pairs from (A'+A') x f(A', A') minus the rows
     whose value is a candidate lambda with f - lambda reducible over C (only
     candidates on the grid are tested, and no fiber is factored): the given
     `candidates`, plus `spectrum.sweep_candidates(sweep_height)` unless the
-    height is None, tested on `pencil` when given. Each curve is a graph, so
-    it meets a column of the grid at most once and the count per curve is
-    the number of sums s with T(s) a kept value. On the integer grid that is
+    height is None, tested on `pencil`. Each curve is a graph, so it meets a
+    column of the grid at most once and the count per curve is the number of
+    sums s with T(s) a kept value. On the integer grid that is
     the popcount of hit_b & reach_a (see the module docstring).
     """
-    family = build_family(f, A)
+    family = build_family(pencil.f, A)
     grid = family.grid
     S = grid.S
     sums = grid.sumset()
@@ -200,8 +200,6 @@ def incidence_report(
             on_grid[v] = lam
     if sweep_height is not None:
         on_grid.update((v, Fraction(v, S)) for v in _sweep_on_grid(values, S, sweep_height))
-    if on_grid and pencil is None:
-        pencil = FiberPencil(f)
     removed = {v for v, lam in on_grid.items() if pencil.witness(lam) is not None}
     kept_values = values - removed
     index = {d: k for k, d in enumerate({s - p for s in sums for p in grid.points})}

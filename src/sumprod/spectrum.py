@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import composite_core, is_degenerate
-from .errors import CertificationFailed
+from .classify import decompose
+from .errors import CertificationFailed, ConstantPolynomial
 from .factor import (
     AbsReducibleWitness,
     FactorList,
@@ -108,14 +108,11 @@ def _certificate_summary(cert) -> dict:
 # candidates
 
 
-def rational_critical_values(f: BiPoly, pencil: FiberPencil | None = None) -> list[Fraction] | None:
-    """Every rational lambda with f - lambda reducible over C, read off the
-    rank drop of the fiber pencil (`FiberPencil.spectrum`, shared with
-    `pencil` when given); None when f has no such finite list (composite or
-    univariate f).
-    """
-    spectrum = (pencil if pencil is not None else FiberPencil(f)).spectrum
-    return None if spectrum is None else list(spectrum)
+def rational_critical_values(pencil: FiberPencil) -> list[Fraction] | None:
+    """Every rational lambda with f - lambda reducible over C, f = `pencil.f`,
+    read off the rank drop of the pencil (`FiberPencil.spectrum`); None when
+    f has no such finite list (composite or univariate f)."""
+    return None if pencil.spectrum is None else list(pencil.spectrum)
 
 
 def coprime_pairs(height: int) -> Iterator[tuple[int, int]]:
@@ -136,18 +133,17 @@ def sweep_candidates(height: int = DEFAULT_SWEEP_HEIGHT) -> list[Fraction]:
 
 
 def sigma_candidates(
-    f: BiPoly,
+    pencil: FiberPencil,
     extra: tuple[Fraction, ...] = (),
     sweep_height: int = DEFAULT_SWEEP_HEIGHT,
-    pencil: FiberPencil | None = None,
 ) -> list[Fraction]:
-    """Candidate lambdas: the rational spectrum of the pencil when f has
+    """Candidate lambdas for `pencil.f`: its rational spectrum when it has
     one (`rational_critical_values`), small-height sweep, user values."""
-    if f.is_constant:
-        raise ValueError("candidates need a nonconstant polynomial")
+    if pencil.f.is_constant:
+        raise ConstantPolynomial("candidates need a nonconstant polynomial")
     cands = set(sweep_candidates(sweep_height))
     cands.update(Fraction(v) for v in extra)
-    cands.update(rational_critical_values(f, pencil) or ())
+    cands.update(rational_critical_values(pencil) or ())
     return sorted(cands)
 
 
@@ -161,12 +157,11 @@ def composite_split(f: BiPoly) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
     g gives no such polynomial); None when f, bivariate, has no inner g of
     lower degree (f is not composite).
 
-    Q and g are the outer and inner of the decomposition `is_degenerate` or
-    else `composite_core` gives. A linear form has no reducible fiber
-    (x -> x + c y is an automorphism of Q[x, y]), so its `drop` is the
-    constant 1.
+    Q and g are the outer and inner of the `decompose` decomposition. A
+    linear form has no reducible fiber (x -> x + c y is an automorphism of
+    Q[x, y]), so its `drop` is the constant 1.
     """
-    dec = is_degenerate(f) or composite_core(f)
+    dec = decompose(f)
     if dec is None:
         return None
     return dec.outer, dec.inner, UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
@@ -191,14 +186,9 @@ def _composed_dimension(split, lam: Fraction, pencil: FiberPencil) -> int:
     return count
 
 
-def sigma_scan(
-    f: BiPoly,
-    candidates: list[Fraction],
-    cap: int = DEFAULT_DEGREE_CAP,
-    pencil: FiberPencil | None = None,
-) -> SigmaReport:
-    """Certify reducibility of f - lambda for every candidate lambda, on
-    `pencil` when given. The report is `candidates_complete` when f has a
+def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAULT_DEGREE_CAP) -> SigmaReport:
+    """Certify reducibility of f - lambda for every candidate lambda, f =
+    `pencil.f`. The report is `candidates_complete` when f has a
     rational spectrum (`FiberPencil.spectrum`) and the candidates hold it:
     every rational lambda with f - lambda reducible was then tested. With a
     spectrum, a candidate outside it is absolutely irreducible and skipped;
@@ -210,13 +200,12 @@ def sigma_scan(
     Q - lambda (`factor.factor_composed`), with no call on the pencil unless
     that factorization has one piece (`_composed_dimension`).
     """
+    f = pencil.f
     k = f.total_degree
     if k < 2:
         raise ValueError("scan needs total degree >= 2")
     lams = sorted(set(map(Fraction, candidates)))
     hits = []
-    if pencil is None:
-        pencil = FiberPencil(f)
     spectrum = pencil.spectrum
     split = None
     if spectrum is None and not pencil.univariate and k <= cap:

@@ -18,7 +18,7 @@ from sumprod.classify import (
 )
 from sumprod.cli import main as cli_main
 from sumprod.explorer import ApSpec, GpSpec, RandomIntSpec, generate_set, run_scan
-from sumprod.factor import count_abs_factors, factor_rational
+from sumprod.factor import FiberPencil, count_abs_factors, factor_rational
 from sumprod.geometry import (
     CommonFactor,
     SolutionCount,
@@ -129,7 +129,8 @@ def test_criterion_2_stein_bound():
         f = P(text)
         k = f.total_degree
         assert k <= 5
-        rep = sigma_scan(f, sigma_candidates(f, sweep_height=5))
+        pencil = FiberPencil(f)
+        rep = sigma_scan(pencil, sigma_candidates(pencil, sweep_height=5))
         assert len(rep.found) < k, text
         assert rep.stein_bound_respected
         # the cross-implication: a full bound would assert compositeness
@@ -170,7 +171,8 @@ def test_criterion_4_bezout_ceiling():
         f = P(text)
         k = f.total_degree
         A = [F(v) for v in range(1, 13)]
-        sig = sigma_scan(f, sigma_candidates(f))
+        pencil = FiberPencil(f)
+        sig = sigma_scan(pencil, sigma_candidates(pencil))
         sums = sorted({a + b for a in A for b in A})
         values = sorted({f(a, b) for a in A for b in A})
         grid = remove_sigma_rows(sums, values, sig)
@@ -190,7 +192,7 @@ def test_criterion_4_bezout_ceiling():
     square = P("x^2 + 2 x y + y^2")
     got = curve_pair_solutions(square, (F(0), F(0)), (F(1), F(1)))
     assert isinstance(got, CommonFactor)
-    flagged = set(sigma_scan(square, [F(0), F(1)]).found_values)
+    flagged = set(sigma_scan(FiberPencil(square), [F(0), F(1)]).found_values)
     assert {F(0), F(1)} <= flagged
     detail = "; ".join(f"{t}: max {m}<= {c}" for t, (m, c) in worst.items())
     report(4, "Bezout ceiling", detail)
@@ -204,10 +206,11 @@ def test_criterion_5_per_curve_floor():
     for text in CORPUS:
         f = P(text)
         k = f.total_degree
-        cands = sigma_candidates(f)
+        pencil = FiberPencil(f)
+        cands = sigma_candidates(pencil)
         for n in (8, 16, 32):
             A = [F(v) for v in range(1, n + 1)]
-            rep, fam = incidence_report(f, A, cands)
+            rep, fam = incidence_report(pencil, A, cands)
             floor = -(-len(fam.base) // k)  # ceil division
             assert rep.per_curve_min >= floor, (text, n)
     report(5, "per-curve incidence floor", "5 polynomials x sizes 8,16,32")

@@ -43,3 +43,30 @@ def test_every_target_resolves():
         if not callable(found):
             missing.append(f"{t.module}.{t.attr}")
     assert missing == []
+
+
+def test_traced_subcommands_keep_their_notes(tmp_path, capsys):
+    # the tracer reads arguments by position (`spectrum.sigma_scan` notes
+    # the size of args[1], its candidate list), so a signature change shows
+    # only when the wrapped functions run
+    from sumprod.cli import main
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        codes = [
+            tracer.call(main, argv)
+            for argv in (
+                ["classify", "--poly", "x^2 y + x + y"],
+                ["sigma", "--poly", "x^3 + y^3", "--sweep-height", "2"],
+                ["incidence", "--poly", "x^3 + x y", "--set", "AP(6,1,1)"],
+                ["scan", "--poly", "x^2 + y", "--family", "AP", "--sizes", "8,16", "--out", str(tmp_path)],
+            )
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * 4
+    notes = [s.note for s in tracer.spans if s.name == "spectrum.sigma_scan"]
+    # the 7 lambdas of the height-2 sweep hold the spectrum (0) of x^3 + y^3,
+    # whose one reducible fiber is at 0
+    assert notes == [(7, 1)]

@@ -198,7 +198,8 @@ class TestSigmaCommand:
         assert main(["sigma", "--poly", poly, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         f = parse_poly(poly)
-        report = sigma_scan(f, sigma_candidates(f))
+        pencil = FiberPencil(f)
+        report = sigma_scan(pencil, sigma_candidates(pencil))
         assert [h["lambda"] for h in data["found"]] == [str(h.lam) for h in report.found]
         assert all(hit.revalidate(f) for hit in report.found)
         assert any(h["certificate"]["kind"] == "rational-factorization" for h in data["found"])
@@ -299,26 +300,35 @@ class TestIncidenceCommand:
         assert main(["incidence", "--poly", poly, "--set", spec, "--json"]) == 0
         A = [Fraction(v) for v in range(1, n + 1)]  # no zero rows for these f
         values = naive_image(f, A)
-        cands = sigma_candidates(f)
+        cands = sigma_candidates(FiberPencil(f))
         on_grid = [lam for lam in cands if lam in values]
         assert len(on_grid) < len(cands)
         assert len(tested) - composite_tests <= len(on_grid)
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "cores"),
         [
-            ["sigma", "--poly", "x^3 + x y", "--extra-candidates", "7/3"],
-            ["incidence", "--poly", "x^2 - y^2", "--set", "AP(6,-2,1)"],
+            (["sigma", "--poly", "x^3 + x y", "--extra-candidates", "7/3"], []),
+            (["sigma", "--poly", "x^3 + y^3"], []),
+            (["sigma", "--poly", "x^4 + 2 x^2 y + x^2 + y^2 + y"], ["x^2 + y"]),
+            (["incidence", "--poly", "x^2 - y^2", "--set", "AP(6,-2,1)"], []),
+            (["incidence", "--poly", "x^3 + x y", "--set", "AP(6,1,1)"], []),
         ],
-        ids=["sigma", "incidence"],
+        ids=["sigma", "sigma-non-composite", "sigma-composite", "incidence", "incidence-composite"],
     )
-    def test_one_fiber_pencil_per_command(self, argv, monkeypatch, capsys):
-        # the spectrum and the fiber tests share it
-        built = []
+    def test_one_fiber_pencil_per_command(self, argv, cores, monkeypatch, capsys):
+        # the spectrum and the fiber tests share the pencil of f; a composite
+        # sigma adds one of its core, and f is decomposed at most once
+        built, decomposed = [], []
         init = FiberPencil.__init__
         monkeypatch.setattr(FiberPencil, "__init__", lambda self, f: built.append(f) or init(self, f))
+        core = classify_module.composite_core
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sumprod") and getattr(module, "composite_core", None) is core:
+                monkeypatch.setattr(module, "composite_core", lambda f: decomposed.append(f) or core(f))
         assert main(argv + ["--json"]) == 0
-        assert built == [parse_poly(argv[2])]
+        assert built == [parse_poly(p) for p in [argv[2], *cores]]
+        assert len(decomposed) <= 1
 
     def test_degree_cap_exit_code(self, capsys):
         # the fiber at zero is a tenth-degree perfect power; factoring its
@@ -360,6 +370,13 @@ class TestScanCommand:
         )
         assert code == 1
         assert "HypothesisViolated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("floor", "code", "violations"), [("--floor=-100", 0, 0), ("--floor=100", 1, 2)])
+    def test_floor_violations_need_a_positive_floor(self, floor, code, violations, tmp_path, capsys):
+        # |A+A| |f(A,A)| >= c |A|^(5/2) always holds for c <= 0
+        argv = ["scan", "--poly", "x^2 + y", "--family", "AP", "--sizes", "8,16", floor, "--out", str(tmp_path)]
+        assert main(argv) == code
+        assert json.loads((tmp_path / "summary.json").read_text())["violations"] == violations
 
     def test_floor_violation_exit(self, tmp_path):
         code = main(
@@ -424,6 +441,39 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    ("argv", "option", "value"),
+    [
+        (["classify", "--poly", "-x^2+y"], "poly", "-x^2+y"),
+        (["sigma", "--poly", "-x*y", "--sweep-height", "1"], "poly", "-x*y"),
+        (["incidence", "--poly", "-x^2+y", "--set", "AP(4,1,1)"], "poly", "-x^2+y"),
+        (["scan", "--poly", "x^2 + y", "--family", "random", "--sizes", "8", "--range", "-50:50"], "range", "-50:50"),
+        (["scan", "--poly", "x^2 + y", "--family", "AP", "--sizes", "8", "--floor", "-1/2"], "floor", "-1/2"),
+    ],
+    ids=["classify-poly", "sigma-poly", "incidence-poly", "scan-range", "scan-floor"],
+)
+def test_option_values_may_start_with_minus(argv, option, value, tmp_path, capsys):
+    # argparse reads a token such as -x^2+y as an option unless it is
+    # attached to the option that takes it
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv_config"][option] == value
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        (["classify", "--poly", "5"], "ConstantPolynomial"),
+        (["sigma", "--poly", "5"], "ConstantPolynomial"),
+        (["incidence", "--poly", "3", "--set", "AP(3,0,1)"], "ConstantPolynomial"),
+        (["scan", "--poly", "5", "--family", "AP", "--sizes", "8", "--out", "{out}"], "HypothesisViolated"),
+    ],
+    ids=["classify", "sigma", "incidence", "scan"],
+)
+def test_constant_polynomial_is_a_refused_hypothesis(argv, error, tmp_path, capsys):
+    assert main([a.replace("{out}", str(tmp_path)) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
 class TestDispatch:
     def test_handler_is_looked_up_at_call_time(self, monkeypatch, capsys):
         # the parser is built once; a handler replaced after that still runs
@@ -459,6 +509,12 @@ class TestMalformedInput:
         assert main([a.replace("{setfile}", str(setfile)) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1:2:3", "1", "a:b"])
+    def test_malformed_range_names_the_option(self, text, tmp_path, capsys):
+        argv = ["scan", "--poly", "x y", "--family", "AP", "--sizes", "8", "--range", text, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"invalid input: --range must be lo:hi with integers lo and hi, got {text!r}\n"
 
 
 _G = parse_poly("x^2 y + x + y")

@@ -628,7 +628,7 @@ def test_forced_gradient_failure_under_optimize():
         gradient = factor._gradient
         factor._gradient = lambda ints, dx, dy: [w + 1 for w in gradient(ints, dx, dy)]
         f = parse_poly("x^2 y + x + y")
-        for run in (lambda: is_composite(f), lambda: sigma_scan(f, [0, 1])):
+        for run in (lambda: is_composite(f), lambda: sigma_scan(factor.FiberPencil(f), [0, 1])):
             try:
                 run()
             except CertificationFailed as exc:

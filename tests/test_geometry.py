@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumprod.errors import BoundViolated, DegenerateSystem
+from sumprod.factor import FiberPencil
 from sumprod.geometry import (
     CommonFactor,
     SolutionCount,
@@ -108,8 +109,9 @@ class TestIncidence:
     def test_product_small_grid_against_double_loop(self):
         f = P("x y")
         A = [F(1), F(2), F(3)]
-        cands = sigma_candidates(f)
-        rep, fam = incidence_report(f, A, cands)
+        pencil = FiberPencil(f)
+        cands = sigma_candidates(pencil)
+        rep, fam = incidence_report(pencil, A, cands)
         assert rep.point_count == 30  # 5 sums x 6 values, nothing removed
         assert rep.curve_count == 9
         # independent full double loop over points x curves
@@ -124,29 +126,32 @@ class TestIncidence:
         # every curve through (a, b) passes through (a' + a, f(a', b))
         f = P("x y")
         A = [F(1), F(2), F(3)]
-        cands = sigma_candidates(f)
-        rep, _ = incidence_report(f, A, cands)
+        pencil = FiberPencil(f)
+        cands = sigma_candidates(pencil)
+        rep, _ = incidence_report(pencil, A, cands)
         assert rep.per_curve_min >= -(-len(A) // f.total_degree)
 
     def test_empty_set(self):
         f = P("x y")
-        rep, fam = incidence_report(f, [], [F(0)])
+        rep, fam = incidence_report(FiberPencil(f), [], [F(0)])
         assert rep.point_count == 0 and rep.incidences == 0
         assert rep.per_curve_min == 0 and rep.curve_count == 0
 
     def test_alpha_beta_are_degree_derived(self):
         f = P("x^3 + x y")
-        cands = sigma_candidates(f)
-        rep, _ = incidence_report(f, [F(1), F(2)], cands)
+        pencil = FiberPencil(f)
+        cands = sigma_candidates(pencil)
+        rep, _ = incidence_report(pencil, [F(1), F(2)], cands)
         assert rep.alpha == 3 and rep.beta == 9
 
     def test_representative_independence(self):
         # counts depend only on the key, so recounting from any member agrees
         f = P("x^2 + 2 x y + y^2")
         A = [F(1), F(2), F(3), F(4)]
-        cands = sigma_candidates(f)
-        sig = sigma_scan(f, cands)
-        rep, fam = incidence_report(f, A, cands)
+        pencil = FiberPencil(f)
+        cands = sigma_candidates(pencil)
+        sig = sigma_scan(FiberPencil(f), cands)
+        rep, fam = incidence_report(pencil, A, cands)
         sums = sorted({a + b for a in fam.base for b in fam.base})
         vals = {f(a, b) for a in fam.base for b in fam.base} - set(
             sig.found_values
@@ -179,9 +184,9 @@ class TestIncidence:
     )
     def test_sigma_rows_removed_in_integers(self, A, lams, removed):
         f = P("x^2 + 2 x y + y^2")
-        sig = sigma_scan(f, lams)
+        sig = sigma_scan(FiberPencil(f), lams)
         assert sig.found_values == tuple(lams)
-        rep, _ = incidence_report(f, A, lams)
+        rep, _ = incidence_report(FiberPencil(f), A, lams)
         sums = sorted(naive_sumset(A))
         values = naive_image(lambda a, b: (a + b) ** 2, A)
         assert set(removed) <= values
@@ -252,8 +257,8 @@ class TestRationalSets:
         values = sorted(naive_image(lambda a, b: naive_eval(terms, a, b), base))
         cands = data.draw(st.lists(st.sampled_from(values), max_size=3)) if values else []
         lams = sorted({F(0), *cands})
-        sig = sigma_scan(f, lams)
-        rep, _ = incidence_report(f, A, lams)
+        sig = sigma_scan(FiberPencil(f), lams)
+        rep, _ = incidence_report(FiberPencil(f), A, lams)
         kept = [v for v in values if v not in set(sig.found_values)]
         points = [(s, v) for s in sorted(naive_sumset(base)) for v in kept]
         keys = sorted({curve_key(f, a, b) for a in base for b in base})
@@ -283,8 +288,8 @@ class TestRationalSets:
         # drawn there removes its row
         cands = data.draw(st.lists(st.sampled_from(sorted(values)), max_size=3))
         lams = sorted({F(0), *cands})
-        kept = values - set(sigma_scan(f, lams).found_values)
-        rep, _ = incidence_report(f, A, lams)
+        kept = values - set(sigma_scan(FiberPencil(f), lams).found_values)
+        rep, _ = incidence_report(FiberPencil(f), A, lams)
         sums = naive_sumset(base)
         per = per_curve_hits({curve_key(f, a, b) for a in base for b in base}, sums, kept)
         assert rep.curve_count == len(per)
@@ -309,7 +314,7 @@ class TestCurvePairs:
         assert isinstance(got, CommonFactor)
         assert {p for p, _ in got.factors.factors} == {P("x - y")}
         # both point values sit among the certified reducible fibers
-        rep = sigma_scan(f, [F(0), F(1)])
+        rep = sigma_scan(FiberPencil(f), [F(0), F(1)])
         assert {F(0), F(1)} <= set(rep.found_values)
 
     def test_rejects_equal_points(self):
@@ -327,7 +332,8 @@ class TestCurvePairs:
         for s in ("x y", "x^2 + y", "x^2 + x y + y^2"):
             f = P(s)
             k = f.total_degree
-            sig = sigma_scan(f, sigma_candidates(f))
+            pencil = FiberPencil(f)
+            sig = sigma_scan(pencil, sigma_candidates(pencil))
             flagged = set(sig.found_values)
             for _ in range(40):
                 pts = []

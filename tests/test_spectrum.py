@@ -40,17 +40,17 @@ from conftest import (
 class TestCandidates:
     def test_product_has_the_origin_value(self):
         # both partials vanish at the origin and the value there is zero
-        assert F(0) in sigma_candidates(P("x y"))
+        assert F(0) in sigma_candidates(FiberPencil(P("x y")))
 
     def test_circle_pair(self):
-        assert F(0) in sigma_candidates(P("x^2 + y^2"))
+        assert F(0) in sigma_candidates(FiberPencil(P("x^2 + y^2")))
 
     def test_gradient_never_vanishes(self):
-        cands = sigma_candidates(P("x + y"), sweep_height=2)
+        cands = sigma_candidates(FiberPencil(P("x + y")), sweep_height=2)
         assert cands == sweep_candidates(2)
 
     def test_user_values_included(self):
-        cands = sigma_candidates(P("x y"), extra=(F(17), F(-22, 7)))
+        cands = sigma_candidates(FiberPencil(P("x y")), extra=(F(17), F(-22, 7)))
         assert F(17) in cands and F(-22, 7) in cands
 
     def test_sweep_height(self):
@@ -164,7 +164,8 @@ class TestRationalSpectrum:
         assume(max(abs(c.numerator), c.denominator) > 5)
         f = g * h + BiPoly.const(c)
         assume(f.deg_x >= 1 and f.deg_y >= 1 and not is_composite(f).composite)
-        report = sigma_scan(f, sigma_candidates(f))
+        pencil = FiberPencil(f)
+        report = sigma_scan(pencil, sigma_candidates(pencil))
         assert c in report.found_values
         assert report.candidates_complete
 
@@ -189,7 +190,7 @@ class TestRationalSpectrum:
     def test_composites_have_no_complete_list(self, poly, capsys):
         # every fiber is reducible: the candidates are the sweep and the extras
         f = P(poly)
-        assert rational_critical_values(f) is None
+        assert rational_critical_values(FiberPencil(f)) is None
         data = _sigma_json([poly, "--extra-candidates", "9,-7/2"], capsys)
         assert data["candidates_complete"] is False
         assert data["candidate_count"] == len(SWEEP_5) + 2
@@ -310,7 +311,7 @@ def _spy(monkeypatch, *names) -> dict:
 
 class TestScan:
     def test_product_finds_zero_with_rational_certificate(self):
-        rep = sigma_scan(P("x y"), [F(-1), F(0), F(1)])
+        rep = sigma_scan(FiberPencil(P("x y")), [F(-1), F(0), F(1)])
         assert rep.found_values == (F(0),)
         cert = rep.found[0].certificate
         assert isinstance(cert, FactorList)
@@ -318,14 +319,14 @@ class TestScan:
         assert rep.stein_bound_respected  # 1 < 2
 
     def test_sum_of_squares_nullspace_certificates(self):
-        rep = sigma_scan(P("x^2 + y^2"), [F(0), F(1)])
+        rep = sigma_scan(FiberPencil(P("x^2 + y^2")), [F(0), F(1)])
         assert rep.found_values == (F(0),)
         cert = rep.found[0].certificate
         assert isinstance(cert, AbsReducibleWitness)
         assert cert.kind == "nullspace" and cert.value == 2
 
     def test_square_of_sum_breaks_the_bound(self):
-        rep = sigma_scan(P("x^2 + 2 x y + y^2"), [F(1), F(4)])
+        rep = sigma_scan(FiberPencil(P("x^2 + 2 x y + y^2")), [F(1), F(4)])
         assert rep.found_values == (F(1), F(4))
         assert not rep.stein_bound_respected
         # the flag firing must agree with the compositeness verdict
@@ -334,7 +335,8 @@ class TestScan:
     def test_certificates_revalidate(self):
         for s in ("x y", "x^2 + y^2", "x^2 + x y + y^2", "x^3 + x y"):
             f = P(s)
-            rep = sigma_scan(f, sigma_candidates(f))
+            pencil = FiberPencil(f)
+            rep = sigma_scan(pencil, sigma_candidates(pencil))
             for hit in rep.found:
                 assert hit.revalidate(f)
 
@@ -344,9 +346,9 @@ class TestScan:
         # the candidates reach both branches of the composed route
         outer, _, drop = composite_split(f)
         lams = sweep_candidates(1) + core_fiber_values(outer, drop)
-        report = sigma_scan(f, lams)
+        report = sigma_scan(FiberPencil(f), lams)
         with mock.patch("sumprod.spectrum.composite_split", return_value=None):
-            assert sigma_scan(f, lams) == report
+            assert sigma_scan(FiberPencil(f), lams) == report
         assert all(hit.revalidate(f) for hit in report.found)
 
     def test_rank_test_runs_only_on_the_spectrum(self, monkeypatch, capsys):
@@ -374,12 +376,12 @@ class TestScan:
         lams = sorted(set(sweep_candidates(1) + [c]))
         pencil = FiberPencil(f)
         oracle = tuple(lam for lam in lams if pencil.witness(lam) is not None)
-        assert sigma_scan(f, lams).found_values == oracle
+        assert sigma_scan(FiberPencil(f), lams).found_values == oracle
 
     def test_monotone_under_more_candidates(self):
-        f = P("x^3 + x y")
-        small = sigma_scan(f, sigma_candidates(f, sweep_height=2))
-        large = sigma_scan(f, sigma_candidates(f, sweep_height=5))
+        pencil = FiberPencil(P("x^3 + x y"))
+        small = sigma_scan(pencil, sigma_candidates(pencil, sweep_height=2))
+        large = sigma_scan(pencil, sigma_candidates(pencil, sweep_height=5))
         assert set(small.found_values) <= set(large.found_values)
 
     def test_stein_bound_on_non_composite_corpus(self):
@@ -388,7 +390,8 @@ class TestScan:
             k = f.total_degree
             if k > 5:
                 continue
-            rep = sigma_scan(f, sigma_candidates(f))
+            pencil = FiberPencil(f)
+            rep = sigma_scan(pencil, sigma_candidates(pencil))
             assert len(rep.found) < k, s
             assert rep.stein_bound_respected
             assert not is_composite(f).composite
@@ -396,12 +399,13 @@ class TestScan:
 
 class TestRowRemoval:
     def test_no_flagged_values(self):
-        rep = sigma_scan(P("x^2 + y"), sigma_candidates(P("x^2 + y")))
+        pencil = FiberPencil(P("x^2 + y"))
+        rep = sigma_scan(pencil, sigma_candidates(pencil))
         grid = remove_sigma_rows({F(2), F(3)}, {F(1), F(6)}, rep)
         assert grid.point_count == 4 and grid.removed_count == 0
 
     def test_flagged_row_removed(self):
-        rep = sigma_scan(P("x y"), [F(0)])
+        rep = sigma_scan(FiberPencil(P("x y")), [F(0)])
         grid = remove_sigma_rows({F(2), F(3)}, {F(0), F(1)}, rep)
         assert grid.kept_values == (F(1),)
         assert grid.removed_count == 2
@@ -411,7 +415,8 @@ class TestRowRemoval:
         A = [F(1), F(2), F(3)]
         values = naive_image(CORPUS_EVAL["x y"], A)
         assert values == {F(1), F(2), F(3), F(4), F(6), F(9)}
-        rep = sigma_scan(f, sigma_candidates(f))
+        pencil = FiberPencil(f)
+        rep = sigma_scan(pencil, sigma_candidates(pencil))
         grid = remove_sigma_rows({a + b for a in A for b in A}, values, rep)
         assert grid.removed_count == 0  # zero is not attained on this grid
 
@@ -422,6 +427,7 @@ class TestRowRemoval:
             A = [F(i) for i in range(-3, 4)]
             sums = {a + b for a in A for b in A}
             values = {f(a, b) for a in A for b in A}
-            rep = sigma_scan(f, sigma_candidates(f))
+            pencil = FiberPencil(f)
+            rep = sigma_scan(pencil, sigma_candidates(pencil))
             grid = remove_sigma_rows(sums, values, rep)
             assert grid.removed_count <= len(sums) * (k - 1)
