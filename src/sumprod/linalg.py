@@ -52,11 +52,10 @@ at the best profile seen (`_Images`). The modular resultants and gcds of
 interpolate them with `_interpolate_mod` and lift gcds with `_lift`.
 
 `det_in_ring`, the fraction-free (Bareiss) determinant over an integral
-domain, `rank_mod_prime`, the rank modulo one prime, and
-`scale_rows_to_int`, which scales rational rows to integers, have no caller
-in the package; they are kept only because the benchmark tracer looks them
-up by name. `rref`, Gauss-Jordan over the rationals on dense rows, is the
-reference the tests compare the engine against.
+domain, and `scale_rows_to_int`, which scales rational rows to integers,
+have no caller in the package; they are kept only because the benchmark
+tracer looks them up by name. `rref`, Gauss-Jordan over the rationals on
+dense rows, is the reference the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -555,7 +554,7 @@ class Pencil:
                 if zeros == 2:
                     return None
                 continue
-            r = len(_echelon_mod(HR, p)[1])
+            r = rank_mod_prime(HR, p)
             nodes = [s, *(t for t in range(r + 1) if t != s)][: r + 1]
             image = _interpolate_mod(nodes, [first, *map(at, nodes[1:])], p)
             while not image[-1]:

@@ -1,120 +1,64 @@
 """Text and JSON wire formats for polynomials.
 
-Text input is a sum of terms `c x^i y^j` with rational coefficients like
-`-3/2`; whitespace is insignificant, `*` is optional, and juxtaposition such
-as `x^2y` is accepted. Emitters always produce the canonical graded-lex
+Text input is a sum of terms joined by `+` or `-`, the first optionally
+signed. A term is a product of coefficients `n` or `n/d` and factors `x^e`
+or `y^e` (`^e` optional); `*` between factors is optional, whitespace may
+sit between any two tokens, coefficients multiply and exponents add, so
+`2 x x^2 y` is 2 x^3 y. Emitters always produce the canonical graded-lex
 ordering (x ahead of y), so formatted output is stable and re-parseable.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 
 from .poly import BiPoly, UniPoly, grlex_key
 
-_TOKEN = re.compile(r"\s*(\d+|[xy]|\^|\*|/|\+|-)")
+# one item of a term sum: a sign, a `*`, a coefficient n or n/d, or x or y
+# with an optional ^e, each after optional whitespace
+_ITEM = re.compile(r"\s*(?:([+-])|\*|(\d+)(?:\s*/\s*(\d+))?|([xy])(?:\s*\^\s*(\d+))?)")
 
 
 class PolyParseError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise PolyParseError(f"unexpected character at {text[pos:pos + 8]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
 def parse_poly(text: str) -> BiPoly:
     """Parse the flat term-sum syntax into a bivariate polynomial."""
-    toks = _tokenize(text)
-    if not toks:
+    text = text.strip()
+    if not text:
         raise PolyParseError("empty polynomial text")
+    terms = []
+    sign, num, den, i, j, factor = 1, 1, 1, 0, 0, False
     pos = 0
-    terms: list[tuple[tuple[int, int], Fraction]] = []
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def read_number() -> Fraction:
-        num = int(take())
-        if peek() == "/":
-            take()
-            if not (peek() or "").isdigit():
-                raise PolyParseError("expected denominator after '/'")
-            den = int(take())
-            if den == 0:
+    while pos < len(text):
+        m = _ITEM.match(text, pos)
+        if m is None:
+            raise PolyParseError(f"unexpected text {text[pos:].lstrip()!r}")
+        op, n, d, var, e = m.groups()
+        if op:
+            # a sign opens the text or closes a term that has a factor
+            if factor:
+                terms.append(((i, j), Fraction(sign * num, den)))
+                num, den, i, j, factor = 1, 1, 0, 0, False
+            elif pos:
+                raise PolyParseError("empty term")
+            sign = -1 if op == "-" else 1
+        elif n:
+            if d and not int(d):
                 raise PolyParseError("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def read_term() -> tuple[tuple[int, int], Fraction]:
-        coeff = Fraction(1)
-        i = j = 0
-        saw_factor = False
-        while True:
-            t = peek()
-            if t is None or t in "+-":
-                break
-            if t == "*":
-                take()
-                continue
-            if t == "/":
-                raise PolyParseError("'/' outside a coefficient")
-            if t == "^":
-                raise PolyParseError("'^' without a base")
-            if t.isdigit():
-                coeff *= read_number()
-                saw_factor = True
-                continue
-            # variable factor
-            var = take()
-            exp = 1
-            if peek() == "^":
-                take()
-                if not (peek() or "").isdigit():
-                    raise PolyParseError("expected exponent after '^'")
-                exp = int(take())
-            if var == "x":
-                i += exp
-            else:
-                j += exp
-            saw_factor = True
-        if not saw_factor:
-            raise PolyParseError("empty term")
-        return (i, j), coeff
-
-    sign = Fraction(1)
-    if peek() in ("+", "-"):
-        sign = Fraction(-1) if take() == "-" else Fraction(1)
-    key, c = read_term()
-    terms.append((key, sign * c))
-    while peek() is not None:
-        op = take()
-        if op not in ("+", "-"):
-            raise PolyParseError(f"expected '+' or '-', got {op!r}")
-        sign = Fraction(-1) if op == "-" else Fraction(1)
-        key, c = read_term()
-        terms.append((key, sign * c))
+            num, den, factor = num * int(n), den * int(d or 1), True
+        elif var:
+            exp = int(e or 1)
+            i, j = (i + exp, j) if var == "x" else (i, j + exp)
+            factor = True
+        pos = m.end()
+    if not factor:
+        raise PolyParseError("empty term")
+    terms.append(((i, j), Fraction(sign * num, den)))
     return BiPoly(terms)
 
 
@@ -192,9 +136,7 @@ def load_poly(source: str) -> BiPoly:
     text = source.strip()
     if not text:
         raise PolyParseError("empty polynomial source")
-    import os
-
-    if os.path.exists(text) and os.path.isfile(text):
+    if os.path.isfile(text):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text.startswith("{"):

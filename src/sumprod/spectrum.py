@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from .classify import decompose
-from .errors import CertificationFailed, ConstantPolynomial
+from .errors import CertificationFailed, ConstantPolynomial, HypothesisViolated
 from .factor import (
     AbsReducibleWitness,
     FactorList,
@@ -203,7 +203,7 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
     f = pencil.f
     k = f.total_degree
     if k < 2:
-        raise ValueError("scan needs total degree >= 2")
+        raise HypothesisViolated("scan needs total degree >= 2")
     lams = sorted(set(map(Fraction, candidates)))
     hits = []
     spectrum = pencil.spectrum

@@ -7,6 +7,7 @@ tests are either frozen from these oracles or recomputed by them in place.
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -53,6 +54,113 @@ LARGE_ELIMINANT = "x^5 + x^3 y^3 + x^3 y + x^3 + x^2 y^2 + x y^4 + x y + y^5 + y
 @pytest.fixture
 def P():
     return parse_poly
+
+
+# the recursive-descent parser `sumprod.parsing` used before its one-pattern
+# loop, kept as the reference the differential test compares against; it
+# uses nothing from the package
+_REFERENCE_TOKEN = re.compile(r"\s*(\d+|[xy]|\^|\*|/|\+|-)")
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    out = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"unexpected character at {text[pos:pos + 8]!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def reference_parse(text: str) -> dict:
+    """{(i, j): coefficient} of the term-sum text, repeated monomials summed
+    and zeros dropped; ValueError where the text is not a term sum."""
+    toks = _reference_tokenize(text)
+    if not toks:
+        raise ValueError("empty polynomial text")
+    pos = 0
+    terms: list[tuple[tuple[int, int], F]] = []
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def take():
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
+        return t
+
+    def read_number() -> F:
+        num = int(take())
+        if peek() == "/":
+            take()
+            if not (peek() or "").isdigit():
+                raise ValueError("expected denominator after '/'")
+            den = int(take())
+            if den == 0:
+                raise ValueError("zero denominator")
+            return F(num, den)
+        return F(num)
+
+    def read_term() -> tuple[tuple[int, int], F]:
+        coeff = F(1)
+        i = j = 0
+        saw_factor = False
+        while True:
+            t = peek()
+            if t is None or t in "+-":
+                break
+            if t == "*":
+                take()
+                continue
+            if t == "/":
+                raise ValueError("'/' outside a coefficient")
+            if t == "^":
+                raise ValueError("'^' without a base")
+            if t.isdigit():
+                coeff *= read_number()
+                saw_factor = True
+                continue
+            # variable factor
+            var = take()
+            exp = 1
+            if peek() == "^":
+                take()
+                if not (peek() or "").isdigit():
+                    raise ValueError("expected exponent after '^'")
+                exp = int(take())
+            if var == "x":
+                i += exp
+            else:
+                j += exp
+            saw_factor = True
+        if not saw_factor:
+            raise ValueError("empty term")
+        return (i, j), coeff
+
+    sign = F(1)
+    if peek() in ("+", "-"):
+        sign = F(-1) if take() == "-" else F(1)
+    key, c = read_term()
+    terms.append((key, sign * c))
+    while peek() is not None:
+        op = take()
+        if op not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-', got {op!r}")
+        sign = F(-1) if op == "-" else F(1)
+        key, c = read_term()
+        terms.append((key, sign * c))
+    summed: dict = {}
+    for key, c in terms:
+        summed[key] = summed.get(key, 0) + c
+    return {key: c for key, c in summed.items() if c}
 
 
 def naive_mul(a: dict, b: dict) -> dict:

@@ -474,6 +474,12 @@ def test_constant_polynomial_is_a_refused_hypothesis(argv, error, tmp_path, caps
     assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
+@pytest.mark.parametrize("poly", ["x + y", "x"])
+def test_sigma_refuses_total_degree_one(poly, capsys):
+    assert main(["sigma", "--poly", poly]) == 1
+    assert capsys.readouterr().err.startswith("HypothesisViolated: ")
+
+
 class TestDispatch:
     def test_handler_is_looked_up_at_call_time(self, monkeypatch, capsys):
         # the parser is built once; a handler replaced after that still runs

@@ -21,6 +21,10 @@ to re-export.
 Every defaulted parameter of a top-level function that the package calls is
 passed by some call in the package, by keyword, by position or through
 `*args`: a knob no caller turns is an option that only its default runs.
+
+Every name a module-level assignment binds is read by some other statement
+of the package, as an AST `Name` or `Attribute`; here a type annotation
+counts as a read, so a type alias used only in annotations is live.
 """
 
 import ast
@@ -200,6 +204,28 @@ def unused_knobs(src: Path) -> list[str]:
     return unused
 
 
+def unused_constants(src: Path) -> list[str]:
+    """`module.name` of every name a module-level assignment binds that no
+    other top-level statement of the package reads."""
+    bound = []  # (label, name, the statement binding it)
+    statements = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += tree.body
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound += [(f"{path.stem}.{n.id}", n.id, stmt) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    reads = []
+    for stmt in statements:
+        nodes = list(ast.walk(stmt))
+        names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        reads.append((stmt, names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}))
+    return [label for label, name, own in bound if not any(name in names for stmt, names in reads if stmt is not own)]
+
+
 def test_every_definition_has_a_user():
     unused = unused_definitions(SRC, BENCH)
     assert sorted(set(unused) - ALLOWED) == []
@@ -279,3 +305,25 @@ def test_knob_guard_reads_keyword_position_and_star(tmp_path):
         "    return by_keyword(1, c=3) + by_position(1, 2) + by_star(*xs)\n"
     )
     assert unused_knobs(tmp_path) == ["m.by_keyword(b)", "m.by_position(c)"]
+
+
+def test_every_constant_is_read():
+    assert unused_constants(SRC) == []
+
+
+def test_constant_guard_counts_annotations_and_attributes(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import EXPORTED\n")
+    (tmp_path / "m.py").write_text(
+        "import re\n\n"
+        "EXPORTED = 1\n"
+        "_TOKEN = re.compile('x')\n"
+        "_USED = 2\n"
+        "_VIA_ATTRIBUTE = 3\n"
+        "_TYPED: int = 4\n"
+        "_SELF = [_SELF for _SELF in range(2)]\n"
+        "Alias = int | str\n\n"
+        "def f(x: Alias) -> int:\n"
+        "    return _USED + x\n"
+    )
+    (tmp_path / "n.py").write_text("from . import m\n\ndef g():\n    return m._VIA_ATTRIBUTE\n")
+    assert unused_constants(tmp_path) == ["m.EXPORTED", "m._TOKEN", "m._TYPED", "m._SELF"]

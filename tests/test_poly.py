@@ -29,7 +29,7 @@ from sumprod.parsing import parse_poly as P
 
 from conftest import (
     _uni_lagrange, curve_key, grid_rationals, naive_add, naive_derivative, naive_eval, naive_mul, naive_pow, naive_primitive,
-    naive_specialize_y, naive_swap, rational_grid_polys, to_terms, uni_gcd_subresultant,
+    naive_specialize_y, naive_swap, rational_grid_polys, reference_parse, to_terms, uni_gcd_subresultant,
 )
 
 
@@ -533,9 +533,52 @@ class TestWireFormats:
         assert P(" x ^ 2 y ") == P("x^2*y")
         assert P("3x") == P("3 * x")
 
+    @pytest.mark.parametrize(
+        ("text", "terms"),
+        [
+            ("2 3 x", {(1, 0): F(6)}),
+            ("x x y", {(2, 1): F(1)}),
+            ("- * x", {(1, 0): F(-1)}),
+            ("x * + y", {(1, 0): F(1), (0, 1): F(1)}),
+            ("x^007", {(7, 0): F(1)}),
+            ("3 / 4 x ^ 2", {(2, 0): F(3, 4)}),
+        ],
+    )
+    def test_factors_multiply_and_exponents_add(self, text, terms):
+        assert dict(P(text).t) == terms
+
     def test_parse_errors(self):
         from sumprod.parsing import PolyParseError
 
-        for bad in ("", "x +", "x^", "3/0", "x & y"):
+        for bad in (
+            "", "x +", "x^", "3/0", "x & y", "2^3", "x/2", "1/2/3", "3 / x", "x ^ y", "- - x", "* -x", "+", "*",
+            "3/00",
+        ):
             with pytest.raises(PolyParseError):
                 P(bad)
+
+    def test_long_text_is_not_taken_for_a_path(self):
+        from sumprod.parsing import load_poly
+
+        text = " + ".join(f"x^{k}" for k in range(100))
+        assert load_poly(text) == P(text)
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(["x", "y", "^", "*", "/", "+", "-", "0", "2", "13", "007", " ", "\t"]), max_size=12)
+            .map("".join),
+            st.text(alphabet="xy0123^*/+- &X.\u00b2", max_size=12),
+            st.text(alphabet="xy12^*/+-\u00a0\u2003\t\n\u0663", max_size=12),
+        )
+    )
+    @settings(max_examples=300)
+    def test_same_language_as_the_reference_parser(self, text):
+        from sumprod.parsing import PolyParseError
+
+        try:
+            expected = reference_parse(text)
+        except ValueError:
+            with pytest.raises(PolyParseError):
+                P(text)
+        else:
+            assert dict(P(text).t) == expected
