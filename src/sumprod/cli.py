@@ -19,6 +19,7 @@ import dataclasses
 import datetime
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -73,14 +74,12 @@ def parse_set_spec(text: str, default_seed: int):
 
 
 def load_set(source: str, default_seed: int) -> RatSet:
-    """A set from a generator spec or a file of one rational per line."""
-    path = Path(source)
-    if path.exists() and path.is_file():
-        elems = sorted(
-            {_parse_rat(line) for line in path.read_text().splitlines() if line.strip()}
-        )
-        return RatSet(tuple(elems), f"file({source})")
-    return generate_set(parse_set_spec(source, default_seed))
+    """A set from a generator spec, or else from a file of one rational per
+    line; a source that matches the spec syntax is never read as a path."""
+    if _SPEC_RE.match(source.strip()) or not os.path.isfile(source):
+        return generate_set(parse_set_spec(source, default_seed))
+    elems = sorted({_parse_rat(line) for line in Path(source).read_text().splitlines() if line.strip()})
+    return RatSet(tuple(elems), f"file({source})")
 
 
 def _dumps(payload: dict) -> str:

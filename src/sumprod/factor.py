@@ -119,7 +119,10 @@ the rank-drop polynomial of g's own pencil, its D_R written in lambda
 reducible, so gcd(q_j, drop) = 1 suffices. Every other q_j(g) is factored
 by Gao's method at its own, lower degree.
 
-Univariate polynomials, and E, lose their linear factors to the p-adic
+`factor_rational` first splits off the monomial content of f and its
+contents pure in y and in x, each factored as a univariate polynomial, so
+Gao's method only sees the rest, primitive in both variables. Univariate
+polynomials, and E, lose their linear factors to the p-adic
 root finder, which factors no integer, and are then factored by Kronecker's
 method, interpolation through divisor tuples of integer evaluations. It is
 exponential, and its divisor lists factor integers, so a hard degree cap
@@ -483,7 +486,7 @@ def _gao_factors(s: BiPoly) -> list[BiPoly]:
     t_sx = BiPoly.y() * sx.specialize_y(y0).to_bipoly("x")  # t on the y axis
     for c in range(1, r * (r - 1) ** 2 // 2 + 2):
         g = sum((gk * c**k for k, gk in enumerate(gs)), BiPoly.zero())
-        res = resultant_eliminating(a.to_bipoly("x"), g.specialize_y(y0).to_bipoly("x") - t_sx, "x")
+        res = resultant_eliminating(a.to_bipoly("x"), g.specialize_y(y0).to_bipoly("x") - t_sx)
         eliminant = uni_squarefree_part(res)
         if eliminant.degree == r:
             break
@@ -514,47 +517,28 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
         raise DegreeCapExceeded(
             f"total degree {f.total_degree} exceeds cap {cap}"
         )
-    original = f
     prim, scale = f.primitive()
-    factors: dict[BiPoly, int] = {}
-
-    def add(p: BiPoly, mult: int):
-        if mult and not p.is_constant:
-            factors[p] = factors.get(p, 0) + mult
-
-    # monomial content
+    # the monomial content, read off the exponents without a gcd
     vx = min(i for i, _ in prim.n)
     vy = min(j for _, j in prim.n)
-    if vx or vy:
-        prim = BiPoly({(i - vx, j - vy): v for (i, j), v in prim.n.items()})
-        add(BiPoly.x(), vx)
-        add(BiPoly.y(), vy)
-
-    def add_univariate(p: UniPoly, var: str):
-        nonlocal scale
-        s, facs = factor_univariate(p)
+    prim = BiPoly({(i - vx, j - vy): v for (i, j), v in prim.n.items()})
+    factors = [(p, m) for p, m in ((BiPoly.x(), vx), (BiPoly.y(), vy)) if m]
+    # the contents pure in y and pure in x, each factored as univariate
+    cont_y, prim = split_content_x(prim)
+    cont_x, prim = split_content_x(prim.swap())
+    prim = prim.swap()
+    for cont, var in ((cont_y, "y"), (cont_x, "x")):
+        s, pieces = factor_univariate(cont)
         scale *= s
-        for q, m in facs:
-            add(q.to_bipoly(var), m)
-
-    # contents pure in one variable
-    cont, prim = split_content_x(prim)
-    if cont.degree >= 1:
-        add_univariate(cont, "y")
-    if prim.deg_y == 0 and not prim.is_constant:
-        add_univariate(prim.to_unipoly()[0], "x")
-        prim = BiPoly.const(1)
-
+        factors += [(q.to_bipoly(var), m) for q, m in pieces]
+    # the rest is primitive in both variables, and Gao's method splits it
     if not prim.is_constant:
         for fac in _gao_factors(squarefree_part(prim)):
             mult = 0
             while (q := bi_divexact(prim, fac)) is not None:
-                prim = q
-                mult += 1
-            add(fac, mult)
-    if prim.is_constant and not prim.is_zero:
-        scale *= prim.coeff(0, 0)
-    return _certified(original, scale, factors.items())
+                prim, mult = q, mult + 1
+            factors.append((fac, mult))
+    return _certified(f, scale * prim.coeff(0, 0), factors)
 
 
 def factor_composed(

@@ -299,7 +299,7 @@ def curve_pair_solutions(
     if F1.deg_x <= 0 and F2.deg_x <= 0:
         # both equations constrain y alone and share no root
         return SolutionCount(0, ())
-    elim = resultant_eliminating(F1, F2, "x")
+    elim = resultant_eliminating(F1, F2)
     if elim.is_zero:
         raise CertificationFailed("coprime curves have a zero eliminant")
     solutions = []

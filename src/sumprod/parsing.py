@@ -131,14 +131,20 @@ def format_unipoly(p: UniPoly, var: str = "x") -> str:
     return text if var == "x" else text.replace("x", var)
 
 
+def _parse_text(text: str) -> BiPoly:
+    return poly_from_json(text) if text.startswith("{") else parse_poly(text)
+
+
 def load_poly(source: str) -> BiPoly:
-    """Parse polynomial text, a JSON object string, or a file path to either."""
+    """Parse polynomial text or a JSON object string; only a source that
+    parses as neither and names a file is read as the path to either."""
     text = source.strip()
     if not text:
         raise PolyParseError("empty polynomial source")
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    if text.startswith("{"):
-        return poly_from_json(text)
-    return parse_poly(text)
+    try:
+        return _parse_text(text)
+    except ValueError:
+        if not os.path.isfile(text):
+            raise
+    with open(text, "r", encoding="utf-8") as fh:
+        return _parse_text(fh.read().strip())

@@ -846,8 +846,8 @@ def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
 # resultants
 
 
-def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
-    """Resultant of f, g with respect to `var`, a polynomial in the other one.
+def resultant_eliminating(f: BiPoly, g: BiPoly) -> UniPoly:
+    """Resultant of f, g with respect to x, a polynomial in y.
 
     It is the Sylvester determinant, p-block first, computed modularly
     (Collins 1971). With f = s F and g = t G, F and G in Z[x, y] of
@@ -861,10 +861,6 @@ def resultant_eliminating(f: BiPoly, g: BiPoly, var: str) -> UniPoly:
     ||F||_1^n ||G||_1^m in absolute value; primes are added until their
     product exceeds twice that, and the symmetric residues are then exact.
     """
-    if var == "y":
-        f, g = f.swap(), g.swap()
-    elif var != "x":
-        raise ValueError("var must be 'x' or 'y'")
     if f.is_zero and g.is_zero:
         raise ValueError("resultant of two zero polynomials")
     if f.is_zero or g.is_zero:

@@ -274,6 +274,24 @@ class TestIncidenceCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["composite"]["verdict"] is False
 
+    def test_poly_text_that_names_a_file_is_parsed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("x y").write_text("x^2 + y\n")
+        assert main(["classify", "--poly", "x y", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["input"] == "x y"
+
+    def test_set_spec_that_names_a_file_is_generated(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("AP(4,1,1)").write_text("1\n2\n")
+        assert main(["incidence", "--poly", "x y", "--set", "AP(4,1,1)", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["set"] == "AP(n=4,start=1,step=1)"
+
+    def test_spec_longer_than_a_file_name_exits_0(self, tmp_path, monkeypatch, capsys):
+        # Path.exists raises "File name too long" on such a text
+        monkeypatch.chdir(tmp_path)
+        assert main(["incidence", "--poly", "x y", "--set", f"AP(3,1,{'1' * 300})", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["set_size"] == 3
+
     def test_composite_past_the_degree_cap_exits_0(self, capsys):
         # sigma exits 3 on this input (its certificates exceed the default
         # degree cap), but incidence factors no fiber, so the cap never bites

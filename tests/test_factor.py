@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumprod import integers
+from sumprod import factor, integers
 from sumprod.classify import is_composite
 from sumprod.errors import DegreeCapExceeded, NotSquarefree, UnivariateInput
 from sumprod.factor import (
@@ -33,7 +33,7 @@ from sumprod.factor import (
 )
 from sumprod.linalg import certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
-from sumprod.poly import BiPoly, UniPoly
+from sumprod.poly import BiPoly, UniPoly, split_content_x
 from sumprod.spectrum import composite_split, sweep_candidates
 
 from conftest import (
@@ -48,6 +48,14 @@ from conftest import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@st.composite
+def one_variable(draw, var: str) -> BiPoly:
+    """A polynomial of degree 0 to 2 in `var` alone with small integer
+    coefficients, reducible (x^2 - 1) as often as not."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=0, max_size=2)) + [draw(st.integers(1, 3))]
+    return BiPoly({((k, 0) if var == "x" else (0, k)): c for k, c in enumerate(coeffs)})
 
 
 class TestSquarefree:
@@ -281,6 +289,34 @@ class TestFactorRational:
         fl = factor_rational(f, cap=12)
         assert fl.verify(f)
         assert dict(fl.factors) == dict(sympy_factor_multiset(f))
+
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        one_variable("x"),
+        one_variable("y"),
+        st.sampled_from(["1", "x + y", "x y - 1", "x^2 + y"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contents_and_core_match_sympy(self, c, a, b, p, q, g):
+        # c x^a y^b p(x) q(y) g: every route to a factor, the monomial
+        # content, the contents in y and in x, and Gao's method on g
+        f = BiPoly({(a, b): c}) * p * q * P(g)
+        assume(not f.is_constant and f.total_degree <= 8)
+        fl = factor_rational(f)
+        assert fl.verify(f)
+        assert dict(fl.factors) == dict(sympy_factor_multiset(f))
+
+    def test_gao_sees_no_one_variable_content(self, monkeypatch):
+        seen = []
+        gao = factor._gao_factors
+        monkeypatch.setattr(factor, "_gao_factors", lambda s: seen.append(s) or gao(s))
+        f = P("x^2 + 1") * P("x + y") * P("y^2 - 2")
+        assert dict(factor_rational(f).factors) == {P("x + y"): 1, P("x^2 + 1"): 1, P("y^2 - 2"): 1}
+        assert seen
+        for s in seen:
+            assert split_content_x(s)[0].degree == 0 and split_content_x(s.swap())[0].degree == 0, s
 
     def test_degree_cap(self):
         f = P("x^5 + y") * P("x^4 + y")

@@ -22,6 +22,13 @@ Every defaulted parameter of a top-level function that the package calls is
 passed by some call in the package, by keyword, by position or through
 `*args`: a knob no caller turns is an option that only its default runs.
 
+No parameter of a top-level function is given the same literal by every
+call in the package: with one value in use, the parameter is a constant.
+A call that leaves out a defaulted parameter passes its default; one that
+leaves out a required parameter, or names one the function lacks, calls a
+same-named method and is skipped; one with `*args` or `**kw` varies. A
+parameter no call passes is left to the knob guard above.
+
 Every name a module-level assignment binds is read by some other statement
 of the package, as an AST `Name` or `Attribute`; here a type annotation
 counts as a read, so a type alias used only in annotations is live.
@@ -176,11 +183,10 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     )
 
 
-def unused_knobs(src: Path) -> list[str]:
-    """`module.function(parameter)` of every defaulted parameter of a
-    top-level function with a caller in the package that no such call
-    passes."""
-    functions = []  # (module, definition)
+def _functions_and_calls(src: Path) -> tuple[list, dict[str, list[ast.Call]]]:
+    """(module, definition) of every top-level function of the package, and
+    its calls by the name they call."""
+    functions = []
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
@@ -192,6 +198,14 @@ def unused_knobs(src: Path) -> list[str]:
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return functions, calls
+
+
+def unused_knobs(src: Path) -> list[str]:
+    """`module.function(parameter)` of every defaulted parameter of a
+    top-level function with a caller in the package that no such call
+    passes."""
+    functions, calls = _functions_and_calls(src)
     unused = []
     for module, fn in functions:
         callers = calls.get(fn.name, [])
@@ -202,6 +216,50 @@ def unused_knobs(src: Path) -> list[str]:
                 if not any(_passes(call, position, name) for call in callers)
             ]
     return unused
+
+
+def _bound(fn: ast.FunctionDef | ast.AsyncFunctionDef, call: ast.Call) -> dict[str, ast.expr] | None:
+    """The expression each parameter of `fn` takes at `call`, defaults
+    filled in; None when the call does not fit the signature."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaults = dict(zip([a.arg for a in positional][len(positional) - len(args.defaults):], args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    if len(call.args) > len(positional):
+        return None
+    bound = {a.arg: v for a, v in zip(positional, call.args)}
+    bound.update((kw.arg, kw.value) for kw in call.keywords)
+    names = [a.arg for a in positional + args.kwonlyargs]
+    if not set(bound) <= set(names):
+        return None
+    for name in names:
+        if name not in bound:
+            if name not in defaults:
+                return None
+            bound[name] = defaults[name]
+    return bound
+
+
+def constant_arguments(src: Path) -> list[str]:
+    """`module.function(parameter)` of every parameter of a top-level
+    function that each package call fitting its signature gives one and the
+    same literal."""
+    functions, calls = _functions_and_calls(src)
+    constant = []
+    for module, fn in functions:
+        defaults = {id(d) for d in fn.args.defaults + fn.args.kw_defaults if d is not None}
+        callers = calls.get(fn.name, [])
+        if any(isinstance(a, ast.Starred) for c in callers for a in c.args) or any(
+            kw.arg is None for c in callers for kw in c.keywords
+        ):
+            continue
+        bindings = [b for c in callers if (b := _bound(fn, c)) is not None]
+        for name in bindings[0] if bindings else ():
+            values = {ast.dump(b[name]) if isinstance(b[name], ast.Constant) else None for b in bindings}
+            passed = any(id(b[name]) not in defaults for b in bindings)
+            if passed and len(values) == 1 and None not in values:
+                constant.append(f"{module}.{fn.name}({name})")
+    return constant
 
 
 def unused_constants(src: Path) -> list[str]:
@@ -305,6 +363,29 @@ def test_knob_guard_reads_keyword_position_and_star(tmp_path):
         "    return by_keyword(1, c=3) + by_position(1, 2) + by_star(*xs)\n"
     )
     assert unused_knobs(tmp_path) == ["m.by_keyword(b)", "m.by_position(c)"]
+
+
+def test_every_argument_varies():
+    assert constant_arguments(SRC) == []
+
+
+def test_argument_guard_reads_defaults_methods_and_stars(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import uncalled\n")
+    (tmp_path / "m.py").write_text(
+        "def uncalled(a, b='x'):\n    return a + b\n\n"
+        "def one_value(a, var):\n    return a + var\n\n"
+        "def by_default(a, b=1):\n    return a + b\n\n"
+        "def varied(a, b=1):\n    return a + b\n\n"
+        "def never_passed(a, b=1):\n    return a + b\n\n"
+        "def starred(a, b):\n    return a + b\n\n"
+        "def double_starred(a, b):\n    return a + b\n\n"
+        "def method(a, b):\n    return a + b\n\n"
+        "def user(u, v, xs, kw, box):\n"
+        "    return (one_value(u, 'x') + one_value(v, 'x') + by_default(u, 1) + by_default(v)\n"
+        "            + varied(u, 2) + varied(v) + never_passed(u) + starred(u, 1) + starred(*xs)\n"
+        "            + double_starred(u, b=1) + double_starred(u, **kw) + method(u, 1) + box.method(2))\n"
+    )
+    assert constant_arguments(tmp_path) == ["m.one_value(var)", "m.by_default(b)", "m.method(b)"]
 
 
 def test_every_constant_is_read():

@@ -71,7 +71,7 @@ def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
     lambda = 0, ..., deg_x g fix each y-coefficient (Lagrange).
     """
     nodes = range(g.deg_x + 1)
-    values = [resultant_eliminating(f - BiPoly.const(t), g, "x") for t in nodes]
+    values = [resultant_eliminating(f - BiPoly.const(t), g) for t in nodes]
     out = BiPoly.zero()
     for i, r in zip(nodes, values):
         basis = BiPoly.const(1)
@@ -88,7 +88,7 @@ class TestLargeEliminant:
         # degree-115 inputs
         f = P(LARGE_ELIMINANT)
         elim = resultant_eliminating(
-            _resultant_x_with_lambda(f, f.derivative("x")), _resultant_x_with_lambda(f, f.derivative("y")), "x"
+            _resultant_x_with_lambda(f, f.derivative("x")), _resultant_x_with_lambda(f, f.derivative("y"))
         )
         assert elim.degree == 115
         lam = sympy.symbols("lam")
