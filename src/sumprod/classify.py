@@ -15,9 +15,9 @@ absolutely irreducible fiber. By Stein's theorem a non-composite polynomial
 of total degree k has fewer than k reducible fibers f - lambda, so one of k
 distinct fibers is irreducible and certifies it.
 
-A composite f is split by two integer linear systems: the Jacobian kernel
+A composite f is split by one integer linear system: the Jacobian kernel
 {h : f_x h_y = f_y h_x}, built from the primitive integer coefficients of f,
-holds the inner polynomial, and the outer one solves f = sum u_i inner^i.
+holds the inner polynomial, and f = sum u_i inner^i is read off from the top.
 """
 
 from __future__ import annotations
@@ -167,30 +167,32 @@ def _jacobian_kernel(f: BiPoly, d: int) -> list[BiPoly]:
     kernel element of minimal degree is an inner polynomial of f. A
     nonconstant P(g) has deg_x / deg = deg_x g / deg g = deg_x f / deg f, and
     likewise in y, so the unknowns are the monomials of degree <= d in the
-    box i <= d deg_x f / deg f, j <= d deg_y f / deg f.
+    box i <= d deg_x f / deg f, j <= d deg_y f / deg f, less the constant
+    monomial, whose column is empty.
     """
     k = f.total_degree
     top_x, top_y = d * f.deg_x // k, d * f.deg_y // k
-    monomials = [(i, j) for i in range(top_x + 1) for j in range(min(d - i, top_y) + 1)]
-    basis = linalg.nullspace_basis(_jacobian_columns(f, monomials))
-    return [BiPoly(dict(zip(monomials, vec))) for vec in basis]
+    monomials = [(i, j) for i in range(top_x + 1) for j in range(min(d - i, top_y) + 1) if i or j]
+    kernel = linalg.certified_nullspace(_jacobian_columns(f, monomials))
+    return [BiPoly(zip(monomials, w)) * Fraction(1, den) for w, den in zip(kernel.vectors, kernel.denominators)]
 
 
 def _solve_outer(f: BiPoly, g: BiPoly, m: int) -> UniPoly | None:
-    """Solve f = sum u_i g^i for scalar coefficients u_0..u_m, g in Z[x, y].
-
-    The columns are the integer coefficients of the powers of g, and the
-    right-hand side those of f.
-    """
+    """The Q of degree <= m with f = Q(g), or None when there is none: g^i
+    has leading term lt(g)^i and g^j, j < i, lower degree, so u_i, from
+    i = m down, is what f - sum_(j > i) u_j g^j has left at lt(g)^i, over
+    lc(g)^i. f = Q(g) exactly when nothing is left."""
+    (a, b), lead = g.leading_term()
     powers = [BiPoly.const(1)]
     for _ in range(m):
         powers.append(powers[-1] * g)
-    # solved for the numerators of f, so the outer polynomial is sol / f.d
-    sol = linalg.solve_exact([p.n for p in powers], f.n)
-    if sol is None:
-        return None
-    outer = UniPoly(dict(enumerate(sol))) * Fraction(1, f.d)
-    return outer if outer.compose_bi(g) == f else None
+    rest, outer = f, {}
+    for i in range(m, -1, -1):
+        u = rest.coeff(a * i, b * i) / lead**i
+        if u:
+            outer[i] = u
+            rest = rest - powers[i] * u
+    return None if rest else UniPoly(outer)
 
 
 def _split_right(u: UniPoly, s: int) -> tuple[UniPoly, UniPoly] | None:
@@ -283,14 +285,9 @@ def composite_core(f: BiPoly) -> Decomposition | None:
         if common % m or d < 2:
             continue
         kernel = _jacobian_kernel(f, d)
-        inner = None
-        for h in kernel:
-            h = h - BiPoly.const(h.coeff(0, 0))
-            if not h.is_zero:
-                inner = h.normalized()
-                break
-        if inner is None:
+        if not kernel:
             continue
+        inner = kernel[0].normalized()
         if inner.total_degree != d:
             raise CertificationFailed(f"Jacobian kernel element has degree {inner.total_degree}, not {d}")
         outer = _solve_outer(f, inner, m)

@@ -122,19 +122,20 @@ def _resolved_config(args) -> dict:
 def cmd_classify(args) -> int:
     f = load_poly(args.poly)
     oriented, swapped = normalize_orientation(f)
-    payload: dict = {
-        "input": format_bipoly(f),
-        "oriented": format_bipoly(oriented),
-        "swapped": swapped,
-    }
-    lines = [f"polynomial: {format_bipoly(f)}"]
+    # each polynomial is rendered once; an unswapped f is its own orientation
+    text = format_bipoly(f)
+    oriented_text = format_bipoly(oriented) if swapped else text
+    payload: dict = {"input": text, "oriented": oriented_text, "swapped": swapped}
+    lines = [f"polynomial: {text}"]
     if swapped:
-        lines.append(f"oriented:   {format_bipoly(oriented)} (variables swapped)")
+        lines.append(f"oriented:   {oriented_text} (variables swapped)")
     # the verdict carries the decomposition, so is_degenerate runs once
     verdict = is_composite(oriented) if oriented.total_degree >= 2 else None
     dec = verdict.decomposition if verdict is not None else is_degenerate(oriented)
     if dec is not None and dec.degenerate:
-        outer, form = format_unipoly(dec.outer, "t"), format_bipoly(dec.inner)
+        # a linear f is its own linear form
+        form = oriented_text if dec.inner == oriented else format_bipoly(dec.inner)
+        outer = format_unipoly(dec.outer, "t")
         payload["degenerate"] = {"outer": outer, "linear_form": form}
         lines.append(f"degenerate: yes, outer {outer} of linear form {form}")
     else:
@@ -156,11 +157,12 @@ def cmd_classify(args) -> int:
         payload["composite"] = {"verdict": False, "certificate_lambda": lam}
         lines.append(f"composite:  no (fiber at {lam} is absolutely irreducible)")
         # a non-composite f is its own core, with an empty chain
-        payload["decomposition"] = {"core": format_bipoly(oriented), "chain": []}
+        payload["decomposition"] = {"core": oriented_text, "chain": []}
     if dec is not None and not dec.degenerate:
         chain = [format_unipoly(q, "t") for q in dec.chain]
-        payload["decomposition"] = {"core": format_bipoly(dec.inner), "chain": chain}
-        lines.append(f"chain:      {' o '.join(chain)} o ({format_bipoly(dec.inner)})")
+        core = format_bipoly(dec.inner)
+        payload["decomposition"] = {"core": core, "chain": chain}
+        lines.append(f"chain:      {' o '.join(chain)} o ({core})")
     _emit(args, payload, lines)
     return 0
 
@@ -205,8 +207,9 @@ def cmd_incidence(args) -> int:
     # the class-size ceiling only applies off the degenerate/composite cases
     bound = check_class_bound(family, dec is not None)
     histogram = sorted(family.histogram().items())
+    text = format_bipoly(f)
     payload = {
-        "polynomial": format_bipoly(f),
+        "polynomial": text,
         "set": A.provenance,
         "set_size": len(A),
         "removed_rows": [str(b) for b in family.removed_b],
@@ -218,7 +221,7 @@ def cmd_incidence(args) -> int:
         "class_count": bound.class_count,
     }
     lines = [
-        f"polynomial: {format_bipoly(f)}",
+        f"polynomial: {text}",
         f"set: {A.provenance} (|A|={len(A)}, zero rows: {len(family.removed_b)},"
         f" removed points: {report.removed_points})",
         f"points: {report.point_count}  curves: {report.curve_count}  incidences: {report.incidences}",
@@ -263,7 +266,8 @@ def cmd_scan(args) -> int:
         else:
             specs.append(RandomIntSpec(n, lo, hi, args.seed))
     floor = _parse_rat(args.floor) if args.floor else None
-    result = run_scan(f, specs, floor_c=floor, poly_id=format_bipoly(f))
+    text = format_bipoly(f)
+    result = run_scan(f, specs, floor_c=floor, poly_id=text)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "records.csv", "w", newline="") as fh:
@@ -297,7 +301,7 @@ def cmd_scan(args) -> int:
                 ]
             )
     summary = {
-        "poly": format_bipoly(f),
+        "poly": text,
         "family": args.family,
         "sizes": sizes,
         "min_ratio": result.summary.min_ratio_decimal,
@@ -318,7 +322,7 @@ def cmd_scan(args) -> int:
         },
     )
     lines = [
-        f"scan of {format_bipoly(f)} over {args.family} at sizes {sizes}",
+        f"scan of {text} over {args.family} at sizes {sizes}",
         f"min ratio {result.summary.min_ratio_decimal}, "
         f"max ratio {result.summary.max_ratio_decimal}, slope "
         + ("n/a" if result.summary.slope is None else f"{result.summary.slope:.4f}"),

@@ -498,7 +498,7 @@ def _gao_factors(s: BiPoly) -> list[BiPoly]:
         return [s]
     out = []
     for e, _ in pieces:
-        fac = bi_gcd(s, sum((g**k * sx ** (e.degree - k) * v for k, v in e.c.items()), BiPoly.zero()))
+        fac = bi_gcd(s, sum((g**k * sx ** (e.degree - k) * v for k, v in e.n.items()), BiPoly.zero()))
         if fac.is_constant:
             raise CertificationFailed("a factor of the eliminant gave no factor of the fiber")
         out.append(fac)

@@ -52,10 +52,11 @@ at the best profile seen (`_Images`). The modular resultants and gcds of
 interpolate them with `_interpolate_mod` and lift gcds with `_lift`.
 
 `det_in_ring`, the fraction-free (Bareiss) determinant over an integral
-domain, and `scale_rows_to_int`, which scales rational rows to integers,
-have no caller in the package; they are kept only because the benchmark
-tracer looks them up by name. `rref`, Gauss-Jordan over the rationals on
-dense rows, is the reference the tests compare the engine against.
+domain, `scale_rows_to_int`, which scales rational rows to integers, and
+the Fraction wrappers `nullspace_basis` and `solve_exact` have no caller in
+the package; they are kept only because the benchmark tracer looks them up
+by name. `rref`, Gauss-Jordan over the rationals on dense rows, is the
+reference the tests compare the engine against.
 """
 
 from __future__ import annotations

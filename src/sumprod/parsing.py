@@ -11,6 +11,7 @@ ordering (x ahead of y), so formatted output is stable and re-parseable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -81,17 +82,19 @@ def poly_from_json(data) -> BiPoly:
     return BiPoly(terms)
 
 
+def _reduced_terms(f: BiPoly):
+    """(monomial, num, den) for each term of f, graded-lex descending, with
+    num / den its coefficient in lowest terms: one gcd against f.d."""
+    d = f.d
+    for key in sorted(f.n, key=grlex_key, reverse=True):
+        v = f.n[key]
+        g = math.gcd(v, d)
+        yield key, v // g, d // g
+
+
 def poly_to_json(f: BiPoly) -> dict:
     """Structured form with terms in canonical graded-lex order."""
-    terms = []
-    for (i, j) in sorted(f.t, key=grlex_key, reverse=True):
-        c = f.t[(i, j)]
-        terms.append({"i": i, "j": j, "num": c.numerator, "den": c.denominator})
-    return {"terms": terms}
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return {"terms": [{"i": i, "j": j, "num": num, "den": den} for (i, j), num, den in _reduced_terms(f)]}
 
 
 def _format_monomial(i: int, j: int) -> str:
@@ -104,30 +107,27 @@ def _format_monomial(i: int, j: int) -> str:
 
 
 def format_bipoly(f: BiPoly) -> str:
-    """Canonical text rendering, graded-lex descending."""
-    if f.is_zero:
-        return "0"
+    """Canonical text rendering, graded-lex descending; "0" for zero."""
     pieces = []
-    for (i, j) in sorted(f.t, key=grlex_key, reverse=True):
-        c = f.t[(i, j)]
-        mono = _format_monomial(i, j)
-        mag = abs(c)
+    for key, num, den in _reduced_terms(f):
+        mono = _format_monomial(*key)
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = _format_coeff(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = f"{_format_coeff(mag)} {mono}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+            body = f"{mag} {mono}"
+        if pieces:
+            body = f"+ {body}" if num > 0 else f"- {body}"
+        elif num < 0:
+            body = f"-{body}"
+        pieces.append(body)
+    return " ".join(pieces) or "0"
 
 
 def format_unipoly(p: UniPoly, var: str = "x") -> str:
-    f = p.to_bipoly("x")
-    text = format_bipoly(f)
+    text = format_bipoly(p.to_bipoly("x"))
     return text if var == "x" else text.replace("x", var)
 
 

@@ -10,13 +10,8 @@ compare (d, n). The zero polynomial has no numerators, d == 1 and degree
 -1. Values are immutable after construction, so they can be shared freely.
 Term comparisons use graded lexicographic order with x ahead of y.
 
-`UniPoly.c` and `BiPoly.t` are read-only maps to Fraction coefficients,
-built on first use and cached, for parsing, printing, certificates and
-tests. The hot paths read `n` and `d` directly: `scaled_ints`, `primitive`,
-`integer_grid`, `bi_divexact` (division in Z, lex order), `UniPoly.divrem`
-(fraction-free pseudo-division), the modular gcd and resultant below, the
-Ruppert matrix and pencil and `rational_roots` (`factor`), and the Jacobian
-system and outer solve (`classify`).
+`coeff` gives one coefficient as a Fraction; every other reader, the
+printer included, works on `n` and `d` directly.
 
 Resultants in Q[x, y] and gcds in Q[x] and Q[x, y] are modular: they scale
 to Z[x, y], take univariate images mod the 61-bit primes of `linalg` at
@@ -31,7 +26,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from types import MappingProxyType
 from typing import Iterator
 
 from . import linalg
@@ -52,7 +46,7 @@ class _Poly:
     over the denominator `d` (module docstring). Subclasses give the key of
     the constant term, key validation, the leading key and the product."""
 
-    __slots__ = ("n", "d", "_view")
+    __slots__ = ("n", "d")
     _ONE: object
 
     def __init__(self, terms=None):
@@ -80,7 +74,7 @@ class _Poly:
             if g != 1:
                 n = {k: v // g for k, v in n.items()}
                 d //= g
-        self.n, self.d, self._view = n, d, None
+        self.n, self.d = n, d
 
     @classmethod
     def _over(cls, n: dict, d: int = 1):
@@ -93,15 +87,8 @@ class _Poly:
     def _raw(cls, n: dict, d: int = 1):
         """n / d already in lowest terms."""
         p = object.__new__(cls)
-        p.n, p.d, p._view = n, d, None
+        p.n, p.d = n, d
         return p
-
-    def _fractions(self) -> Mapping:
-        view = self._view
-        if view is None:
-            d = self.d
-            view = self._view = MappingProxyType({k: Fraction(v, d) for k, v in self.n.items()})
-        return view
 
     @classmethod
     def zero(cls):
@@ -206,8 +193,6 @@ class UniPoly(_Poly):
         if k < 0:
             raise ValueError("negative degree")
         return k
-
-    c = property(_Poly._fractions, doc="Read-only map degree -> Fraction coefficient.")
 
     @property
     def degree(self) -> int:
@@ -359,8 +344,6 @@ class BiPoly(_Poly):
         if i < 0 or j < 0:
             raise ValueError("negative exponent")
         return i, j
-
-    t = property(_Poly._fractions, doc="Read-only map (i, j) -> Fraction coefficient.")
 
     @classmethod
     def x(cls) -> "BiPoly":

@@ -163,6 +163,37 @@ def reference_parse(text: str) -> dict:
     return {key: c for key, c in summed.items() if c}
 
 
+# the printer `sumprod.parsing.format_bipoly` used while polynomials kept a
+# Fraction view of their coefficients, kept as the reference the
+# differential test compares against; it uses nothing from the package
+def _reference_coeff(c: F) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def reference_format(terms: dict) -> str:
+    """Canonical text of {(i, j): nonzero Fraction}, graded-lex descending."""
+    if not terms:
+        return "0"
+    pieces = []
+    for i, j in sorted(terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True):
+        c = terms[(i, j)]
+        mono = " ".join(
+            [*(["x" if i == 1 else f"x^{i}"] if i else []), *(["y" if j == 1 else f"y^{j}"] if j else [])]
+        )
+        mag = abs(c)
+        if not mono:
+            body = _reference_coeff(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{_reference_coeff(mag)} {mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
 def naive_mul(a: dict, b: dict) -> dict:
     """Dict-of-terms convolution, the expansion oracle."""
     out: dict = {}
@@ -217,8 +248,9 @@ def naive_primitive(a: dict) -> tuple[F, dict]:
     return F(g, L), {k: v // g for k, v in nums.items()}
 
 
-def to_terms(f: BiPoly) -> dict:
-    return dict(f.t)
+def to_terms(f) -> dict:
+    """The coefficients of a `BiPoly` or `UniPoly` as Fractions, by key."""
+    return {k: F(v, f.d) for k, v in f.n.items()}
 
 
 @st.composite
@@ -344,7 +376,7 @@ def curve_key(f: BiPoly, a: F, b: F) -> tuple:
     """Coefficient vector of x -> f(x - a, b), ascending degree, trailing
     zeros dropped."""
     out: dict = {}
-    for (i, j), c in f.t.items():
+    for (i, j), c in to_terms(f).items():
         for k in range(i + 1):
             out[k] = out.get(k, F(0)) + c * b**j * math.comb(i, k) * (-a) ** (i - k)
     deg = max((k for k, v in out.items() if v), default=-1)
@@ -442,7 +474,7 @@ def sympy_factor_multiset(f: BiPoly):
     x, y = sympy.symbols("x y")
     expr = sum(
         sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-        for (i, j), c in f.t.items()
+        for (i, j), c in to_terms(f).items()
     )
     _, facs = sympy.factor_list(sympy.expand(expr))
     out = []
@@ -453,7 +485,7 @@ def sympy_factor_multiset(f: BiPoly):
             for mono, coeff in zip(p.monoms(), p.coeffs())
         }
         out.append((BiPoly(terms).normalized(), int(mult)))
-    return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)))
+    return sorted(out, key=lambda pm: (pm[0].total_degree, sorted(pm[0].n)))
 
 
 # The rank-drop polynomials of a `linalg.Pencil` over Q by sympy. The block
@@ -528,7 +560,7 @@ def projected_spectrum(fiber_pencil) -> tuple | None:
     drops = [d for d in (projected_drop(fiber_pencil.pencil, seed) for seed in (1, 2)) if d is not None]
     if not drops:
         return None
-    common = sympy.gcd_list([sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in d.c.items()) for d in drops])
+    common = sympy.gcd_list([sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in to_terms(d).items()) for d in drops])
     roots = sympy.Poly(common, t).ground_roots()
     drops_rank = [r for r in roots if block.subs(t, r).rank() < block.cols]
     return tuple(sorted(F(int(r.p), int(r.q)) * fiber_pencil.scale for r in drops_rank))

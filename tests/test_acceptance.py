@@ -309,7 +309,7 @@ def test_criterion_7_oracle_equivalence():
         assert mine.verify(f)
         got = sorted(
             ((p, m) for p, m in mine.factors),
-            key=lambda pm: (pm[0].total_degree, sorted(pm[0].t)),
+            key=lambda pm: (pm[0].total_degree, sorted(pm[0].n)),
         )
         assert got == sympy_factor_multiset(f), f
         # grid-search oracle agrees on reducibility over Q

@@ -168,6 +168,33 @@ def test_one_degeneracy_test_per_command(argv, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # swapped and non-composite: the oriented f is also the core
+        ["classify", "--poly", "y^3 + x"],
+        # composite: (x^2 + y)^2 has the core x^2 + y
+        ["classify", "--poly", "x^4 + 2 x^2 y + y^2"],
+        # linear: f is the linear form of its degenerate decomposition
+        ["classify", "--poly", "x + 2 y"],
+        ["incidence", "--poly", "x^3 + x y", "--set", "AP(6,1,1)"],
+        ["scan", "--poly", "x^2 + y", "--family", "AP", "--sizes", "4,8"],
+    ],
+    ids=lambda argv: f"{argv[0]}:{argv[2]}",
+)
+def test_each_polynomial_is_rendered_once(argv, monkeypatch, tmp_path, capsys):
+    # the text of a polynomial serves both the payload and the printed lines
+    rendered = []
+
+    def recording(f):
+        rendered.append(f)
+        return format_bipoly(f)
+
+    monkeypatch.setattr(cli_module, "format_bipoly", recording)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert rendered and len(rendered) == len(set(rendered))
+
+
 class TestSigmaCommand:
     def test_json_report(self, capsys):
         assert main(["sigma", "--poly", "x*y", "--json"]) == 0

@@ -45,6 +45,7 @@ from conftest import (
     sympy_det_monic,
     sympy_factor_multiset,
     sympy_lambda_block,
+    to_terms,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -482,7 +483,7 @@ class TestFiberPencil:
     @settings(max_examples=60, deadline=None)
     def test_scaled_polys_against_reference(self, g, constant, scale, lams):
         # s F with F primitive and s != 1; constant 0 leaves no constant term
-        terms = {m: int(c) for m, c in g.t.items() if m != (0, 0)}
+        terms = {m: int(c) for m, c in to_terms(g).items() if m != (0, 0)}
         if constant:
             terms[(0, 0)] = constant
         content = math.gcd(*terms.values())

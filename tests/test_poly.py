@@ -29,7 +29,8 @@ from sumprod.parsing import parse_poly as P
 
 from conftest import (
     _uni_lagrange, curve_key, grid_rationals, naive_add, naive_derivative, naive_eval, naive_mul, naive_pow, naive_primitive,
-    naive_specialize_y, naive_swap, rational_grid_polys, reference_parse, to_terms, uni_gcd_subresultant,
+    naive_specialize_y, naive_swap, rational_grid_polys, reference_format, reference_parse, to_terms,
+    uni_gcd_subresultant,
 )
 
 
@@ -39,6 +40,19 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # 40 to 45 digits, so that one 61-bit prime cannot carry a result
 huge = st.integers(10**40, 10**45).flatmap(lambda v: st.sampled_from([v, -v]))
 wide_rationals = st.one_of(rationals, huge.map(F), st.tuples(huge, huge.map(abs)).map(lambda nd: F(*nd)))
+# the coefficients a printer treats apart: +-1, +-1/k, and mixed
+# denominators, whose numerators over the common one share factors with it
+printed_coeffs = st.one_of(
+    st.sampled_from([F(1), F(-1)]),
+    st.integers(2, 12).flatmap(lambda k: st.sampled_from([F(1, k), F(-1, k)])),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool),
+)
+# {(i, j): nonzero coefficient}: the zero polynomial, constants, and the rest
+printable_terms = st.one_of(
+    st.just({}),
+    st.dictionaries(st.just((0, 0)), printed_coeffs, min_size=1),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), printed_coeffs, max_size=5),
+)
 
 
 @st.composite
@@ -65,7 +79,7 @@ def eliminant_operands(draw):
 
 
 def to_sympy(f: BiPoly, x, y):
-    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in f.t.items())
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in to_terms(f).items())
 
 
 def from_sympy(expr, x, y) -> BiPoly:
@@ -120,7 +134,7 @@ class TestIntegerCore:
             assert to_terms(f.derivative(var)) == naive_derivative(a, var)
         u = f.specialize_y(b)
         assert_canonical(u)
-        assert dict(u.c) == naive_specialize_y(a, b)
+        assert to_terms(u) == naive_specialize_y(a, b)
         assert_canonical(f.swap())
         assert to_terms(f.swap()) == naive_swap(a)
 
@@ -131,7 +145,7 @@ class TestIntegerCore:
         cols = f.coeffs_in_x()
         for i, col in cols.items():
             assert_canonical(col)
-            assert dict(col.c) == {j: c for (k, j), c in a.items() if k == i}
+            assert to_terms(col) == {j: c for (k, j), c in a.items() if k == i}
         back = sum((col.to_bipoly("y") * BiPoly.x() ** i for i, col in cols.items()), BiPoly.zero())
         assert_canonical(back)
         assert back == f
@@ -325,7 +339,7 @@ class TestResultant:
         det = matrix.domain.to_sympy(matrix.det())
         expected = sympy.Poly(sympy.expand(det), y)
         got = resultant_eliminating(f, g)
-        assert {d: sympy.Rational(c.numerator, c.denominator) for d, c in got.c.items()} == {
+        assert {d: sympy.Rational(c.numerator, c.denominator) for d, c in to_terms(got).items()} == {
             int(k[0]): v for k, v in expected.terms() if v
         }
 
@@ -525,6 +539,20 @@ class TestWireFormats:
             f = parse_poly(text)
             assert parse_poly(format_bipoly(f)) == f
 
+    @given(printable_terms)
+    @settings(max_examples=200)
+    def test_printers_match_the_fraction_reference(self, terms):
+        from sumprod.parsing import format_bipoly, format_unipoly, poly_to_json
+
+        f = BiPoly(terms)
+        assert format_bipoly(f) == reference_format(terms)
+        row = {(i, 0): c for (i, j), c in terms.items() if not j}
+        u = UniPoly({i: c for (i, _), c in row.items()})
+        assert format_unipoly(u, "t") == reference_format(row).replace("x", "t")
+        ordered = sorted(terms.items(), key=lambda kc: (sum(kc[0]), kc[0][0]), reverse=True)
+        expected = [{"i": i, "j": j, "num": c.numerator, "den": c.denominator} for (i, j), c in ordered]
+        assert poly_to_json(f) == {"terms": expected}
+
     def test_whitespace_and_star_insensitive(self):
         assert P(" x ^ 2 y ") == P("x^2*y")
         assert P("3x") == P("3 * x")
@@ -541,7 +569,7 @@ class TestWireFormats:
         ],
     )
     def test_factors_multiply_and_exponents_add(self, text, terms):
-        assert dict(P(text).t) == terms
+        assert to_terms(P(text)) == terms
 
     def test_parse_errors(self):
         from sumprod.parsing import PolyParseError
@@ -577,4 +605,4 @@ class TestWireFormats:
             with pytest.raises(PolyParseError):
                 P(text)
         else:
-            assert dict(P(text).t) == expected
+            assert to_terms(P(text)) == expected

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from sumprod import integers, linalg
 from sumprod.classify import is_composite
 from sumprod.cli import main
-from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, rational_roots
+from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, factor_univariate, rational_roots
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
+    _composed_dimension,
     composite_split,
     rational_critical_values,
     remove_sigma_rows,
@@ -34,6 +35,7 @@ from conftest import (
     naive_image,
     nonconstant_bipolys,
     projected_spectrum,
+    to_terms,
 )
 
 
@@ -78,7 +80,7 @@ def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
         for j in nodes:
             if j != i:
                 basis = basis * BiPoly({(0, 1): F(1, i - j), (0, 0): F(-j, i - j)})
-        out = out + BiPoly({(k, 0): c for k, c in r.c.items()}) * basis
+        out = out + BiPoly({(k, 0): c for k, c in to_terms(r).items()}) * basis
     return out
 
 
@@ -350,6 +352,30 @@ class TestScan:
         with mock.patch("sumprod.spectrum.composite_split", return_value=None):
             assert sigma_scan(FiberPencil(f), lams) == report
         assert all(hit.revalidate(f) for hit in report.found)
+
+    @pytest.mark.parametrize(
+        ("poly", "lam"), [("x^2 + 2 x y + y^2", 2), ("x^4 + 2 x^2 y + y^2", 3), ("x^2 y^2 - 1", -3)]
+    )
+    def test_composed_dimension_by_both_routes(self, poly, lam):
+        f = P(poly)
+        outer, inner, drop = split = composite_split(f)
+        pencil = FiberPencil(f)
+        assert _composed_dimension(split, F(lam), pencil) == 2
+        assert _composed_dimension((outer, inner, outer - lam), F(lam), pencil) == 2
+
+    @given(composites(), st.integers(-4, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_pencil_fallback_agrees_with_the_gcd_shortcut(self, f, lam):
+        # with drop forced to Q - lambda, the gcd is never 1 and the
+        # pencil decides; both must give the deg Q factors g - alpha
+        outer, inner, drop = split = composite_split(f)
+        lam = F(lam)
+        pieces = factor_univariate(outer - lam)[1]
+        assume(len(pieces) == 1 and pieces[0][1] == 1)
+        assume(drop is not None and uni_gcd(outer - lam, drop).degree == 0)
+        pencil = FiberPencil(f)
+        assert _composed_dimension(split, lam, pencil) == outer.degree
+        assert _composed_dimension((outer, inner, outer - lam), lam, pencil) == outer.degree
 
     def test_rank_test_runs_only_on_the_spectrum(self, monkeypatch, capsys):
         # x^3 + y^3 - lambda splits only at 0, the one root of the pencil's drop
