@@ -318,7 +318,8 @@ def cmd_scan(args) -> int:
         {
             "argv_config": _resolved_config(args),
             "set_provenance": [r.provenance for r in result.records],
-            "timings_ms": {r.provenance: r.runtime_ms for r in result.records},
+            "timings_ms": [r.runtime_ms for r in result.records],
+            "count_routes": [dict(zip(("sumset", "image"), r.count_routes)) for r in result.records],
         },
     )
     lines = [

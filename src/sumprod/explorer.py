@@ -20,12 +20,21 @@ length, deg_x + 1. The image is read off the grid of f with x and y swapped
 when deg_y < deg_x (`_image_poly`): D depends on A alone and L and k are the
 same for the swapped polynomial, so S is too, and {S g(a, b)} over A x A with
 g(a, b) = f(b, a) is the same set of integers, from rows of length deg_y + 1.
-`run_scan` builds that grid alone: the sumset depends on A only, and the
-zero rows (`removed_rows`), the b with f(x, b) = 0, are the b in A where the
-x-content of f vanishes (`poly.split_content_x`), found once per scan.
+When g(x, y) = g(y, x), row j is evaluated at the first j + 1 points only.
 
-`generate_set` builds AP, GP and RandomInt sets as integer numerators over
-one denominator, sorts the integers and makes each Fraction once.
+`run_scan` counts on that grid alone, built from the integer numerators
+over one denominator that `generate_set` also starts from (`_numerators`),
+so a scan makes no Fraction per element. The sumset depends on A only, and
+the zero rows (`removed_rows`), the b with f(x, b) = 0, are the b in A
+where the x-content of f vanishes (`poly.split_content_x`), tested in
+integers. A count takes a set while a bound on |value| stays below
+CPython's hash modulus 2^61 - 1, and a sort past it
+(`IntegerGrid.sumset_count`); on a geometric progression a set collides. Measured as CLI
+runs on a shared 2-vCPU VM (Python 3.11, peak RSS of the process): `scan`
+of x^2 + x y + y^2 over GP(ratio 2) at sizes 256, 512, 1024 takes 0.8 s
+and 133 MB (10-15 s on sets), x y over GP(2048) 8.5 s and 670 MB (not done
+after 60 s on sets), and x^2 + x y + y^2 over AP(4096), which hashes,
+3.1 s and 558 MB.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from fractions import Fraction
 
 from .classify import is_degenerate
 from .errors import DegenerateSpec, HypothesisViolated
-from .poly import BiPoly, integer_grid, split_content_x
+from .poly import BiPoly, horner_all, integer_grid, scaled_grid, split_content_x
 
 
 @dataclass(frozen=True)
@@ -95,14 +104,9 @@ class RatSet:
         return iter(self.elements)
 
 
-def _over(nums, den: int) -> list[Fraction]:
-    """The rationals v / den in increasing order (den > 0); the integers are
-    sorted, and each Fraction is made once."""
-    return [Fraction(v, den) for v in sorted(nums)]
-
-
-def generate_set(spec: SetSpec) -> RatSet:
-    """Materialize a generator spec; deterministic for a fixed seed."""
+def _numerators(spec: SetSpec) -> tuple[int, list[int]]:
+    """(D, nums) with the set of `spec` equal to {v / D : v in nums}, nums
+    increasing and gcd(D, *nums) == 1, so D is the lcm of its denominators."""
     if isinstance(spec, ApSpec):
         if spec.n < 1:
             raise DegenerateSpec("need n >= 1")
@@ -112,7 +116,7 @@ def generate_set(spec: SetSpec) -> RatSet:
         D = math.lcm(start.denominator, step.denominator)
         s0 = start.numerator * (D // start.denominator)
         ds = step.numerator * (D // step.denominator)
-        elems = _over((s0 + ds * i for i in range(spec.n)), D)
+        nums = [s0 + ds * i for i in range(spec.n)]
     elif isinstance(spec, GpSpec):
         if spec.n < 1:
             raise DegenerateSpec("need n >= 1")
@@ -123,19 +127,26 @@ def generate_set(spec: SetSpec) -> RatSet:
         # first * (p/q)^i = first.num * p^i * q^(m-i) / (first.den * q^m)
         first, ratio = Fraction(spec.first), Fraction(spec.ratio)
         p, q, m = ratio.numerator, ratio.denominator, spec.n - 1
-        nums = (first.numerator * p**i * q ** (m - i) for i in range(spec.n))
-        elems = _over(nums, first.denominator * q**m)
+        nums = [first.numerator * p**i * q ** (m - i) for i in range(spec.n)]
+        D = first.denominator * q**m
     elif isinstance(spec, RandomIntSpec):
         population = spec.hi - spec.lo + 1
         if spec.n < 1 or population < spec.n:
             raise DegenerateSpec(
                 f"cannot draw {spec.n} distinct integers from [{spec.lo},{spec.hi}]"
             )
-        rng = random.Random(spec.seed)
-        elems = _over(rng.sample(range(spec.lo, spec.hi + 1), spec.n), 1)
+        nums = random.Random(spec.seed).sample(range(spec.lo, spec.hi + 1), spec.n)
+        D = 1
     else:
         raise TypeError(f"unknown spec {spec!r}")
-    return RatSet(tuple(elems), spec.describe())
+    g = math.gcd(D, *nums)
+    return D // g, sorted(v // g for v in nums)
+
+
+def generate_set(spec: SetSpec) -> RatSet:
+    """Materialize a generator spec; deterministic for a fixed seed."""
+    D, nums = _numerators(spec)
+    return RatSet(tuple(Fraction(v, D) for v in nums), spec.describe())
 
 
 def sumset(A: RatSet) -> RatSet:
@@ -170,6 +181,7 @@ class ExperimentRecord:
     removed_rows: int
     runtime_ms: float
     floor_violation: bool
+    count_routes: tuple[str, str]  # "hash" or "sort" for the sumset and the image
 
 
 @dataclass(frozen=True)
@@ -208,15 +220,18 @@ def run_scan(
         raise HypothesisViolated("scan requires a non-degenerate polynomial")
     g = _image_poly(f)
     content = split_content_x(f)[0]
+    k = content.degree
     records = []
     for spec in specs:
         t0 = time.perf_counter()
-        A = generate_set(spec)
-        n = len(A)
-        grid = integer_grid(g, A.elements)
-        s = len(grid.sumset())
-        i = len(grid.image())
-        removed = sum(1 for b in A if not content(b)) if content.degree > 0 else 0
+        D, nums = _numerators(spec)
+        n = len(nums)
+        grid = scaled_grid(g, D, nums)
+        s, sumset_route = grid.sumset_count()
+        i, image_route = grid.image_count()
+        # b = v / D is a zero row when d D^k content(b) = sum_j n_j D^(k-j) v^j is 0
+        scaled_content = tuple(content.n.get(j, 0) * D ** (k - j) for j in range(k + 1))
+        removed = horner_all(scaled_content, nums).count(0)
         product = s * i
         violation = False
         if floor_c is not None:
@@ -226,7 +241,7 @@ def run_scan(
         records.append(
             ExperimentRecord(
                 poly_id=poly_id,
-                provenance=A.provenance,
+                provenance=spec.describe(),
                 n=n,
                 sumset_size=s,
                 image_size=i,
@@ -236,6 +251,7 @@ def run_scan(
                 removed_rows=removed,
                 runtime_ms=(time.perf_counter() - t0) * 1000.0,
                 floor_violation=violation,
+                count_routes=(sumset_route, image_route),
             )
         )
     records.sort(key=lambda r: (r.poly_id, r.n, r.provenance))

@@ -22,10 +22,12 @@ CRT. A gcd in Q[x] is the y-free case of the one in Q[x, y].
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
+from operator import ne
 from typing import Iterator
 
 from . import linalg
@@ -480,44 +482,98 @@ class IntegerGrid:
     increasing bijections: equalities, counts and order carry over exactly.
 
     `image` evaluates each row at all points at once (`horner_all`): one
-    pass over the points per coefficient below the row's leading one. The
-    incidence count evaluates each row at the scaled difference set the same
-    way, and the curve keys row_b(X - D a) of a row are its Taylor shifts by
-    every -D a at once (`shift_all`). D, L
+    pass over the points per coefficient below the row's leading one. When
+    f(x, y) = f(y, x) (`symmetric`), row j is evaluated at points[:j + 1]
+    only, as f(a_i, a_j) = f(a_j, a_i) is already a value of row i; the
+    sumset halves the same way. The incidence count evaluates each row at
+    the scaled difference set, and the curve keys row_b(X - D a) of a row
+    are its Taylor shifts by every -D a at once (`shift_all`). D, L
     and k, hence S, are the same for f and for f with x and y swapped, and
     both range over all of A x A, so the grid of the swapped polynomial has
     the same image; when deg_y < deg_x its rows are the shorter ones.
+
+    `sumset_count` and `image_count` count by one of two exact routes,
+    chosen from a bound on |v| (2 max |point|, `value_bound`), not from the
+    values. CPython hashes an int as its value mod 2^61 - 1
+    (`sys.hash_info.modulus`), where 2 has order 61, so the sums and values
+    of a geometric progression share a few thousand hash buckets. Below the
+    modulus the hash of v is v (-1 and -2 alike), and a set, filled as the
+    values come, counts ("hash"). Otherwise the values go into one list,
+    sorted in place, and the count is one plus its adjacent inequalities
+    ("sort"). Hashing residues modulo another fixed prime would only move
+    the problem: some base has small order modulo any fixed modulus.
     """
 
     D: int
     S: int
     points: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+    symmetric: bool
+    value_bound: int  # at least |S f(a, b)| for a, b in A
 
     def sumset(self) -> set[int]:
         """D * (A + A), from the unordered pairs p_i + p_j with i <= j."""
         pts = self.points
         return {p + q for i, p in enumerate(pts) for q in pts[i:]}
 
+    def _image_rows(self) -> Iterator[list[int]]:
+        pts = self.points
+        if self.symmetric:
+            return (horner_all(row, pts[: j + 1]) for j, row in enumerate(self.rows))
+        return (horner_all(row, pts) for row in self.rows)
+
     def image(self) -> set[int]:
         """S * f(A, A)."""
         out: set[int] = set()
-        for row in self.rows:
-            out.update(horner_all(row, self.points))
+        for vals in self._image_rows():
+            out.update(vals)
         return out
+
+    def sumset_count(self) -> tuple[int, str]:
+        """|A + A| and the route that counted it (class docstring)."""
+        pts = self.points
+        if 2 * max(map(abs, pts), default=0) < _HASH_MODULUS:
+            return len(self.sumset()), "hash"
+        return _count_sorted([p + q for i, p in enumerate(pts) for q in pts[i:]]), "sort"
+
+    def image_count(self) -> tuple[int, str]:
+        """|f(A, A)| and the route that counted it (class docstring)."""
+        if self.value_bound < _HASH_MODULUS:
+            return len(self.image()), "hash"
+        vals: list[int] = []
+        for row_vals in self._image_rows():
+            vals += row_vals
+        return _count_sorted(vals), "sort"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _count_sorted(vals: list[int]) -> int:
+    """Distinct entries of a nonempty list, which it sorts in place."""
+    vals.sort()
+    return 1 + sum(map(ne, vals, islice(vals, 1, None)))
 
 
 def integer_grid(f: BiPoly, A) -> IntegerGrid:
-    """Rescale f and the finite set A to integers (see `IntegerGrid`).
-
-    Row coefficient i is sum_j n_ij D^(k-i-j) (D b)^j, with n_ij = L c_ij the
-    numerators of f, and k - i - j >= 0 for every term.
-    """
+    """Rescale f and the finite set A to integers (see `IntegerGrid`)."""
     A = [_rat(a) for a in A]
     D = math.lcm(*(a.denominator for a in A))
+    return scaled_grid(f, D, [a.numerator * (D // a.denominator) for a in A])
+
+
+def scaled_grid(f: BiPoly, D: int, points) -> IntegerGrid:
+    """The grid of f over A = {p / D : p in points}, D > 0 the lcm of the
+    denominators of A, that is, gcd(D, *points) == 1.
+
+    Row coefficient i is sum_j n_ij D^(k-i-j) (D b)^j, with n_ij = L c_ij the
+    numerators of f, and k - i - j >= 0 for every term. So
+    |S f(a, b)| <= sum |n_ij| D^(k-i-j) P^(i+j), P the largest |point|.
+    """
     k = max(f.total_degree, 0)
     terms = [(i, j, c * D ** (k - i - j)) for (i, j), c in f.n.items()]
-    points = [a.numerator * (D // a.denominator) for a in A]
+    top = max(map(abs, points), default=0)
+    bound = sum(abs(c) * top ** (i + j) for i, j, c in terms)
     width = f.deg_x + 1
     rows = []
     for p in points:
@@ -527,7 +583,7 @@ def integer_grid(f: BiPoly, A) -> IntegerGrid:
         while row and not row[-1]:
             row.pop()
         rows.append(tuple(row))
-    return IntegerGrid(D, f.d * D**k, tuple(points), tuple(rows))
+    return IntegerGrid(D, f.d * D**k, tuple(points), tuple(rows), f == f.swap(), bound)
 
 
 def horner_int(row: tuple[int, ...], x: int) -> int:
@@ -541,13 +597,14 @@ def horner_int(row: tuple[int, ...], x: int) -> int:
 def horner_all(row: tuple[int, ...], xs: tuple[int, ...]) -> list[int]:
     """Values of the ascending integer coefficient row at every x in xs.
 
-    One list pass per coefficient below the leading one; a zero coefficient
-    costs only the multiply.
+    One list pass per coefficient below the leading one, the first of them
+    over xs alone; a zero coefficient costs only the multiply.
     """
-    if not row:
-        return [0] * len(xs)
-    vals = [row[-1]] * len(xs)
-    for c in reversed(row[:-1]):
+    if len(row) < 2:
+        return [row[0] if row else 0] * len(xs)
+    lead, c = row[-1], row[-2]
+    vals = [lead * x + c for x in xs]
+    for c in reversed(row[:-2]):
         vals = [v * x + c for v, x in zip(vals, xs)] if c else [v * x for v, x in zip(vals, xs)]
     return vals
 

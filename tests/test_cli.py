@@ -407,7 +407,25 @@ class TestScanCommand:
         assert summary["violations"] == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["argv_config"]["family"] == "AP"
-        assert "timings_ms" in manifest
+        assert len(manifest["timings_ms"]) == 2
+
+    @pytest.mark.parametrize(
+        "family, route",
+        # GP(8, 1, 2) products stay below 2^14; GP(64, 1, 2) sums reach 2^64
+        [("AP", "hash"), ("GP", "sort")],
+    )
+    def test_manifest_has_one_entry_per_record(self, tmp_path, family, route):
+        # a repeated size gives a repeated provenance, and still its own record
+        code = main(["scan", "--poly", "x*y", "--family", family, "--sizes", "8,64,8", "--out", str(tmp_path)])
+        assert code == 0
+        records = list(csv.DictReader((tmp_path / "records.csv").read_text().splitlines()))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["set_provenance"] == [r["set_kind"] for r in records]
+        assert len(manifest["timings_ms"]) == len(records) == 3
+        assert all(t >= 0 for t in manifest["timings_ms"])
+        assert [r["n"] for r in records] == ["8", "8", "64"]
+        assert manifest["count_routes"][0] == {"sumset": "hash", "image": "hash"}
+        assert manifest["count_routes"][2] == {"sumset": route, "image": route}
 
     def test_degenerate_poly_refused(self, tmp_path, capsys):
         code = main(
@@ -668,3 +686,26 @@ def test_scan_to_1024_ends(tmp_path):
     assert run.returncode == 0, run.stderr
     rows = {r["n"]: r for r in csv.DictReader((tmp_path / "records.csv").read_text().splitlines())}
     assert rows["1024"]["sumset"] == "2047" and rows["1024"]["image"] == "347239"
+
+
+def test_gp_scan_to_1024_ends(tmp_path):
+    # the sums and values of GP(ratio 2) share a few thousand CPython hash
+    # buckets; counted by sorting, with half the image of a symmetric f, the
+    # ladder takes about 0.8 s, against 10-15 s on sets
+    src = str(Path(sumprod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sumprod.cli", "scan", "--poly", "x^2 + x y + y^2", "--family", "GP",
+         "--sizes", "256,512,1024", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=8,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = list(csv.DictReader((tmp_path / "records.csv").read_text().splitlines()))
+    assert [int(r["n"]) for r in rows] == [256, 512, 1024]
+    # 2^i + 2^j and 4^i + 2^(i+j) + 4^j, i <= j, are all distinct
+    for r in rows:
+        n = int(r["n"])
+        assert int(r["sumset"]) == int(r["image"]) == n * (n + 1) // 2

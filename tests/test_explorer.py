@@ -21,17 +21,20 @@ from sumprod.explorer import (
 )
 from sumprod.parsing import parse_poly as P
 
-from sumprod.poly import BiPoly
+from sumprod.poly import BiPoly, integer_grid
 
 from conftest import (
     CORPUS_EVAL,
     grid_rationals,
+    naive_add,
     naive_eval,
     naive_image,
     naive_sumset,
+    naive_swap,
     naive_zero_row,
     rational_grid_polys,
     rational_sets,
+    to_terms,
 )
 
 
@@ -226,3 +229,98 @@ class TestRationalSets:
             assert rec.sumset_size == len(naive_sumset(A))
             assert rec.image_size == len(naive_image(lambda a, b: naive_eval(terms, a, b), A))
             assert rec.removed_rows == sum(naive_zero_row(terms, b) for b in A)
+
+
+# sqrt(2^61 - 1) is about 1518500249.99, and CPython hashes an int below
+# 2^61 - 1 in absolute value as itself (-1 as -2)
+SQRT_HASH_MODULUS = 1518500249
+
+
+@st.composite
+def scan_specs(draw):
+    """A spec of up to 8 elements: an AP or a GP of ratio 2, 3, -2, 1/2 or
+    3/2 from a rational start, possibly negative, random integers, or an AP
+    whose sums or products lie on both sides of 2^61."""
+    kind = draw(st.sampled_from(["AP", "GP", "random", "large"]))
+    n = draw(st.integers(1, 8))
+    if kind == "AP":
+        return ApSpec(n, draw(grid_rationals), draw(grid_rationals.filter(bool)))
+    if kind == "GP":
+        ratio = draw(st.sampled_from([F(2), F(3), F(-2), F(1, 2), F(3, 2)]))
+        return GpSpec(n, draw(grid_rationals.filter(bool)), ratio)
+    if kind == "random":
+        lo = draw(st.integers(-40, 40))
+        return RandomIntSpec(n, lo, lo + draw(st.integers(n - 1, 60)), draw(st.integers(0, 10**6)))
+    start = draw(st.sampled_from([2**60 - 4, SQRT_HASH_MODULUS - 4, -(2**60), 2**40]))
+    return ApSpec(n, F(start + draw(st.integers(-4, 4))), F(draw(st.sampled_from([1, -1, 3]))))
+
+
+@st.composite
+def scan_polys(draw):
+    """Terms of f with deg_x f from 1 to 4 and deg_y f <= 2, made symmetric
+    (f(x, y) + f(y, x)) one draw in three."""
+    dx = draw(st.integers(1, 4))
+    coeffs = st.integers(-3, 3).filter(bool) | grid_rationals.filter(bool)
+    exps = st.tuples(st.integers(0, dx), st.integers(0, 2))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+    terms[(dx, draw(st.integers(0, 2)))] = draw(coeffs)
+    if draw(st.integers(0, 2)) == 0:
+        terms = naive_add(terms, naive_swap(terms))
+    return terms
+
+
+class TestCountRoutes:
+    """Both counting routes against the double loops of `conftest`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_polys(), scan_specs())
+    # -1 and -2 hash alike: both are sums of {-2, -1, 0, 1} and values of x y there
+    @example({(1, 1): F(1)}, RandomIntSpec(4, -2, 1, 0))
+    @example({(2, 0): F(1), (1, 1): F(1), (0, 2): F(1)}, GpSpec(8, F(1, 3), F(-2)))
+    def test_counts_match_naive_evaluators(self, terms, spec):
+        f = BiPoly(terms)
+        assume(not f.is_constant and is_degenerate(f) is None)
+        rec = run_scan(f, [spec]).records[0]
+        A = generate_set(spec).elements
+        assert rec.sumset_size == len(naive_sumset(A))
+        assert rec.image_size == len(naive_image(lambda a, b: naive_eval(terms, a, b), A))
+        assert rec.removed_rows == sum(naive_zero_row(terms, b) for b in A)
+
+    @pytest.mark.parametrize(
+        "text, spec, routes",
+        [
+            ("x y", ApSpec(8, F(1), F(1)), ("hash", "hash")),
+            # products from below 2^61 - 1 to above it, sums far below
+            ("x y", ApSpec(8, F(SQRT_HASH_MODULUS - 4), F(1)), ("hash", "sort")),
+            # sums from 2^61 - 8 to 2^61 + 6
+            ("x^2 + x y + y^2", ApSpec(8, F(2**60 - 4), F(1)), ("sort", "sort")),
+            ("x^3 + x y", GpSpec(64, F(1), F(2)), ("sort", "sort")),
+        ],
+    )
+    def test_route_follows_the_bound(self, text, spec, routes):
+        rec = run_scan(P(text), [spec]).records[0]
+        assert rec.count_routes == routes
+        A = generate_set(spec).elements
+        assert rec.sumset_size == len(naive_sumset(A))
+        assert rec.image_size == len(naive_image(CORPUS_EVAL[text], A))
+
+
+class TestSymmetricImage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["x y", "x^2 + x y + y^2", "x^2 y^2 + 1"]), rational_sets())
+    def test_half_image_is_the_image(self, text, A):
+        f = P(text)
+        grid = integer_grid(f, A)
+        assert grid.symmetric
+        full = naive_image(lambda a, b: naive_eval(to_terms(f), a, b), A)
+        assert {F(v, grid.S) for v in grid.image()} == full
+        assert grid.image_count()[0] == len(full)
+
+    def test_asymmetric_f_is_not_halved(self):
+        f = P("x^3 + x y")
+        A = generate_set(RandomIntSpec(9, -20, 20, 4)).elements
+        full = naive_image(CORPUS_EVAL["x^3 + x y"], A)
+        for g in (f, f.swap()):
+            grid = integer_grid(g, A)
+            assert not grid.symmetric
+            assert {F(v, grid.S) for v in grid.image()} == full
