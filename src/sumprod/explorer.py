@@ -10,9 +10,10 @@ rescaling (`poly.integer_grid`): D * A + D * A = D * (A + A) with D the lcm of
 the denominators of A, and S * f(a, b) = row_b(D * a) with S = L * D^k, L the
 lcm of f's coefficient denominators and k its total degree. Both maps
 a -> D * a and v -> S * v are increasing bijections, so sizes, equalities and
-order are those over Q. `IntegerGrid.sumset` and `IntegerGrid.image` give
-the scaled sets; `sumset` and `image_set` divide back once per element, and
-`run_scan` only counts.
+order are those over Q. `IntegerGrid.sumset_values` and
+`IntegerGrid.image_values` give the scaled values; `sumset` and `image_set`
+order the distinct ones (`poly.sorted_distinct`) and divide back once per
+element, and `run_scan` only counts.
 
 `IntegerGrid.image` evaluates a row at all of D * A in one batched pass per
 coefficient (`poly.horner_all`), so the work per row follows the row's
@@ -27,14 +28,16 @@ over one denominator that `generate_set` also starts from (`_numerators`),
 so a scan makes no Fraction per element. The sumset depends on A only, and
 the zero rows (`removed_rows`), the b with f(x, b) = 0, are the b in A
 where the x-content of f vanishes (`poly.split_content_x`), tested in
-integers. A count takes a set while a bound on |value| stays below
-CPython's hash modulus 2^61 - 1, and a sort past it
-(`IntegerGrid.sumset_count`); on a geometric progression a set collides. Measured as CLI
-runs on a shared 2-vCPU VM (Python 3.11, peak RSS of the process): `scan`
-of x^2 + x y + y^2 over GP(ratio 2) at sizes 256, 512, 1024 takes 0.8 s
-and 133 MB (10-15 s on sets), x y over GP(2048) 8.5 s and 670 MB (not done
-after 60 s on sets), and x^2 + x y + y^2 over AP(4096), which hashes,
-3.1 s and 558 MB.
+integers. A count, like `sumset` and `image_set`, takes a set while a
+bound on |value| stays below CPython's hash modulus 2^61 - 1, and a sort
+past it (`IntegerGrid`); on a geometric progression a set collides.
+Measured as CLI runs on a shared 2-vCPU VM (Python 3.11, peak RSS of the
+process): `scan` of x^2 + x y + y^2 over GP(ratio 2) at sizes 256, 512,
+1024 takes 0.8 s and 133 MB (10-15 s on sets), x y over GP(2048) 8.5 s and
+670 MB (not done after 60 s on sets), and x^2 + x y + y^2 over AP(4096),
+which hashes, 3.1 s and 558 MB. In process, `sumset` of GP(512, 1, 2)
+takes 0.26 s on the sort route (0.54 s on a set), most of it making the
+131,328 Fractions it returns.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from fractions import Fraction
 
 from .classify import is_degenerate
 from .errors import DegenerateSpec, HypothesisViolated
-from .poly import BiPoly, horner_all, integer_grid, scaled_grid, split_content_x
+from .poly import BiPoly, horner_all, integer_grid, scaled_grid, sorted_distinct, split_content_x
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ def generate_set(spec: SetSpec) -> RatSet:
 
 def sumset(A: RatSet) -> RatSet:
     grid = integer_grid(BiPoly.x(), A.elements)
-    vals = sorted(grid.sumset())
+    vals = sorted_distinct(*grid.sumset_values())
     return RatSet(tuple(Fraction(v, grid.D) for v in vals), f"sumset({A.provenance})")
 
 
@@ -164,7 +167,7 @@ def _image_poly(f: BiPoly) -> BiPoly:
 def image_set(f: BiPoly, A: RatSet) -> RatSet:
     """All values f(a, a') over ordered pairs from A."""
     grid = integer_grid(_image_poly(f), A.elements)
-    vals = sorted(grid.image())
+    vals = sorted_distinct(*grid.image_values())
     return RatSet(tuple(Fraction(v, grid.S) for v in vals), f"image({A.provenance})")
 
 

@@ -122,13 +122,14 @@ by Gao's method at its own, lower degree.
 `factor_rational` first splits off the monomial content of f and its
 contents pure in y and in x, each factored as a univariate polynomial, so
 Gao's method only sees the rest, primitive in both variables. Univariate
-polynomials, and E, lose their linear factors to the p-adic
-root finder, which factors no integer, and are then factored by Kronecker's
-method, interpolation through divisor tuples of integer evaluations. It is
-exponential, and its divisor lists factor integers, so a hard degree cap
-(and an internal search budget) turns pathological inputs into a clear
-error instead of a hang. Every returned factorization is certified by
-re-expansion before it leaves this module.
+polynomials, and E, lose their linear factors to the p-adic root finder,
+which factors no integer and takes a squarefree part only when Mahler's
+bound on the discriminant shows one is needed (`rational_roots`), and are
+then factored by Kronecker's method, interpolation through divisor tuples
+of integer evaluations. It is exponential, and its divisor lists factor
+integers, so a hard degree cap (and an internal search budget) turns
+pathological inputs into a clear error instead of a hang. Every returned
+factorization is certified by re-expansion before it leaves this module.
 """
 
 from __future__ import annotations
@@ -263,17 +264,23 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     factored.
 
     Let q = q_0 + ... + q_d x^d be p made primitive in Z[x], with a factor
-    x^v (so the root 0 when v > 0) divided out, and replaced by its
-    squarefree part unless it is squarefree modulo the least prime not
-    dividing q_d. A root n/den in lowest terms has n | q_0 and den | q_d
-    (Gauss), so q_d n/den is an integer of absolute value at most
-    |q_0 q_d|. Take the least prime l that divides neither q_d nor the
-    discriminant, that is with q mod l squarefree of degree d. Every
-    rational root reduces to a simple root of q mod l, and Newton's
+    x^v (so the root 0 when v > 0) divided out. A root n/den in lowest terms
+    has n | q_0 and den | q_d (Gauss), so q_d n/den is an integer of absolute
+    value at most |q_0 q_d|. Take the least prime l that divides neither q_d
+    nor the discriminant of q, that is with q mod l squarefree of degree d.
+    Every rational root reduces to a simple root of q mod l, and Newton's
     iteration lifts that root to the only l-adic root above it. Once
     l^e > 2 |q_0 q_d|, the symmetric residue of q_d times the lifted root
     mod l^e is the only integer candidate for q_d n/den, and the candidate
     is kept when q vanishes at it exactly.
+
+    The primes not dividing q_d are tried in increasing order. Each one at
+    which q is not squarefree divides disc q, and |disc q| <=
+    d^d (sum q_i^2)^(d - 1) (Mahler 1964). So once the product of those
+    primes exceeds that bound, disc q = 0: q has a repeated factor and is
+    replaced by its squarefree part, which some prime then keeps squarefree.
+    A q that is squarefree over Q, such as q t^2 - n whose discriminant 4 q n
+    the prime 2 divides, thus never takes a gcd.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -282,11 +289,18 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     q = _ascending(ints)
     if len(q) == 1:
         return roots
-    ell = next(ell for ell in _small_primes() if q[-1] % ell)
-    if not _squarefree_mod(q, ell):
-        # q has a repeated factor, or ell divides its discriminant
-        q = _ascending(uni_squarefree_part(p).primitive()[0].n)
-        ell = next(ell for ell in _small_primes() if q[-1] % ell and _squarefree_mod(q, ell))
+    d = len(q) - 1
+    mahler, failed = d**d * sum(c * c for c in q) ** (d - 1), 1
+    for ell in _small_primes():
+        if q[-1] % ell:
+            if _squarefree_mod(q, ell):
+                break
+            failed *= ell
+            if failed > mahler:
+                # the failed primes divide disc q, so disc q = 0
+                q = _ascending(uni_squarefree_part(p).primitive()[0].n)
+                ell = next(ell for ell in _small_primes() if q[-1] % ell and _squarefree_mod(q, ell))
+                break
     lead, bound = q[-1], 2 * abs(q[0] * q[-1])
     deriv = [k * c for k, c in enumerate(q)][1:]
     for r in range(ell):
@@ -633,7 +647,7 @@ class FiberPencil:
         # leaves the solutions that vanish there, one fewer for every fiber
         drop = next(k for k, w in enumerate(grad) if w)
         self.pencil = linalg.Pencil(columns[:drop] + columns[drop + 1 :], ones[:drop] + ones[drop + 1 :])
-        self._dimensions: dict[Fraction, int] = {}
+        self._dimensions: dict[tuple[int, int], int] = {}  # by (numerator, denominator) of lambda
 
     @cached_property
     def drop(self) -> UniPoly | None:
@@ -649,11 +663,21 @@ class FiberPencil:
         return UniPoly({k: Fraction(v, den * self.scale**k) for k, v in enumerate(nums) if v})
 
     @cached_property
+    def split(self):
+        """(Q, g, drop) with f = Q(g) and deg Q >= 2, or None when f is not
+        composite (`spectrum.composite_split`)."""
+        from .spectrum import composite_split  # spectrum imports this module
+
+        return composite_split(self.f)
+
+    @cached_property
     def spectrum(self) -> tuple[Fraction, ...] | None:
         """Every rational lambda with f - lambda reducible over C: the
         rational roots of `drop` whose certified dimension is at least 2;
-        None when the pencil gives no such list."""
-        if self.drop is None:
+        None when the pencil gives no such list. A composite f has none, as
+        every fiber is reducible: once `split` has found f composite, `drop`
+        is not computed."""
+        if self.__dict__.get("split") is not None or self.drop is None:
             return None
         return tuple(lam for lam in rational_roots(self.drop) if self.dimension(lam) >= 2)
 
@@ -661,10 +685,11 @@ class FiberPencil:
         """Ruppert/Gao dimension of f - lambda, for a bivariate f, kept per
         lambda."""
         lam = Fraction(lam)
-        if lam not in self._dimensions:
+        key = lam.numerator, lam.denominator
+        if key not in self._dimensions:
             t = lam / self.scale
-            self._dimensions[lam] = 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
-        return self._dimensions[lam]
+            self._dimensions[key] = 1 + len(self.pencil.B) - self.pencil.rank(t.numerator, t.denominator)
+        return self._dimensions[key]
 
     def witness(self, lam: Fraction | int) -> AbsReducibleWitness | None:
         """The certificate that f - lambda factors over the complex numbers,

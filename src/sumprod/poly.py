@@ -26,7 +26,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import compress, count, islice
 from operator import ne
 from typing import Iterator
 
@@ -492,16 +492,19 @@ class IntegerGrid:
     both range over all of A x A, so the grid of the swapped polynomial has
     the same image; when deg_y < deg_x its rows are the shorter ones.
 
-    `sumset_count` and `image_count` count by one of two exact routes,
+    `sumset_values` and `image_values` take one of two exact routes,
     chosen from a bound on |v| (2 max |point|, `value_bound`), not from the
     values. CPython hashes an int as its value mod 2^61 - 1
     (`sys.hash_info.modulus`), where 2 has order 61, so the sums and values
     of a geometric progression share a few thousand hash buckets. Below the
     modulus the hash of v is v (-1 and -2 alike), and a set, filled as the
-    values come, counts ("hash"). Otherwise the values go into one list,
-    sorted in place, and the count is one plus its adjacent inequalities
-    ("sort"). Hashing residues modulo another fixed prime would only move
-    the problem: some base has small order modulo any fixed modulus.
+    values come, holds the distinct values ("hash"). Otherwise every value
+    goes into one list ("sort"), which is sorted in place: the count is one
+    plus its adjacent inequalities (`sumset_count`, `image_count`), and the
+    distinct values are the entries that differ from the one before
+    (`sorted_distinct`). Hashing residues modulo another fixed prime would
+    only move the problem: some base has small order modulo any fixed
+    modulus.
     """
 
     D: int
@@ -529,30 +532,59 @@ class IntegerGrid:
             out.update(vals)
         return out
 
-    def sumset_count(self) -> tuple[int, str]:
-        """|A + A| and the route that counted it (class docstring)."""
+    def sumset_values(self) -> tuple[set[int] | list[int], str]:
+        """The values of D * (A + A) by the route the bound picks (class
+        docstring): the set of them ("hash") or the list of every sum
+        p_i + p_j with i <= j ("sort")."""
         pts = self.points
         if 2 * max(map(abs, pts), default=0) < _HASH_MODULUS:
-            return len(self.sumset()), "hash"
-        return _count_sorted([p + q for i, p in enumerate(pts) for q in pts[i:]]), "sort"
+            return self.sumset(), "hash"
+        return [p + q for i, p in enumerate(pts) for q in pts[i:]], "sort"
 
-    def image_count(self) -> tuple[int, str]:
-        """|f(A, A)| and the route that counted it (class docstring)."""
+    def image_values(self) -> tuple[set[int] | list[int], str]:
+        """The values of S * f(A, A) by the route the bound picks, as
+        `sumset_values` gives them."""
         if self.value_bound < _HASH_MODULUS:
-            return len(self.image()), "hash"
+            return self.image(), "hash"
         vals: list[int] = []
         for row_vals in self._image_rows():
             vals += row_vals
-        return _count_sorted(vals), "sort"
+        return vals, "sort"
+
+    def sumset_count(self) -> tuple[int, str]:
+        """|A + A| and the route that counted it (class docstring)."""
+        return _count(*self.sumset_values())
+
+    def image_count(self) -> tuple[int, str]:
+        """|f(A, A)| and the route that counted it (class docstring)."""
+        return _count(*self.image_values())
 
 
 _HASH_MODULUS = sys.hash_info.modulus
 
 
-def _count_sorted(vals: list[int]) -> int:
-    """Distinct entries of a nonempty list, which it sorts in place."""
+def _sort_marking_new(vals: list[int]) -> Iterator[bool]:
+    """Sort the list in place; then, for each entry after the first, whether
+    it differs from the one before, that is, starts a new distinct value."""
     vals.sort()
-    return 1 + sum(map(ne, vals, islice(vals, 1, None)))
+    return map(ne, islice(vals, 1, None), vals)
+
+
+def _count(vals: set[int] | list[int], route: str) -> tuple[int, str]:
+    """The number of distinct values of an `IntegerGrid` route, and the
+    route; a "sort" list is nonempty, and sorted in place on the way."""
+    if route == "hash":
+        return len(vals), route
+    return 1 + sum(_sort_marking_new(vals)), route
+
+
+def sorted_distinct(vals: set[int] | list[int], route: str) -> list[int]:
+    """The distinct values of an `IntegerGrid` route in increasing order; a
+    "sort" list is sorted in place on the way."""
+    if route == "hash":
+        return sorted(vals)
+    new = _sort_marking_new(vals)
+    return vals[:1] + list(compress(islice(vals, 1, None), new))
 
 
 def integer_grid(f: BiPoly, A) -> IntegerGrid:

@@ -14,6 +14,13 @@ loses rank everywhere, as it does when every fiber is reducible (composite
 or univariate f), there is no finite list and the candidates are the sweep
 and the user values.
 
+A bivariate f within the degree cap is decomposed first, once per
+command (`fiber_split`): when f = Q(g) is composite its spectrum is never
+computed, since the pencil would give it up at its second prime, and its
+candidates are the sweep and the user values. Only an f that is not
+composite, or is over the cap, has its spectrum read. Candidate lists are
+deduplicated and ordered on integer keys (`ordered_distinct`).
+
 The scan then decides reducibility of every candidate fiber with a
 certificate; the fibers of a composite f = Q(g) are factored through
 Q - lambda (`composite_split`, `factor.factor_composed`). Membership of a
@@ -28,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .classify import decompose
 from .errors import CertificationFailed, ConstantPolynomial, HypothesisViolated
@@ -124,12 +131,27 @@ def coprime_pairs(height: int) -> Iterator[tuple[int, int]]:
                 yield n, q
 
 
+def ordered_distinct(values) -> list[Fraction]:
+    """The distinct values, ints or Fractions, as Fractions in increasing
+    order; a Fraction is returned as given, not rebuilt.
+
+    A value n/d in lowest terms is keyed by the integer n (M // d), M the
+    lcm of the denominators: an increasing injection, so equal keys are
+    equal values and the key order is the value order. No Fraction is
+    hashed or compared.
+    """
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    M = lcm(*(v.denominator for v in values))
+    by_key = {v.numerator * (M // v.denominator): v for v in values}
+    return [by_key[key] for key in sorted(by_key)]
+
+
 def sweep_candidates(height: int = DEFAULT_SWEEP_HEIGHT) -> list[Fraction]:
     """All reduced p/q with |p| <= height and 1 <= q <= height, plus zero."""
     out = [Fraction(0)]
     for n, q in coprime_pairs(height):
         out += Fraction(n, q), Fraction(-n, q)
-    return sorted(out)
+    return ordered_distinct(out)
 
 
 def sigma_candidates(
@@ -141,10 +163,7 @@ def sigma_candidates(
     one (`rational_critical_values`), small-height sweep, user values."""
     if pencil.f.is_constant:
         raise ConstantPolynomial("candidates need a nonconstant polynomial")
-    cands = set(sweep_candidates(sweep_height))
-    cands.update(Fraction(v) for v in extra)
-    cands.update(rational_critical_values(pencil) or ())
-    return sorted(cands)
+    return ordered_distinct([*sweep_candidates(sweep_height), *extra, *(rational_critical_values(pencil) or ())])
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +184,16 @@ def composite_split(f: BiPoly) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
     if dec is None:
         return None
     return dec.outer, dec.inner, UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
+
+
+def fiber_split(pencil: FiberPencil, cap: int = DEFAULT_DEGREE_CAP) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
+    """The `composite_split` of f = `pencil.f`, kept on the pencil
+    (`FiberPencil.split`), when f is bivariate of total degree 2 to `cap`;
+    None otherwise, and then f is not decomposed. A composite f has no
+    spectrum, so splitting it first spares the rank-drop polynomial of its
+    pencil, which every reducible fiber gives up."""
+    k = pencil.f.total_degree
+    return pencil.split if not pencil.univariate and 2 <= k <= cap else None
 
 
 def _composed_dimension(split, lam: Fraction, pencil: FiberPencil) -> int:
@@ -194,22 +223,24 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
     spectrum, a candidate outside it is absolutely irreducible and skipped;
     a candidate in it has its dimension already certified on the pencil.
 
-    A bivariate f without a spectrum within the degree cap is split once as
-    f = Q(g) (`composite_split`) when it is composite. Every fiber
-    Q(g) - lambda is then reducible over C and is factored through
-    Q - lambda (`factor.factor_composed`), with no call on the pencil unless
-    that factorization has one piece (`_composed_dimension`).
+    A bivariate f within the degree cap is split once as f = Q(g)
+    (`fiber_split`) before its spectrum is read; a composite f has none.
+    Every fiber Q(g) - lambda is then reducible over C and is factored
+    through Q - lambda (`factor.factor_composed`), with no call on the
+    pencil unless that factorization has one piece (`_composed_dimension`).
+    An f over the cap is not decomposed: its first reducible fiber exceeds
+    the cap when it is factored.
     """
     f = pencil.f
     k = f.total_degree
     if k < 2:
         raise HypothesisViolated("scan needs total degree >= 2")
-    lams = sorted(set(map(Fraction, candidates)))
+    lams = ordered_distinct(candidates)
     hits = []
+    split = fiber_split(pencil, cap)
     spectrum = pencil.spectrum
-    split = None
-    if spectrum is None and not pencil.univariate and k <= cap:
-        split = composite_split(f)
+    if spectrum is not None:
+        on_spectrum = {(v.numerator, v.denominator) for v in spectrum}
     for lam in lams:
         if split is not None:
             outer, core, drop = split
@@ -217,7 +248,7 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
             witness = None
         else:
             # off the spectrum f - lambda is absolutely irreducible
-            if spectrum is not None and lam not in spectrum:
+            if spectrum is not None and (lam.numerator, lam.denominator) not in on_spectrum:
                 continue
             witness = pencil.witness(lam)
             if witness is None:
@@ -235,7 +266,7 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
         found=tuple(hits),
         candidate_count=len(lams),
         stein_bound_respected=len(hits) < k,
-        candidates_complete=spectrum is not None and set(spectrum) <= set(lams),
+        candidates_complete=spectrum is not None and len(ordered_distinct([*lams, *spectrum])) == len(lams),
     )
 
 

@@ -8,6 +8,7 @@ tests are either frozen from these oracles or recomputed by them in place.
 
 import math
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +55,27 @@ LARGE_ELIMINANT = "x^5 + x^3 y^3 + x^3 y + x^3 + x^2 y^2 + x y^4 + x y + y^5 + y
 @pytest.fixture
 def P():
     return parse_poly
+
+
+@pytest.fixture
+def refuse_in_package(monkeypatch):
+    """A function (attrs, what) that makes each name in `attrs`, wherever a
+    package module holds it, raise RuntimeError(what); a name `Class.method`
+    makes that method of the class raise. Undone when the test ends."""
+
+    def refuse_all(attrs, what):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(what)
+
+        for name, module in list(sys.modules.items()):
+            if name == "sumprod" or name.startswith("sumprod."):
+                for attr in attrs:
+                    owner_name, _, leaf = attr.rpartition(".")
+                    owner = getattr(module, owner_name, None) if owner_name else module
+                    if owner is not None and hasattr(owner, leaf):
+                        monkeypatch.setattr(owner, leaf, refuse)
+
+    return refuse_all
 
 
 # the recursive-descent parser `sumprod.parsing` used before its one-pattern

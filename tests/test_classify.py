@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumprod
-from sumprod import classify, linalg
+from sumprod import linalg
 from sumprod.classify import (
     _jacobian_columns,
     _jacobian_kernel,
@@ -172,13 +172,6 @@ def _fiber_route(f: BiPoly, lams) -> list[bool]:
     return [pencil.witness(lam) is not None for lam in lams]
 
 
-def _refuse_pencil(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("is_composite built a fiber pencil")
-
-    monkeypatch.setattr(classify, "FiberPencil", refuse)
-
-
 # the composites of the benchmark's classify items, (outer coefficients, inner)
 BENCH_COMPOSITES = [
     ([0, 1, 1], "x + y^3 - 2 y"),
@@ -194,9 +187,9 @@ DEGENERATE_CUBICS = [([1, 2, 0, 1], "x + 2 y"), ([-1, -2, 0, 1], "-x + 2 y"), ([
 
 class TestCompositeFromDecomposition:
     @pytest.mark.parametrize(("outer", "inner"), BENCH_COMPOSITES + DEGENERATE_CUBICS)
-    def test_verdict_needs_no_fiber_test(self, outer, inner, monkeypatch):
+    def test_verdict_needs_no_fiber_test(self, outer, inner, refuse_in_package):
         f = BiPoly(_naive_compose(outer, to_terms(P(inner))))
-        _refuse_pencil(monkeypatch)
+        refuse_in_package(("FiberPencil",), "is_composite built a fiber pencil")
         verdict = is_composite(f)
         k = f.total_degree
         assert verdict.composite and not verdict.univariate

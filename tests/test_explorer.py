@@ -304,6 +304,25 @@ class TestCountRoutes:
         assert rec.sumset_size == len(naive_sumset(A))
         assert rec.image_size == len(naive_image(CORPUS_EVAL[text], A))
 
+    @settings(max_examples=100, deadline=None)
+    @given(scan_polys(), scan_specs())
+    def test_sets_match_naive_evaluators(self, terms, spec):
+        # `sumset` and `image_set` order the values of either route
+        f = BiPoly(terms)
+        assume(not f.is_constant)
+        A = generate_set(spec)
+        assert sumset(A).elements == tuple(sorted(naive_sumset(A.elements)))
+        image = naive_image(lambda a, b: naive_eval(terms, a, b), A.elements)
+        assert image_set(f, A).elements == tuple(sorted(image))
+
+    def test_gp_sets_take_the_sort_route(self, refuse_in_package):
+        # GP(512, 1, 2) has sums and products up to 2^1022: no set is built
+        refuse_in_package(("IntegerGrid.sumset", "IntegerGrid.image"), "a GP(512) set was hashed")
+        n = 512
+        A = generate_set(GpSpec(n, F(1), F(2)))
+        assert len(sumset(A)) == n * (n + 1) // 2
+        assert image_set(P("x y"), A).elements == tuple(F(2**k) for k in range(2 * n - 1))
+
 
 class TestSymmetricImage:
     @settings(max_examples=60, deadline=None)

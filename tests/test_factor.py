@@ -9,6 +9,7 @@ import textwrap
 from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -198,6 +199,53 @@ class TestRationalRoots:
         p = UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in poly.terms()})
         expected = sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots())
         assert rational_roots(p) == expected
+
+    @pytest.mark.parametrize(("q", "n"), [(1, F(3, 7)), (49, 9), (7, 3), (1, 2), (5, F(-1, 3))])
+    def test_squarefree_quadratic_takes_no_gcd(self, q, n, refuse_in_package):
+        # 2 divides the discriminant 4 q n of q t^2 - n, and a prime a little
+        # larger does not
+        refuse_in_package(("uni_squarefree_part",), "rational_roots took a squarefree part")
+        p = UniPoly({2: q, 0: -n})
+        assert rational_roots(p) == _rational_square_roots(F(n, q))
+
+    @given(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 3)), min_size=1, max_size=4, unique_by=lambda t: t[0]),
+        st.integers(-40, 40),
+        st.integers(1, 9),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gcd_only_for_a_repeated_factor(self, shifts, n0, den, zero_mult, cofactor):
+        # roots (n0 + c P) / den, P the product of the primes up to 23, times
+        # t^2 + P: each of those primes divides the discriminant of the
+        # squarefree part, so the root finder works past all of them; it
+        # takes a squarefree part exactly when q = p / t^v has a repeated
+        # factor, and finds sympy's roots either way
+        import sympy
+
+        primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+        x = sympy.symbols("x")
+        expr = x**zero_mult * (x**2 + primorial if cofactor else 1)
+        for c, mult in shifts:
+            expr *= (den * x - (n0 + c * primorial)) ** mult
+        poly = sympy.Poly(sympy.expand(expr), x)
+        low = min(k for (k,), _ in poly.terms())
+        q = sympy.Poly(sympy.expand(expr / x**low), x)
+        repeated = q.degree() >= 2 and sympy.discriminant(q) == 0
+        p = UniPoly({k: F(int(c.p), int(c.q)) for (k,), c in poly.terms()})
+        with mock.patch.object(factor, "uni_squarefree_part", wraps=factor.uni_squarefree_part) as sqf:
+            roots = rational_roots(p)
+        assert roots == sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots())
+        assert sqf.call_count == repeated
+
+
+def _rational_square_roots(r: F) -> list[F]:
+    """The rational s with s^2 = r, by integer square roots."""
+    if r < 0:
+        return []
+    a, b = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    return [F(-a, b), F(a, b)] if a * a == r.numerator and b * b == r.denominator else []
 
 
 class TestFactorUnivariate:

@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -245,54 +244,51 @@ def test_outputs_match_golden(case, argv, writes, tmp_path):
     assert digests == GOLDEN[case]
 
 
-def _refuse_in_package(monkeypatch, attrs, what):
-    """Make each name in `attrs`, wherever a package module holds it, raise."""
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError(what)
-
-    for name, module in list(sys.modules.items()):
-        if name == "sumprod" or name.startswith("sumprod."):
-            for attr in attrs:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
-
-
-def test_incidence_needs_no_factorization(monkeypatch, tmp_path):
+def test_incidence_needs_no_factorization(refuse_in_package, tmp_path):
     # incidence only asks whether f - lambda is reducible; it factors nothing
     # and never runs the sigma scan, so both may fail without changing a byte
-    _refuse_in_package(monkeypatch, ("factor_rational", "sigma_scan"), "incidence called a certificate builder")
+    refuse_in_package(("factor_rational", "sigma_scan"), "incidence called a certificate builder")
     case, argv, writes = next(c for c in CORPUS if c[0] == "incidence-sigma-rows")
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0
     assert digests == GOLDEN[case]
 
 
-def test_linear_core_fibers_need_no_bivariate_factorization(monkeypatch, tmp_path):
+def test_linear_core_fibers_need_no_bivariate_factorization(refuse_in_package, tmp_path):
     # every fiber of Q(x - y) is a product of the linear pieces q(x - y),
     # irreducible over Q for q irreducible, so Gao's method never runs
-    _refuse_in_package(monkeypatch, ("factor_rational",), "sigma factored a fiber of Q(x - y) by Gao")
+    refuse_in_package(("factor_rational",), "sigma factored a fiber of Q(x - y) by Gao")
     case, argv, writes = next(c for c in CORPUS if c[0] == "sigma-linear-core")
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0
     assert digests == GOLDEN[case]
 
 
-def test_degree_cap_comes_before_the_decomposition(monkeypatch, capsys):
+def test_degree_cap_comes_before_the_decomposition(refuse_in_package, capsys):
     # (x^3 + y)^3 is over the default cap, so sigma stops there and never
     # looks for its core
-    _refuse_in_package(monkeypatch, ("composite_split", "composite_core", "is_degenerate"), "sigma decomposed")
+    refuse_in_package(("composite_split", "composite_core", "is_degenerate"), "sigma decomposed")
     assert main(["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"]) == 3
     assert capsys.readouterr().err == "degree cap exceeded: total degree 9 exceeds cap 8\n"
 
 
+@pytest.mark.parametrize("case", ["sigma-linear-core", "incidence-cubed-core"])
+def test_composite_needs_no_rank_drop_polynomial(case, refuse_in_package, tmp_path):
+    # a composite f has every fiber reducible, hence no spectrum: sigma (in
+    # the degree cap) and incidence decompose f first and never ask its
+    # pencil for the rank-drop polynomial; the core x - y has none either
+    refuse_in_package(("Pencil.drop_polynomial",), "a composite's pencil computed its rank-drop polynomial")
+    argv, writes = next((a, w) for c, a, w in CORPUS if c == case)
+    code, digests = run_case(argv, writes, tmp_path / "out")
+    assert code == 0
+    assert digests == GOLDEN[case]
+
+
 @pytest.mark.parametrize("case", ["incidence-sigma-rows-rational", "incidence-sweep-1-rational"])
-def test_incidence_builds_no_candidate_list(case, monkeypatch, tmp_path):
+def test_incidence_builds_no_candidate_list(case, refuse_in_package, tmp_path):
     # incidence reads its sweep off the grid in integers, so the Fraction
     # candidate lists may fail without changing a byte
-    _refuse_in_package(
-        monkeypatch, ("sweep_candidates", "sigma_candidates"), "incidence built a Fraction candidate list"
-    )
+    refuse_in_package(("sweep_candidates", "sigma_candidates"), "incidence built a Fraction candidate list")
     argv, writes = next((a, w) for c, a, w in CORPUS if c == case)
     code, digests = run_case(argv, writes, tmp_path / "out")
     assert code == 0

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumprod import integers, linalg
+from sumprod import integers, linalg, spectrum
 from sumprod.classify import is_composite
 from sumprod.cli import main
 from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, factor_univariate, rational_roots
@@ -18,6 +18,8 @@ from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
     _composed_dimension,
     composite_split,
+    fiber_split,
+    ordered_distinct,
     rational_critical_values,
     remove_sigma_rows,
     sigma_candidates,
@@ -63,6 +65,26 @@ class TestCandidates:
     def test_sweep_matches_fraction_oracle(self):
         for height in range(8):
             assert sweep_candidates(height) == fraction_sweep(height)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(10**6), 10**6),
+                st.fractions(max_denominator=12),
+                # large coprime denominators, whose lcm runs to hundreds of bits
+                st.builds(F, st.integers(-(10**40), 10**40), st.sampled_from([10**9 + 7, 10**9 + 9, 2**61 - 1, 3**40])),
+            ),
+            max_size=40,
+        ).flatmap(lambda xs: st.permutations(xs + xs[: len(xs) // 3] + [0, F(0)])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ordering_matches_sorted_fractions(self, xs):
+        out = ordered_distinct(xs)
+        assert out == sorted(set(map(F, xs)))
+        assert all(type(v) is F for v in out)
+        # given Fractions are kept, not rebuilt
+        fractions = [F(x) for x in xs]
+        assert all(any(v is x for x in fractions) for v in ordered_distinct(fractions))
 
 
 def _resultant_x_with_lambda(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -352,6 +374,43 @@ class TestScan:
         with mock.patch("sumprod.spectrum.composite_split", return_value=None):
             assert sigma_scan(FiberPencil(f), lams) == report
         assert all(hit.revalidate(f) for hit in report.found)
+
+    @given(composites())
+    @settings(max_examples=15, deadline=None)
+    def test_in_cap_composite_pencil_gives_no_drop(self, f):
+        # split first, f's own pencil is never asked for its rank-drop
+        # polynomial (the core's may be); the report is the one built with
+        # the spectrum read first, which a composite does not have
+        asked = []
+        drop_polynomial = linalg.Pencil.drop_polynomial
+
+        def recording(self):
+            asked.append(self)
+            return drop_polynomial(self)
+
+        with mock.patch.object(linalg.Pencil, "drop_polynomial", recording):
+            pencil = FiberPencil(f)
+            assert fiber_split(pencil) is not None
+            report = sigma_scan(pencil, sigma_candidates(pencil))
+        assert not any(p is pencil.pencil for p in asked)
+        spectrum_first = FiberPencil(f)
+        assert spectrum_first.spectrum is None
+        assert sigma_scan(spectrum_first, sigma_candidates(spectrum_first)) == report
+
+    def test_composite_is_decomposed_once(self, monkeypatch):
+        f = P("x^4 + 2 x^2 y + x^2 + y^2 + y")
+        decomposed = []
+        split = spectrum.composite_split
+        monkeypatch.setattr(spectrum, "composite_split", lambda f: decomposed.append(f) or split(f))
+        pencil = FiberPencil(f)
+        for _ in range(2):
+            assert fiber_split(pencil)[1] == P("x^2 + y")
+        sigma_scan(pencil, sigma_candidates(pencil))
+        assert decomposed == [f]
+
+    def test_over_the_cap_is_not_decomposed(self, refuse_in_package):
+        refuse_in_package(("composite_split",), "an f over the cap was decomposed")
+        assert fiber_split(FiberPencil(P("x^2 + 2 x y + y^2")), cap=1) is None
 
     @pytest.mark.parametrize(
         ("poly", "lam"), [("x^2 + 2 x y + y^2", 2), ("x^4 + 2 x^2 y + y^2", 3), ("x^2 y^2 - 1", -3)]
