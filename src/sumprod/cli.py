@@ -167,14 +167,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _sweep_height(args) -> int:
-    if args.sweep_height < 0:
-        raise ValueError(f"--sweep-height must be >= 0, got {args.sweep_height}")
-    return args.sweep_height
+def _nonnegative(value: int, option: str) -> int:
+    if value < 0:
+        raise ValueError(f"{option} must be >= 0, got {value}")
+    return value
 
 
 def cmd_sigma(args) -> int:
-    height = _sweep_height(args)
+    height = _nonnegative(args.sweep_height, "--sweep-height")
+    _nonnegative(args.degree_cap, "--degree-cap")
     f = load_poly(args.poly)
     extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
     pencil = FiberPencil(f)
@@ -197,7 +198,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    height = _sweep_height(args)
+    height = _nonnegative(args.sweep_height, "--sweep-height")
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
     pencil = FiberPencil(f)

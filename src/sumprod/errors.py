@@ -9,8 +9,9 @@ class DegreeCapExceeded(SumprodError):
     """Raised when a factorization request exceeds the configured degree cap.
 
     The one exponential step of factorization is the univariate Kronecker
-    search (on contents and on the Gao eliminant); the cap, and that search's
-    budget, turn a silent slowdown there into an explicit failure.
+    search (on contents, on f(x, 1) for a homogeneous rest and on the Gao
+    eliminant); the cap, and that search's budget, turn a silent slowdown
+    there into an explicit failure.
     """
 
 

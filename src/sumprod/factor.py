@@ -120,12 +120,23 @@ reducible, so gcd(q_j, drop) = 1 suffices. Every other q_j(g) is factored
 by Gao's method at its own, lower degree.
 
 `factor_rational` first splits off the monomial content of f and its
-contents pure in y and in x, each factored as a univariate polynomial, so
-Gao's method only sees the rest, primitive in both variables. Univariate
-polynomials, and E, lose their linear factors to the p-adic root finder,
-which factors no integer and takes a squarefree part only when Mahler's
-bound on the discriminant shows one is needed (`rational_roots`), and are
-then factored by Kronecker's method, interpolation through divisor tuples
+contents pure in y and in x, each factored as a univariate polynomial. The
+rest F is primitive in both variables. When F is homogeneous of total
+degree k >= 2 it is factored through u(x) = F(x, 1), with no nullspace:
+F has no factor x or y, so its terms x^k and y^k are both present and
+F = y^k u(x/y) with deg u = k and u(0) != 0. Every factor of a homogeneous
+polynomial is homogeneous: for F = G H the lowest-degree homogeneous parts
+multiply to a nonzero part of F, as do the highest, so their degrees add up
+to k both times, and G and H each have a single degree. So each factor of F
+over Q is y^e q(x/y) for a factor q of u of degree e, and F factors over Q
+exactly as u does, each q homogenised back to y^e q(x/y) with its
+multiplicity. Every other rest, a linear one included, goes to Gao's
+method.
+
+Univariate polynomials, F(x, 1) and E lose their linear factors to the
+p-adic root finder, which factors no integer and takes a squarefree part
+only when Mahler's bound on the discriminant shows one is needed
+(`rational_roots`), and are then factored by Kronecker's method, interpolation through divisor tuples
 of integer evaluations. It is exponential, and its divisor lists factor
 integers, so a hard degree cap (and an internal search budget) turns
 pathological inputs into a clear error instead of a hang. Every returned
@@ -522,6 +533,14 @@ def _gao_factors(s: BiPoly) -> list[BiPoly]:
 def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
     """Complete factorization of f into factors irreducible over Q.
 
+    The monomial content and the contents pure in y and in x are split off
+    and factored as univariate polynomials. A rest F homogeneous of total
+    degree k >= 2 has the terms x^k and y^k, so F = y^k u(x/y) for
+    u(x) = F(x, 1) of degree k with u(0) != 0; the factors of a homogeneous
+    polynomial are homogeneous, so F factors over Q as u does, each factor q
+    of u homogenised to y^(deg q) q(x/y). Any other rest is split by Gao's
+    method (module docstring).
+
     Raises DegreeCapExceeded when the total degree is above `cap`, or when the
     univariate Kronecker search, which is exponential, runs out of budget.
     """
@@ -545,8 +564,13 @@ def factor_rational(f: BiPoly, cap: int = DEFAULT_DEGREE_CAP) -> FactorList:
         s, pieces = factor_univariate(cont)
         scale *= s
         factors += [(q.to_bipoly(var), m) for q, m in pieces]
-    # the rest is primitive in both variables, and Gao's method splits it
-    if not prim.is_constant:
+    # the rest is primitive in both variables: a homogeneous one of degree
+    # k >= 2 factors as prim(x, 1), and Gao's method splits any other
+    if prim.total_degree >= 2 and len({i + j for i, j in prim.n}) == 1:
+        s, pieces = factor_univariate(prim.specialize_y(1))
+        factors += [(BiPoly({(i, q.degree - i): q.coeff(i) for i in q.n}), m) for q, m in pieces]
+        prim = BiPoly.const(s)
+    elif not prim.is_constant:
         for fac in _gao_factors(squarefree_part(prim)):
             mult = 0
             while (q := bi_divexact(prim, fac)) is not None:

@@ -246,6 +246,19 @@ class TestSigmaCommand:
         err = capsys.readouterr().err
         assert err == f"factor budget exceeded: rho budget exceeded for {n}\n"
 
+    def test_homogeneous_sextic_ends_with_its_one_fiber(self, capsys):
+        # irreducible over Q, it factors through f(x, 1); through Gao's
+        # eliminant the fiber at 0 exhausted Kronecker's search budget (exit 3)
+        poly = "-4 x^6 - x^5 y + 3 x^4 y^2 - 3 x^2 y^4 + 4 x y^5 - 2 y^6"
+        assert main(["sigma", "--poly", poly, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["found"] == [{"certificate": {"kind": "absolute-nullspace", "value": 6}, "lambda": "0"}]
+        assert data["candidates_complete"] is True
+
+    def test_negative_degree_cap_is_a_usage_error(self, capsys):
+        assert main(["sigma", "--poly", "x^2 + y^2", "--degree-cap", "-1"]) == 2
+        assert capsys.readouterr().err == "invalid input: --degree-cap must be >= 0, got -1\n"
+
 
 class TestIncidenceCommand:
     def test_histogram_written(self, tmp_path, capsys):

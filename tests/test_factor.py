@@ -51,6 +51,17 @@ from conftest import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# homogeneous forms, factored through f(x, 1); the sextic is irreducible over
+# Q, and through Gao's eliminant it exhausted Kronecker's search budget
+_HOMOGENEOUS = [
+    "x^3 + y^3",
+    "x^4 - y^4",
+    "2 x^3 - 3 x^2 y + y^3",  # (x - y)^2 (2 x + y)
+    "6 x^3 y^2 - 6 x y^4",  # monomial content x y^2
+    "-4 x^6 - x^5 y + 3 x^4 y^2 - 3 x^2 y^4 + 4 x y^5 - 2 y^6",
+]
+_HOMOGENEOUS_IDS = ["sum_of_cubes", "difference_of_fourths", "repeated_line", "monomial_content", "sextic"]
+
 
 @st.composite
 def one_variable(draw, var: str) -> BiPoly:
@@ -366,6 +377,37 @@ class TestFactorRational:
         assert seen
         for s in seen:
             assert split_content_x(s)[0].degree == 0 and split_content_x(s.swap())[0].degree == 0, s
+
+    @pytest.mark.parametrize("text", _HOMOGENEOUS, ids=_HOMOGENEOUS_IDS)
+    def test_homogeneous_matches_sympy(self, text):
+        f = P(text)
+        fl = factor_rational(f)
+        assert fl.verify(f)
+        assert dict(fl.factors) == dict(sympy_factor_multiset(f))
+
+    # (x^2 + 1)(x^3 + y^3): the rest after the content x^2 + 1 is homogeneous
+    @pytest.mark.parametrize("text", _HOMOGENEOUS + ["x^5 + x^2 y^3 + x^3 + y^3", "x^2 + 2 x y + y^2"])
+    def test_homogeneous_rest_never_reaches_gao(self, text, refuse_in_package):
+        refuse_in_package(("_gao_factors",), "a homogeneous rest went to Gao's method")
+        f = P(text)
+        assert factor_rational(f).verify(f)
+
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(2, 8).flatmap(lambda k: st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_homogeneous_times_monomial_matches_sympy(self, c, a, b, coeffs):
+        # c x^a y^b F for F = sum_i coeffs[i] x^i y^(k - i) homogeneous of degree k
+        k = len(coeffs) - 1
+        F = BiPoly({(i, k - i): v for i, v in enumerate(coeffs)})
+        assume(not F.is_zero)
+        f = BiPoly({(a, b): c}) * F
+        fl = factor_rational(f, cap=f.total_degree)
+        assert fl.verify(f)
+        assert dict(fl.factors) == dict(sympy_factor_multiset(f))
 
     def test_degree_cap(self):
         f = P("x^5 + y") * P("x^4 + y")
