@@ -136,11 +136,12 @@ method.
 Univariate polynomials, F(x, 1) and E lose their linear factors to the
 p-adic root finder, which factors no integer and takes a squarefree part
 only when Mahler's bound on the discriminant shows one is needed
-(`rational_roots`), and are then factored by Kronecker's method, interpolation through divisor tuples
-of integer evaluations. It is exponential, and its divisor lists factor
-integers, so a hard degree cap (and an internal search budget) turns
-pathological inputs into a clear error instead of a hang. Every returned
-factorization is certified by re-expansion before it leaves this module.
+(`rational_roots`), and are then factored by Kronecker's method,
+interpolation through divisor tuples of integer evaluations. It is
+exponential, and its divisor lists factor integers, so a hard degree cap
+(and an internal search budget) turns pathological inputs into a clear
+error instead of a hang. Every returned factorization is certified by
+re-expansion before it leaves this module.
 """
 
 from __future__ import annotations
