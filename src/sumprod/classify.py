@@ -246,7 +246,7 @@ def decompose_chain(u: UniPoly) -> list[UniPoly]:
 def recompose(chain: Sequence[UniPoly], core: BiPoly) -> BiPoly:
     acc = core
     for q in reversed(chain):
-        acc = q.compose_bi(acc)
+        acc = q.compose(acc)
     return acc
 
 

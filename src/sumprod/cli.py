@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import decompose, is_composite, is_degenerate, normalize_orientation
+from .classify import is_composite, is_degenerate, normalize_orientation
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, SumprodError
 from .explorer import (
     ApSpec,
@@ -39,7 +39,7 @@ from .explorer import (
 from .factor import DEFAULT_DEGREE_CAP, FiberPencil
 from .geometry import check_class_bound, incidence_report
 from .parsing import PolyParseError, format_bipoly, format_unipoly, load_poly
-from .spectrum import DEFAULT_SWEEP_HEIGHT, fiber_split, rational_critical_values, sigma_candidates, sigma_scan
+from .spectrum import DEFAULT_SWEEP_HEIGHT, rational_critical_values, sigma_candidates, sigma_scan
 
 _SPEC_RE = re.compile(r"^(ap|gp|randomint|random)\(([^)]*)\)$", re.IGNORECASE)
 
@@ -179,9 +179,6 @@ def cmd_sigma(args) -> int:
     f = load_poly(args.poly)
     extra = tuple(_parse_rat(v) for v in args.extra_candidates.split(",") if v)
     pencil = FiberPencil(f)
-    # an in-cap composite is split before its candidates are built, so the
-    # spectrum it does not have is never computed
-    fiber_split(pencil, args.degree_cap)
     cands = sigma_candidates(pencil, extra=extra, sweep_height=height)
     report = sigma_scan(pencil, cands, cap=args.degree_cap)
     payload = report.to_dict()
@@ -202,11 +199,9 @@ def cmd_incidence(args) -> int:
     f = load_poly(args.poly)
     A = load_set(args.set, args.seed)
     pencil = FiberPencil(f)
-    dec = decompose(f)
-    # of total degree >= 2, an f with a decomposition is composite: every
-    # fiber is reducible, and there is no spectrum to read
-    spectrum = () if dec is not None and f.total_degree >= 2 else rational_critical_values(pencil) or ()
-    report, family = incidence_report(pencil, A.elements, spectrum, height)
+    dec = pencil.decomposition
+    # a composite or one-variable f has no spectrum (None)
+    report, family = incidence_report(pencil, A.elements, rational_critical_values(pencil) or (), height)
     # a degenerate f is reported as degenerate only, not as composite
     degenerate = dec is not None and dec.degenerate
     composite = dec is not None and not dec.degenerate

@@ -595,7 +595,7 @@ def factor_composed(
     constant, pieces = factor_univariate(outer)
     factors = []
     for q, m in pieces:
-        piece = q.compose_bi(inner)
+        piece = q.compose(inner)
         if drop is not None and uni_gcd(q, drop).degree == 0:
             factors.append((piece, m))
             continue
@@ -688,21 +688,21 @@ class FiberPencil:
         return UniPoly({k: Fraction(v, den * self.scale**k) for k, v in enumerate(nums) if v})
 
     @cached_property
-    def split(self):
-        """(Q, g, drop) with f = Q(g) and deg Q >= 2, or None when f is not
-        composite (`spectrum.composite_split`)."""
-        from .spectrum import composite_split  # spectrum imports this module
+    def decomposition(self):
+        """`classify.decompose(f)`: f = Q(g) over a linear form or over its
+        core, or None when f has no such decomposition."""
+        from .classify import decompose  # classify imports this module
 
-        return composite_split(self.f)
+        return decompose(self.f)
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...] | None:
         """Every rational lambda with f - lambda reducible over C: the
         rational roots of `drop` whose certified dimension is at least 2;
-        None when the pencil gives no such list. A composite f has none, as
-        every fiber is reducible: once `split` has found f composite, `drop`
-        is not computed."""
-        if self.__dict__.get("split") is not None or self.drop is None:
+        None when the pencil gives no such list. An f of total degree >= 2
+        with a `decomposition` is composite and has none (every fiber is
+        reducible), so its `drop` is never computed, whatever asks first."""
+        if (self.f.total_degree >= 2 and self.decomposition is not None) or self.drop is None:
             return None
         return tuple(lam for lam in rational_roots(self.drop) if self.dimension(lam) >= 2)
 

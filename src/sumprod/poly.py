@@ -319,8 +319,6 @@ class UniPoly(_Poly):
             res = res * inner + self.n.get(k, 0)
         return res._scale(Fraction(1, self.d))
 
-    compose_bi = compose
-
     def to_bipoly(self, var: str = "x") -> "BiPoly":
         if var == "x":
             return BiPoly._raw({(k, 0): v for k, v in self.n.items()}, self.d)

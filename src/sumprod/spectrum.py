@@ -14,20 +14,19 @@ loses rank everywhere, as it does when every fiber is reducible (composite
 or univariate f), there is no finite list and the candidates are the sweep
 and the user values.
 
-A bivariate f within the degree cap is decomposed first, once per
-command (`fiber_split`): when f = Q(g) is composite its spectrum is never
-computed, since the pencil would give it up at its second prime, and its
-candidates are the sweep and the user values. Only an f that is not
-composite, or is over the cap, has its spectrum read. Candidate lists are
-deduplicated and ordered on integer keys (`ordered_distinct`).
+An f that decomposes as f = Q(g) (`FiberPencil.decomposition`, read once
+per pencil) has no spectrum, whatever asks first: every fiber is reducible,
+so its rank-drop polynomial is never computed, and its candidates are the
+sweep and the user values. Candidate lists are deduplicated and ordered on
+integer keys (`ordered_distinct`).
 
 The scan then decides reducibility of every candidate fiber with a
-certificate; the fibers of a composite f = Q(g) are factored through
-Q - lambda (`composite_split`, `factor.factor_composed`). Membership of a
-tested lambda is certified either way. The report is `candidates_complete`
-when the candidates held the spectrum, so that its hits are every rational
-lambda with a reducible fiber; completeness over all complex lambda is not
-claimed.
+certificate; the fibers of a bivariate composite f = Q(g) within the
+degree cap are factored through Q - lambda (`factor.factor_composed`).
+Membership of a tested lambda is certified either way. The report is
+`candidates_complete` when the candidates held the spectrum, so that its
+hits are every rational lambda with a reducible fiber; completeness over
+all complex lambda is not claimed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .classify import decompose
 from .errors import CertificationFailed, ConstantPolynomial, HypothesisViolated
 from .factor import (
     AbsReducibleWitness,
@@ -47,6 +45,7 @@ from .factor import (
     factor_composed,
     factor_rational,
 )
+from .parsing import format_bipoly
 from .poly import BiPoly, UniPoly, uni_gcd
 
 DEFAULT_SWEEP_HEIGHT = 5
@@ -98,8 +97,6 @@ class SigmaReport:
 
 
 def _certificate_summary(cert) -> dict:
-    from .parsing import format_bipoly
-
     if isinstance(cert, FactorList):
         return {
             "kind": "rational-factorization",
@@ -170,43 +167,18 @@ def sigma_candidates(
 # scan
 
 
-def composite_split(f: BiPoly) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
-    """(Q, g, drop) with f = Q(g), deg Q >= 2, and `drop` vanishing at every
-    complex lambda with g - lambda reducible over C (None when the pencil of
-    g gives no such polynomial); None when f, bivariate, has no inner g of
-    lower degree (f is not composite).
+def _composed_dimension(outer: UniPoly, drop: UniPoly | None, lam: Fraction, pencil: FiberPencil) -> int:
+    """Ruppert dimension of the fiber outer(g) - lambda of f = outer(g) =
+    `pencil.f`, for `drop` vanishing at every complex alpha with g - alpha
+    reducible over C (None when there is none), when the factorization of
+    the fiber has one piece, so that outer - lambda is irreducible over Q
+    and hence squarefree.
 
-    Q and g are the outer and inner of the `decompose` decomposition. A
-    linear form has no reducible fiber (x -> x + c y is an automorphism of
-    Q[x, y]), so its `drop` is the constant 1.
+    When gcd(outer - lambda, drop) = 1, no root alpha of outer - lambda has
+    g - alpha reducible over C: the fiber is a product of deg outer coprime
+    absolutely irreducible g - alpha, and its dimension is that count
+    (Ruppert). Else the pencil decides.
     """
-    dec = decompose(f)
-    if dec is None:
-        return None
-    return dec.outer, dec.inner, UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
-
-
-def fiber_split(pencil: FiberPencil, cap: int = DEFAULT_DEGREE_CAP) -> tuple[UniPoly, BiPoly, UniPoly | None] | None:
-    """The `composite_split` of f = `pencil.f`, kept on the pencil
-    (`FiberPencil.split`), when f is bivariate of total degree 2 to `cap`;
-    None otherwise, and then f is not decomposed. A composite f has no
-    spectrum, so splitting it first spares the rank-drop polynomial of its
-    pencil, which every reducible fiber gives up."""
-    k = pencil.f.total_degree
-    return pencil.split if not pencil.univariate and 2 <= k <= cap else None
-
-
-def _composed_dimension(split, lam: Fraction, pencil: FiberPencil) -> int:
-    """Ruppert dimension of the fiber Q(g) - lambda of a `composite_split`
-    (Q, g, drop) whose factorization has one piece, so that Q - lambda is
-    irreducible over Q and hence squarefree.
-
-    When gcd(Q - lambda, drop) = 1, no root alpha of Q - lambda has g - alpha
-    reducible over C: the fiber is a product of deg Q coprime absolutely
-    irreducible g - alpha, and its dimension is that count (Ruppert). Else
-    the pencil decides.
-    """
-    outer, _, drop = split
     if drop is not None and uni_gcd(outer - lam, drop).degree == 0:
         return outer.degree
     count = pencil.dimension(lam)
@@ -223,13 +195,14 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
     spectrum, a candidate outside it is absolutely irreducible and skipped;
     a candidate in it has its dimension already certified on the pencil.
 
-    A bivariate f within the degree cap is split once as f = Q(g)
-    (`fiber_split`) before its spectrum is read; a composite f has none.
-    Every fiber Q(g) - lambda is then reducible over C and is factored
-    through Q - lambda (`factor.factor_composed`), with no call on the
-    pencil unless that factorization has one piece (`_composed_dimension`).
-    An f over the cap is not decomposed: its first reducible fiber exceeds
-    the cap when it is factored.
+    A composite f = Q(g) (`FiberPencil.decomposition`) has no spectrum.
+    When f is bivariate and within the degree cap, every fiber
+    Q(g) - lambda is factored through Q - lambda
+    (`factor.factor_composed`), with the rank-drop polynomial of g computed
+    once and no call on f's pencil unless that factorization has one piece
+    (`_composed_dimension`). An f over the cap takes the route of a
+    non-composite: its first reducible fiber exceeds the cap when it is
+    factored.
     """
     f = pencil.f
     k = f.total_degree
@@ -237,14 +210,18 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
         raise HypothesisViolated("scan needs total degree >= 2")
     lams = ordered_distinct(candidates)
     hits = []
-    split = fiber_split(pencil, cap)
     spectrum = pencil.spectrum
-    if spectrum is not None:
+    dec = pencil.decomposition if not pencil.univariate and k <= cap else None
+    if dec is not None:
+        outer = dec.outer
+        # a linear form has no reducible fiber (x -> x + c y is an
+        # automorphism of Q[x, y])
+        drop = UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
+    elif spectrum is not None:
         on_spectrum = {(v.numerator, v.denominator) for v in spectrum}
     for lam in lams:
-        if split is not None:
-            outer, core, drop = split
-            factorization = factor_composed(f - BiPoly.const(lam), outer - lam, core, drop, cap=cap)
+        if dec is not None:
+            factorization = factor_composed(f - BiPoly.const(lam), outer - lam, dec.inner, drop, cap=cap)
             witness = None
         else:
             # off the spectrum f - lambda is absolutely irreducible
@@ -259,7 +236,7 @@ def sigma_scan(pencil: FiberPencil, candidates: list[Fraction], cap: int = DEFAU
             factorization = factor_rational(f - BiPoly.const(lam), cap=cap)
         cert: FactorList | AbsReducibleWitness = factorization
         if factorization.nontrivial_pieces() < 2:
-            cert = witness or AbsReducibleWitness("nullspace", _composed_dimension(split, lam, pencil))
+            cert = witness or AbsReducibleWitness("nullspace", _composed_dimension(outer, drop, lam, pencil))
         hits.append(SigmaHit(lam, cert))
     return SigmaReport(
         degree_k=k,

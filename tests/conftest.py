@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from sumprod import BiPoly, UniPoly
+from sumprod import BiPoly, FiberPencil, UniPoly
 from sumprod.parsing import parse_poly
 
 
@@ -331,12 +331,21 @@ def composites(draw):
     deg = draw(st.integers(2, min(3, 8 // g.total_degree)))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1))
     assume(coeffs[-1])
-    return UniPoly(dict(enumerate(coeffs))).compose_bi(g)
+    return UniPoly(dict(enumerate(coeffs))).compose(g)
+
+
+def composed_parts(f: BiPoly) -> tuple:
+    """(outer, core, drop) of a composite f = outer(core), read off
+    `FiberPencil(f).decomposition`: `drop` vanishes at every complex alpha
+    with core - alpha reducible over C, and is the constant 1 for a linear
+    core, as in `spectrum.sigma_scan`. Input construction, not an oracle."""
+    dec = FiberPencil(f).decomposition
+    return dec.outer, dec.inner, UniPoly.const(1) if dec.degenerate else FiberPencil(dec.inner).drop
 
 
 def core_fiber_values(outer: UniPoly, drop: UniPoly) -> list:
     """The lambda = r with outer = r mod e for a factor e of `drop`, for the
-    `spectrum.composite_split` (outer, core, drop) of a composite: e divides
+    `composed_parts` (outer, core, drop) of a composite: e divides
     outer - lambda, so the piece e(core) of that fiber takes the
     `factor_rational` branch of the composed route. Input construction, not
     an oracle: it uses the package's univariate factorization."""

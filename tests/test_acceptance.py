@@ -86,12 +86,12 @@ def test_criterion_1_classifier_correctness():
     # twenty constructed compositions, half over linear forms
     cases = []
     while len(cases) < 10:
-        f = _random_outer(rng).compose_bi(_random_linear_form(rng))
+        f = _random_outer(rng).compose(_random_linear_form(rng))
         if not f.is_constant and f.total_degree >= 2:
             cases.append((f, True))  # degenerate inner
     while len(cases) < 20:
         inner = _random_shift_inner(rng)
-        f = _random_outer(rng).compose_bi(inner)
+        f = _random_outer(rng).compose(inner)
         if not f.is_constant and f.total_degree >= 2:
             cases.append((f, inner.deg_y <= 1))
     for f, expect_degenerate in cases:

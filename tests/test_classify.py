@@ -31,7 +31,6 @@ from sumprod.errors import ConstantPolynomial, HypothesisViolated
 from sumprod.factor import FiberPencil
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly
-from sumprod.spectrum import composite_split
 
 from conftest import composites, naive_add, naive_pow, nonconstant_bipolys, to_terms
 
@@ -57,7 +56,7 @@ class TestOrientation:
 class TestDegenerate:
     def test_outer_of_linear_form(self):
         outer = UniPoly({3: 1, 1: 1})
-        f = outer.compose_bi(P("x + 2y"))
+        f = outer.compose(P("x + 2y"))
         dec = is_degenerate(f)
         assert dec is not None
         assert dec.outer == outer
@@ -78,14 +77,14 @@ class TestDegenerate:
 
     def test_scaled_form_recovers(self):
         outer = UniPoly({2: 2, 0: -1})
-        f = outer.compose_bi(P("3x - 5y"))
+        f = outer.compose(P("3x - 5y"))
         dec = is_degenerate(f)
         assert dec is not None and dec.expand() == f
         # canonical form leads with coefficient one
         assert dec.inner.coeff(1, 0) == 1
 
     def test_constant_term_absorbed_into_outer(self):
-        f = UniPoly({2: 1}).compose_bi(P("x + 2y + 3"))
+        f = UniPoly({2: 1}).compose(P("x + 2y + 3"))
         dec = is_degenerate(f)
         assert dec is not None and dec.expand() == f
         assert dec.inner == P("x + 2y")
@@ -141,7 +140,7 @@ class TestComposite:
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             if not a and not b:
                 a = 1
-            f = outer.compose_bi(BiPoly({(1, 0): a, (0, 1): b}))
+            f = outer.compose(BiPoly({(1, 0): a, (0, 1): b}))
             if f.total_degree < 2:
                 continue
             assert is_degenerate(f) is not None
@@ -215,7 +214,7 @@ class TestCompositeFromDecomposition:
     @settings(max_examples=30, deadline=None)
     def test_sigma_splits_by_the_verdict_decomposition(self, f):
         d = is_composite(f).decomposition
-        assert composite_split(f)[:2] == (d.outer, d.inner)
+        assert FiberPencil(f).decomposition == d
 
     def test_fallback_certifies_the_first_irreducible_fiber(self, monkeypatch):
         # x y + 1 - 1 = x y splits, x y + 1 - 2 does not
@@ -320,7 +319,7 @@ class TestDecomposeFully:
             low = rng.randint(-2, 2)
             if low:
                 inner = inner + BiPoly({(0, 0): low})
-            f = outer.compose_bi(inner)
+            f = outer.compose(inner)
             if f.is_constant or f.total_degree < 2:
                 continue
             seen += 1
@@ -367,7 +366,7 @@ class TestClassificationRoundTrip:
                     if c:
                         inner = inner + BiPoly({(0, j): c})
                 expect_degenerate = db <= 1
-            f = outer.compose_bi(inner)
+            f = outer.compose(inner)
             if f.is_constant or f.total_degree < 2:
                 continue
             samples += 1
@@ -413,7 +412,7 @@ class TestJacobianSystem:
     def test_kernel_on_composites_holds_the_inner(self, g, coeffs):
         outer = UniPoly(dict(enumerate(coeffs)))
         assume(outer.degree >= 2)
-        f = outer.compose_bi(g)
+        f = outer.compose(g)
         d = g.total_degree
         fx, fy = f.derivative("x"), f.derivative("y")
         kernel = _jacobian_kernel(f, d)

@@ -35,9 +35,10 @@ from sumprod.factor import (
 from sumprod.linalg import certified_nullspace, rref
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, split_content_x
-from sumprod.spectrum import composite_split, sweep_candidates
+from sumprod.spectrum import sweep_candidates
 
 from conftest import (
+    composed_parts,
     composites,
     conic_abs_count,
     core_fiber_values,
@@ -428,8 +429,8 @@ class TestFactorComposed:
     @given(composites(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_factor_rational_and_sympy(self, f, data):
-        outer, core, drop = composite_split(f)
-        assert outer.compose_bi(core) == f
+        outer, core, drop = composed_parts(f)
+        assert outer.compose(core) == f
         special = core_fiber_values(outer, drop)
         values = st.fractions(min_value=-9, max_value=9, max_denominator=4)
         lam = data.draw(st.sampled_from(special) | values if special else values)
@@ -442,7 +443,7 @@ class TestFactorComposed:
         # g^2 + 1 for g = x^2 y + x + y: t^2 + 1 meets the drop polynomial of
         # g, so the piece is split by factor_rational
         g = P("x^2 y + x + y")
-        outer, core, drop = composite_split(g**2 + BiPoly.const(1))
+        outer, core, drop = composed_parts(g**2 + BiPoly.const(1))
         assert (outer, core) == (UniPoly({2: 1, 0: 1}), g)
         assert drop == UniPoly({2: 1, 0: 1})
         fl = factor_composed(g**2 + BiPoly.const(1), outer, core, drop)

@@ -1,5 +1,6 @@
 """Reducible-fiber search, certificates, and row removal."""
 
+import contextlib
 import json
 from fractions import Fraction as F
 from unittest import mock
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumprod import integers, linalg, spectrum
+from sumprod import classify, integers, linalg, spectrum
 from sumprod.classify import is_composite
 from sumprod.cli import main
 from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, factor_univariate, rational_roots
@@ -17,8 +18,6 @@ from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
 from sumprod.spectrum import (
     _composed_dimension,
-    composite_split,
-    fiber_split,
     ordered_distinct,
     rational_critical_values,
     remove_sigma_rows,
@@ -31,6 +30,7 @@ from conftest import (
     CORPUS_EVAL,
     LARGE_ELIMINANT,
     NON_COMPOSITE,
+    composed_parts,
     composites,
     core_fiber_values,
     fraction_sweep,
@@ -39,6 +39,21 @@ from conftest import (
     projected_spectrum,
     to_terms,
 )
+
+
+@contextlib.contextmanager
+def drop_polynomial_calls():
+    """The list of the `linalg.Pencil`s asked for their rank-drop polynomial
+    inside the block."""
+    asked = []
+    drop_polynomial = linalg.Pencil.drop_polynomial
+
+    def recording(self):
+        asked.append(self)
+        return drop_polynomial(self)
+
+    with mock.patch.object(linalg.Pencil, "drop_polynomial", recording):
+        yield asked
 
 
 class TestCandidates:
@@ -52,6 +67,9 @@ class TestCandidates:
     def test_gradient_never_vanishes(self):
         cands = sigma_candidates(FiberPencil(P("x + y")), sweep_height=2)
         assert cands == sweep_candidates(2)
+        # x + y = Q(x + y) with deg Q = 1 is not composite: no fiber is
+        # reducible, and the list of those is empty, not missing
+        assert rational_critical_values(FiberPencil(P("x + y"))) == []
 
     def test_user_values_included(self):
         cands = sigma_candidates(FiberPencil(P("x y")), extra=(F(17), F(-22, 7)))
@@ -249,7 +267,7 @@ class TestSingularZeroPoint:
     )
     @settings(max_examples=20, deadline=None)
     def test_polynomials_of_a_line_have_no_spectrum(self, a, b, coeffs):
-        f = UniPoly(dict(enumerate(coeffs))).compose_bi(BiPoly({(1, 0): a, (0, 1): b}))
+        f = UniPoly(dict(enumerate(coeffs))).compose(BiPoly({(1, 0): a, (0, 1): b}))
         assert FiberPencil(f).spectrum is None
 
     @given(
@@ -368,73 +386,88 @@ class TestScan:
     @settings(max_examples=15, deadline=None)
     def test_composite_split_matches_the_route_without_it(self, f):
         # the candidates reach both branches of the composed route
-        outer, _, drop = composite_split(f)
+        outer, _, drop = composed_parts(f)
         lams = sweep_candidates(1) + core_fiber_values(outer, drop)
         report = sigma_scan(FiberPencil(f), lams)
-        with mock.patch("sumprod.spectrum.composite_split", return_value=None):
+        with mock.patch.object(FiberPencil, "decomposition", None):
             assert sigma_scan(FiberPencil(f), lams) == report
         assert all(hit.revalidate(f) for hit in report.found)
 
     @given(composites())
     @settings(max_examples=15, deadline=None)
     def test_in_cap_composite_pencil_gives_no_drop(self, f):
-        # split first, f's own pencil is never asked for its rank-drop
+        # decomposed first, f's own pencil is never asked for its rank-drop
         # polynomial (the core's may be); the report is the one built with
         # the spectrum read first, which a composite does not have
-        asked = []
-        drop_polynomial = linalg.Pencil.drop_polynomial
-
-        def recording(self):
-            asked.append(self)
-            return drop_polynomial(self)
-
-        with mock.patch.object(linalg.Pencil, "drop_polynomial", recording):
+        with drop_polynomial_calls() as asked:
             pencil = FiberPencil(f)
-            assert fiber_split(pencil) is not None
+            assert pencil.decomposition is not None
             report = sigma_scan(pencil, sigma_candidates(pencil))
         assert not any(p is pencil.pencil for p in asked)
         spectrum_first = FiberPencil(f)
         assert spectrum_first.spectrum is None
         assert sigma_scan(spectrum_first, sigma_candidates(spectrum_first)) == report
 
+    @given(composites() | st.sampled_from(NON_COMPOSITE).map(P))
+    @settings(max_examples=20, deadline=None)
+    def test_spectrum_does_not_depend_on_call_order(self, f):
+        # a fresh pencil of a composite has no spectrum and never asks its
+        # own pencil for the rank-drop polynomial; for every f the report is
+        # the same whether the spectrum or the decomposition is read first
+        verdict = is_composite(f)
+        with drop_polynomial_calls() as asked:
+            spectrum_first = FiberPencil(f)
+            spectrum = spectrum_first.spectrum
+        if verdict.composite:
+            assert spectrum is None
+            assert not any(p is spectrum_first.pencil for p in asked)
+        decomposition_first = FiberPencil(f)
+        assert decomposition_first.decomposition == verdict.decomposition
+        reports = [sigma_scan(p, sigma_candidates(p)) for p in (spectrum_first, decomposition_first)]
+        assert reports[0] == reports[1]
+
     def test_composite_is_decomposed_once(self, monkeypatch):
         f = P("x^4 + 2 x^2 y + x^2 + y^2 + y")
         decomposed = []
-        split = spectrum.composite_split
-        monkeypatch.setattr(spectrum, "composite_split", lambda f: decomposed.append(f) or split(f))
+        decompose = classify.decompose
+        monkeypatch.setattr(classify, "decompose", lambda f: decomposed.append(f) or decompose(f))
         pencil = FiberPencil(f)
         for _ in range(2):
-            assert fiber_split(pencil)[1] == P("x^2 + y")
+            assert pencil.decomposition.inner == P("x^2 + y")
         sigma_scan(pencil, sigma_candidates(pencil))
         assert decomposed == [f]
 
-    def test_over_the_cap_is_not_decomposed(self, refuse_in_package):
-        refuse_in_package(("composite_split",), "an f over the cap was decomposed")
-        assert fiber_split(FiberPencil(P("x^2 + 2 x y + y^2")), cap=1) is None
+    def test_over_the_cap_composite_reads_no_spectrum(self, refuse_in_package, capsys):
+        # (x^3 + y)^3 is over the default cap: it is decomposed, so its
+        # spectrum is never computed, and its fibers are not factored
+        # through its core, so its first reducible fiber exceeds the cap
+        refuse_in_package(("Pencil.drop_polynomial", "factor_composed"), "sigma read the spectrum or the core")
+        assert main(["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"]) == 3
+        assert capsys.readouterr().err == "degree cap exceeded: total degree 9 exceeds cap 8\n"
 
     @pytest.mark.parametrize(
         ("poly", "lam"), [("x^2 + 2 x y + y^2", 2), ("x^4 + 2 x^2 y + y^2", 3), ("x^2 y^2 - 1", -3)]
     )
     def test_composed_dimension_by_both_routes(self, poly, lam):
         f = P(poly)
-        outer, inner, drop = split = composite_split(f)
+        outer, _, drop = composed_parts(f)
         pencil = FiberPencil(f)
-        assert _composed_dimension(split, F(lam), pencil) == 2
-        assert _composed_dimension((outer, inner, outer - lam), F(lam), pencil) == 2
+        assert _composed_dimension(outer, drop, F(lam), pencil) == 2
+        assert _composed_dimension(outer, outer - lam, F(lam), pencil) == 2
 
     @given(composites(), st.integers(-4, 4))
     @settings(max_examples=30, deadline=None)
     def test_pencil_fallback_agrees_with_the_gcd_shortcut(self, f, lam):
         # with drop forced to Q - lambda, the gcd is never 1 and the
         # pencil decides; both must give the deg Q factors g - alpha
-        outer, inner, drop = split = composite_split(f)
+        outer, _, drop = composed_parts(f)
         lam = F(lam)
         pieces = factor_univariate(outer - lam)[1]
         assume(len(pieces) == 1 and pieces[0][1] == 1)
         assume(drop is not None and uni_gcd(outer - lam, drop).degree == 0)
         pencil = FiberPencil(f)
-        assert _composed_dimension(split, lam, pencil) == outer.degree
-        assert _composed_dimension((outer, inner, outer - lam), lam, pencil) == outer.degree
+        assert _composed_dimension(outer, drop, lam, pencil) == outer.degree
+        assert _composed_dimension(outer, outer - lam, lam, pencil) == outer.degree
 
     def test_rank_test_runs_only_on_the_spectrum(self, monkeypatch, capsys):
         # x^3 + y^3 - lambda splits only at 0, the one root of the pencil's drop
