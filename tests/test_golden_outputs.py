@@ -264,6 +264,15 @@ def test_linear_core_fibers_need_no_bivariate_factorization(refuse_in_package, t
     assert digests == GOLDEN[case]
 
 
+def test_degree_cap_comes_before_the_decomposition(refuse_in_package, capsys):
+    # (x^3 + y)^3 is over the default cap: sigma finds it composite, so it
+    # never computes a spectrum, but the cap comes before the decomposition
+    # of its fibers through the core, so the first reducible fiber stops it
+    refuse_in_package(("Pencil.drop_polynomial", "factor_composed"), "sigma read the spectrum or the core")
+    assert main(["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"]) == 3
+    assert capsys.readouterr().err == "degree cap exceeded: total degree 9 exceeds cap 8\n"
+
+
 @pytest.mark.parametrize("case", ["sigma-linear-core", "incidence-cubed-core"])
 def test_composite_needs_no_rank_drop_polynomial(case, refuse_in_package, tmp_path):
     # a composite f has every fiber reducible, hence no spectrum: sigma (in

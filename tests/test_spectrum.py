@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sumprod import classify, integers, linalg, spectrum
 from sumprod.classify import is_composite
 from sumprod.cli import main
+from sumprod.errors import DegreeCapExceeded
 from sumprod.factor import AbsReducibleWitness, FactorList, FiberPencil, factor_univariate, rational_roots
 from sumprod.parsing import parse_poly as P
 from sumprod.poly import BiPoly, UniPoly, resultant_eliminating, uni_gcd
@@ -437,13 +438,15 @@ class TestScan:
         sigma_scan(pencil, sigma_candidates(pencil))
         assert decomposed == [f]
 
-    def test_over_the_cap_composite_reads_no_spectrum(self, refuse_in_package, capsys):
-        # (x^3 + y)^3 is over the default cap: it is decomposed, so its
-        # spectrum is never computed, and its fibers are not factored
-        # through its core, so its first reducible fiber exceeds the cap
-        refuse_in_package(("Pencil.drop_polynomial", "factor_composed"), "sigma read the spectrum or the core")
-        assert main(["sigma", "--poly", "x^9 + 3 x^6 y + 3 x^3 y^2 + y^3"]) == 3
-        assert capsys.readouterr().err == "degree cap exceeded: total degree 9 exceeds cap 8\n"
+    def test_over_the_cap_is_not_decomposed(self, refuse_in_package):
+        # (x + y)^2 over a cap of 1 is found composite, but its fibers are
+        # not decomposed through the core x + y: the first reducible one
+        # is factored as a non-composite's and exceeds the cap
+        refuse_in_package(("Pencil.drop_polynomial", "factor_composed"), "an f over the cap was decomposed")
+        pencil = FiberPencil(P("x^2 + 2 x y + y^2"))
+        assert pencil.decomposition.inner == P("x + y")
+        with pytest.raises(DegreeCapExceeded):
+            sigma_scan(pencil, [F(0)], cap=1)
 
     @pytest.mark.parametrize(
         ("poly", "lam"), [("x^2 + 2 x y + y^2", 2), ("x^4 + 2 x^2 y + y^2", 3), ("x^2 y^2 - 1", -3)]
